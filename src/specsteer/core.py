@@ -67,6 +67,7 @@ class Vocabulary:
         if not 0 <= self.eos_id < len(self.tokens):
             raise VocabError(f"eos_id {self.eos_id} out of range")
         object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.tokens)})
+        object.__setattr__(self, "_ids", frozenset(range(len(self.tokens))))
 
     @property
     def size(self) -> int:
@@ -99,8 +100,16 @@ class Vocabulary:
 def validate_sequence(ids: Sequence[int], vocab: Vocabulary, max_len: int | None = None) -> None:
     """Enforce the token-sequence invariants: ids in range, length cap, and
     nothing after eos."""
-    if max_len is not None and len(ids) > max_len:
-        raise SequenceError(f"sequence length {len(ids)} exceeds cap {max_len}")
+    n = len(ids)
+    if max_len is not None and n > max_len:
+        raise SequenceError(f"sequence length {n} exceeds cap {max_len}")
+    # C-level set operations decide; the loop below only runs to name the
+    # position in its error message.
+    valid: frozenset[int] = vocab._ids  # type: ignore[attr-defined]
+    seen = set(ids)
+    eos = vocab.eos_id
+    if valid.issuperset(seen) and (eos not in seen or ids.index(eos) == n - 1):
+        return
     for pos, i in enumerate(ids):
         if not 0 <= i < vocab.size:
             raise SequenceError(f"token id {i} out of range at position {pos}")

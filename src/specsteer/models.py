@@ -12,7 +12,11 @@ Two desk-scale backends implement the same scoring interface:
 
 Both expose ``next_token_probs`` / ``next_token_logits`` over the full
 vocabulary; logits are log-probabilities (softmax round-trips exactly up
-to the probability floor).
+to the probability floor).  Both also expose ``window``: the number of
+trailing history tokens a score depends on.  Callers may pass any history
+that ends in the same ``window`` tokens (or the whole history when it is
+shorter) and get the same result, which keeps per-token cost independent
+of history length.
 """
 
 from __future__ import annotations
@@ -90,8 +94,9 @@ class TableModel:
         self._cdfs = {k: p.cumsum().tolist() for k, p in self._probs.items()}
 
     def _row(self, history: Sequence[int]) -> tuple[int, ...]:
-        for m in range(min(self.window, len(history)), -1, -1):
-            key = tuple(history[len(history) - m:])
+        n = len(history)
+        for m in range(self.window if self.window < n else n, -1, -1):
+            key = tuple(history[n - m:])
             if key in self._probs:
                 return key
         return ()
@@ -143,6 +148,7 @@ class NGramModel:
         self.add_k = float(add_k)
         self.mu = float(mu)
         self.profile = profile
+        self.window = order - 1
         self._vsize = vocab.size
         self._counts = counts
         self._totals = totals
@@ -153,7 +159,7 @@ class NGramModel:
         self._cdf_cache: dict[tuple[int, ...], list[float]] = {}
 
     def _window(self, history: Sequence[int]) -> tuple[int, ...]:
-        m = self.order - 1
+        m = self.window
         if m == 0:
             return ()
         padded = [BOS] * m + list(history[-m:] if len(history) >= m else history)
@@ -175,19 +181,21 @@ class NGramModel:
                 p[tok] = (c + self.add_k) / denom
         return p
 
-    def next_token_probs(self, history: Sequence[int]) -> np.ndarray:
-        _check_history(history, self._vsize)
-        window = self._window(history)
-        cached = self._cache.get(window)
-        if cached is not None:
-            return cached
+    def _probs(self, window: tuple[int, ...]) -> np.ndarray:
         p = self._table_probs(window, self._counts, self._totals)
         if self.mu > 0.0:
             assert self._private_counts is not None and self._private_totals is not None
             priv = self._table_probs(window, self._private_counts, self._private_totals)
             p = (1.0 - self.mu) * p + self.mu * priv
-        self._cache[window] = p
         return p
+
+    def next_token_probs(self, history: Sequence[int]) -> np.ndarray:
+        _check_history(history, self._vsize)
+        window = self._window(history)
+        cached = self._cache.get(window)
+        if cached is None:
+            cached = self._cache[window] = self._probs(window)
+        return cached
 
     def next_token_logits(self, history: Sequence[int]) -> np.ndarray:
         _check_history(history, self._vsize)
@@ -195,7 +203,10 @@ class NGramModel:
         cached = self._logit_cache.get(window)
         if cached is not None:
             return cached
-        h = np.log(np.maximum(self.next_token_probs(history), PROB_FLOOR))
+        # A model scored only through logits (the cloud's pair) does not
+        # also keep a probability row per window.
+        p = self._cache.get(window)
+        h = np.log(np.maximum(p if p is not None else self._probs(window), PROB_FLOOR))
         self._logit_cache[window] = h
         return h
 

@@ -6,6 +6,12 @@ verdicts.  ``run_session`` wires the two state machines together
 in-process; the transport module reuses the exact same machines over a
 byte channel, so the two execution modes are equivalent by construction
 (same random streams, same draw order).
+
+Models are scored from the tail of the history that their ``window``
+covers, so a round costs O(K + window) whatever the history length.  Token
+ids are checked once, where they enter: the prompt when a session starts,
+and every draft id and recovery delta at cloud ingest.  Tokens the edge
+samples itself are trusted.
 """
 
 from __future__ import annotations
@@ -94,6 +100,14 @@ def verdict_frame_bytes(n_entries: int) -> int:
     return size
 
 
+def history_tail(history: list[int], window: int) -> list[int]:
+    """The last ``window`` tokens of ``history`` as a new list (all of it
+    when shorter, none when ``window`` is 0).  A model scores it exactly as
+    it scores the whole history."""
+    # history[-0:] would be the whole list.
+    return history[-window:] if window else []
+
+
 # ---------------------------------------------------------------------------
 # Recovery
 # ---------------------------------------------------------------------------
@@ -158,7 +172,11 @@ def recovery_law(
 
 
 class EdgeSession:
-    """Drafter-side state machine: draft, commit verdicts, recover."""
+    """Drafter-side state machine: draft, commit verdicts, recover.
+
+    ``checked=True`` skips the config and prompt checks, for a caller that
+    has already run them for this session.
+    """
 
     def __init__(
         self,
@@ -167,9 +185,12 @@ class EdgeSession:
         vocab: Vocabulary,
         prompt_ids: Sequence[int],
         streams: RngStreams | None = None,
+        *,
+        checked: bool = False,
     ) -> None:
-        config.validate(vocab.size)
-        validate_sequence(prompt_ids, vocab, config.max_len)
+        if not checked:
+            config.validate(vocab.size)
+            validate_sequence(prompt_ids, vocab, config.max_len)
         self.config = config
         self.drafter = drafter
         self.vocab = vocab
@@ -185,6 +206,7 @@ class EdgeSession:
         self._recovery_rng = rngs.recovery
         self._greedy = config.decode_mode == "greedy"
         self._cdf_fn = getattr(drafter, "next_token_cdf", None)
+        self._window = drafter.window
         self._max_len = config.max_len
         self._horizon = config.horizon_k
         self._beta = config.beta
@@ -202,7 +224,7 @@ class EdgeSession:
         budget = self._max_len - len(self.committed)
         k = min(self._horizon, budget)
         tokens: list[int] = []
-        hist = list(self.committed)
+        hist = history_tail(self.committed, self._window)
         for _ in range(k):
             if self._greedy:
                 tok = greedy_pick(self.drafter.next_token_probs(hist))
@@ -238,7 +260,7 @@ class EdgeSession:
             # position, so the private term is scored lazily here.
             rec_token = recover(
                 verdict.recovery,
-                self.drafter.next_token_logits(self.committed),
+                self.drafter.next_token_logits(history_tail(self.committed, self._window)),
                 self._beta,
                 self._recovery_rng,
                 greedy=self._greedy,
@@ -262,7 +284,11 @@ class CloudVerifier:
 
     Sees only token ids and its own two models; keeps a mirror of the
     committed history repaired by the one-token delta riding on the next
-    draft frame.
+    draft frame.  Every id arriving from the edge (prompt, draft, delta) is
+    untrusted and checked here before it reaches a model or an index.
+    ``zt_fn``, like the models, exposes the ``window`` it reads.
+    ``checked=True`` skips the config and prompt checks, for a caller that
+    has already run them for this session.
     """
 
     def __init__(
@@ -274,8 +300,12 @@ class CloudVerifier:
         prompt_ids: Sequence[int],
         streams: RngStreams | None = None,
         zt_fn: Callable[[Sequence[int]], float] | None = None,
+        *,
+        checked: bool = False,
     ) -> None:
-        config.validate(vocab.size)
+        if not checked:
+            config.validate(vocab.size)
+            validate_sequence(prompt_ids, vocab, config.max_len)
         if config.exact_z and zt_fn is None:
             raise ProtocolStateError("exact-Z verification needs a partition callback")
         self.config = config
@@ -294,6 +324,24 @@ class CloudVerifier:
         self._beta = config.beta
         self._top_k = config.top_k
         self._exact_z = config.exact_z
+        self._vsize = vocab.size
+        # Conditionals, not builtin max: this runs once per session and the
+        # single-step session is a hot loop.
+        w, w_minus = llm.window, slm_minus.window
+        self._window = w if w >= w_minus else w_minus
+        if self._exact_z and zt_fn.window > self._window:
+            self._window = zt_fn.window
+
+    def _check_ids(self, ids: Sequence[int], what: str) -> None:
+        """Untrusted ids must index the vocabulary before any model or
+        logit vector sees them.  A plain loop: these are at most K ids, and
+        builtin min/max cost more than the loop at that size."""
+        vsize = self._vsize
+        for i in ids:
+            if not 0 <= i < vsize:
+                raise ProtocolStateError(
+                    f"{what} token id {i} out of range for vocabulary of size {vsize}"
+                )
 
     def verify(
         self,
@@ -337,13 +385,15 @@ class CloudVerifier:
             raise ProtocolStateError("empty draft batch")
         if self.awaiting_delta != (history_delta is not None):
             raise ProtocolStateError("recovery history delta missing or unexpected")
+        self._check_ids(batch.token_ids, "draft")
         if history_delta is not None:
+            self._check_ids((history_delta,), "history delta")
             self.mirror.append(history_delta)
             self.awaiting_delta = False
 
         # Parallel scoring of [history, batch]: logits at every draft
         # position regardless of where the scan stops.
-        prefix = list(self.mirror)
+        prefix = history_tail(self.mirror, self._window)
         h_llm_seq: list[np.ndarray] = []
         h_minus_seq: list[np.ndarray] = []
         lam_seq: list[float] = []
@@ -379,6 +429,7 @@ class CloudVerifier:
         """Apply the final history repair carried by the DONE message."""
         if self.awaiting_delta and not trailing_ids:
             raise ProtocolStateError("session ended with unrepaired recovery token")
+        self._check_ids(trailing_ids, "trailing")
         self.mirror.extend(trailing_ids)
         self.awaiting_delta = False
 
@@ -395,7 +446,8 @@ def _check_shared_vocab(vocab: Vocabulary, *models) -> None:
 
 
 def exact_partition_fn(llm, slm_plus, slm_minus) -> Callable[[Sequence[int]], float]:
-    """Per-step true partition function for exact-Z verification."""
+    """Per-step true partition function for exact-Z verification; its
+    ``window`` covers all three models."""
 
     def zt(prefix: Sequence[int]) -> float:
         p_llm = llm.next_token_probs(prefix)
@@ -403,6 +455,7 @@ def exact_partition_fn(llm, slm_plus, slm_minus) -> Callable[[Sequence[int]], fl
         p_minus = np.maximum(slm_minus.next_token_probs(prefix), PROB_FLOOR)
         return float(np.sum(p_llm * p_plus / p_minus))
 
+    zt.window = max(llm.window, slm_plus.window, slm_minus.window)
     return zt
 
 
@@ -417,10 +470,14 @@ def run_session(
 ) -> tuple[list[int], list[RoundTrace]]:
     """Full draft-verify-recover loop until eos or the length cap."""
     _check_shared_vocab(vocab, llm, slm_plus, slm_minus)
+    config.validate(vocab.size)
+    validate_sequence(prompt_ids, vocab, config.max_len)
     rngs = streams if streams is not None else make_streams(config.seed)
-    edge = EdgeSession(config, slm_plus, vocab, prompt_ids, streams=rngs)
+    edge = EdgeSession(config, slm_plus, vocab, prompt_ids, streams=rngs, checked=True)
     zt_fn = exact_partition_fn(llm, slm_plus, slm_minus) if config.exact_z else None
-    cloud = CloudVerifier(config, llm, slm_minus, vocab, prompt_ids, streams=rngs, zt_fn=zt_fn)
+    cloud = CloudVerifier(
+        config, llm, slm_minus, vocab, prompt_ids, streams=rngs, zt_fn=zt_fn, checked=True
+    )
 
     traces: list[RoundTrace] = []
     while True:
@@ -451,7 +508,7 @@ def autoregressive_decode(
     out = list(prompt_ids)
     greedy = mode == "greedy"
     while len(out) < max_len and (not out or out[-1] != vocab.eos_id):
-        probs = model.next_token_probs(out)
+        probs = model.next_token_probs(history_tail(out, model.window))
         tok = greedy_pick(probs) if greedy else sample(probs, rng)
         out.append(tok)
     return out

@@ -494,9 +494,10 @@ def run_cloud(
         log.warning("refusing session: vocabulary hash mismatch")
         send(encode_done(0, ()))
         return CloudStats(refused=True, rounds=0, traces=[], mirror=[])
+    # Checks the handshake's config and prompt before acknowledging it.
+    verifier = CloudVerifier(config, llm, slm_minus, vocab, prompt)
     send(encode_hello_ack(vhash))
 
-    verifier = CloudVerifier(config, llm, slm_minus, vocab, prompt)
     while True:
         msg_type, payload = recv()
         if msg_type == MSG_DRAFT:

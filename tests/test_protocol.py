@@ -4,6 +4,7 @@ import pytest
 from specsteer.core import (
     ProtocolConfig,
     ROLE_DRAFT,
+    SequenceError,
     Vocabulary,
     make_streams,
     softmax,
@@ -21,11 +22,13 @@ from specsteer.protocol import (
     build_steering_payload,
     draft_frame_bytes,
     exact_partition_fn,
+    history_tail,
     recover,
     recovery_law,
     run_session,
     verdict_frame_bytes,
 )
+from specsteer.transport import decode_frame, decode_hello, encode_hello, vocab_hash64
 
 from conftest import make_vocab, random_table_triple
 
@@ -143,6 +146,54 @@ class TestVerify:
         cloud = self._cloud(vocab, [0.3, 0.5, 0.2], [0.4, 0.4, 0.2], 0.5)
         with pytest.raises(ProtocolStateError):
             cloud.handle_draft(DraftBatch(0, (0,)), 1)
+
+
+class TestCloudIngest:
+    """Untrusted ids end in a typed error before any model or logit index
+    sees them, and the refused frame leaves the mirror untouched."""
+
+    def _cloud(self, vocab, lam=0.5, decode_mode="stochastic", prompt=(0,)):
+        cfg = ProtocolConfig(lam=lam, top_k=vocab.size, max_len=16, decode_mode=decode_mode)
+        llm = single_row_model(vocab, [0.1, 0.7, 0.2])
+        minus = single_row_model(vocab, [0.4, 0.4, 0.2])
+        return CloudVerifier(cfg, llm, minus, vocab, prompt)
+
+    @pytest.mark.parametrize("ids", [(3,), (0, 1, 3), (-1,), (0, -2), (2**32 - 1,)])
+    def test_draft_id_out_of_range(self, ids):
+        # (0, 1, 3): the last draft token is never scored as history, so
+        # only the ingest check keeps it out of verify's logit index.
+        vocab = make_vocab(3)
+        cloud = self._cloud(vocab, lam=1e-12)
+        with pytest.raises(ProtocolStateError):
+            cloud.handle_draft(DraftBatch(0, ids), None)
+        assert cloud.mirror == [0] and cloud.expected_seq == 0
+
+    @pytest.mark.parametrize("delta", [3, -1])
+    def test_history_delta_out_of_range(self, delta):
+        vocab = make_vocab(3)
+        cloud = self._cloud(vocab, lam=1.0, decode_mode="greedy")
+        assert cloud.handle_draft(DraftBatch(0, (0,)), None).recovery is not None
+        with pytest.raises(ProtocolStateError):
+            cloud.handle_draft(DraftBatch(1, (1,)), delta)
+        assert cloud.mirror == [0] and cloud.awaiting_delta
+
+    def test_trailing_id_out_of_range(self):
+        vocab = make_vocab(3)
+        cloud = self._cloud(vocab, lam=1.0, decode_mode="greedy")
+        cloud.handle_draft(DraftBatch(0, (0,)), None)
+        with pytest.raises(ProtocolStateError):
+            cloud.finish([7])
+
+    @pytest.mark.parametrize("prompt", [(0, 3), (0, 2, 1), (2**32 - 1,), (0,) * 17])
+    def test_hello_prompt_refused(self, prompt):
+        # Out of range, a token after eos (eos is id 2), and longer than max_len.
+        vocab = make_vocab(3)
+        cfg = ProtocolConfig(top_k=3, max_len=16)
+        _, payload = decode_frame(encode_hello(cfg, vocab_hash64(vocab), prompt))
+        hcfg, _, hprompt = decode_hello(payload)
+        with pytest.raises(SequenceError):
+            CloudVerifier(hcfg, single_row_model(vocab, [0.1, 0.7, 0.2]),
+                          single_row_model(vocab, [0.4, 0.4, 0.2]), vocab, hprompt)
 
 
 class TestSteeringPayload:
@@ -321,6 +372,15 @@ class TestCancellation:
             alphas.append(cloud.traces[0].alphas)
         assert verdicts[0] == verdicts[1]
         assert alphas[0] == alphas[1]
+
+
+class TestHistoryTail:
+    def test_tail(self):
+        h = [1, 2, 3]
+        assert history_tail(h, 2) == [2, 3]
+        assert history_tail(h, 5) == [1, 2, 3]
+        assert history_tail(h, 0) == []  # not h[-0:], the whole list
+        assert history_tail(h, 5) is not h
 
 
 class TestAutoregressive:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specsteer.core import ProtocolConfig, Vocabulary
+from specsteer.core import ProtocolConfig, SequenceError, Vocabulary
 from specsteer.protocol import (
     DraftBatch,
     SparseSteeringPayload,
@@ -286,6 +286,18 @@ class TestHandshake:
             run_edge(cfg, edge_end, plus, vocab_a, [0])
         thread.join(timeout=10)
         assert out["stats"].refused
+
+    @pytest.mark.parametrize("prompt", [[0, 6], [5, 1]])
+    def test_bad_prompt_not_acknowledged(self, prompt):
+        # Out of range, and a token after eos (id 5): checked before the ack.
+        rng = np.random.default_rng(34)
+        vocab, (llm, _, minus) = random_table_triple(rng, 6)
+        edge_end, cloud_end, counters = simulated_pair()
+        cfg = ProtocolConfig(max_len=8, top_k=6)
+        edge_end.send_frame(encode_hello(cfg, vocab_hash64(vocab), prompt))
+        with pytest.raises(SequenceError):
+            run_cloud(cloud_end, llm, minus, vocab)
+        assert counters.down_bytes == 0
 
 
 class TestFrameLogs:
