@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # Probabilities below this floor are clamped before entering any log or
 # ratio denominator.  Ratios of small probabilities are the core of the
@@ -180,15 +181,39 @@ ROLE_VERIFY = 1
 ROLE_RECOVERY = 2
 
 
+_U64_MASK = 2**64 - 1
+
+
+class _PhiloxKey(ISeedSequence):
+    """Seed sequence that hands Philox a fixed 128-bit key.
+
+    ``Philox(key=...)`` first builds a ``SeedSequence`` from OS entropy and
+    then discards it.  Philox asks its seed sequence for exactly two 64-bit
+    words and uses them as the key, so answering with the key's words gives
+    the same stream without drawing entropy.
+    """
+
+    __slots__ = ("_words",)
+
+    def __init__(self, key: int) -> None:
+        self._words = (key & _U64_MASK, key >> 64)
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key is two 64-bit words")
+        return np.array(self._words, dtype=np.uint64)
+
+
 def stream(seed: int, role: int) -> np.random.Generator:
     """Counter-based Philox stream for one role of one session.
 
     The 128-bit key is (role+1) << 64 | seed, so streams for different
     roles of the same session never collide and the edge/cloud processes
-    can reconstruct their own streams from the handshake seed alone.
+    can reconstruct their own streams from the handshake seed alone.  The
+    stream equals ``Generator(Philox(key=key))``.
     """
-    key = ((role + 1) << 64) | (seed & (2**64 - 1))
-    return np.random.Generator(np.random.Philox(key=key))
+    key = ((role + 1) << 64) | (seed & _U64_MASK)
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 @dataclass

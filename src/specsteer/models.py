@@ -61,10 +61,14 @@ class ModelProfile:
             raise ModelError("profile statistics must be positive")
 
 
+def _unknown_id(i: int, size: int) -> ModelError:
+    return ModelError(f"unknown token id {i} for vocabulary of size {size}")
+
+
 def _check_history(history: Sequence[int], size: int) -> None:
     for i in history:
         if not 0 <= i < size:
-            raise ModelError(f"unknown token id {i} for vocabulary of size {size}")
+            raise _unknown_id(i, size)
 
 
 class TableModel:
@@ -94,6 +98,9 @@ class TableModel:
         self._cdfs = {k: p.cumsum().tolist() for k, p in self._probs.items()}
 
     def _row(self, history: Sequence[int]) -> tuple[int, ...]:
+        """Key of the longest stored window ``history`` ends in, after
+        checking every id in ``history``."""
+        _check_history(history, self._vsize)
         n = len(history)
         for m in range(self.window if self.window < n else n, -1, -1):
             key = tuple(history[n - m:])
@@ -102,16 +109,13 @@ class TableModel:
         return ()
 
     def next_token_probs(self, history: Sequence[int]) -> np.ndarray:
-        _check_history(history, self._vsize)
         return self._probs[self._row(history)]
 
     def next_token_logits(self, history: Sequence[int]) -> np.ndarray:
-        _check_history(history, self._vsize)
         return self._logits[self._row(history)]
 
     def next_token_cdf(self, history: Sequence[int]) -> list[float]:
         """Cached cumulative distribution; lets samplers skip the cumsum."""
-        _check_history(history, self._vsize)
         return self._cdfs[self._row(history)]
 
 
@@ -158,12 +162,18 @@ class NGramModel:
         self._logit_cache: dict[tuple[int, ...], np.ndarray] = {}
         self._cdf_cache: dict[tuple[int, ...], list[float]] = {}
 
-    def _window(self, history: Sequence[int]) -> tuple[int, ...]:
+    def _key(self, history: Sequence[int]) -> tuple[int, ...]:
+        """The last ``window`` ids of ``history``, left-padded with BOS when
+        it is shorter, after checking every id in ``history``."""
+        size = self._vsize
+        for i in history:
+            if not 0 <= i < size:
+                raise _unknown_id(i, size)
         m = self.window
-        if m == 0:
-            return ()
-        padded = [BOS] * m + list(history[-m:] if len(history) >= m else history)
-        return tuple(padded[-m:])
+        n = len(history)
+        if n >= m:
+            return tuple(history[n - m:])
+        return (BOS,) * (m - n) + tuple(history)
 
     def _table_probs(
         self,
@@ -190,16 +200,14 @@ class NGramModel:
         return p
 
     def next_token_probs(self, history: Sequence[int]) -> np.ndarray:
-        _check_history(history, self._vsize)
-        window = self._window(history)
+        window = self._key(history)
         cached = self._cache.get(window)
         if cached is None:
             cached = self._cache[window] = self._probs(window)
         return cached
 
     def next_token_logits(self, history: Sequence[int]) -> np.ndarray:
-        _check_history(history, self._vsize)
-        window = self._window(history)
+        window = self._key(history)
         cached = self._logit_cache.get(window)
         if cached is not None:
             return cached
@@ -212,8 +220,7 @@ class NGramModel:
 
     def next_token_cdf(self, history: Sequence[int]) -> list[float]:
         """Cached cumulative distribution; lets samplers skip the cumsum."""
-        _check_history(history, self._vsize)
-        window = self._window(history)
+        window = self._key(history)
         cached = self._cdf_cache.get(window)
         if cached is not None:
             return cached

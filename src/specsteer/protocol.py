@@ -25,6 +25,9 @@ import numpy as np
 
 from .core import (
     PROB_FLOOR,
+    ROLE_DRAFT,
+    ROLE_RECOVERY,
+    ROLE_VERIFY,
     ProtocolConfig,
     RngStreams,
     SpecSteerError,
@@ -33,6 +36,7 @@ from .core import (
     make_streams,
     sample,
     softmax,
+    stream,
     validate_sequence,
 )
 
@@ -121,6 +125,27 @@ def build_steering_payload(
     return SparseSteeringPayload(entries=tuple(zip(order.tolist(), values[order].tolist())))
 
 
+def check_steering_payload(payload: SparseSteeringPayload, vocab_size: int, top_k: int) -> None:
+    """An untrusted payload (one decoded from the wire) must hold at most
+    ``top_k`` entries with unique in-vocabulary ids and finite values
+    before ``recover`` reads it.  Payloads our own cloud builds in-process
+    skip this."""
+    entries = payload.entries
+    if not entries:
+        raise ProtocolStateError("empty steering payload")
+    if len(entries) > top_k:
+        raise ProtocolStateError(f"steering payload has {len(entries)} entries, top_k is {top_k}")
+    for i, v in entries:
+        if not 0 <= i < vocab_size:
+            raise ProtocolStateError(
+                f"steering token id {i} out of range for vocabulary of size {vocab_size}"
+            )
+        if not math.isfinite(v):
+            raise ProtocolStateError(f"steering value {v} for token id {i} is not finite")
+    if len({i for i, _ in entries}) != len(entries):
+        raise ProtocolStateError("steering payload repeats a token id")
+
+
 def recover(
     payload: SparseSteeringPayload,
     h_plus: np.ndarray,
@@ -133,10 +158,14 @@ def recover(
     Tokens outside the payload support are masked out entirely; the edge
     cannot reconstruct the tail of the cloud logits.
     """
-    if not payload.entries:
+    entries = payload.entries
+    if not entries:
         raise ProtocolStateError("empty steering payload")
-    hl = h_plus.tolist()
-    scores = [(i, v + beta * hl[i]) for i, v in payload.entries]
+    # Only the payload's ids are read from the private logits: item() costs
+    # O(top_k), where tolist() or a fancy index would also pay for the
+    # vocabulary or for an index array.
+    h = h_plus.item
+    scores = [(i, v + beta * h(i)) for i, v in entries]
     if greedy:
         best = max(s for _, s in scores)
         return min(i for i, s in scores if s == best)
@@ -201,9 +230,12 @@ class EdgeSession:
         if self.committed and self.committed[-1] == vocab.eos_id:
             self.finished = True
         self.pending_delta: int | None = None
-        rngs = streams if streams is not None else make_streams(config.seed)
-        self._draft_rng = rngs.draft
-        self._recovery_rng = rngs.recovery
+        if streams is not None:
+            self._draft_rng = streams.draft
+            self._recovery_rng = streams.recovery
+        else:
+            self._draft_rng = stream(config.seed, ROLE_DRAFT)
+            self._recovery_rng = stream(config.seed, ROLE_RECOVERY)
         self._greedy = config.decode_mode == "greedy"
         self._cdf_fn = getattr(drafter, "next_token_cdf", None)
         self._window = drafter.window
@@ -280,7 +312,8 @@ class EdgeSession:
 
 
 class CloudVerifier:
-    """Verifier-side state machine: parallel scoring, ratio verdicts.
+    """Verifier-side state machine: scoring up to the first rejection, ratio
+    verdicts.
 
     Sees only token ids and its own two models; keeps a mirror of the
     committed history repaired by the one-token delta riding on the next
@@ -316,8 +349,9 @@ class CloudVerifier:
         self.expected_seq = 0
         self.awaiting_delta = False
         self.traces: list[RoundTrace] = []
-        rngs = streams if streams is not None else make_streams(config.seed)
-        self._verify_rng = rngs.verify
+        self._verify_rng = (
+            streams.verify if streams is not None else stream(config.seed, ROLE_VERIFY)
+        )
         self._greedy = config.decode_mode == "greedy"
         self._zt_fn = zt_fn
         self._lam = config.lam
@@ -343,87 +377,74 @@ class CloudVerifier:
                     f"{what} token id {i} out of range for vocabulary of size {vsize}"
                 )
 
-    def verify(
-        self,
-        batch: DraftBatch,
-        h_llm_seq: Sequence[np.ndarray],
-        h_minus_seq: Sequence[np.ndarray],
-        lam_seq: Sequence[float],
-        rng: np.random.Generator,
-    ) -> tuple[Verdict, tuple[float, ...]]:
-        """Scan-accept over the drafted tokens.
-
-        Pure in (batch ids, scored logits, lambdas, rng stream): nothing
-        about the private drafter distribution enters here.
-        """
-        k = len(batch.token_ids)
-        if len(h_llm_seq) != k or len(h_minus_seq) != k or len(lam_seq) != k:
-            raise ProtocolStateError("logit sequences do not match batch length")
-        alphas: list[float] = []
-        accepted = k
-        payload: SparseSteeringPayload | None = None
-        for t, tok in enumerate(batch.token_ids):
-            p_llm = math.exp(h_llm_seq[t][tok])
-            p_minus = max(math.exp(h_minus_seq[t][tok]), PROB_FLOOR)
-            alpha = min(1.0, p_llm / (lam_seq[t] * p_minus))
-            alphas.append(alpha)
-            ok = alpha >= 1.0 if self._greedy else rng.random() <= alpha
-            if not ok:
-                accepted = t
-                payload = build_steering_payload(
-                    h_llm_seq[t], h_minus_seq[t], self._beta, self._top_k
-                )
-                break
-        return Verdict(batch.seq_no, accepted, payload), tuple(alphas)
-
     def handle_draft(self, batch: DraftBatch, history_delta: int | None) -> Verdict:
+        """Score and scan-accept the drafted tokens.
+
+        Position t is scored by the two models (and, in exact-Z mode, the
+        partition callback) only when the scan reaches it: everything
+        drafted after the first rejection is discarded unscored.  Scoring
+        is pure, and verify draws stop at the rejection either way, so this
+        gives the same alphas and verdicts as scoring every position.
+        Nothing about the private drafter distribution enters here.
+        """
         if batch.seq_no != self.expected_seq:
             raise ProtocolStateError(
                 f"out-of-order draft: got seq {batch.seq_no}, expected {self.expected_seq}"
             )
-        if not batch.token_ids:
+        tokens = batch.token_ids
+        if not tokens:
             raise ProtocolStateError("empty draft batch")
         if self.awaiting_delta != (history_delta is not None):
             raise ProtocolStateError("recovery history delta missing or unexpected")
-        self._check_ids(batch.token_ids, "draft")
+        self._check_ids(tokens, "draft")
         if history_delta is not None:
             self._check_ids((history_delta,), "history delta")
             self.mirror.append(history_delta)
             self.awaiting_delta = False
 
-        # Parallel scoring of [history, batch]: logits at every draft
-        # position regardless of where the scan stops.
         prefix = history_tail(self.mirror, self._window)
-        h_llm_seq: list[np.ndarray] = []
-        h_minus_seq: list[np.ndarray] = []
-        lam_seq: list[float] = []
-        for tok in batch.token_ids:
-            h_llm_seq.append(self.llm.next_token_logits(prefix))
-            h_minus_seq.append(self.slm_minus.next_token_logits(prefix))
-            lam_seq.append(self._zt_fn(prefix) if self._exact_z else self._lam)
+        llm_logits = self.llm.next_token_logits
+        minus_logits = self.slm_minus.next_token_logits
+        rng = self._verify_rng
+        alphas: list[float] = []
+        k = len(tokens)
+        accepted = k
+        payload: SparseSteeringPayload | None = None
+        for t, tok in enumerate(tokens):
+            h_llm = llm_logits(prefix)
+            h_minus = minus_logits(prefix)
+            lam = self._zt_fn(prefix) if self._exact_z else self._lam
+            # Conditionals equal to builtin max/min here, and cheaper.
+            p_minus = math.exp(h_minus[tok])
+            if p_minus < PROB_FLOOR:
+                p_minus = PROB_FLOOR
+            alpha = math.exp(h_llm[tok]) / (lam * p_minus)
+            if not alpha < 1.0:
+                alpha = 1.0
+            alphas.append(alpha)
+            ok = alpha >= 1.0 if self._greedy else rng.random() <= alpha
+            if not ok:
+                accepted = t
+                payload = build_steering_payload(h_llm, h_minus, self._beta, self._top_k)
+                break
             prefix.append(tok)
 
-        verdict, alphas = self.verify(batch, h_llm_seq, h_minus_seq, lam_seq, self._verify_rng)
-        self.mirror.extend(batch.token_ids[: verdict.accepted_count])
-        if verdict.recovery is not None:
+        self.mirror.extend(tokens[:accepted])
+        if payload is not None:
             self.awaiting_delta = True
-
-        k = len(batch.token_ids)
         self.traces.append(
             RoundTrace(
                 index=batch.seq_no,
-                drafted=batch.token_ids,
-                alphas=alphas,
-                accepted_count=verdict.accepted_count,
+                drafted=tokens,
+                alphas=tuple(alphas),
+                accepted_count=accepted,
                 recovery_token=None,
                 uplink_bytes=draft_frame_bytes(k, history_delta is not None),
-                downlink_bytes=verdict_frame_bytes(
-                    len(verdict.recovery.entries) if verdict.recovery else 0
-                ),
+                downlink_bytes=verdict_frame_bytes(len(payload.entries) if payload else 0),
             )
         )
         self.expected_seq += 1
-        return verdict
+        return Verdict(batch.seq_no, accepted, payload)
 
     def finish(self, trailing_ids: Sequence[int]) -> None:
         """Apply the final history repair carried by the DONE message."""

@@ -12,7 +12,9 @@ identical for identical seeds.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import logging
 import queue
 import socket
@@ -29,6 +31,7 @@ from .protocol import (
     RoundTrace,
     SparseSteeringPayload,
     Verdict,
+    check_steering_payload,
 )
 
 log = logging.getLogger("specsteer.transport")
@@ -52,6 +55,17 @@ _ENTRY = struct.Struct("<If")
 _DONE_FIXED = struct.Struct("<IH")
 _U32 = struct.Struct("<I")
 
+# Every variable-length section has a u16 count, so the largest legal payload
+# is a verdict with 0xFFFF entries.  SocketEndpoint refuses any longer
+# declared length before reading, which bounds what a peer can make it
+# allocate.
+MAX_PAYLOAD = max(
+    _HELLO.size + _U32.size * 0xFFFF,
+    _DRAFT_FIXED.size + _U32.size * (0xFFFF + 1),
+    _VERDICT_FIXED.size + 2 + _ENTRY.size * 0xFFFF,
+    _DONE_FIXED.size + _U32.size * 0xFFFF,
+)
+
 DEFAULT_SOCKET_TIMEOUT = 30.0
 
 
@@ -68,11 +82,32 @@ class HandshakeError(WireError):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
 def vocab_hash64(vocab: Vocabulary) -> int:
+    """Handshake fingerprint of the vocabulary; computed once per vocabulary."""
     digest = hashlib.sha256()
     digest.update(b"\x00".join(t.encode("utf-8") for t in vocab.tokens))
     digest.update(struct.pack("<I", vocab.eos_id))
     return int.from_bytes(digest.digest()[:8], "little")
+
+
+@functools.lru_cache(maxsize=256)
+def _ids_struct(n: int) -> struct.Struct:
+    """n u32 token ids."""
+    return struct.Struct(f"<{n}I")
+
+
+@functools.lru_cache(maxsize=256)
+def _entries_struct(n: int) -> struct.Struct:
+    """n steering entries, each a u32 id and an f32 value."""
+    return struct.Struct("<" + "If" * n)
+
+
+def _pack_ids(ids: Sequence[int]) -> bytes:
+    try:
+        return _ids_struct(len(ids)).pack(*ids)
+    except struct.error:
+        raise WireError("token id does not fit in an unsigned 32-bit field") from None
 
 
 def encode_frame(msg_type: int, payload: bytes) -> bytes:
@@ -110,7 +145,7 @@ def encode_hello(config: ProtocolConfig, vhash: int, prompt_ids: Sequence[int]) 
         config.seed,
         vhash,
         len(prompt_ids),
-    ) + b"".join(_U32.pack(i) for i in prompt_ids)
+    ) + _pack_ids(prompt_ids)
     return encode_frame(MSG_HELLO, payload)
 
 
@@ -121,7 +156,7 @@ def decode_hello(payload: bytes) -> tuple[ProtocolConfig, int, tuple[int, ...]]:
     ids_blob = payload[_HELLO.size:]
     if len(ids_blob) != 4 * plen:
         raise WireError("handshake prompt length mismatch")
-    prompt = tuple(_U32.unpack_from(ids_blob, 4 * i)[0] for i in range(plen))
+    prompt = _ids_struct(plen).unpack(ids_blob)
     if mode >= len(DECODE_MODES):
         raise WireError(f"unknown decode mode {mode}")
     config = ProtocolConfig(
@@ -147,11 +182,8 @@ def encode_draft(batch: DraftBatch, history_delta: int | None = None) -> bytes:
         raise WireError("cannot encode an empty draft batch")
     if k > 0xFFFF:
         raise WireError("draft batch too large for frame")
-    payload = _DRAFT_FIXED.pack(batch.seq_no, k)
-    payload += b"".join(_U32.pack(i) for i in batch.token_ids)
-    if history_delta is not None:
-        payload += _U32.pack(history_delta)
-    return encode_frame(MSG_DRAFT, payload)
+    ids = batch.token_ids if history_delta is None else (*batch.token_ids, history_delta)
+    return encode_frame(MSG_DRAFT, _DRAFT_FIXED.pack(batch.seq_no, k) + _pack_ids(ids))
 
 
 def decode_draft(payload: bytes, expect_delta: bool) -> tuple[DraftBatch, int | None]:
@@ -161,12 +193,10 @@ def decode_draft(payload: bytes, expect_delta: bool) -> tuple[DraftBatch, int | 
     expected = _DRAFT_FIXED.size + 4 * k + (4 if expect_delta else 0)
     if len(payload) != expected:
         raise WireError(f"draft payload length {len(payload)}, expected {expected}")
-    off = _DRAFT_FIXED.size
-    ids = tuple(_U32.unpack_from(payload, off + 4 * i)[0] for i in range(k))
-    delta = None
-    if expect_delta:
-        delta = _U32.unpack_from(payload, off + 4 * k)[0]
-    return DraftBatch(seq_no, ids), delta
+    if not expect_delta:
+        return DraftBatch(seq_no, _ids_struct(k).unpack_from(payload, _DRAFT_FIXED.size)), None
+    ids = _ids_struct(k + 1).unpack_from(payload, _DRAFT_FIXED.size)
+    return DraftBatch(seq_no, ids[:k]), ids[k]
 
 
 def encode_verdict(v: Verdict) -> bytes:
@@ -177,7 +207,10 @@ def encode_verdict(v: Verdict) -> bytes:
         if not entries:
             raise WireError("recovery verdict with empty payload")
         payload += struct.pack("<H", len(entries))
-        payload += b"".join(_ENTRY.pack(tok, val) for tok, val in entries)
+        try:
+            payload += _entries_struct(len(entries)).pack(*itertools.chain.from_iterable(entries))
+        except (struct.error, OverflowError):
+            raise WireError("steering entry does not fit a u32 id and an f32 value") from None
     return encode_frame(MSG_VERDICT, payload)
 
 
@@ -198,13 +231,12 @@ def decode_verdict(payload: bytes) -> Verdict:
     off += 2
     if len(payload) != off + 8 * n:
         raise WireError("verdict entry section length mismatch")
-    entries = tuple(_ENTRY.unpack_from(payload, off + 8 * i) for i in range(n))
-    return Verdict(seq_no, accepted, SparseSteeringPayload(tuple((int(t), float(x)) for t, x in entries)))
+    flat = _entries_struct(n).unpack_from(payload, off)
+    return Verdict(seq_no, accepted, SparseSteeringPayload(tuple(zip(flat[::2], flat[1::2]))))
 
 
 def encode_done(final_len: int, trailing_ids: Sequence[int] = ()) -> bytes:
-    payload = _DONE_FIXED.pack(final_len, len(trailing_ids))
-    payload += b"".join(_U32.pack(i) for i in trailing_ids)
+    payload = _DONE_FIXED.pack(final_len, len(trailing_ids)) + _pack_ids(trailing_ids)
     return encode_frame(MSG_DONE, payload)
 
 
@@ -214,8 +246,7 @@ def decode_done(payload: bytes) -> tuple[int, tuple[int, ...]]:
     final_len, n = _DONE_FIXED.unpack_from(payload, 0)
     if len(payload) != _DONE_FIXED.size + 4 * n:
         raise WireError("done payload length mismatch")
-    ids = tuple(_U32.unpack_from(payload, _DONE_FIXED.size + 4 * i)[0] for i in range(n))
-    return final_len, ids
+    return final_len, _ids_struct(n).unpack_from(payload, _DONE_FIXED.size)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +346,11 @@ class SocketEndpoint:
         magic, version, msg_type, payload_len = _HEADER.unpack(header)
         if magic != MAGIC:
             raise WireError("bad frame magic on stream")
+        if payload_len > MAX_PAYLOAD:
+            raise WireError(
+                f"declared payload length {payload_len} exceeds the largest legal payload "
+                f"({MAX_PAYLOAD} bytes)"
+            )
         payload = self._recv_exact(payload_len) if payload_len else b""
         return header + payload
 
@@ -432,13 +468,19 @@ def run_edge(
         if batch is None:
             trailing = [edge.pending_delta] if edge.pending_delta is not None else []
             send(encode_done(len(edge.committed), trailing))
-            recv(MSG_DONE)
+            # The cloud acknowledges with its mirror length, and refuses with
+            # a DONE of length 0; a finished session is never empty.
+            final_len, _ = decode_done(recv(MSG_DONE))
+            if final_len != len(edge.committed):
+                raise HandshakeError("session refused by cloud")
             break
         delta = edge.take_delta()
         draft_frame = encode_draft(batch, delta)
         send(draft_frame)
         verdict_payload = recv(MSG_VERDICT)
         verdict = decode_verdict(verdict_payload)
+        if verdict.recovery is not None:
+            check_steering_payload(verdict.recovery, vocab.size, config.top_k)
         accepted, rec_token = edge.apply_verdict(verdict)
         clock = getattr(endpoint, "counters", None)
         traces.append(
@@ -486,6 +528,19 @@ def run_cloud(
             frame_log.write(DIR_UP, frame)
         return decode_frame(frame)
 
+    try:
+        return _serve_session(send, recv, llm, slm_minus, vocab, vhash)
+    except SpecSteerError:
+        # Tell the edge the session is over before giving up on it.  The
+        # peer may already be gone, which is not a further error.
+        try:
+            send(encode_done(0, ()))
+        except OSError:
+            pass
+        raise
+
+
+def _serve_session(send, recv, llm, slm_minus, vocab: Vocabulary, vhash: int) -> CloudStats:
     msg_type, payload = recv()
     if msg_type != MSG_HELLO:
         raise WireError("expected handshake frame")
@@ -552,8 +607,13 @@ def run_simulated_session(
         committed, edge_stats = run_edge(
             config, edge_end, slm_plus, vocab, prompt_ids, frame_log=edge_log
         )
-    finally:
+    except HandshakeError:
+        # A cloud that refused the session has the more specific error.
         thread.join(timeout=DEFAULT_SOCKET_TIMEOUT)
+        if errors:
+            raise errors[0] from None
+        raise
+    thread.join(timeout=DEFAULT_SOCKET_TIMEOUT)
     if errors:
         raise errors[0]
     return committed, edge_stats, result["stats"]
@@ -578,6 +638,7 @@ def serve_cloud_once(
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     server.bind(bind)
     server.listen(1)
+    server.settimeout(DEFAULT_SOCKET_TIMEOUT)
     if bound is not None:
         bound.append(server.getsockname())
     if ready is not None:

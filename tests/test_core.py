@@ -7,6 +7,7 @@ from specsteer.core import (
     ConfigError,
     ProtocolConfig,
     ROLE_DRAFT,
+    ROLE_RECOVERY,
     ROLE_VERIFY,
     SequenceError,
     VocabError,
@@ -205,3 +206,14 @@ class TestStreams:
 
     def test_different_seeds_differ(self):
         assert stream(1, ROLE_DRAFT).random() != stream(2, ROLE_DRAFT).random()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("role", [ROLE_DRAFT, ROLE_VERIFY, ROLE_RECOVERY])
+    def test_equals_philox_keyed_stream(self, seed, role):
+        keyed = np.random.Generator(np.random.Philox(key=((role + 1) << 64) | seed))
+        ours = stream(seed, role)
+        for field in ("key", "counter"):
+            assert (ours.bit_generator.state["state"][field].tolist()
+                    == keyed.bit_generator.state["state"][field].tolist())
+        assert ours.random(64).tolist() == keyed.random(64).tolist()
+        assert ours.integers(0, 2**63, 16).tolist() == keyed.integers(0, 2**63, 16).tolist()

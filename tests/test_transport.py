@@ -1,3 +1,5 @@
+import math
+import socket
 import struct
 import threading
 
@@ -5,9 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from specsteer import transport
 from specsteer.core import ProtocolConfig, SequenceError, Vocabulary
+from specsteer.models import ModelError, TableModel
 from specsteer.protocol import (
     DraftBatch,
+    ProtocolStateError,
     SparseSteeringPayload,
     Verdict,
     draft_frame_bytes,
@@ -18,7 +23,10 @@ from specsteer.transport import (
     ChannelModel,
     FrameLog,
     HandshakeError,
+    MAX_PAYLOAD,
+    MSG_DONE,
     MSG_DRAFT,
+    MSG_HELLO,
     MSG_VERDICT,
     DIR_DOWN,
     DIR_UP,
@@ -43,6 +51,7 @@ from specsteer.transport import (
     scan_frame_log,
     serve_cloud_once,
     simulated_pair,
+    SocketEndpoint,
     vocab_hash64,
 )
 
@@ -156,6 +165,31 @@ class TestCodecRoundTrips:
         _, payload = decode_frame(encode_verdict(v))
         assert decode_verdict(payload) == v
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=40),
+        st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+        st.lists(st.tuples(st.integers(0, 2**32 - 1), st.floats(-1e6, 1e6)),
+                 min_size=1, max_size=64),
+    )
+    def test_frames_equal_per_element_packing(self, ids, delta, entries):
+        def frame(msg_type, payload):
+            return struct.pack("<4sBBI", b"SPST", 1, msg_type, len(payload)) + payload
+
+        def u32s(xs):
+            return b"".join(struct.pack("<I", x) for x in xs)
+
+        tail = u32s([delta]) if delta is not None else b""
+        assert encode_draft(DraftBatch(3, tuple(ids)), delta) == frame(
+            MSG_DRAFT, struct.pack("<IH", 3, len(ids)) + u32s(ids) + tail)
+        verdict = Verdict(3, 1, SparseSteeringPayload(tuple(entries)))
+        assert encode_verdict(verdict) == frame(
+            MSG_VERDICT, struct.pack("<IHBH", 3, 1, 1, len(entries))
+            + b"".join(struct.pack("<If", i, x) for i, x in entries))
+        assert encode_done(9, ids) == frame(MSG_DONE, struct.pack("<IH", 9, len(ids)) + u32s(ids))
+        cfg = ProtocolConfig()
+        assert encode_hello(cfg, 5, ids)[-4 * len(ids):] == u32s(ids)
+
 
 class TestCodecErrors:
     def test_bad_magic(self):
@@ -200,6 +234,19 @@ class TestCodecErrors:
     def test_recovery_with_empty_entries(self):
         with pytest.raises(WireError):
             encode_verdict(Verdict(0, 0, SparseSteeringPayload(())))
+
+    @pytest.mark.parametrize("bad", [2**32, -1])
+    def test_id_outside_u32(self, bad):
+        with pytest.raises(WireError):
+            encode_draft(DraftBatch(0, (1, bad)))
+        with pytest.raises(WireError):
+            encode_draft(DraftBatch(0, (1,)), history_delta=bad)
+        with pytest.raises(WireError):
+            encode_done(2, (bad,))
+        with pytest.raises(WireError):
+            encode_hello(ProtocolConfig(), 0, (bad,))
+        with pytest.raises(WireError):
+            encode_verdict(Verdict(0, 0, SparseSteeringPayload(((bad, 0.5),))))
 
 
 class TestVocabHash:
@@ -297,7 +344,10 @@ class TestHandshake:
         edge_end.send_frame(encode_hello(cfg, vocab_hash64(vocab), prompt))
         with pytest.raises(SequenceError):
             run_cloud(cloud_end, llm, minus, vocab)
-        assert counters.down_bytes == 0
+        # No ack: the only downlink frame is the DONE refusal.
+        refusal = encode_done(0, ())
+        assert counters.down_bytes == len(refusal)
+        assert edge_end.recv_frame() == refusal
 
 
 class TestFrameLogs:
@@ -378,3 +428,156 @@ class TestSocketMode:
         thread.join(timeout=10)
         assert committed == ref
         assert out["stats"].mirror == ref
+
+
+class Tamper:
+    """Edge endpoint that rewrites the first uplink frame of one type."""
+
+    def __init__(self, inner, msg_type, rewrite) -> None:
+        self._inner = inner
+        self._msg_type = msg_type
+        self._rewrite = rewrite
+
+    def send_frame(self, frame):
+        msg_type, payload = decode_frame(frame)
+        if msg_type == self._msg_type and self._rewrite is not None:
+            frame, self._rewrite = self._rewrite(payload), None
+        self._inner.send_frame(frame)
+
+    def recv_frame(self):
+        return self._inner.recv_frame()
+
+
+def in_thread(fn):
+    """Run ``fn`` on a daemon thread; returns the thread and its errors."""
+    errors: list = []
+
+    def main():
+        try:
+            fn()
+        except Exception as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=main, daemon=True)
+    thread.start()
+    return thread, errors
+
+
+class TestSocketHardening:
+    def test_declared_length_capped_before_reading(self):
+        a, b = socket.socketpair()
+        try:
+            a.sendall(struct.pack("<4sBBI", b"SPST", 1, MSG_VERDICT, 2**32 - 1))
+            with pytest.raises(WireError, match="largest legal payload"):
+                SocketEndpoint(b, timeout=5).recv_frame()
+        finally:
+            a.close()
+            b.close()
+
+    def test_largest_verdict_fits_the_cap(self):
+        assert MAX_PAYLOAD == 7 + 2 + 8 * 0xFFFF
+        entries = tuple((i, 0.5) for i in range(0xFFFF))
+        frame = encode_verdict(Verdict(0, 0, SparseSteeringPayload(entries)))
+        assert len(frame) == 10 + MAX_PAYLOAD
+        a, b = socket.socketpair()
+        try:
+            thread, errors = in_thread(lambda: a.sendall(frame))
+            assert SocketEndpoint(b, timeout=5).recv_frame() == frame
+            thread.join(timeout=5)
+            assert not thread.is_alive() and not errors
+            a.sendall(struct.pack("<4sBBI", b"SPST", 1, MSG_VERDICT, MAX_PAYLOAD + 1))
+            with pytest.raises(WireError):
+                SocketEndpoint(b, timeout=5).recv_frame()
+        finally:
+            a.close()
+            b.close()
+
+    def test_accept_times_out(self, monkeypatch):
+        monkeypatch.setattr(transport, "DEFAULT_SOCKET_TIMEOUT", 0.05)
+        vocab, (llm, _, minus) = random_table_triple(np.random.default_rng(0), 4)
+        with pytest.raises(TimeoutError):
+            serve_cloud_once(("127.0.0.1", 0), llm, minus, vocab)
+
+
+def hostile_hello(cfg, vocab):
+    return lambda payload: encode_hello(cfg, vocab_hash64(vocab), [0, 10**6])
+
+
+def hostile_draft(cfg, vocab):
+    def rewrite(payload):
+        batch, _ = decode_draft(payload, expect_delta=False)
+        return encode_draft(DraftBatch(batch.seq_no, (vocab.size + 5,) + batch.token_ids[1:]))
+    return rewrite
+
+
+def hostile_done(cfg, vocab):
+    def rewrite(payload):
+        final_len, trailing = decode_done(payload)
+        return encode_done(final_len + 1, trailing)
+    return rewrite
+
+
+class TestCloudRefusal:
+    @pytest.mark.parametrize("msg_type, rewrite, cloud_error", [
+        (MSG_HELLO, hostile_hello, SequenceError),
+        (MSG_DRAFT, hostile_draft, ProtocolStateError),
+        (MSG_DONE, hostile_done, WireError),
+    ])
+    def test_refusal_reaches_edge(self, msg_type, rewrite, cloud_error):
+        vocab, (llm, plus, minus) = random_table_triple(np.random.default_rng(51), 8)
+        cfg = ProtocolConfig(lam=0.8, max_len=24, top_k=8, seed=3)
+        a, b = socket.socketpair()
+        try:
+            thread, errors = in_thread(
+                lambda: run_cloud(SocketEndpoint(a, timeout=5), llm, minus, vocab))
+            edge_end = Tamper(SocketEndpoint(b, timeout=5), msg_type, rewrite(cfg, vocab))
+            with pytest.raises(HandshakeError, match="refused by cloud"):
+                run_edge(cfg, edge_end, plus, vocab, [0])
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            assert len(errors) == 1 and isinstance(errors[0], cloud_error)
+        finally:
+            a.close()
+            b.close()
+
+    def test_cloud_error_surfaces_in_simulated_session(self):
+        # The cloud's generalist knows fewer ids than the session uses, so
+        # scoring the prompt raises on the cloud.
+        rng = np.random.default_rng(52)
+        vocab, (_, plus, minus) = random_table_triple(rng, 8)
+        p = rng.dirichlet(np.ones(6))
+        llm = TableModel(make_vocab(6), {(): p, (0,): p})
+        cfg = ProtocolConfig(lam=0.8, max_len=24, top_k=8, seed=3)
+        with pytest.raises(ModelError):
+            run_simulated_session(cfg, llm, plus, minus, vocab, [6])
+
+
+class TestEdgeVerdictIngest:
+    @pytest.mark.parametrize("entries, match", [
+        (((8, 0.5),), "out of range"),
+        (((1, 0.5), (1, 0.25)), "repeats"),
+        (((1, math.nan),), "not finite"),
+        (((1, math.inf), (2, 0.5)), "not finite"),
+        (tuple((i, 0.5) for i in range(5)), "top_k"),
+    ])
+    def test_bad_payload_rejected(self, entries, match):
+        vocab, (_, plus, _) = random_table_triple(np.random.default_rng(61), 8)
+        cfg = ProtocolConfig(lam=0.8, max_len=24, top_k=4, seed=3)
+        a, b = socket.socketpair()
+
+        def fake_cloud():
+            cloud_end = SocketEndpoint(a, timeout=5)
+            cloud_end.recv_frame()
+            cloud_end.send_frame(encode_hello_ack(vocab_hash64(vocab)))
+            cloud_end.recv_frame()
+            cloud_end.send_frame(encode_verdict(Verdict(0, 0, SparseSteeringPayload(entries))))
+
+        try:
+            thread, errors = in_thread(fake_cloud)
+            with pytest.raises(ProtocolStateError, match=match):
+                run_edge(cfg, SocketEndpoint(b, timeout=5), plus, vocab, [0])
+            thread.join(timeout=5)
+            assert not thread.is_alive() and not errors
+        finally:
+            a.close()
+            b.close()
