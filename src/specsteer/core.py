@@ -11,6 +11,7 @@ the two-process transport consume identical random numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -81,7 +82,10 @@ class Vocabulary:
             raise VocabError(f"unknown token {token!r}") from None
 
     def ids_of(self, tokens: Iterable[str]) -> list[int]:
-        return [self.id_of(t) for t in tokens]
+        try:
+            return list(map(self._index.__getitem__, tokens))  # type: ignore[attr-defined]
+        except KeyError as exc:
+            raise VocabError(f"unknown token {exc.args[0]!r}") from None
 
     def text_of(self, ids: Iterable[int]) -> str:
         return " ".join(self.tokens[i] for i in ids)
@@ -89,11 +93,8 @@ class Vocabulary:
     @classmethod
     def build(cls, documents: Iterable[Sequence[str]], eos_token: str = "</s>") -> "Vocabulary":
         """Vocabulary from tokenized documents, eos appended if absent."""
-        seen: dict[str, None] = {}
-        for doc in documents:
-            for tok in doc:
-                seen.setdefault(tok, None)
-        seen.setdefault(eos_token, None)
+        seen = set(chain.from_iterable(documents))
+        seen.add(eos_token)
         tokens = tuple(sorted(seen))
         return cls(tokens=tokens, eos_id=tokens.index(eos_token))
 

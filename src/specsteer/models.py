@@ -21,7 +21,9 @@ of history length.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -63,6 +65,12 @@ class ModelProfile:
 
 def _unknown_id(i: int, size: int) -> ModelError:
     return ModelError(f"unknown token id {i} for vocabulary of size {size}")
+
+
+def _frozen(row: np.ndarray) -> np.ndarray:
+    """``row`` made read-only, so no caller can corrupt a cached row."""
+    row.flags.writeable = False
+    return row
 
 
 def _check_history(history: Sequence[int], size: int) -> None:
@@ -124,7 +132,9 @@ class NGramModel:
 
     The emitted distribution is ``(1-mu) * base + mu * private`` where both
     terms are add-k tables; ``mu == 0`` is exactly the paired generic model.
-    Trained models are immutable; per-window distributions are cached.
+    Trained models are immutable; per-window distributions are cached as
+    read-only arrays.  Every window in neither count table shares one
+    probability row and one logit row.
     """
 
     def __init__(
@@ -161,6 +171,10 @@ class NGramModel:
         self._cache: dict[tuple[int, ...], np.ndarray] = {}
         self._logit_cache: dict[tuple[int, ...], np.ndarray] = {}
         self._cdf_cache: dict[tuple[int, ...], list[float]] = {}
+        # Computed on first use; shared by the cache entries of every window
+        # in neither count table.
+        self._unseen_probs: np.ndarray | None = None
+        self._unseen_logits: np.ndarray | None = None
 
     def _key(self, history: Sequence[int]) -> tuple[int, ...]:
         """The last ``window`` ids of ``history``, left-padded with BOS when
@@ -199,11 +213,25 @@ class NGramModel:
             p = (1.0 - self.mu) * p + self.mu * priv
         return p
 
+    def _unseen(self, window: tuple[int, ...]) -> bool:
+        """True when ``window`` is in neither count table, so its row is the
+        same smoothed row as that of every other such window."""
+        return window not in self._totals and (
+            self._private_totals is None or window not in self._private_totals
+        )
+
     def next_token_probs(self, history: Sequence[int]) -> np.ndarray:
         window = self._key(history)
         cached = self._cache.get(window)
-        if cached is None:
-            cached = self._cache[window] = self._probs(window)
+        if cached is not None:
+            return cached
+        if self._unseen(window):
+            if self._unseen_probs is None:
+                self._unseen_probs = _frozen(self._probs(window))
+            cached = self._unseen_probs
+        else:
+            cached = _frozen(self._probs(window))
+        self._cache[window] = cached
         return cached
 
     def next_token_logits(self, history: Sequence[int]) -> np.ndarray:
@@ -211,12 +239,18 @@ class NGramModel:
         cached = self._logit_cache.get(window)
         if cached is not None:
             return cached
-        # A model scored only through logits (the cloud's pair) does not
-        # also keep a probability row per window.
-        p = self._cache.get(window)
-        h = np.log(np.maximum(p if p is not None else self._probs(window), PROB_FLOOR))
-        self._logit_cache[window] = h
-        return h
+        unseen = self._unseen(window)
+        if unseen and self._unseen_logits is not None:
+            cached = self._unseen_logits
+        else:
+            # A model scored only through logits (the cloud's pair) does not
+            # also keep a probability row per window.
+            p = self._cache.get(window)
+            cached = _frozen(np.log(np.maximum(p if p is not None else self._probs(window), PROB_FLOOR)))
+            if unseen:
+                self._unseen_logits = cached
+        self._logit_cache[window] = cached
+        return cached
 
     def next_token_cdf(self, history: Sequence[int]) -> list[float]:
         """Cached cumulative distribution; lets samplers skip the cumsum."""
@@ -229,21 +263,43 @@ class NGramModel:
         return cdf
 
 
+def _check_corpus(corpus: Sequence[Sequence[int]], size: int) -> int:
+    """Check every id of every document; returns the number of ids."""
+    ids = list(chain.from_iterable(corpus))
+    if ids and not (0 <= min(ids) and max(ids) < size):
+        _check_history(ids, size)
+    return len(ids)
+
+
 def _count_table(
     corpus: Sequence[Sequence[int]],
     order: int,
 ) -> tuple[dict[tuple[int, ...], dict[int, int]], dict[tuple[int, ...], int]]:
+    """Per-window next-token counts and window totals, each dict in order of
+    first occurrence.
+
+    The documents are joined, each behind its own ``order - 1`` BOS pad, and
+    every ``order``-gram of the result is counted at once.  A gram that
+    straddles two documents ends in the next document's pad, so dropping the
+    grams whose target is BOS leaves exactly the grams of the documents.
+    """
     m = order - 1
+    pad = (BOS,) * m
+    seq = list(chain.from_iterable(chain(pad, doc) for doc in corpus))
+    grams = Counter(zip(*(seq[i:] for i in range(order))))
     counts: dict[tuple[int, ...], dict[int, int]] = {}
     totals: dict[tuple[int, ...], int] = {}
-    for doc in corpus:
-        padded = [BOS] * m + list(doc)
-        for i in range(m, len(padded)):
-            window = tuple(padded[i - m:i])
-            tok = padded[i]
-            counts.setdefault(window, {})
-            counts[window][tok] = counts[window].get(tok, 0) + 1
-            totals[window] = totals.get(window, 0) + 1
+    for gram, c in grams.items():
+        tok = gram[m]
+        if tok == BOS:
+            continue
+        window = gram[:m]
+        row = counts.get(window)
+        if row is None:
+            row = counts[window] = {}
+            totals[window] = 0
+        row[tok] = c
+        totals[window] += c
     return counts, totals
 
 
@@ -256,10 +312,8 @@ def train_ngram(
 ) -> NGramModel:
     """Count the corpus exactly; documents are used as given (append an
     eos token to each document beforehand if sessions should terminate)."""
-    if not corpus or all(len(doc) == 0 for doc in corpus):
+    if not _check_corpus(corpus, vocab.size):
         raise ModelError("training corpus is empty")
-    for doc in corpus:
-        _check_history(doc, vocab.size)
     counts, totals = _count_table(corpus, order)
     return NGramModel(vocab, order, add_k, counts, totals, mu=0.0, profile=profile)
 
@@ -272,10 +326,8 @@ def condition_private(base: NGramModel, ctx: PrivateContext, mu: float) -> NGram
     """
     if not 0.0 <= mu <= 1.0:
         raise ModelError("mu must lie in [0, 1]")
-    if mu > 0 and (not ctx.documents or all(len(d) == 0 for d in ctx.documents)):
+    if not _check_corpus(ctx.documents, base.vocab.size) and mu > 0:
         raise ModelError("private context is empty but mu > 0")
-    for doc in ctx.documents:
-        _check_history(doc, base.vocab.size)
     private_counts, private_totals = _count_table(ctx.documents, base.order)
     profile = base.profile
     if profile is not None:

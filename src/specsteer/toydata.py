@@ -1,13 +1,19 @@
-"""Deterministic toy corpora and a ready-made model world.
+"""The bundled toy corpora and a ready-made model world.
 
-The bundled corpora are synthetic English-like text over a small shared
-vocabulary.  The generalist corpus repeats a handful of carrier phrases
-("we ordered the ...") at high frequency so the large n-gram is confident
-about what usually follows them; the per-user private corpora reuse those
-carriers but continue with idiosyncratic vocabulary the public corpora
-never contain.  That construction gives the ratio-based verifier genuine
-decisions to make: private continuations are cheap under the generic
-baseline but expensive under the confident generalist.
+The corpora under ``data/`` are synthetic English-like text over a small
+shared vocabulary, one sentence per line.  ``generalist.txt`` repeats a
+handful of carrier phrases ("we ordered the ...") at high frequency so the
+large n-gram is confident about what usually follows them;
+``specialist_base.txt`` is a smaller sample of the same public text.  Each
+private corpus ``user_<theme>.txt`` (themes ``gino``, ``trail`` and
+``atelier``) reuses those carriers but continues with idiosyncratic
+vocabulary the public corpora never contain.  That construction gives the
+ratio-based verifier genuine decisions to make: private continuations are
+cheap under the generic baseline but expensive under the confident
+generalist.
+
+The files are the only source of toy data: ``toy_world`` and the CLI's
+``default.cfg`` both read them.
 """
 
 from __future__ import annotations
@@ -15,102 +21,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .core import PrivateContext, Vocabulary
+from .core import ConfigError, PrivateContext, Vocabulary
 from .models import ModelProfile, NGramModel, condition_private, train_ngram
 
 EOS_TOKEN = "</s>"
 
-_PRONOUNS = ["we", "they", "she", "he", "i"]
-_CARRIERS = ["ordered", "carried", "visited", "shared", "watched", "finished", "bought", "tried"]
-_OBJECTS = [
-    "bread", "apples", "tools", "maps", "cloth", "tea", "paper", "stories",
-    "boxes", "seeds", "books", "rope", "honey", "clay", "wool", "soup",
-]
-_ADJECTIVES = [
-    "quiet", "fresh", "bright", "narrow", "warm", "busy", "small", "late",
-    "early", "gentle", "crowded", "pale",
-]
-_NOUNS = [
-    "market", "garden", "river", "kitchen", "library", "street", "harbor",
-    "bakery", "workshop", "meadow", "bridge", "station", "orchard", "courtyard",
-]
-_VERBS = ["opened", "closed", "crossed", "followed", "filled", "reached", "cleaned", "painted"]
-_PLACES = [
-    ["near", "the", "square"], ["along", "the", "canal"], ["behind", "the", "mill"],
-    ["by", "the", "gate"], ["under", "the", "arch"], ["outside", "the", "walls"],
-]
-_TIMES = [
-    ["this", "morning"], ["before", "noon"], ["after", "dark"],
-    ["last", "spring"], ["every", "evening"], ["on", "sunday"],
-]
-
-USER_THEMES: dict[str, list[str]] = {
-    "gino": [
-        "ginos", "margherita", "calzone", "burrata", "tiramisu",
-        "focaccia", "cannoli", "espresso", "prosciutto", "basil",
-    ],
-    "trail": [
-        "ridgeline", "switchback", "cairn", "scree", "bivouac",
-        "talus", "crampons", "moraine", "couloir", "tarn",
-    ],
-    "atelier": [
-        "selvedge", "indigo", "bobbin", "gouache", "linocut",
-        "madder", "warpthread", "kiln", "slipglaze", "burnisher",
-    ],
-}
-
 DATA_DIR = Path(__file__).parent / "data"
 
 
-def _pick(rng: np.random.Generator, pool: list) -> object:
-    return pool[int(rng.integers(len(pool)))]
-
-
-def _public_sentence(rng: np.random.Generator) -> list[str]:
-    shape = int(rng.integers(3))
-    if shape == 0:
-        words = [_pick(rng, _PRONOUNS), _pick(rng, _CARRIERS), "the", _pick(rng, _OBJECTS)]
-        words += _pick(rng, _TIMES)
-    elif shape == 1:
-        words = ["the", _pick(rng, _ADJECTIVES), _pick(rng, _NOUNS), _pick(rng, _VERBS)]
-        words += ["the", _pick(rng, _OBJECTS)] + _pick(rng, _PLACES)
-    else:
-        words = [_pick(rng, _PRONOUNS), _pick(rng, _CARRIERS), "the", _pick(rng, _OBJECTS)]
-        words += _pick(rng, _PLACES) + _pick(rng, _TIMES)
-    return words
-
-
-def generate_public_corpus(n_lines: int, seed: int) -> list[str]:
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    return [" ".join(_public_sentence(rng)) for _ in range(n_lines)]
-
-
-def generate_user_corpus(theme: str, n_lines: int, seed: int) -> list[str]:
-    """Private documents: public carrier phrases continued with the user's
-    own vocabulary, plus a themed tail so bigrams inside the private world
-    are well supported."""
-    words_pool = USER_THEMES[theme]
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    lines = []
-    for _ in range(n_lines):
-        w1, w2 = _pick(rng, words_pool), _pick(rng, words_pool)
-        shape = int(rng.integers(3))
-        if shape == 0:
-            words = [_pick(rng, _PRONOUNS), _pick(rng, _CARRIERS), "the", w1,
-                     "and", "the", w2] + _pick(rng, _TIMES)
-        elif shape == 1:
-            words = [_pick(rng, _PRONOUNS), _pick(rng, _CARRIERS), "the", w1,
-                     "at", words_pool[0]] + _pick(rng, _TIMES)
-        else:
-            words = ["the", w1, "was", _pick(rng, _ADJECTIVES)] + _pick(rng, _TIMES)
-        lines.append(" ".join(words))
-    return lines
+def bundled_themes() -> tuple[str, ...]:
+    """Themes with a private corpus ``user_<theme>.txt`` in ``DATA_DIR``."""
+    return tuple(sorted(p.stem.removeprefix("user_") for p in DATA_DIR.glob("user_*.txt")))
 
 
 def tokenize_corpus(lines: list[str]) -> list[list[str]]:
-    return [line.split() for line in lines if line.strip()]
+    return [words for line in lines if (words := line.split())]
 
 
 def load_corpus(path: str | Path) -> list[list[str]]:
@@ -172,27 +97,15 @@ def assemble_world(
 
 
 def toy_world(theme: str = "gino", mu: float = DEFAULT_MU) -> ToyWorld:
-    """The default desk-scale world used by tests and the CLI examples."""
-    generalist = tokenize_corpus(generate_public_corpus(4000, seed=11))
-    specialist = tokenize_corpus(generate_public_corpus(1200, seed=23))
-    private = tokenize_corpus(generate_user_corpus(theme, 240, seed=37))
-    return assemble_world(generalist, specialist, private, mu=mu, user_id=theme)
-
-
-def write_default_data(target_dir: str | Path | None = None) -> dict[str, Path]:
-    """Materialize the bundled corpora as plain text files."""
-    target = Path(target_dir) if target_dir is not None else DATA_DIR
-    target.mkdir(parents=True, exist_ok=True)
-    files: dict[str, Path] = {}
-    corpora = {
-        "generalist.txt": generate_public_corpus(4000, seed=11),
-        "specialist_base.txt": generate_public_corpus(1200, seed=23),
-        "user_gino.txt": generate_user_corpus("gino", 240, seed=37),
-        "user_trail.txt": generate_user_corpus("trail", 240, seed=38),
-        "user_atelier.txt": generate_user_corpus("atelier", 240, seed=39),
-    }
-    for name, lines in corpora.items():
-        path = target / name
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        files[name] = path
-    return files
+    """The default desk-scale world used by tests and the CLI examples,
+    built from the bundled corpora and the private corpus of ``theme``."""
+    themes = bundled_themes()
+    if theme not in themes:
+        raise ConfigError(f"unknown theme {theme!r}; bundled themes: {', '.join(themes)}")
+    return assemble_world(
+        load_corpus(DATA_DIR / "generalist.txt"),
+        load_corpus(DATA_DIR / "specialist_base.txt"),
+        load_corpus(DATA_DIR / f"user_{theme}.txt"),
+        mu=mu,
+        user_id=theme,
+    )

@@ -77,6 +77,10 @@ class HandshakeError(WireError):
     pass
 
 
+class ChannelClosedError(WireError):
+    """The peer closed the channel; no further frame will arrive."""
+
+
 # ---------------------------------------------------------------------------
 # Frame codec
 # ---------------------------------------------------------------------------
@@ -282,8 +286,8 @@ class QueueEndpoint:
 
     def __init__(
         self,
-        tx: "queue.Queue[bytes]",
-        rx: "queue.Queue[bytes]",
+        tx: "queue.Queue[bytes | None]",
+        rx: "queue.Queue[bytes | None]",
         direction: int,
         model: ChannelModel,
         counters: ChannelCounters,
@@ -304,16 +308,21 @@ class QueueEndpoint:
         self._tx.put(frame)
 
     def recv_frame(self) -> bytes:
-        return self._rx.get()
+        frame = self._rx.get()
+        if frame is None:
+            raise ChannelClosedError("peer closed the channel")
+        return frame
 
     def close(self) -> None:
-        pass
+        """Wake the peer: once it has read every frame sent before this,
+        its next ``recv_frame`` raises ``ChannelClosedError``."""
+        self._tx.put(None)
 
 
 def simulated_pair(model: ChannelModel | None = None) -> tuple[QueueEndpoint, QueueEndpoint, ChannelCounters]:
     model = model or ChannelModel()
-    up: "queue.Queue[bytes]" = queue.Queue()
-    down: "queue.Queue[bytes]" = queue.Queue()
+    up: "queue.Queue[bytes | None]" = queue.Queue()
+    down: "queue.Queue[bytes | None]" = queue.Queue()
     counters = ChannelCounters()
     edge_end = QueueEndpoint(up, down, DIR_UP, model, counters)
     cloud_end = QueueEndpoint(down, up, DIR_DOWN, model, counters)
@@ -337,7 +346,7 @@ class SocketEndpoint:
         while len(buf) < n:
             chunk = self._sock.recv(n - len(buf))
             if not chunk:
-                raise WireError("peer closed the connection mid-frame")
+                raise ChannelClosedError("peer closed the connection mid-frame")
             buf.extend(chunk)
         return bytes(buf)
 
@@ -600,20 +609,28 @@ def run_simulated_session(
             result["stats"] = run_cloud(cloud_end, llm, slm_minus, vocab, frame_log=cloud_log)
         except BaseException as exc:  # surfaced to the caller below
             errors.append(exc)
+        finally:
+            # However the cloud ends, an edge waiting for a frame wakes up.
+            cloud_end.close()
 
     thread = threading.Thread(target=cloud_main, daemon=True)
     thread.start()
     try:
-        committed, edge_stats = run_edge(
-            config, edge_end, slm_plus, vocab, prompt_ids, frame_log=edge_log
-        )
-    except HandshakeError:
-        # A cloud that refused the session has the more specific error.
-        thread.join(timeout=DEFAULT_SOCKET_TIMEOUT)
-        if errors:
+        try:
+            committed, edge_stats = run_edge(
+                config, edge_end, slm_plus, vocab, prompt_ids, frame_log=edge_log
+            )
+        finally:
+            # Likewise a cloud still waiting for a frame, so its thread ends.
+            edge_end.close()
+            thread.join(timeout=DEFAULT_SOCKET_TIMEOUT)
+    except WireError:
+        # A refusal or a closed channel: the cloud ended the session, and its
+        # error is the more specific one, unless all it saw was this edge
+        # closing the channel.
+        if errors and not isinstance(errors[0], ChannelClosedError):
             raise errors[0] from None
         raise
-    thread.join(timeout=DEFAULT_SOCKET_TIMEOUT)
     if errors:
         raise errors[0]
     return committed, edge_stats, result["stats"]

@@ -37,10 +37,20 @@ class TestVocabulary:
         vocab = Vocabulary.build([["a", "b"]])
         assert vocab.text_of(vocab.ids_of(["a", "b"])) == "a b"
 
+    def test_build_from_a_generator(self):
+        vocab = Vocabulary.build(doc.split() for doc in ["b a", "", "c a"])
+        assert vocab.tokens == ("</s>", "a", "b", "c")
+
     def test_unknown_token(self):
         vocab = Vocabulary.build([["a"]])
         with pytest.raises(VocabError):
             vocab.id_of("zzz")
+
+    def test_ids_of_names_unknown_token(self):
+        vocab = Vocabulary.build([["a", "b"]])
+        assert vocab.ids_of(iter(["b", "a"])) == [2, 1]
+        with pytest.raises(VocabError, match="'zzz'"):
+            vocab.ids_of(["a", "zzz", "b"])
 
     def test_duplicate_tokens_rejected(self):
         with pytest.raises(VocabError):

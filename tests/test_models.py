@@ -204,3 +204,50 @@ class TestPrivateConditioning:
                 pmi_reward(plus.next_token_probs([]), base.next_token_probs([]))[b]
             )
         assert rewards[0] < rewards[1] < rewards[2]
+
+
+class TestUnseenRows:
+    """Every window in neither count table shares one cached row."""
+
+    def _models(self):
+        vocab = vocab_of(["a", "b", "c"])
+        base = train_ngram([[1, 2, 0], [2, 2, 0]], vocab, order=3, add_k=0.5)
+        plus = condition_private(base, PrivateContext.from_documents([[3, 1, 0]]), mu=0.4)
+        return base, plus
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_unseen_windows_share_one_row(self, which):
+        m = self._models()[which]
+        # (3, 3) and (0, 3) are in no table of either model.
+        for score in (m.next_token_probs, m.next_token_logits):
+            first = score([3, 3])
+            assert score([0, 3]) is first
+            assert score([1, 3, 3]) is first
+            assert score([1, 2]) is not first
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_shared_row_equals_a_fresh_computation(self, which):
+        m = self._models()[which]
+        m.next_token_probs([3, 3])
+        m.next_token_logits([0, 3])
+        for window in ((3, 3), (0, 3)):
+            p = m._probs(window)
+            np.testing.assert_array_equal(m.next_token_probs(list(window)), p)
+            np.testing.assert_array_equal(
+                m.next_token_logits(list(window)), np.log(np.maximum(p, 1e-12))
+            )
+
+    def test_private_window_is_not_unseen(self):
+        base, plus = self._models()
+        # (BOS, 3) starts only the private document.
+        assert plus.next_token_probs([3]) is not plus.next_token_probs([3, 3])
+        assert base.next_token_probs([3]) is base.next_token_probs([3, 3])
+
+    @pytest.mark.parametrize("history", [[3, 3], [1, 2], []])
+    def test_cached_rows_are_read_only(self, history):
+        for m in self._models():
+            before = m.next_token_probs(history).copy()
+            for row in (m.next_token_probs(history), m.next_token_logits(history)):
+                with pytest.raises(ValueError):
+                    row[0] = 0.5
+            np.testing.assert_array_equal(m.next_token_probs(history), before)

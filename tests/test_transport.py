@@ -581,3 +581,49 @@ class TestEdgeVerdictIngest:
         finally:
             a.close()
             b.close()
+
+
+class TestDeadCloud:
+    def test_model_error_surfaces_instead_of_hanging(self):
+        # A cloud whose generalist raises something other than a
+        # SpecSteerError sends no refusal; the edge must still wake up.
+        class BrokenModel(TableModel):
+            def next_token_logits(self, history):
+                raise RuntimeError("generalist crashed")
+
+        rng = np.random.default_rng(53)
+        vocab, (llm, plus, minus) = random_table_triple(rng, 8)
+        broken = BrokenModel(vocab, {(): llm.next_token_probs([])})
+        cfg = ProtocolConfig(lam=0.8, max_len=24, top_k=8, seed=3)
+        outcome: list[BaseException] = []
+
+        def edge() -> None:
+            try:
+                run_simulated_session(cfg, broken, plus, minus, vocab, [1])
+            except BaseException as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=edge, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "edge still waiting on a dead cloud"
+        assert len(outcome) == 1 and isinstance(outcome[0], RuntimeError)
+        assert "generalist crashed" in str(outcome[0])
+
+    def test_edge_error_ends_the_cloud_thread(self):
+        # The edge's own error wins over the cloud's view of the closed
+        # channel, and the cloud thread does not outlive the session.
+        class BrokenDrafter(TableModel):
+            def next_token_cdf(self, history):
+                raise RuntimeError("drafter crashed")
+
+            next_token_probs = next_token_cdf
+
+        rng = np.random.default_rng(54)
+        vocab, (llm, plus, minus) = random_table_triple(rng, 8)
+        broken = BrokenDrafter(vocab, {(): plus.next_token_probs([])})
+        cfg = ProtocolConfig(lam=0.8, max_len=24, top_k=8, seed=3)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="drafter crashed"):
+            run_simulated_session(cfg, llm, broken, minus, vocab, [1])
+        assert set(threading.enumerate()) <= before
