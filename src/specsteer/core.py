@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -217,18 +217,64 @@ def stream(seed: int, role: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
+# A stream serves its first SCALAR_DRAWS uniforms with one scalar
+# ``Generator.random()`` call each, and the rest from blocks of
+# UNIFORM_BLOCK, one ``Generator.random(UNIFORM_BLOCK)`` call a block.  A
+# block costs about six scalar calls (the NumPy call and the list it
+# makes), so a stream that a session draws from only once or twice, as a
+# single-step session with its own streams does, never pays for one, and a
+# stream drawn from often pays a fraction of a scalar call per draw.  Blocks
+# stay small because a caller may hold many stream sets at once (one per
+# table triple in the single-step workload).
+SCALAR_DRAWS = 4
+UNIFORM_BLOCK = 64
+
+
+def _uniforms(generator: np.random.Generator) -> Iterator[float]:
+    draw = generator.random
+    for _ in range(SCALAR_DRAWS):
+        yield draw()
+    while True:
+        yield from draw(UNIFORM_BLOCK).tolist()
+
+
+class UniformStream:
+    """The uniforms of one Philox stream, served from blocks after the
+    first few.
+
+    ``random()`` returns the same floats, in the same order, as successive
+    ``generator.random()`` calls, at a fraction of the cost of a NumPy call
+    per draw.  The generator runs up to a block ahead of what has been
+    served, so draw only through this object.
+    """
+
+    __slots__ = ("random",)
+
+    def __init__(self, generator: np.random.Generator) -> None:
+        self.random: Callable[[], float] = _uniforms(generator).__next__
+
+
+def uniform_stream(seed: int, role: int) -> UniformStream:
+    """Block-served uniforms of ``stream(seed, role)``."""
+    return UniformStream(stream(seed, role))
+
+
 @dataclass
 class RngStreams:
-    draft: np.random.Generator
-    verify: np.random.Generator
-    recovery: np.random.Generator
+    """One session's streams by role.  The blocks live here, not in a
+    session, so consecutive sessions that share a set (as the single-step
+    law checks do) continue one stream each."""
+
+    draft: UniformStream
+    verify: UniformStream
+    recovery: UniformStream
 
 
 def make_streams(seed: int) -> RngStreams:
     return RngStreams(
-        draft=stream(seed, ROLE_DRAFT),
-        verify=stream(seed, ROLE_VERIFY),
-        recovery=stream(seed, ROLE_RECOVERY),
+        draft=uniform_stream(seed, ROLE_DRAFT),
+        verify=uniform_stream(seed, ROLE_VERIFY),
+        recovery=uniform_stream(seed, ROLE_RECOVERY),
     )
 
 
@@ -304,7 +350,7 @@ def greedy_pick(probs: np.ndarray) -> int:
     return int(np.argmax(probs))
 
 
-def sample(probs: np.ndarray, rng: np.random.Generator) -> int:
+def sample(probs: np.ndarray, rng: np.random.Generator | UniformStream) -> int:
     """Single inverse-CDF draw; deterministic given the stream state."""
     cdf = np.cumsum(probs)
     u = rng.random()

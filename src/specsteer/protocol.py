@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,7 +37,7 @@ from .core import (
     make_streams,
     sample,
     softmax,
-    stream,
+    uniform_stream,
     validate_sequence,
 )
 
@@ -165,22 +166,21 @@ def recover(
     # O(top_k), where tolist() or a fancy index would also pay for the
     # vocabulary or for an index array.
     h = h_plus.item
-    scores = [(i, v + beta * h(i)) for i, v in entries]
+    ids = [i for i, _ in entries]
+    scores = [v + beta * h(i) for i, v in entries]
+    best = max(scores)
     if greedy:
-        best = max(s for _, s in scores)
-        return min(i for i, s in scores if s == best)
+        return min(i for i, s in zip(ids, scores) if s == best)
     assert rng is not None
     # Inverse-CDF draw over the payload support; scores are our own finite
-    # values, so no revalidation on this hot path.
-    m = max(s for _, s in scores)
-    weights = [math.exp(s - m) for _, s in scores]
+    # values, so no revalidation on this hot path.  accumulate adds left to
+    # right, as a running sum would, and bisect_right finds the first sum
+    # above the threshold; fsum's total can round above the last sum, and
+    # then the pick falls back to the last id.
+    weights = [math.exp(s - best) for s in scores]
     threshold = rng.random() * math.fsum(weights)
-    acc = 0.0
-    for (i, _), w in zip(scores, weights):
-        acc += w
-        if acc > threshold:
-            return i
-    return scores[-1][0]
+    j = bisect_right(list(accumulate(weights)), threshold)
+    return ids[j] if j < len(ids) else ids[-1]
 
 
 def recovery_law(
@@ -203,6 +203,9 @@ def recovery_law(
 class EdgeSession:
     """Drafter-side state machine: draft, commit verdicts, recover.
 
+    ``next_draft`` and ``apply_verdict`` are the checked message interface
+    that the transport drives; each checks its message and then runs the
+    same core (``_draft``, ``_commit``) that ``run_session`` calls directly.
     ``checked=True`` skips the config and prompt checks, for a caller that
     has already run them for this session.
     """
@@ -234,11 +237,12 @@ class EdgeSession:
             self._draft_rng = streams.draft
             self._recovery_rng = streams.recovery
         else:
-            self._draft_rng = stream(config.seed, ROLE_DRAFT)
-            self._recovery_rng = stream(config.seed, ROLE_RECOVERY)
+            self._draft_rng = uniform_stream(config.seed, ROLE_DRAFT)
+            self._recovery_rng = uniform_stream(config.seed, ROLE_RECOVERY)
         self._greedy = config.decode_mode == "greedy"
         self._cdf_fn = getattr(drafter, "next_token_cdf", None)
         self._window = drafter.window
+        self._eos = vocab.eos_id
         self._max_len = config.max_len
         self._horizon = config.horizon_k
         self._beta = config.beta
@@ -253,10 +257,18 @@ class EdgeSession:
             return None
         if self._last_batch is not None:
             raise ProtocolStateError("previous draft awaiting verdict")
-        budget = self._max_len - len(self.committed)
-        k = min(self._horizon, budget)
-        tokens: list[int] = []
+        batch = self._last_batch = DraftBatch(self.seq_no, self._draft())
+        return batch
+
+    def _draft(self) -> tuple[int, ...]:
+        """Sample up to ``horizon_k`` tokens, stopping at eos and at
+        ``max_len``; the session must not be finished."""
+        k = self._max_len - len(self.committed)
+        if k > self._horizon:
+            k = self._horizon
+        eos = self._eos
         hist = history_tail(self.committed, self._window)
+        tokens: list[int] = []
         for _ in range(k):
             if self._greedy:
                 tok = greedy_pick(self.drafter.next_token_probs(hist))
@@ -266,12 +278,10 @@ class EdgeSession:
             else:
                 tok = sample(self.drafter.next_token_probs(hist), self._draft_rng)
             tokens.append(tok)
-            hist.append(tok)
-            if tok == self.vocab.eos_id:
+            if tok == eos:
                 break
-        batch = DraftBatch(self.seq_no, tuple(tokens))
-        self._last_batch = batch
-        return batch
+            hist.append(tok)
+        return tuple(tokens)
 
     def apply_verdict(self, verdict: Verdict) -> tuple[int, int | None]:
         """Commit the accepted prefix plus any recovery token; returns
@@ -285,25 +295,35 @@ class EdgeSession:
             raise ProtocolStateError(f"accepted_count {a} out of range for batch of {k}")
         if (verdict.recovery is None) != (a == k):
             raise ProtocolStateError("recovery payload presence inconsistent with accepted_count")
-        self.committed.extend(batch.token_ids[:a])
+        rec_token = self._commit(batch.token_ids, a, verdict.recovery)
+        self._last_batch = None
+        return a, rec_token
+
+    def _commit(
+        self, tokens: tuple[int, ...], accepted: int, payload: SparseSteeringPayload | None
+    ) -> int | None:
+        """Commit ``tokens[:accepted]`` and, when ``payload`` is given (the
+        draft was rejected at ``accepted``), the recovery token, which is
+        returned."""
+        committed = self.committed
+        committed.extend(tokens[:accepted])
         rec_token: int | None = None
-        if verdict.recovery is not None:
+        if payload is not None:
             # The committed list is now exactly the history at the rejected
             # position, so the private term is scored lazily here.
             rec_token = recover(
-                verdict.recovery,
-                self.drafter.next_token_logits(history_tail(self.committed, self._window)),
+                payload,
+                self.drafter.next_token_logits(history_tail(committed, self._window)),
                 self._beta,
                 self._recovery_rng,
                 greedy=self._greedy,
             )
-            self.committed.append(rec_token)
+            committed.append(rec_token)
             self.pending_delta = rec_token
-        self._last_batch = None
         self.seq_no += 1
-        if self.committed[-1] == self.vocab.eos_id or len(self.committed) >= self._max_len:
+        if committed[-1] == self._eos or len(committed) >= self._max_len:
             self.finished = True
-        return a, rec_token
+        return rec_token
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +338,9 @@ class CloudVerifier:
     Sees only token ids and its own two models; keeps a mirror of the
     committed history repaired by the one-token delta riding on the next
     draft frame.  Every id arriving from the edge (prompt, draft, delta) is
-    untrusted and checked here before it reaches a model or an index.
+    untrusted, and ``handle_draft`` checks it, and the draft's length and
+    place in the session, before running the scan core (``_scan``) that
+    ``run_session`` calls directly with drafts its own edge sampled.
     ``zt_fn``, like the models, exposes the ``window`` it reads.
     ``checked=True`` skips the config and prompt checks, for a caller that
     has already run them for this session.
@@ -350,7 +372,7 @@ class CloudVerifier:
         self.awaiting_delta = False
         self.traces: list[RoundTrace] = []
         self._verify_rng = (
-            streams.verify if streams is not None else stream(config.seed, ROLE_VERIFY)
+            streams.verify if streams is not None else uniform_stream(config.seed, ROLE_VERIFY)
         )
         self._greedy = config.decode_mode == "greedy"
         self._zt_fn = zt_fn
@@ -359,6 +381,9 @@ class CloudVerifier:
         self._top_k = config.top_k
         self._exact_z = config.exact_z
         self._vsize = vocab.size
+        self._eos = vocab.eos_id
+        self._horizon = config.horizon_k
+        self._max_len = config.max_len
         # Conditionals, not builtin max: this runs once per session and the
         # single-step session is a hot loop.
         w, w_minus = llm.window, slm_minus.window
@@ -377,16 +402,32 @@ class CloudVerifier:
                     f"{what} token id {i} out of range for vocabulary of size {vsize}"
                 )
 
-    def handle_draft(self, batch: DraftBatch, history_delta: int | None) -> Verdict:
-        """Score and scan-accept the drafted tokens.
+    def _check_draft_bounds(self, tokens: Sequence[int], history_delta: int | None) -> None:
+        """An honest edge drafts at most ``horizon_k`` tokens, never past
+        ``max_len`` or past eos, and stops drafting once its history ends in
+        eos or reaches ``max_len``; anything else is refused before the
+        draft costs a model call."""
+        n = len(self.mirror)
+        last = self.mirror[-1] if n else None
+        if history_delta is not None:
+            n += 1
+            last = history_delta
+        if last == self._eos or n >= self._max_len:
+            raise ProtocolStateError("draft arrived after the session ended")
+        k = len(tokens)
+        if k > self._horizon:
+            raise ProtocolStateError(f"draft of {k} tokens exceeds horizon_k {self._horizon}")
+        if n + k > self._max_len:
+            raise ProtocolStateError(
+                f"draft of {k} tokens takes the history to {n + k}, past max_len {self._max_len}"
+            )
+        eos = self._eos
+        if eos in tokens and tokens.index(eos) != k - 1:
+            raise ProtocolStateError("draft has a token after eos")
 
-        Position t is scored by the two models (and, in exact-Z mode, the
-        partition callback) only when the scan reaches it: everything
-        drafted after the first rejection is discarded unscored.  Scoring
-        is pure, and verify draws stop at the rejection either way, so this
-        gives the same alphas and verdicts as scoring every position.
-        Nothing about the private drafter distribution enters here.
-        """
+    def handle_draft(self, batch: DraftBatch, history_delta: int | None) -> Verdict:
+        """Check an untrusted draft, then score and scan-accept it.  A
+        refused draft leaves the verifier as it was."""
         if batch.seq_no != self.expected_seq:
             raise ProtocolStateError(
                 f"out-of-order draft: got seq {batch.seq_no}, expected {self.expected_seq}"
@@ -399,13 +440,33 @@ class CloudVerifier:
         self._check_ids(tokens, "draft")
         if history_delta is not None:
             self._check_ids((history_delta,), "history delta")
-            self.mirror.append(history_delta)
+        self._check_draft_bounds(tokens, history_delta)
+        accepted, payload = self._scan(tokens, history_delta)
+        return Verdict(batch.seq_no, accepted, payload)
+
+    def _scan(
+        self, tokens: tuple[int, ...], history_delta: int | None
+    ) -> tuple[int, SparseSteeringPayload | None]:
+        """Apply the delta, then score and scan-accept the drafted tokens;
+        returns (accepted_count, steering payload or None) and records the
+        round's trace.
+
+        Position t is scored by the two models (and, in exact-Z mode, the
+        partition callback) only when the scan reaches it: everything
+        drafted after the first rejection is discarded unscored.  Scoring
+        is pure, and verify draws stop at the rejection either way, so this
+        gives the same alphas and verdicts as scoring every position.
+        Nothing about the private drafter distribution enters here.
+        """
+        mirror = self.mirror
+        if history_delta is not None:
+            mirror.append(history_delta)
             self.awaiting_delta = False
 
-        prefix = history_tail(self.mirror, self._window)
+        prefix = history_tail(mirror, self._window)
         llm_logits = self.llm.next_token_logits
         minus_logits = self.slm_minus.next_token_logits
-        rng = self._verify_rng
+        draw = self._verify_rng.random
         alphas: list[float] = []
         k = len(tokens)
         accepted = k
@@ -422,19 +483,20 @@ class CloudVerifier:
             if not alpha < 1.0:
                 alpha = 1.0
             alphas.append(alpha)
-            ok = alpha >= 1.0 if self._greedy else rng.random() <= alpha
+            ok = alpha >= 1.0 if self._greedy else draw() <= alpha
             if not ok:
                 accepted = t
                 payload = build_steering_payload(h_llm, h_minus, self._beta, self._top_k)
                 break
             prefix.append(tok)
 
-        self.mirror.extend(tokens[:accepted])
+        mirror.extend(tokens[:accepted])
         if payload is not None:
             self.awaiting_delta = True
+        seq = self.expected_seq
         self.traces.append(
             RoundTrace(
-                index=batch.seq_no,
+                index=seq,
                 drafted=tokens,
                 alphas=tuple(alphas),
                 accepted_count=accepted,
@@ -443,8 +505,8 @@ class CloudVerifier:
                 downlink_bytes=verdict_frame_bytes(len(payload.entries) if payload else 0),
             )
         )
-        self.expected_seq += 1
-        return Verdict(batch.seq_no, accepted, payload)
+        self.expected_seq = seq + 1
+        return accepted, payload
 
     def finish(self, trailing_ids: Sequence[int]) -> None:
         """Apply the final history repair carried by the DONE message."""
@@ -500,18 +562,18 @@ def run_session(
         config, llm, slm_minus, vocab, prompt_ids, streams=rngs, zt_fn=zt_fn, checked=True
     )
 
-    traces: list[RoundTrace] = []
-    while True:
-        batch = edge.next_draft()
-        if batch is None:
-            break
-        delta = edge.take_delta()
-        verdict = cloud.handle_draft(batch, delta)
-        accepted, rec_token = edge.apply_verdict(verdict)
-        trace = cloud.traces[-1]
-        trace.recovery_token = rec_token
-        traces.append(trace)
-    cloud.finish([edge.pending_delta] if edge.pending_delta is not None else [])
+    # The edge's draft goes straight into the cloud's scan and the outcome
+    # straight into the edge's commit: no messages are built, and ids the
+    # edge sampled itself are not checked again.  The checked public
+    # methods run these same cores.
+    draft, scan, commit, take_delta = edge._draft, cloud._scan, edge._commit, edge.take_delta
+    traces = cloud.traces
+    while not edge.finished:
+        tokens = draft()
+        accepted, payload = scan(tokens, take_delta())
+        traces[-1].recovery_token = commit(tokens, accepted, payload)
+    # The cloud's mirror is dropped with it, so the final repair that the
+    # DONE message carries on the wire is not applied here.
     return edge.committed, traces
 
 

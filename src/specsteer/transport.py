@@ -335,8 +335,6 @@ class SocketEndpoint:
     def __init__(self, sock: socket.socket, timeout: float = DEFAULT_SOCKET_TIMEOUT) -> None:
         sock.settimeout(timeout)
         self._sock = sock
-        self.counters = ChannelCounters()
-        self._is_edge = False
 
     def send_frame(self, frame: bytes) -> None:
         self._sock.sendall(frame)

@@ -80,6 +80,11 @@ def session_alphas(world, lam, seeds, max_len=48, prompt=None):
     return np.array(rates)
 
 
+def cut_after_eos(tokens: tuple, vocab) -> tuple:
+    eos = vocab.eos_id
+    return tokens[: tokens.index(eos) + 1] if eos in tokens else tokens
+
+
 class TestAcceptance:
     def test_criterion_01_single_step_law(self):
         rng = np.random.default_rng(1001)
@@ -144,8 +149,10 @@ class TestAcceptance:
             vocab, (llm, plus_a, minus) = random_table_triple(rng, v)
             _, (plus_b, _, _) = random_table_triple(rng, v)
             cfg = ProtocolConfig(lam=0.9, top_k=v, max_len=64, seed=trial)
+            # Drafts as an honest edge sends them: nothing after eos (the
+            # cloud refuses anything else).
             batches = [
-                DraftBatch(i, tuple(int(t) for t in rng.integers(0, v, 4)))
+                DraftBatch(i, cut_after_eos(tuple(int(t) for t in rng.integers(0, v, 4)), vocab))
                 for i in range(4)
             ]
             outputs = []
@@ -156,6 +163,8 @@ class TestAcceptance:
                 frames = []
                 alphas = []
                 for b in batches:
+                    if cloud.mirror[-1] == vocab.eos_id:
+                        break  # an honest edge drafts no further
                     delta = 0 if cloud.awaiting_delta else None
                     frames.append(encode_verdict(cloud.handle_draft(b, delta)))
                     alphas.append(cloud.traces[-1].alphas)

@@ -9,7 +9,11 @@ from specsteer.core import (
     ROLE_DRAFT,
     ROLE_RECOVERY,
     ROLE_VERIFY,
+    SCALAR_DRAWS,
+    UNIFORM_BLOCK,
+    RngStreams,
     SequenceError,
+    UniformStream,
     VocabError,
     Vocabulary,
     check_distribution,
@@ -23,8 +27,12 @@ from specsteer.core import (
     softmax,
     stream,
     total_variation,
+    uniform_stream,
     validate_sequence,
 )
+from specsteer.protocol import run_session
+
+from conftest import random_table_triple
 
 
 class TestVocabulary:
@@ -227,3 +235,42 @@ class TestStreams:
                     == keyed.bit_generator.state["state"][field].tolist())
         assert ours.random(64).tolist() == keyed.random(64).tolist()
         assert ours.integers(0, 2**63, 16).tolist() == keyed.integers(0, 2**63, 16).tolist()
+
+
+class TestUniformStream:
+    """Block-served draws are the scalar draws of the same stream."""
+
+    @pytest.mark.parametrize("n", [1, SCALAR_DRAWS, SCALAR_DRAWS + 1,
+                                   SCALAR_DRAWS + UNIFORM_BLOCK, SCALAR_DRAWS + UNIFORM_BLOCK + 1,
+                                   3 * UNIFORM_BLOCK + 7])
+    @pytest.mark.parametrize("role", [ROLE_DRAFT, ROLE_VERIFY, ROLE_RECOVERY])
+    def test_equals_scalar_draws(self, n, role):
+        scalar = stream(2**64 - 3, role)
+        served = uniform_stream(2**64 - 3, role)
+        got = [served.random() for _ in range(n)]
+        assert got == [scalar.random() for _ in range(n)]
+        assert all(type(u) is float for u in got)
+
+    def test_make_streams_serves_each_role(self):
+        s = make_streams(17)
+        for role, served in ((ROLE_DRAFT, s.draft), (ROLE_VERIFY, s.verify),
+                             (ROLE_RECOVERY, s.recovery)):
+            assert isinstance(served, UniformStream)
+            scalar = stream(17, role)
+            assert [served.random() for _ in range(100)] == [scalar.random() for _ in range(100)]
+
+    @pytest.mark.parametrize("horizon_k, max_len", [(1, 2), (4, 9)])
+    def test_shared_set_across_sessions(self, horizon_k, max_len):
+        # Consecutive sessions on one set continue its blocks exactly where
+        # scalar Generator draws would be: same outputs, and the same next
+        # draw of every role afterwards.
+        rng = np.random.default_rng(5)
+        vocab, (llm, plus, minus) = random_table_triple(rng, 5)
+        cfg = ProtocolConfig(lam=0.7, horizon_k=horizon_k, top_k=5, max_len=max_len, seed=11)
+        served = make_streams(11)
+        scalar = RngStreams(*(stream(11, r) for r in (ROLE_DRAFT, ROLE_VERIFY, ROLE_RECOVERY)))
+        for _ in range(150):
+            assert (run_session(cfg, llm, plus, minus, vocab, [0], streams=served)
+                    == run_session(cfg, llm, plus, minus, vocab, [0], streams=scalar))
+        for role in ("draft", "verify", "recovery"):
+            assert getattr(served, role).random() == getattr(scalar, role).random()

@@ -192,7 +192,8 @@ class TestOutputFiles:
     def test_trace_csv_hash_header(self, tmp_path):
         path = str(tmp_path / "trace.csv")
         write_trace_csv(path, [trace([1, 2], 2)], "abc123")
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
         assert lines[0] == "# config_hash=abc123"
         assert lines[1].startswith("round,alpha,accepted")
         assert len(lines) == 3
@@ -200,7 +201,8 @@ class TestOutputFiles:
     def test_summary_json_hash_field(self, tmp_path):
         path = str(tmp_path / "summary.json")
         write_summary_json(path, {"alpha_mean": 0.5}, "abc123")
-        data = json.load(open(path))
+        with open(path) as fh:
+            data = json.load(fh)
         assert data["config_hash"] == "abc123"
         assert data["alpha_mean"] == 0.5
 

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from specsteer.core import (
     ProtocolConfig,
@@ -18,6 +21,7 @@ from specsteer.protocol import (
     DraftBatch,
     EdgeSession,
     ProtocolStateError,
+    SparseSteeringPayload,
     autoregressive_decode,
     build_steering_payload,
     draft_frame_bytes,
@@ -196,6 +200,88 @@ class TestCloudIngest:
                           single_row_model(vocab, [0.4, 0.4, 0.2]), vocab, hprompt)
 
 
+    def test_draft_longer_than_horizon(self):
+        vocab = make_vocab(3)
+        cloud = self._cloud(vocab, lam=1e-12)
+        with pytest.raises(ProtocolStateError, match="horizon_k"):
+            cloud.handle_draft(DraftBatch(0, (0, 1, 0, 1, 0)), None)
+        assert cloud.mirror == [0] and cloud.expected_seq == 0
+        cloud.handle_draft(DraftBatch(0, (0, 1, 0, 1)), None)
+        assert cloud.mirror == [0, 0, 1, 0, 1]
+
+    def test_long_draft_not_scored(self):
+        # A 200-token draft at horizon_k=4, max_len=10 used to be accepted
+        # whole, growing the mirror to 201 tokens.
+        vocab = make_vocab(3)
+        cfg = ProtocolConfig(lam=1e-12, horizon_k=4, top_k=3, max_len=10)
+        calls = []
+        llm = single_row_model(vocab, [0.1, 0.7, 0.2])
+        minus = single_row_model(vocab, [0.4, 0.4, 0.2])
+        minus_logits = minus.next_token_logits
+        minus.next_token_logits = lambda h: calls.append(1) or minus_logits(h)
+        cloud = CloudVerifier(cfg, llm, minus, vocab, [0])
+        with pytest.raises(ProtocolStateError):
+            cloud.handle_draft(DraftBatch(0, (0, 1) * 100), None)
+        assert cloud.mirror == [0] and not calls
+
+    def test_draft_past_max_len(self):
+        vocab = make_vocab(3)
+        cloud = self._cloud(vocab, lam=1e-12, prompt=(0,) * 13)
+        with pytest.raises(ProtocolStateError, match="max_len"):
+            cloud.handle_draft(DraftBatch(0, (0, 1, 0, 1)), None)
+        assert cloud.mirror == [0] * 13 and cloud.expected_seq == 0
+        cloud.handle_draft(DraftBatch(0, (0, 1, 0)), None)
+        assert len(cloud.mirror) == 16
+
+    def test_delta_counts_toward_max_len(self):
+        vocab = make_vocab(3)
+        cloud = self._cloud(vocab, lam=1.0, decode_mode="greedy", prompt=(0,) * 12)
+        assert cloud.handle_draft(DraftBatch(0, (0,)), None).recovery is not None
+        with pytest.raises(ProtocolStateError, match="max_len"):
+            cloud.handle_draft(DraftBatch(1, (0, 0, 0, 0)), 1)
+        assert cloud.mirror == [0] * 12 and cloud.awaiting_delta
+
+    @pytest.mark.parametrize("ids", [(2, 0), (2, 1, 0), (0, 2, 2), (2, 2)])
+    def test_token_after_eos(self, ids):
+        # eos is id 2; it may only end a draft.
+        vocab = make_vocab(3)
+        cloud = self._cloud(vocab, lam=1e-12)
+        with pytest.raises(ProtocolStateError, match="after eos"):
+            cloud.handle_draft(DraftBatch(0, ids), None)
+        assert cloud.mirror == [0] and cloud.expected_seq == 0
+
+    def test_draft_ending_in_eos_accepted(self):
+        vocab = make_vocab(3)
+        cloud = self._cloud(vocab, lam=1e-12)
+        assert cloud.handle_draft(DraftBatch(0, (0, 1, 2)), None).accepted_count == 3
+
+    @pytest.mark.parametrize("prompt", [(0, 2), (0,) * 16, (2,)])
+    def test_draft_after_session_ended(self, prompt):
+        # The prompt already ends in eos or fills max_len.
+        vocab = make_vocab(3)
+        cloud = self._cloud(vocab, lam=1e-12, prompt=prompt)
+        with pytest.raises(ProtocolStateError, match="after the session ended"):
+            cloud.handle_draft(DraftBatch(0, (0,)), None)
+        assert cloud.mirror == list(prompt) and cloud.expected_seq == 0
+
+    def test_draft_after_accepted_eos(self):
+        vocab = make_vocab(3)
+        cloud = self._cloud(vocab, lam=1e-12)
+        cloud.handle_draft(DraftBatch(0, (1, 2)), None)
+        with pytest.raises(ProtocolStateError, match="after the session ended"):
+            cloud.handle_draft(DraftBatch(1, (0,)), None)
+        assert cloud.mirror == [0, 1, 2] and cloud.expected_seq == 1
+
+    def test_draft_after_eos_delta(self):
+        # The recovery token the delta repairs was eos, so the edge is done.
+        vocab = make_vocab(3)
+        cloud = self._cloud(vocab, lam=1.0, decode_mode="greedy")
+        assert cloud.handle_draft(DraftBatch(0, (0,)), None).recovery is not None
+        with pytest.raises(ProtocolStateError, match="after the session ended"):
+            cloud.handle_draft(DraftBatch(1, (0,)), 2)
+        assert cloud.mirror == [0] and cloud.awaiting_delta
+
+
 class TestSteeringPayload:
     def test_sorted_unique_truncated(self):
         rng = np.random.default_rng(2)
@@ -271,6 +357,62 @@ class TestRecover:
         for _ in range(n):
             draws[recover(payload, h_plus, 1.0, sampler)] += 1
         assert total_variation(draws / n, law) < 0.01
+
+
+def recover_by_running_sum(payload, h_plus, beta, u):
+    """``recover``'s stochastic pick as the Python running-sum loop it
+    used to be, given the uniform ``u``."""
+    scores = [(i, v + beta * h_plus.item(i)) for i, v in payload.entries]
+    m = max(s for _, s in scores)
+    weights = [math.exp(s - m) for _, s in scores]
+    threshold = u * math.fsum(weights)
+    acc = 0.0
+    for (i, _), w in zip(scores, weights):
+        acc += w
+        if acc > threshold:
+            return i
+    return scores[-1][0]
+
+
+class FixedUniform:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+# Few distinct values, so scores tie; -800 underflows to a zero weight, so
+# cumulative sums tie too.
+_VALUES = st.sampled_from([-800.0, -36.8, -2.0, 0.0, 0.0, 0.5, 3.0])
+
+
+class TestRecoverPick:
+    @given(
+        data=st.data(),
+        v=st.integers(1, 12),
+        beta=st.sampled_from([0.0, 0.5, 1.0]),
+        u=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, math.nextafter(1.0, 0.0), 1.0])),
+    )
+    def test_equals_running_sum(self, data, v, beta, u):
+        ids = data.draw(st.permutations(range(v)))
+        n = data.draw(st.integers(1, v))
+        entries = tuple((i, data.draw(_VALUES)) for i in ids[:n])
+        h_plus = np.array([data.draw(_VALUES) for _ in range(v)])
+        payload = SparseSteeringPayload(entries)
+        assert (recover(payload, h_plus, beta, FixedUniform(u))
+                == recover_by_running_sum(payload, h_plus, beta, u))
+
+    def test_threshold_past_last_sum_picks_last_id(self):
+        # Ten weights of ~1e-16 vanish from the running sum after 1.0 but
+        # not from fsum, so a draw just below 1 lands past every sum.
+        payload = SparseSteeringPayload(((3, 0.0),) + tuple((i, -36.8) for i in range(10)))
+        h_plus = np.zeros(11)
+        weights = [math.exp(v) for _, v in payload.entries]
+        u = math.nextafter(1.0, 0.0)
+        assert u * math.fsum(weights) > sum(weights)
+        assert recover(payload, h_plus, 1.0, FixedUniform(u)) == 9
+        assert recover_by_running_sum(payload, h_plus, 1.0, u) == 9
 
 
 class TestRunSession:
@@ -355,6 +497,66 @@ class TestRunSession:
         cfg = ProtocolConfig(exact_z=True, max_len=16, top_k=6)
         with pytest.raises(ProtocolStateError):
             CloudVerifier(cfg, llm, minus, vocab, [0])
+
+
+# Per session: the committed tokens after the prompt, "/", and the accepted
+# count of each round, for 64 consecutive sessions on one make_streams set
+# per (trial, (horizon_k, max_len)).  Recorded with one scalar
+# Generator.random() call per uniform.
+SHARED_STREAM_PINS = {
+    (0, (1, 2)): (
+        '5/0 6/1 5/1 5/1 6/1 2/1 7/1 5/1 5/1 5/0 6/1 5/1 5/0 5/1 2/1 2/1 2/1 0/1 '
+        '5/0 5/1 6/1 4/1 0/1 2/1 6/1 5/1 5/1 5/1 5/1 8/1 0/0 0/1 4/1 5/1 0/1 5/1 '
+        '5/1 0/0 2/1 1/1 5/1 5/1 0/0 0/0 5/0 6/1 6/1 6/1 2/1 5/0 4/1 6/1 6/1 5/1 '
+        '5/1 5/1 2/1 5/1 0/0 0/1 6/1 4/1 6/1 5/0'
+    ),
+    (1, (1, 2)): (
+        '1/1 8/1 7/1 1/0 7/1 1/0 2/1 7/1 7/1 7/1 0/1 4/1 0/0 2/1 0/1 2/1 2/1 2/1 '
+        '2/1 7/1 0/0 2/1 0/1 0/0 7/1 9/1 1/1 3/1 2/1 7/1 0/0 4/0 0/1 2/1 1/1 8/1 '
+        '7/1 3/1 7/1 4/1 2/1 6/1 6/1 8/1 3/1 2/1 2/1 1/1 9/1 7/1 7/1 0/1 1/0 1/1 '
+        '7/1 6/1 2/1 2/1 2/1 2/1 7/0 1/0 1/0 2/1'
+    ),
+    (2, (1, 2)): (
+        '0/0 3/1 0/1 3/0 3/1 2/0 3/1 0/1 3/1 2/0 2/1 0/0 2/0 0/1 2/0 3/1 3/1 2/1 '
+        '0/0 2/0 2/1 3/1 0/1 2/1 2/1 3/1 0/1 2/1 2/1 0/1 2/0 0/1 2/1 2/0 2/1 1/1 '
+        '0/1 2/1 2/0 2/1 0/1 1/1 3/1 0/1 0/0 2/0 2/1 2/0 0/0 0/0 0/0 0/1 3/0 0/1 '
+        '0/1 0/0 2/0 2/1 3/1 2/1 0/1 2/1 2/0 2/0'
+    ),
+    (3, (1, 2)): (
+        '1/1 1/1 1/1 1/0 1/0 1/0 3/0 1/0 3/0 1/0 1/1 1/1 1/1 1/1 1/1 1/1 1/1 1/1 '
+        '1/1 3/0 3/1 1/0 1/1 1/1 1/1 1/1 0/1 1/0 1/1 1/1 1/0 0/1 0/1 1/0 1/1 1/0 '
+        '1/0 1/1 1/0 0/0 1/0 1/1 3/0 1/1 3/0 1/1 1/1 1/0 1/0 1/0 1/0 3/0 1/1 1/0 '
+        '1/1 1/1 1/1 1/1 1/0 1/0 1/1 1/0 1/1 1/1'
+    ),
+    (4, (4, 7)): (
+        '3/1 2123/4 3/1 23/2 23/2 002202/401 203/3 2023/4 3/1 223/3 210221/23 '
+        '02203/41 2223/4 3/1 13/2 3/1 3/1 3/1 03/2 23/2 203/3 20203/111 3/1 '
+        '20213/41 120200/23 2003/101 222002/32 002223/004 123/3 3/1 03/01 3/1 '
+        '3/1 003/3 23/2 023/3 223/3 222212/42 3/1 2223/4 3/1 13/2 2223/4 3/1 '
+        '022223/42 2203/4 23/2 220222/42 10213/41 2203/21 222202/42 023/3 '
+        '222222/42 3/1 222203/401 23/2 223/3 23/2 1223/4 3/1 20003/102 223/3 3/1 '
+        '203/11'
+    ),
+}
+
+
+class TestSharedStreamPins:
+    @pytest.mark.parametrize("trial, shape", list(SHARED_STREAM_PINS))
+    def test_consecutive_sessions(self, trial, shape):
+        horizon_k, max_len = shape
+        rng = np.random.default_rng(7000 + trial)
+        v = int(rng.integers(3, 11))
+        vocab, (llm, plus, minus) = random_table_triple(rng, v)
+        lam = float(np.exp(rng.uniform(np.log(0.3), np.log(2.0))))
+        cfg = ProtocolConfig(lam=lam, beta=1.0, horizon_k=horizon_k, top_k=v, max_len=max_len,
+                             seed=trial)
+        streams = make_streams(trial)
+        out = []
+        for _ in range(64):
+            committed, traces = run_session(cfg, llm, plus, minus, vocab, (0,), streams=streams)
+            out.append("".join(map(str, committed[1:])) + "/"
+                       + "".join(str(t.accepted_count) for t in traces))
+        assert " ".join(out) == SHARED_STREAM_PINS[trial, shape]
 
 
 class TestCancellation:

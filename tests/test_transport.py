@@ -552,6 +552,61 @@ class TestCloudRefusal:
             run_simulated_session(cfg, llm, plus, minus, vocab, [6])
 
 
+
+def draft_rewrite(tokens_of):
+    """Rewrite the first draft's ids to ``tokens_of(vocab)``."""
+    def rewrite(cfg, vocab):
+        def apply(payload):
+            batch, _ = decode_draft(payload, expect_delta=False)
+            return encode_draft(DraftBatch(batch.seq_no, tokens_of(vocab)))
+        return apply
+    return rewrite
+
+
+def done_to_draft(cfg, vocab):
+    """Turn the edge's DONE, after a one-round session, into a second
+    draft, sent after the session ended."""
+    def apply(payload):
+        _, trailing = decode_done(payload)
+        return encode_draft(DraftBatch(1, (0,)), trailing[0] if trailing else None)
+    return apply
+
+
+class TestDraftBoundsRefusal:
+    """Each ingest bound on a draft ends, over a socket, in the DONE
+    refusal on the edge and a ProtocolStateError on the cloud."""
+
+    @pytest.mark.parametrize("cfg_kw, drafter, msg_type, rewrite, match", [
+        ({"horizon_k": 4, "max_len": 24}, None, MSG_DRAFT,
+         draft_rewrite(lambda vocab: (0,) * 5), "horizon_k"),
+        ({"horizon_k": 4, "max_len": 3}, None, MSG_DRAFT,
+         draft_rewrite(lambda vocab: (0, 1, 0)), "max_len"),
+        ({"horizon_k": 4, "max_len": 24}, None, MSG_DRAFT,
+         draft_rewrite(lambda vocab: (vocab.eos_id, 0, 1)), "after eos"),
+        ({"horizon_k": 1, "max_len": 2}, None, MSG_DONE, done_to_draft, "after the session ended"),
+        ({"horizon_k": 4, "max_len": 24, "lam": 1e-12}, "eos", MSG_DONE, done_to_draft,
+         "after the session ended"),
+    ])
+    def test_refusal_reaches_edge(self, cfg_kw, drafter, msg_type, rewrite, match):
+        vocab, (llm, plus, minus) = random_table_triple(np.random.default_rng(55), 8)
+        if drafter == "eos":  # drafts eos at once, and lam accepts it
+            plus = TableModel(vocab, {(): np.eye(vocab.size)[vocab.eos_id]})
+        cfg = ProtocolConfig(**{"lam": 0.8, "top_k": 8, "seed": 3, **cfg_kw})
+        a, b = socket.socketpair()
+        try:
+            thread, errors = in_thread(
+                lambda: run_cloud(SocketEndpoint(a, timeout=5), llm, minus, vocab))
+            edge_end = Tamper(SocketEndpoint(b, timeout=5), msg_type, rewrite(cfg, vocab))
+            with pytest.raises(HandshakeError, match="refused by cloud"):
+                run_edge(cfg, edge_end, plus, vocab, [0])
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            assert len(errors) == 1 and isinstance(errors[0], ProtocolStateError)
+            assert match in str(errors[0])
+        finally:
+            a.close()
+            b.close()
+
 class TestEdgeVerdictIngest:
     @pytest.mark.parametrize("entries, match", [
         (((8, 0.5),), "out of range"),
