@@ -2,11 +2,10 @@
 
 Subcommands: ``run`` (one in-process session), ``sweep`` (lambda/beta grid
 with CSV + SVG chart), ``oracle`` (exact fusion report for a history),
-``serve-cloud`` / ``run-edge`` (real two-process socket session), and
-``bench`` (informational wall-clock measurement).  Configuration is a flat
-key=value text file; every emitted file carries the hash of the effective
-configuration in a header.  Exit status is 0 iff all requested outputs
-were written.
+and ``serve-cloud`` / ``run-edge`` (real two-process socket session).
+Configuration is a flat key=value text file; every emitted file carries
+the hash of the effective configuration in a header.  Exit status is 0 iff
+all requested outputs were written.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import hashlib
 import logging
 import os
 import sys
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -35,7 +33,6 @@ from .metrics import (
     CostModel,
     LatencyModel,
     apply_clock,
-    speedup,
     summarize,
     write_summary_json,
     write_trace_csv,
@@ -446,41 +443,6 @@ def cmd_run_edge(cfg: ExperimentConfig, connect: str, prompt_tokens: list[str]) 
     return 0
 
 
-def cmd_bench(cfg: ExperimentConfig, prompt_tokens: list[str]) -> int:
-    """Real elapsed time, informational only; modeled speedup is separate."""
-    world = build_world(cfg)
-    cfg.protocol.validate(world.vocab.size)
-    prompt = _prompt_ids(world, prompt_tokens)
-    latency = LatencyModel()
-    t0 = time.perf_counter()
-    traces = []
-    tokens = 0
-    for s in range(cfg.trials):
-        committed, t = run_session(
-            replace(cfg.protocol, seed=s),
-            world.llm, world.slm_plus, world.slm_minus, world.vocab, prompt,
-        )
-        traces.extend(t)
-        tokens += len(committed) - len(prompt)
-    elapsed = time.perf_counter() - t0
-    apply_clock(traces, latency, cfg.channel)
-    chash = config_hash(cfg)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    report = {
-        "sessions": cfg.trials,
-        "emitted_tokens": tokens,
-        "elapsed_s": elapsed,
-        "real_tokens_per_s": tokens / elapsed if elapsed > 0 else 0.0,
-        "modeled_speedup": speedup(traces, latency, channel=cfg.channel),
-    }
-    write_summary_json(str(cfg.out_dir / "bench.json"), report, chash)
-    print(
-        f"{cfg.trials} sessions, {tokens} tokens in {elapsed:.3f}s "
-        f"({report['real_tokens_per_s']:.0f} tok/s real, modeled speedup {report['modeled_speedup']:.2f}x)"
-    )
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
@@ -509,8 +471,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_edge = sub.add_parser("run-edge", help="drive a session against a cloud socket")
     p_edge.add_argument("--connect", required=True, metavar="HOST:PORT")
     p_edge.add_argument("prompt", nargs="*")
-    p_bench = sub.add_parser("bench", help="real elapsed-time report (informational)")
-    p_bench.add_argument("prompt", nargs="*")
     return parser
 
 
@@ -553,8 +513,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_serve_cloud(cfg, args.bind)
         if args.command == "run-edge":
             return cmd_run_edge(cfg, args.connect, args.prompt)
-        if args.command == "bench":
-            return cmd_bench(cfg, args.prompt)
         raise ConfigError(f"unknown command {args.command!r}")
     except SpecSteerError as exc:
         print(f"error: {exc}", file=sys.stderr)

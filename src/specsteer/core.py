@@ -11,7 +11,7 @@ the two-process transport consume identical random numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -279,6 +279,21 @@ def make_streams(seed: int) -> RngStreams:
 
 
 # ---------------------------------------------------------------------------
+# Bounded caches
+# ---------------------------------------------------------------------------
+
+
+def evict_oldest(cache: dict) -> None:
+    """Drop the first entry of ``cache`` in iteration order: the oldest for
+    a dict used first-in first-out, and the least recently used for one
+    whose hits move their entry to the end.  The key is read and removed
+    by single C-level calls, so a thread that changes ``cache`` meanwhile
+    cannot make this raise."""
+    for key in list(islice(cache, 1)):
+        cache.pop(key, None)
+
+
+# ---------------------------------------------------------------------------
 # Distributions and logits
 # ---------------------------------------------------------------------------
 
@@ -321,12 +336,6 @@ def softmax(logits: Sequence[float] | np.ndarray) -> np.ndarray:
     return z / z.sum()
 
 
-def log_softmax(logits: Sequence[float] | np.ndarray) -> np.ndarray:
-    h = check_logits(logits)
-    shifted = h - h.max()
-    return shifted - np.log(np.exp(shifted).sum())
-
-
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     """KL(p || q) in nats with floor-clamped arguments."""
     p = np.asarray(p, dtype=np.float64)
@@ -354,12 +363,6 @@ def sample(probs: np.ndarray, rng: np.random.Generator | UniformStream) -> int:
     """Single inverse-CDF draw; deterministic given the stream state."""
     cdf = np.cumsum(probs)
     u = rng.random()
-    idx = int(np.searchsorted(cdf, u, side="right"))
+    # The method skips the dispatch layer of the np.searchsorted function.
+    idx = int(cdf.searchsorted(u, side="right"))
     return min(idx, len(cdf) - 1)
-
-
-def sample_many(probs: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
-    cdf = np.cumsum(probs)
-    u = rng.random(n)
-    idx = np.searchsorted(cdf, u, side="right")
-    return np.minimum(idx, len(cdf) - 1)

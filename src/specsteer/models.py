@@ -34,6 +34,7 @@ from .core import (
     SpecSteerError,
     Vocabulary,
     check_distribution,
+    evict_oldest,
 )
 
 ROLES = ("generalist", "specialist_private", "specialist_generic")
@@ -127,14 +128,34 @@ class TableModel:
         return self._cdfs[self._row(history)]
 
 
+# An NGramModel keeps the rows of at most this many windows and drops the
+# oldest first.  The largest benchmark working set is the generalist's on
+# the long_prompt workload, about 10,100 windows (see CHANGES.md), so no
+# benchmark workload recomputes a row; at V=102 a full generalist cache of
+# logit rows holds about 15 MB.
+ROW_CACHE_SIZE = 16384
+
+
+class _Row:
+    """The cached rows of one window, each filled on first use: a model
+    scored only through logits keeps no probability row or CDF."""
+
+    __slots__ = ("probs", "logits", "cdf")
+
+    def __init__(self) -> None:
+        self.probs: np.ndarray | None = None
+        self.logits: np.ndarray | None = None
+        self.cdf: list[float] | None = None
+
+
 class NGramModel:
     """Add-k smoothed n-gram model with optional private-table blending.
 
     The emitted distribution is ``(1-mu) * base + mu * private`` where both
     terms are add-k tables; ``mu == 0`` is exactly the paired generic model.
-    Trained models are immutable; per-window distributions are cached as
-    read-only arrays.  Every window in neither count table shares one
-    probability row and one logit row.
+    Trained models are immutable; per-window rows are cached as read-only
+    arrays in one record per window, at most ``ROW_CACHE_SIZE`` windows.
+    Every window in neither count table shares one record.
     """
 
     def __init__(
@@ -168,13 +189,9 @@ class NGramModel:
         self._totals = totals
         self._private_counts = private_counts
         self._private_totals = private_totals
-        self._cache: dict[tuple[int, ...], np.ndarray] = {}
-        self._logit_cache: dict[tuple[int, ...], np.ndarray] = {}
-        self._cdf_cache: dict[tuple[int, ...], list[float]] = {}
-        # Computed on first use; shared by the cache entries of every window
-        # in neither count table.
-        self._unseen_probs: np.ndarray | None = None
-        self._unseen_logits: np.ndarray | None = None
+        self._rows: dict[tuple[int, ...], _Row] = {}
+        # Made on first use; the record of every window in neither count table.
+        self._unseen_row: _Row | None = None
 
     def _key(self, history: Sequence[int]) -> tuple[int, ...]:
         """The last ``window`` ids of ``history``, left-padded with BOS when
@@ -220,46 +237,47 @@ class NGramModel:
             self._private_totals is None or window not in self._private_totals
         )
 
+    def _add_row(self, window: tuple[int, ...]) -> _Row:
+        """The record of a window not in the cache, now cached; the oldest
+        record goes first when the cache is full."""
+        rows = self._rows
+        if len(rows) >= ROW_CACHE_SIZE:
+            evict_oldest(rows)
+        if self._unseen(window):
+            if self._unseen_row is None:
+                self._unseen_row = _Row()
+            row = self._unseen_row
+        else:
+            row = _Row()
+        rows[window] = row
+        return row
+
     def next_token_probs(self, history: Sequence[int]) -> np.ndarray:
         window = self._key(history)
-        cached = self._cache.get(window)
-        if cached is not None:
-            return cached
-        if self._unseen(window):
-            if self._unseen_probs is None:
-                self._unseen_probs = _frozen(self._probs(window))
-            cached = self._unseen_probs
-        else:
-            cached = _frozen(self._probs(window))
-        self._cache[window] = cached
-        return cached
+        row = self._rows.get(window) or self._add_row(window)
+        probs = row.probs
+        if probs is None:
+            probs = row.probs = _frozen(self._probs(window))
+        return probs
 
     def next_token_logits(self, history: Sequence[int]) -> np.ndarray:
         window = self._key(history)
-        cached = self._logit_cache.get(window)
-        if cached is not None:
-            return cached
-        unseen = self._unseen(window)
-        if unseen and self._unseen_logits is not None:
-            cached = self._unseen_logits
-        else:
-            # A model scored only through logits (the cloud's pair) does not
-            # also keep a probability row per window.
-            p = self._cache.get(window)
-            cached = _frozen(np.log(np.maximum(p if p is not None else self._probs(window), PROB_FLOOR)))
-            if unseen:
-                self._unseen_logits = cached
-        self._logit_cache[window] = cached
-        return cached
+        row = self._rows.get(window) or self._add_row(window)
+        logits = row.logits
+        if logits is None:
+            p = row.probs
+            logits = row.logits = _frozen(
+                np.log(np.maximum(p if p is not None else self._probs(window), PROB_FLOOR))
+            )
+        return logits
 
     def next_token_cdf(self, history: Sequence[int]) -> list[float]:
         """Cached cumulative distribution; lets samplers skip the cumsum."""
         window = self._key(history)
-        cached = self._cdf_cache.get(window)
-        if cached is not None:
-            return cached
-        cdf = self.next_token_probs(history).cumsum().tolist()
-        self._cdf_cache[window] = cdf
+        row = self._rows.get(window) or self._add_row(window)
+        cdf = row.cdf
+        if cdf is None:
+            cdf = row.cdf = self.next_token_probs(history).cumsum().tolist()
         return cdf
 
 

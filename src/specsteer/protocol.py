@@ -17,9 +17,12 @@ samples itself are trusted.
 from __future__ import annotations
 
 import math
+import weakref
+from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
-from itertools import accumulate
+from dataclasses import dataclass, field
+from functools import partial
+from itertools import accumulate, count
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,6 +36,7 @@ from .core import (
     RngStreams,
     SpecSteerError,
     Vocabulary,
+    evict_oldest,
     greedy_pick,
     make_streams,
     sample,
@@ -69,10 +73,15 @@ class SparseSteeringPayload:
     beta times the generic baseline logits) at the rejected position.
 
     Entries are (token_id, value), sorted by descending value with
-    token-id tie-break, unique ids.
+    token-id tie-break, unique ids.  ``key``, when set, stands for the
+    entries in the edge's recovery cache: the serial number a cloud's
+    payload cache gave the payload, or the raw entry bytes of a payload
+    decoded from the wire.  Equal keys mean equal entries; a payload
+    without a key is recovered uncached.
     """
 
     entries: tuple[tuple[int, float], ...]
+    key: int | bytes | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -118,12 +127,18 @@ def history_tail(history: list[int], window: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def _steering_entries(
+    h_llm: np.ndarray, h_minus: np.ndarray, beta: float, top_k: int
+) -> tuple[tuple[int, float], ...]:
+    values = h_llm - beta * h_minus
+    order = np.argsort(-values, kind="stable")[: min(top_k, len(values))]
+    return tuple(zip(order.tolist(), values[order].tolist()))
+
+
 def build_steering_payload(
     h_llm: np.ndarray, h_minus: np.ndarray, beta: float, top_k: int
 ) -> SparseSteeringPayload:
-    values = h_llm - beta * h_minus
-    order = np.argsort(-values, kind="stable")[: min(top_k, len(values))]
-    return SparseSteeringPayload(entries=tuple(zip(order.tolist(), values[order].tolist())))
+    return SparseSteeringPayload(_steering_entries(h_llm, h_minus, beta, top_k))
 
 
 def check_steering_payload(payload: SparseSteeringPayload, vocab_size: int, top_k: int) -> None:
@@ -136,15 +151,56 @@ def check_steering_payload(payload: SparseSteeringPayload, vocab_size: int, top_
         raise ProtocolStateError("empty steering payload")
     if len(entries) > top_k:
         raise ProtocolStateError(f"steering payload has {len(entries)} entries, top_k is {top_k}")
+    seen: set[int] = set()
+    add, isfinite = seen.add, math.isfinite
     for i, v in entries:
         if not 0 <= i < vocab_size:
             raise ProtocolStateError(
                 f"steering token id {i} out of range for vocabulary of size {vocab_size}"
             )
-        if not math.isfinite(v):
+        if not isfinite(v):
             raise ProtocolStateError(f"steering value {v} for token id {i} is not finite")
-    if len({i for i, _ in entries}) != len(entries):
-        raise ProtocolStateError("steering payload repeats a token id")
+        if i in seen:
+            raise ProtocolStateError("steering payload repeats a token id")
+        add(i)
+
+
+def _recovery_state(
+    payload: SparseSteeringPayload, h_plus: np.ndarray, beta: float, greedy: bool
+) -> int | tuple[tuple[int, ...], array, float]:
+    """Everything recovery computes before its random draw: the picked id
+    when ``greedy``, else the payload's ids, the running sums of their
+    weights (float64, held compactly for the edge's cache) and the weights'
+    total (see ``_draw_recovery``)."""
+    entries = payload.entries
+    if not entries:
+        raise ProtocolStateError("empty steering payload")
+    # Only the payload's ids are read from the private logits: item() costs
+    # O(top_k), where tolist() or a fancy index would also pay for the
+    # vocabulary or for an index array.
+    h = h_plus.item
+    ids = [i for i, _ in entries]
+    scores = [v + beta * h(i) for i, v in entries]
+    best = max(scores)
+    if greedy:
+        return min(i for i, s in zip(ids, scores) if s == best)
+    # Scores are our own finite values, so no revalidation on this hot path.
+    # accumulate adds left to right, as a running sum would.
+    weights = [math.exp(s - best) for s in scores]
+    return tuple(ids), array("d", accumulate(weights)), math.fsum(weights)
+
+
+def _draw_recovery(
+    state: tuple[tuple[int, ...], array, float], rng: np.random.Generator | None
+) -> int:
+    """Inverse-CDF draw over the payload support of a stochastic
+    ``_recovery_state``: bisect_right finds the first running sum above the
+    threshold; fsum's total can round above the last sum, and then the pick
+    falls back to the last id."""
+    assert rng is not None
+    ids, sums, total = state
+    j = bisect_right(sums, rng.random() * total)
+    return ids[j] if j < len(ids) else ids[-1]
 
 
 def recover(
@@ -159,28 +215,8 @@ def recover(
     Tokens outside the payload support are masked out entirely; the edge
     cannot reconstruct the tail of the cloud logits.
     """
-    entries = payload.entries
-    if not entries:
-        raise ProtocolStateError("empty steering payload")
-    # Only the payload's ids are read from the private logits: item() costs
-    # O(top_k), where tolist() or a fancy index would also pay for the
-    # vocabulary or for an index array.
-    h = h_plus.item
-    ids = [i for i, _ in entries]
-    scores = [v + beta * h(i) for i, v in entries]
-    best = max(scores)
-    if greedy:
-        return min(i for i, s in zip(ids, scores) if s == best)
-    assert rng is not None
-    # Inverse-CDF draw over the payload support; scores are our own finite
-    # values, so no revalidation on this hot path.  accumulate adds left to
-    # right, as a running sum would, and bisect_right finds the first sum
-    # above the threshold; fsum's total can round above the last sum, and
-    # then the pick falls back to the last id.
-    weights = [math.exp(s - best) for s in scores]
-    threshold = rng.random() * math.fsum(weights)
-    j = bisect_right(list(accumulate(weights)), threshold)
-    return ids[j] if j < len(ids) else ids[-1]
+    state = _recovery_state(payload, h_plus, beta, greedy)
+    return state if greedy else _draw_recovery(state, rng)
 
 
 def recovery_law(
@@ -196,6 +232,177 @@ def recovery_law(
 
 
 # ---------------------------------------------------------------------------
+# Engines: per-model-set state that outlives a session
+# ---------------------------------------------------------------------------
+
+# Entries per engine of the cloud's steering-payload cache and of the edge's
+# recovery cache; the least recently used entry goes first.  See CHANGES.md
+# for the hit rates and memory these bounds were chosen from.
+PAYLOAD_CACHE_SIZE = 512
+RECOVERY_CACHE_SIZE = 512
+
+# Keys of the payloads a cloud cache makes; never reused, so two payloads
+# share a key only when they are one cache entry.
+_payload_serials = count()
+
+
+def _beta_key(beta: float) -> float | tuple[float, float]:
+    """``beta`` as a cache key.  A zero keeps its sign, which ``0.0 ==
+    -0.0`` would lose, since the two can give steering values that differ
+    in the sign of a zero."""
+    return beta if beta else (beta, math.copysign(1.0, beta))
+
+
+class CloudEngine:
+    """The cloud's long-lived half for one (llm, slm_minus) pair: the window
+    the pair scores from and the steering-payload cache, shared by every
+    session that verifies with these two models.
+
+    A payload is a pure function of the two models' logits at the rejected
+    position, beta and top_k, so it is cached under (beta, top_k, the last
+    ``window`` tokens of the history there) and a hit returns the payload
+    object built on the miss, with the same floats.
+    """
+
+    __slots__ = ("window", "_payloads", "__weakref__")
+
+    def __init__(self, llm, slm_minus) -> None:
+        self.window = max(llm.window, slm_minus.window)
+        self._payloads: dict[tuple, SparseSteeringPayload] = {}
+
+    def payload(
+        self,
+        h_llm: np.ndarray,
+        h_minus: np.ndarray,
+        beta: float,
+        top_k: int,
+        prefix: list[int],
+    ) -> SparseSteeringPayload:
+        """``build_steering_payload(h_llm, h_minus, beta, top_k)`` for the
+        logits the pair gives ``prefix``, from the cache when it holds it."""
+        w = self.window
+        key = (_beta_key(beta), top_k, tuple(prefix[-w:]) if w else ())
+        cache = self._payloads
+        payload = cache.pop(key, None)
+        if payload is None:
+            payload = SparseSteeringPayload(
+                _steering_entries(h_llm, h_minus, beta, top_k), next(_payload_serials)
+            )
+            if len(cache) >= PAYLOAD_CACHE_SIZE:
+                evict_oldest(cache)
+        cache[key] = payload
+        return payload
+
+
+class EdgeEngine:
+    """The edge's long-lived half for one drafter: its window and the
+    recovery cache, shared by every session that drafts with it.
+
+    A recovery's state before its random draw (``_recovery_state``) is a
+    pure function of the payload, beta, the decode mode and the drafter's
+    logits at the rejected position.  So a keyed payload's state is cached under
+    (beta, greedy, the payload's key, the last ``window`` tokens of the
+    history there), and a hit skips the drafter call and the sums.
+    """
+
+    __slots__ = ("window", "_states", "__weakref__")
+
+    def __init__(self, drafter) -> None:
+        self.window = drafter.window
+        self._states: dict[tuple, int | tuple] = {}
+
+    def recover(
+        self,
+        payload: SparseSteeringPayload,
+        history: list[int],
+        drafter,
+        beta: float,
+        rng,
+        greedy: bool,
+    ) -> int:
+        """``recover`` with this engine's drafter's logits at ``history``,
+        from the cache when it holds the state."""
+        w = self.window
+        key = payload.key
+        if key is None:
+            h_plus = drafter.next_token_logits(history_tail(history, w))
+            return recover(payload, h_plus, beta, rng, greedy)
+        key = (_beta_key(beta), greedy, key, tuple(history[-w:]) if w else ())
+        cache = self._states
+        state = cache.pop(key, None)
+        if state is None:
+            state = _recovery_state(
+                payload, drafter.next_token_logits(history_tail(history, w)), beta, greedy
+            )
+            if len(cache) >= RECOVERY_CACHE_SIZE:
+                evict_oldest(cache)
+        cache[key] = state
+        return state if greedy else _draw_recovery(state, rng)
+
+
+# Engines by the ids of the objects they were made for.  An entry is the
+# engine followed by weak references to those objects: the engine keeps
+# none of them alive, a dead object's entry is dropped, and a new object
+# that reuses a dead one's id does not match the old entry.
+_engines: dict[tuple, tuple] = {}
+
+
+def _forget(key: tuple, ref: weakref.ref) -> None:
+    entry = _engines.get(key)
+    if entry is not None and ref in entry:
+        del _engines[key]
+
+
+def _registered(key: tuple, objs: tuple, engine):
+    """``engine``, registered under ``key`` for as long as every object in
+    ``objs`` lives.  An object that takes no weak reference leaves the
+    engine unregistered, so its caches last one session."""
+    try:
+        refs = tuple(weakref.ref(o, partial(_forget, key)) for o in objs)
+    except TypeError:
+        return engine
+    _engines[key] = (engine, *refs)
+    return engine
+
+
+def edge_engine(drafter) -> EdgeEngine:
+    """The engine of ``drafter``, made on first use."""
+    key = ("edge", id(drafter))
+    entry = _engines.get(key)
+    if entry is not None and entry[1]() is drafter:
+        return entry[0]
+    return _registered(key, (drafter,), EdgeEngine(drafter))
+
+
+def cloud_engine(llm, slm_minus) -> CloudEngine:
+    """The engine of the (llm, slm_minus) pair, made on first use."""
+    key = ("cloud", id(llm), id(slm_minus))
+    entry = _engines.get(key)
+    if entry is not None and entry[1]() is llm and entry[2]() is slm_minus:
+        return entry[0]
+    return _registered(key, (llm, slm_minus), CloudEngine(llm, slm_minus))
+
+
+def _session_engines(llm, slm_plus, slm_minus, vocab: Vocabulary) -> tuple[EdgeEngine, CloudEngine]:
+    """The edge and cloud engines of a model triple, looked up with one
+    memo per triple and vocabulary, which also remembers that the three
+    models share ``vocab``."""
+    key = ("session", id(llm), id(slm_plus), id(slm_minus), id(vocab))
+    entry = _engines.get(key)
+    if (
+        entry is not None
+        and entry[1]() is llm
+        and entry[2]() is slm_plus
+        and entry[3]() is slm_minus
+        and entry[4]() is vocab
+    ):
+        return entry[0]
+    _check_shared_vocab(vocab, llm, slm_plus, slm_minus)
+    engines = (edge_engine(slm_plus), cloud_engine(llm, slm_minus))
+    return _registered(key, (llm, slm_plus, slm_minus, vocab), engines)
+
+
+# ---------------------------------------------------------------------------
 # Edge
 # ---------------------------------------------------------------------------
 
@@ -207,7 +414,9 @@ class EdgeSession:
     that the transport drives; each checks its message and then runs the
     same core (``_draft``, ``_commit``) that ``run_session`` calls directly.
     ``checked=True`` skips the config and prompt checks, for a caller that
-    has already run them for this session.
+    has already run them for this session.  Recovery goes through the
+    drafter's ``EdgeEngine``, which ``engine`` passes in when the caller has
+    already looked it up.
     """
 
     def __init__(
@@ -219,10 +428,14 @@ class EdgeSession:
         streams: RngStreams | None = None,
         *,
         checked: bool = False,
+        engine: EdgeEngine | None = None,
     ) -> None:
         if not checked:
             config.validate(vocab.size)
             validate_sequence(prompt_ids, vocab, config.max_len)
+        if engine is None:
+            engine = edge_engine(drafter)
+        self._engine = engine
         self.config = config
         self.drafter = drafter
         self.vocab = vocab
@@ -241,7 +454,7 @@ class EdgeSession:
             self._recovery_rng = uniform_stream(config.seed, ROLE_RECOVERY)
         self._greedy = config.decode_mode == "greedy"
         self._cdf_fn = getattr(drafter, "next_token_cdf", None)
-        self._window = drafter.window
+        self._window = engine.window
         self._eos = vocab.eos_id
         self._max_len = config.max_len
         self._horizon = config.horizon_k
@@ -310,13 +523,9 @@ class EdgeSession:
         rec_token: int | None = None
         if payload is not None:
             # The committed list is now exactly the history at the rejected
-            # position, so the private term is scored lazily here.
-            rec_token = recover(
-                payload,
-                self.drafter.next_token_logits(history_tail(committed, self._window)),
-                self._beta,
-                self._recovery_rng,
-                greedy=self._greedy,
+            # position, so the private term is scored lazily here, if at all.
+            rec_token = self._engine.recover(
+                payload, committed, self.drafter, self._beta, self._recovery_rng, self._greedy
             )
             committed.append(rec_token)
             self.pending_delta = rec_token
@@ -343,7 +552,9 @@ class CloudVerifier:
     ``run_session`` calls directly with drafts its own edge sampled.
     ``zt_fn``, like the models, exposes the ``window`` it reads.
     ``checked=True`` skips the config and prompt checks, for a caller that
-    has already run them for this session.
+    has already run them for this session.  Payloads come from the pair's
+    ``CloudEngine``, which ``engine`` passes in when the caller has already
+    looked it up.
     """
 
     def __init__(
@@ -357,12 +568,16 @@ class CloudVerifier:
         zt_fn: Callable[[Sequence[int]], float] | None = None,
         *,
         checked: bool = False,
+        engine: CloudEngine | None = None,
     ) -> None:
         if not checked:
             config.validate(vocab.size)
             validate_sequence(prompt_ids, vocab, config.max_len)
         if config.exact_z and zt_fn is None:
             raise ProtocolStateError("exact-Z verification needs a partition callback")
+        if engine is None:
+            engine = cloud_engine(llm, slm_minus)
+        self._payload = engine.payload
         self.config = config
         self.llm = llm
         self.slm_minus = slm_minus
@@ -384,10 +599,7 @@ class CloudVerifier:
         self._eos = vocab.eos_id
         self._horizon = config.horizon_k
         self._max_len = config.max_len
-        # Conditionals, not builtin max: this runs once per session and the
-        # single-step session is a hot loop.
-        w, w_minus = llm.window, slm_minus.window
-        self._window = w if w >= w_minus else w_minus
+        self._window = engine.window
         if self._exact_z and zt_fn.window > self._window:
             self._window = zt_fn.window
 
@@ -486,7 +698,7 @@ class CloudVerifier:
             ok = alpha >= 1.0 if self._greedy else draw() <= alpha
             if not ok:
                 accepted = t
-                payload = build_steering_payload(h_llm, h_minus, self._beta, self._top_k)
+                payload = self._payload(h_llm, h_minus, self._beta, self._top_k, prefix)
                 break
             prefix.append(tok)
 
@@ -552,14 +764,17 @@ def run_session(
     streams: RngStreams | None = None,
 ) -> tuple[list[int], list[RoundTrace]]:
     """Full draft-verify-recover loop until eos or the length cap."""
-    _check_shared_vocab(vocab, llm, slm_plus, slm_minus)
+    edge_eng, cloud_eng = _session_engines(llm, slm_plus, slm_minus, vocab)
     config.validate(vocab.size)
     validate_sequence(prompt_ids, vocab, config.max_len)
     rngs = streams if streams is not None else make_streams(config.seed)
-    edge = EdgeSession(config, slm_plus, vocab, prompt_ids, streams=rngs, checked=True)
+    edge = EdgeSession(
+        config, slm_plus, vocab, prompt_ids, streams=rngs, checked=True, engine=edge_eng
+    )
     zt_fn = exact_partition_fn(llm, slm_plus, slm_minus) if config.exact_z else None
     cloud = CloudVerifier(
-        config, llm, slm_minus, vocab, prompt_ids, streams=rngs, zt_fn=zt_fn, checked=True
+        config, llm, slm_minus, vocab, prompt_ids, streams=rngs, zt_fn=zt_fn, checked=True,
+        engine=cloud_eng,
     )
 
     # The edge's draft goes straight into the cloud's scan and the outcome

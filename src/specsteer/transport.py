@@ -236,7 +236,10 @@ def decode_verdict(payload: bytes) -> Verdict:
     if len(payload) != off + 8 * n:
         raise WireError("verdict entry section length mismatch")
     flat = _entries_struct(n).unpack_from(payload, off)
-    return Verdict(seq_no, accepted, SparseSteeringPayload(tuple(zip(flat[::2], flat[1::2]))))
+    # The entry bytes fix the decoded entries exactly, so they key the
+    # edge's recovery cache (see SparseSteeringPayload).
+    entries = tuple(zip(flat[::2], flat[1::2]))
+    return Verdict(seq_no, accepted, SparseSteeringPayload(entries, payload[off:]))
 
 
 def encode_done(final_len: int, trailing_ids: Sequence[int] = ()) -> bytes:

@@ -220,14 +220,3 @@ class TestOracleCommand:
         p_star = sum(float(r[5]) for r in rows)
         # Report shows the top 16 tokens only; most mass should be there.
         assert p_star > 0.5
-
-
-class TestBenchCommand:
-    def test_writes_report(self, tmp_path, capsys):
-        path = write_tiny_config(tmp_path)
-        out = tmp_path / "b"
-        assert main(["--config", str(path), "--out", str(out), "bench"]) == 0
-        report = json.loads((out / "bench.json").read_text())
-        assert report["sessions"] == 4
-        assert report["elapsed_s"] > 0
-        assert report["emitted_tokens"] > 0

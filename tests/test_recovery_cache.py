@@ -1,0 +1,372 @@
+"""Per-window recovery caches: the cloud's steering-payload cache and the
+edge's recovery cache, both held by engines that outlive a session.
+
+A cached payload and a cached recovery must equal what an uncached
+computation gives, float for float, so these tests pin both against a
+reference kept here: the payload build and the recovery pick written out
+as they were before any cache existed.  They also pin that engines of
+different model sets never share entries, that every cache keeps to its
+bound, and that the engine lookup neither keeps a dropped model alive nor
+mistakes a new model for a dead one whose id it reuses.
+"""
+
+from __future__ import annotations
+
+import gc
+import math
+import weakref
+from bisect import bisect_right
+from itertools import accumulate
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from specsteer import models, protocol
+from specsteer.core import ROLE_RECOVERY, ProtocolConfig, uniform_stream
+from specsteer.models import TableModel
+from specsteer.protocol import (
+    CloudEngine,
+    EdgeEngine,
+    SparseSteeringPayload,
+    Verdict,
+    build_steering_payload,
+    cloud_engine,
+    edge_engine,
+    recover,
+    run_session,
+)
+from specsteer.toydata import toy_world
+from specsteer.transport import decode_frame, decode_verdict, encode_verdict
+
+from conftest import make_vocab
+
+# ---------------------------------------------------------------------------
+# Uncached reference
+# ---------------------------------------------------------------------------
+
+
+def reference_entries(h_llm, h_minus, beta, top_k):
+    """The top-k steering entries, by a stable sort of the negated values."""
+    values = h_llm - beta * h_minus
+    order = np.argsort(-values, kind="stable")[: min(top_k, len(values))]
+    return tuple(zip(order.tolist(), values[order].tolist()))
+
+
+def reference_recover(entries, h_plus, beta, rng, greedy):
+    """Recovery pick over ``entries`` completed with ``h_plus``."""
+    ids = [i for i, _ in entries]
+    scores = [v + beta * float(h_plus[i]) for i, v in entries]
+    best = max(scores)
+    if greedy:
+        return min(i for i, s in zip(ids, scores) if s == best)
+    weights = [math.exp(s - best) for s in scores]
+    threshold = rng.random() * math.fsum(weights)
+    j = bisect_right(list(accumulate(weights)), threshold)
+    return ids[j] if j < len(ids) else ids[-1]
+
+
+def bits(entries):
+    """Entries with each value as its exact bit pattern (keeps -0.0)."""
+    return [(i, float(v).hex()) for i, v in entries]
+
+
+class TailModel:
+    """Duck-typed model whose logits are a pure function of the last
+    ``window`` ids of the history (all of it when shorter)."""
+
+    def __init__(self, vocab_size: int, window: int, salt: int) -> None:
+        self.window = window
+        self._v = vocab_size
+        self._salt = salt
+
+    def next_token_logits(self, history):
+        tail = list(history[-self.window:]) if self.window else []
+        return np.random.default_rng([self._salt, len(tail), *tail]).normal(0.0, 4.0, self._v)
+
+
+def wire_payload(entries) -> SparseSteeringPayload:
+    """``entries`` as the edge sees them after the wire: float32 values,
+    keyed by their bytes."""
+    frame = encode_verdict(Verdict(0, 0, SparseSteeringPayload(tuple(entries))))
+    payload = decode_verdict(decode_frame(frame)[1]).recovery
+    assert isinstance(payload.key, bytes)
+    return payload
+
+
+# ---------------------------------------------------------------------------
+# (a) Cached values equal the direct and the reference computations
+# ---------------------------------------------------------------------------
+
+BETAS = (0.0, -0.0, 0.5, 1.0, 2.5)
+BOUND = 3
+# Histories are drawn from a few ids, so that windows repeat, and a
+# cache that kept too short a tail would serve a wrong entry.
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cached_payload_equals_direct_build(data):
+    v = data.draw(st.integers(2, 9), label="vocab")
+    llm = TailModel(v, data.draw(st.integers(0, 2)), 1)
+    minus = TailModel(v, data.draw(st.integers(0, 2)), 2)
+    top_k = data.draw(st.integers(1, v), label="top_k")
+    calls = data.draw(st.lists(
+        st.tuples(st.lists(st.integers(0, min(v - 1, 2)), max_size=3), st.sampled_from(BETAS)),
+        min_size=1, max_size=40,
+    ), label="calls")
+    engine = CloudEngine(llm, minus)
+    with mock.patch.object(protocol, "PAYLOAD_CACHE_SIZE", BOUND):
+        for history, beta in calls:
+            h_llm = llm.next_token_logits(history)
+            h_minus = minus.next_token_logits(history)
+            got = engine.payload(h_llm, h_minus, beta, top_k, list(history))
+            assert bits(got.entries) == bits(build_steering_payload(h_llm, h_minus, beta, top_k).entries)
+            assert bits(got.entries) == bits(reference_entries(h_llm, h_minus, beta, top_k))
+            assert got.key is not None
+            assert len(engine._payloads) <= BOUND
+
+
+entries_strategy = st.integers(1, 9).flatmap(
+    lambda n: st.tuples(
+        st.permutations(range(12)).map(lambda ids: ids[:n]),
+        # Values on the scale of the drafter's logits, so the pick depends
+        # on the history as well as on the payload.
+        st.lists(st.floats(-3, 3, allow_nan=False), min_size=n, max_size=n),
+    ).map(lambda t: tuple(zip(t[0], t[1])))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cached_recovery_equals_direct_recover(data):
+    drafter = TailModel(12, data.draw(st.integers(0, 2), label="window"), 3)
+    shapes = data.draw(st.lists(entries_strategy, min_size=1, max_size=3), label="entries")
+    # In-process payloads carry a serial key, wire payloads their bytes.
+    payloads = [SparseSteeringPayload(e, k) for k, e in enumerate(shapes)]
+    payloads += [wire_payload(e) for e in shapes]
+    calls = data.draw(st.lists(
+        st.tuples(
+            st.integers(0, len(payloads) - 1),
+            st.lists(st.integers(0, 2), max_size=3),
+            st.sampled_from(BETAS),
+            st.booleans(),
+        ),
+        min_size=1, max_size=40,
+    ), label="calls")
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    cached, direct, ref = (uniform_stream(seed, ROLE_RECOVERY) for _ in range(3))
+    engine = EdgeEngine(drafter)
+    with mock.patch.object(protocol, "RECOVERY_CACHE_SIZE", BOUND):
+        for p, history, beta, greedy in calls:
+            payload = payloads[p]
+            h_plus = drafter.next_token_logits(history)
+            want = reference_recover(payload.entries, h_plus, beta, ref, greedy)
+            assert recover(payload, h_plus, beta, direct, greedy) == want
+            assert engine.recover(payload, list(history), drafter, beta, cached, greedy) == want
+            assert len(engine._states) <= BOUND
+    # Every stream made the same draws.
+    assert cached.random() == direct.random() == ref.random()
+
+
+def test_zero_beta_keeps_its_sign():
+    # 0.0 == -0.0, but with a -0.0 logit the two betas give steering values
+    # that differ in the sign of a zero, and so would their frames.
+    h_llm, h_minus = np.array([-0.0, -1.0]), np.array([-1.0, -2.0])
+    engine = CloudEngine(TailModel(2, 0, 5), TailModel(2, 0, 6))
+    for beta in (0.0, -0.0, 0.0):
+        got = engine.payload(h_llm, h_minus, beta, 2, [])
+        assert bits(got.entries) == bits(reference_entries(h_llm, h_minus, beta, 2))
+    assert bits(reference_entries(h_llm, h_minus, 0.0, 2)) != bits(
+        reference_entries(h_llm, h_minus, -0.0, 2))
+
+
+def test_wire_payloads_that_differ_anywhere_do_not_share_a_state():
+    drafter = TailModel(3, 0, 7)
+    engine = EdgeEngine(drafter)
+    rest = ((1, 0.0), (2, -0.5))
+    for first, want in ((1.0, 0), (-1.0, 1), (1.0, 0)):
+        payload = wire_payload(((0, first),) + rest)
+        assert engine.recover(payload, [], drafter, 0.0, None, True) == want
+
+
+def test_unkeyed_payload_is_not_cached():
+    drafter = TailModel(5, 1, 4)
+    engine = EdgeEngine(drafter)
+    payload = SparseSteeringPayload(((3, 0.5), (1, 0.25)))
+    assert engine.recover(payload, [2], drafter, 1.0, None, True) in (1, 3)
+    assert not engine._states
+
+
+# ---------------------------------------------------------------------------
+# (b) Interleaved model sets give what cold caches give
+# ---------------------------------------------------------------------------
+
+
+def window_triple(rng, vocab, drafter_window=1):
+    """Three tables over ``vocab``, window 1 but for the drafter's: every
+    model set sees the same windows, so an entry shared across sets would
+    show."""
+    v = vocab.size
+
+    def table(window=1):
+        rows = {(): rng.dirichlet(np.ones(v))}
+        rows.update({(i,): rng.dirichlet(np.ones(v)) for i in range(v)})
+        if window == 2:
+            rows.update({(i, j): rng.dirichlet(np.ones(v)) for i in range(v) for j in range(v)})
+        return TableModel(vocab, rows)
+
+    return table(), table(drafter_window), table()
+
+
+def configs(rng, n, v):
+    out = []
+    for seed in range(n):
+        out.append(ProtocolConfig(
+            lam=float(rng.choice([0.3, 0.8, 1.5])),
+            beta=float(rng.choice([0.0, 1.0, 2.0])),
+            horizon_k=int(rng.integers(1, 5)),
+            top_k=int(rng.choice([2, v])),
+            max_len=24,
+            decode_mode=str(rng.choice(["stochastic", "greedy"])),
+            seed=seed,
+        ))
+    return out
+
+
+def cold(cfg, models, vocab, prompt):
+    protocol._engines.clear()
+    return run_session(cfg, *models, vocab, prompt)
+
+
+def test_interleaved_table_triples_match_cold_caches():
+    rng = np.random.default_rng(71)
+    vocab = make_vocab(6)
+    llm, plus, minus = window_triple(rng, vocab)
+    # The second set shares the first's generalist and drafter, the third
+    # shares nothing and drafts from a longer window than its cloud scores.
+    sets = [
+        (llm, plus, minus),
+        (llm, plus, window_triple(rng, vocab)[2]),
+        window_triple(rng, vocab, drafter_window=2),
+    ]
+    cfgs = configs(rng, 120, vocab.size)
+    # Each config runs on every set, back to back, and again later, so warm
+    # entries of one set are there for the other to (wrongly) find.
+    order = [(cfg, models) for cfg in cfgs + cfgs for models in sets]
+    protocol._engines.clear()
+    warm = [run_session(cfg, *models, vocab, [0]) for cfg, models in order]
+    # The warm runs did reuse entries: far fewer were made than recoveries.
+    recoveries = sum(t.recovery_token is not None for _, traces in warm for t in traces)
+    made = sum(len(cloud_engine(m[0], m[2])._payloads) for m in sets)
+    assert 0 < made < recoveries / 4
+    assert warm == [cold(cfg, models, vocab, [0]) for cfg, models in order]
+
+
+def test_interleaved_worlds_match_cold_caches(world):
+    worlds = [world, toy_world("trail")]
+    prompts = [w.vocab.ids_of(["we", "ordered", "the"]) for w in worlds]
+    rng = np.random.default_rng(72)
+    cfgs = configs(rng, 40, 32)
+    order = [(cfg, i) for cfg in cfgs for i in range(2)]
+
+    def session(cfg, i, run):
+        w = worlds[i]
+        return run(cfg, (w.llm, w.slm_plus, w.slm_minus), w.vocab, prompts[i])
+
+    warm = [session(cfg, i, lambda c, m, v, p: run_session(c, *m, v, p)) for cfg, i in order]
+    assert warm == [session(cfg, i, cold) for cfg, i in order]
+
+
+# ---------------------------------------------------------------------------
+# (c) Bounds
+# ---------------------------------------------------------------------------
+
+
+def test_every_cache_keeps_to_its_bound(world):
+    prompt = world.vocab.ids_of(["we", "ordered", "the"])
+    cfgs = configs(np.random.default_rng(73), 30, 32)
+    want = [cold(cfg, (world.llm, world.slm_plus, world.slm_minus), world.vocab, prompt)
+            for cfg in cfgs]
+    # A world of its own, so every cache starts empty under the small bounds.
+    w = toy_world()
+    triple = (w.llm, w.slm_plus, w.slm_minus)
+    with mock.patch.object(protocol, "PAYLOAD_CACHE_SIZE", 4), \
+            mock.patch.object(protocol, "RECOVERY_CACHE_SIZE", 5), \
+            mock.patch.object(models, "ROW_CACHE_SIZE", 6):
+        edge, cloud = edge_engine(w.slm_plus), cloud_engine(w.llm, w.slm_minus)
+        for cfg, out in zip(cfgs, want):
+            assert run_session(cfg, *triple, w.vocab, prompt) == out
+            assert len(cloud._payloads) <= 4
+            assert len(edge._states) <= 5
+            assert all(len(m._rows) <= 6 for m in triple)
+    assert len(cloud._payloads) == 4 and len(edge._states) == 5
+
+
+def test_logit_only_model_keeps_no_probability_rows():
+    w = toy_world()
+    prompt = w.vocab.ids_of(["they", "shared", "the"])
+    for seed in range(20):
+        run_session(ProtocolConfig(max_len=32, seed=seed), w.llm, w.slm_plus, w.slm_minus,
+                    w.vocab, prompt)
+    for m in (w.llm, w.slm_minus):
+        rows = list(m._rows.values())
+        assert rows and all(r.probs is None and r.cdf is None for r in rows)
+        assert all(r.logits is not None for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# (d) Engine lookup
+# ---------------------------------------------------------------------------
+
+
+def test_lookup_keeps_no_dropped_model_alive():
+    rng = np.random.default_rng(74)
+    vocab = make_vocab(5)
+    triple = window_triple(rng, vocab)
+    for seed in range(10):
+        run_session(ProtocolConfig(max_len=12, top_k=3, seed=seed), *triple, vocab, [0])
+    refs = [weakref.ref(m) for m in triple]
+    ids = {id(m) for m in triple}
+    del triple
+    gc.collect()
+    assert all(r() is None for r in refs)
+    assert not any(ids & set(key[1:]) for key in protocol._engines)
+
+
+def test_lookup_is_not_fooled_by_a_reused_id():
+    vocab = make_vocab(4)
+    rng = np.random.default_rng(75)
+    llm, plus, minus = window_triple(rng, vocab)
+    other = window_triple(rng, vocab)[0]
+    # Entries as a model that has died would leave them if its id came back:
+    # one naming a different live object, one whose reference is dead.
+    stale = EdgeEngine(other)
+    protocol._engines[("edge", id(plus))] = (stale, weakref.ref(other))
+    assert edge_engine(plus) is not stale
+    assert edge_engine(plus) is edge_engine(plus)
+
+    class Gone:
+        pass
+
+    gone = Gone()
+    dead = weakref.ref(gone)
+    del gone
+    gc.collect()
+    stale_cloud = CloudEngine(llm, minus)
+    protocol._engines[("cloud", id(llm), id(minus))] = (stale_cloud, dead, dead)
+    assert cloud_engine(llm, minus) is not stale_cloud
+
+
+def test_unregistrable_model_gets_a_fresh_engine():
+    class Slotted:
+        __slots__ = ("window",)
+
+        def __init__(self) -> None:
+            self.window = 1
+
+    m = Slotted()
+    with pytest.raises(TypeError):
+        weakref.ref(m)
+    assert edge_engine(m) is not edge_engine(m)
