@@ -169,8 +169,15 @@ class ProtocolConfig:
             raise ConfigError("max_len must be >= 1")
         if self.decode_mode not in DECODE_MODES:
             raise ConfigError(f"decode_mode must be one of {DECODE_MODES}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in 64 bits")
+        check_seed(self.seed)
+
+
+def check_seed(seed: int) -> None:
+    """Raise ``ConfigError`` unless ``seed`` fits in 64 bits.  The protocol
+    validates a config once for all its seeds, so each session checks its
+    own seed with this."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed must fit in 64 bits")
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 The edge side owns the private drafter and the recovery sampler; the
 cloud side owns the large prior and the generic baseline and issues
-verdicts.  ``run_session`` wires the two state machines together
-in-process; the transport module reuses the exact same machines over a
-byte channel, so the two execution modes are equivalent by construction
-(same random streams, same draw order).
+verdicts.  The draft, scan and commit logic exists once, as the cores of a
+``SessionRecord``: the constants of one model set, vocabulary and config
+(its seed aside), validated once and memoized.  ``run_session`` runs the
+cores in one flat loop in-process; the transport module drives the
+checked state machines ``EdgeSession`` and ``CloudVerifier``, thin views
+over the same cores, across a byte channel, so the two execution modes are
+equivalent by construction (same random streams, same draw order).
 
 Models are scored from the tail of the history that their ``window``
 covers, so a round costs O(K + window) whatever the history length.  Token
@@ -36,6 +39,7 @@ from .core import (
     RngStreams,
     SpecSteerError,
     Vocabulary,
+    check_seed,
     evict_oldest,
     greedy_pick,
     make_streams,
@@ -295,8 +299,9 @@ class CloudEngine:
 
 
 class EdgeEngine:
-    """The edge's long-lived half for one drafter: its window and the
-    recovery cache, shared by every session that drafts with it.
+    """The edge's long-lived half for one drafter: its window, whether it
+    serves cumulative distributions (``next_token_cdf``), and the recovery
+    cache, shared by every session that drafts with it.
 
     A recovery's state before its random draw (``_recovery_state``) is a
     pure function of the payload, beta, the decode mode and the drafter's
@@ -305,10 +310,11 @@ class EdgeEngine:
     history there), and a hit skips the drafter call and the sums.
     """
 
-    __slots__ = ("window", "_states", "__weakref__")
+    __slots__ = ("window", "by_cdf", "_states", "__weakref__")
 
     def __init__(self, drafter) -> None:
         self.window = drafter.window
+        self.by_cdf = hasattr(drafter, "next_token_cdf")
         self._states: dict[tuple, int | tuple] = {}
 
     def recover(
@@ -340,10 +346,11 @@ class EdgeEngine:
         return state if greedy else _draw_recovery(state, rng)
 
 
-# Engines by the ids of the objects they were made for.  An entry is the
-# engine followed by weak references to those objects: the engine keeps
-# none of them alive, a dead object's entry is dropped, and a new object
-# that reuses a dead one's id does not match the old entry.
+# Engines, and the record memos of model sets, by the ids of the objects
+# they were made for.  An entry is the engine or memo followed by weak
+# references to those objects: nothing an entry holds references a model,
+# a dead object's entry is dropped, and a new object that reuses a dead
+# one's id does not match the old entry.
 _engines: dict[tuple, tuple] = {}
 
 
@@ -353,53 +360,274 @@ def _forget(key: tuple, ref: weakref.ref) -> None:
         del _engines[key]
 
 
-def _registered(key: tuple, objs: tuple, engine):
-    """``engine``, registered under ``key`` for as long as every object in
+def _registered(key: tuple, objs: tuple, value):
+    """``value``, registered under ``key`` for as long as every object in
     ``objs`` lives.  An object that takes no weak reference leaves the
-    engine unregistered, so its caches last one session."""
+    value unregistered, so an engine's caches or a memo last one session."""
     try:
         refs = tuple(weakref.ref(o, partial(_forget, key)) for o in objs)
     except TypeError:
-        return engine
-    _engines[key] = (engine, *refs)
-    return engine
+        return value
+    _engines[key] = (value, *refs)
+    return value
+
+
+def _registry(key: tuple, objs: tuple, make, *args):
+    """What is registered under ``key`` for exactly the objects ``objs``;
+    on first use, ``make(*args)``, registered.  Indexing the entry costs
+    less than zipping a slice of it, and every session pays for a lookup."""
+    entry = _engines.get(key)
+    if entry is not None:
+        i = 0
+        for obj in objs:
+            i += 1
+            if entry[i]() is not obj:
+                break
+        else:
+            return entry[0]
+    return _registered(key, objs, make(*args))
 
 
 def edge_engine(drafter) -> EdgeEngine:
     """The engine of ``drafter``, made on first use."""
-    key = ("edge", id(drafter))
-    entry = _engines.get(key)
-    if entry is not None and entry[1]() is drafter:
-        return entry[0]
-    return _registered(key, (drafter,), EdgeEngine(drafter))
+    return _registry(("edge", id(drafter)), (drafter,), EdgeEngine, drafter)
 
 
 def cloud_engine(llm, slm_minus) -> CloudEngine:
     """The engine of the (llm, slm_minus) pair, made on first use."""
-    key = ("cloud", id(llm), id(slm_minus))
-    entry = _engines.get(key)
-    if entry is not None and entry[1]() is llm and entry[2]() is slm_minus:
-        return entry[0]
-    return _registered(key, (llm, slm_minus), CloudEngine(llm, slm_minus))
+    return _registry(
+        ("cloud", id(llm), id(slm_minus)), (llm, slm_minus), CloudEngine, llm, slm_minus
+    )
 
 
-def _session_engines(llm, slm_plus, slm_minus, vocab: Vocabulary) -> tuple[EdgeEngine, CloudEngine]:
-    """The edge and cloud engines of a model triple, looked up with one
-    memo per triple and vocabulary, which also remembers that the three
-    models share ``vocab``."""
-    key = ("session", id(llm), id(slm_plus), id(slm_minus), id(vocab))
-    entry = _engines.get(key)
-    if (
-        entry is not None
-        and entry[1]() is llm
-        and entry[2]() is slm_plus
-        and entry[3]() is slm_minus
-        and entry[4]() is vocab
-    ):
-        return entry[0]
+# ---------------------------------------------------------------------------
+# Per-config records and the cores that read them
+# ---------------------------------------------------------------------------
+
+# Records kept per model set and vocabulary; the oldest made goes first.
+RECORDS_PER_MODEL_SET = 64
+
+
+class SessionRecord:
+    """What every session of one model set, vocabulary and config (its seed
+    aside) shares: the config, validated once, as the constants the draft,
+    scan and commit cores read, and the engines.  A record references no
+    model: the cores take the models as arguments.
+
+    ``edge`` is the drafter's engine, for a record that drafts and commits;
+    ``cloud`` the (llm, slm_minus) pair's, for one that scans.
+    """
+
+    __slots__ = (
+        "eos", "vsize", "max_len", "horizon", "greedy", "beta", "lam", "top_k", "exact_z",
+        "edge", "cloud",
+    )
+
+    def __init__(
+        self,
+        config: ProtocolConfig,
+        vocab: Vocabulary,
+        edge: EdgeEngine | None,
+        cloud: CloudEngine | None,
+    ) -> None:
+        config.validate(vocab.size)
+        self.eos = vocab.eos_id
+        self.vsize = vocab.size
+        self.max_len = config.max_len
+        self.horizon = config.horizon_k
+        self.greedy = config.decode_mode == "greedy"
+        self.beta = config.beta
+        self.lam = config.lam
+        self.top_k = config.top_k
+        self.exact_z = config.exact_z
+        self.edge = edge
+        self.cloud = cloud
+
+    def ended(self, history: list[int]) -> bool:
+        """Whether a session with this history drafts no more: it ends in
+        eos or has reached ``max_len``."""
+        return len(history) >= self.max_len or (bool(history) and history[-1] == self.eos)
+
+    def draft(self, drafter, history: list[int], rng) -> tuple[int, ...]:
+        """Sample up to ``horizon_k`` tokens after ``history``, stopping at
+        eos and at ``max_len``; the session must not have ended."""
+        k = self.max_len - len(history)
+        if k > self.horizon:
+            k = self.horizon
+        eos = self.eos
+        edge = self.edge
+        hist = history_tail(history, edge.window)
+        tokens: list[int] = []
+        for _ in range(k):
+            if self.greedy:
+                tok = greedy_pick(drafter.next_token_probs(hist))
+            elif edge.by_cdf:
+                cdf = drafter.next_token_cdf(hist)
+                tok = min(bisect_right(cdf, rng.random()), len(cdf) - 1)
+            else:
+                tok = sample(drafter.next_token_probs(hist), rng)
+            tokens.append(tok)
+            if tok == eos:
+                break
+            hist.append(tok)
+        return tuple(tokens)
+
+    def scan(
+        self,
+        llm,
+        slm_minus,
+        zt_fn: Callable[[Sequence[int]], float] | None,
+        history: list[int],
+        tokens: tuple[int, ...],
+        rng,
+        seq: int,
+        has_delta: bool,
+    ) -> tuple[RoundTrace, SparseSteeringPayload | None]:
+        """Score and scan-accept ``tokens`` drafted after ``history``, which
+        this leaves as it was; returns the round's trace (without its
+        recovery token) and the steering payload when a token was rejected.
+
+        Position t is scored by the two models (and, in exact-Z mode, the
+        partition callback ``zt_fn``, which exposes the ``window`` it reads)
+        only when the scan reaches it: everything drafted after the first
+        rejection is discarded unscored.  Scoring is pure, and verify draws
+        stop at the rejection either way, so this gives the same alphas and
+        verdicts as scoring every position.  Nothing about the private
+        drafter distribution enters here.
+        """
+        cloud = self.cloud
+        window = cloud.window
+        if zt_fn is not None and zt_fn.window > window:
+            window = zt_fn.window
+        prefix = history_tail(history, window)
+        llm_logits = llm.next_token_logits
+        minus_logits = slm_minus.next_token_logits
+        draw = rng.random
+        greedy = self.greedy
+        alphas: list[float] = []
+        k = len(tokens)
+        accepted = k
+        payload: SparseSteeringPayload | None = None
+        for t, tok in enumerate(tokens):
+            h_llm = llm_logits(prefix)
+            h_minus = minus_logits(prefix)
+            lam = zt_fn(prefix) if zt_fn is not None else self.lam
+            # Conditionals equal to builtin max/min here, and cheaper.
+            p_minus = math.exp(h_minus[tok])
+            if p_minus < PROB_FLOOR:
+                p_minus = PROB_FLOOR
+            alpha = math.exp(h_llm[tok]) / (lam * p_minus)
+            if not alpha < 1.0:
+                alpha = 1.0
+            alphas.append(alpha)
+            ok = alpha >= 1.0 if greedy else draw() <= alpha
+            if not ok:
+                accepted = t
+                payload = cloud.payload(h_llm, h_minus, self.beta, self.top_k, prefix)
+                break
+            prefix.append(tok)
+        trace = RoundTrace(
+            seq, tokens, tuple(alphas), accepted, None, draft_frame_bytes(k, has_delta),
+            verdict_frame_bytes(len(payload.entries) if payload is not None else 0),
+        )
+        return trace, payload
+
+    def commit(
+        self,
+        drafter,
+        history: list[int],
+        tokens: tuple[int, ...],
+        accepted: int,
+        payload: SparseSteeringPayload | None,
+        rng,
+    ) -> int | None:
+        """Append ``tokens[:accepted]`` to ``history`` and, when ``payload``
+        is given (the draft was rejected at ``accepted``), the recovery
+        token, which is returned."""
+        history.extend(tokens[:accepted])
+        if payload is None:
+            return None
+        # The history is now exactly the history at the rejected position,
+        # so the private term is scored lazily here, if at all.
+        tok = self.edge.recover(payload, history, drafter, self.beta, rng, self.greedy)
+        history.append(tok)
+        return tok
+
+    def check_ids(self, ids: Sequence[int], what: str) -> None:
+        """Untrusted ids must index the vocabulary before any model or
+        logit vector sees them.  A plain loop: these are at most K ids, and
+        builtin min/max cost more than the loop at that size."""
+        vsize = self.vsize
+        for i in ids:
+            if not 0 <= i < vsize:
+                raise ProtocolStateError(
+                    f"{what} token id {i} out of range for vocabulary of size {vsize}"
+                )
+
+    def check_extension(
+        self, history: list[int], delta: int | None, tokens: Sequence[int], what: str
+    ) -> None:
+        """An honest edge sends at most ``horizon_k`` new tokens at a time,
+        never past ``max_len`` or past eos, and none once its history (with
+        the pending ``delta``, when given) ends in eos or reaches
+        ``max_len``; anything else is refused before it costs a model
+        call."""
+        n = len(history)
+        last = history[-1] if n else None
+        if delta is not None:
+            n += 1
+            last = delta
+        if last == self.eos or n >= self.max_len:
+            raise ProtocolStateError(f"{what} arrived after the session ended")
+        k = len(tokens)
+        if k > self.horizon:
+            raise ProtocolStateError(f"{what} of {k} tokens exceeds horizon_k {self.horizon}")
+        if n + k > self.max_len:
+            raise ProtocolStateError(
+                f"{what} of {k} tokens takes the history to {n + k}, past max_len {self.max_len}"
+            )
+        eos = self.eos
+        if eos in tokens and tokens.index(eos) != k - 1:
+            raise ProtocolStateError(f"{what} has a token after eos")
+
+
+def _record(records: dict, config: ProtocolConfig, make, objs: tuple) -> SessionRecord:
+    """The record of ``config`` in ``records``, the memo of the models and
+    vocabulary ``objs``: ``make(config, *objs)`` builds and validates it on
+    first use, and later sessions at a config that differs at most in its
+    seed find it here."""
+    ckey = (
+        config.lam, _beta_key(config.beta), config.horizon_k, config.top_k, config.max_len,
+        config.decode_mode, config.exact_z,
+    )
+    rec = records.get(ckey)
+    if rec is None:
+        rec = make(config, *objs)
+        if len(records) >= RECORDS_PER_MODEL_SET:
+            evict_oldest(records)
+        records[ckey] = rec
+    return rec
+
+
+def _session_record(config, llm, slm_plus, slm_minus, vocab: Vocabulary) -> SessionRecord:
+    """A new record for ``run_session``, once the three models are known to
+    share ``vocab``."""
     _check_shared_vocab(vocab, llm, slm_plus, slm_minus)
-    engines = (edge_engine(slm_plus), cloud_engine(llm, slm_minus))
-    return _registered(key, (llm, slm_plus, slm_minus, vocab), engines)
+    return SessionRecord(config, vocab, edge_engine(slm_plus), cloud_engine(llm, slm_minus))
+
+
+def _edge_record(config, drafter, vocab: Vocabulary) -> SessionRecord:
+    return SessionRecord(config, vocab, edge_engine(drafter), None)
+
+
+def _cloud_record(config, llm, slm_minus, vocab: Vocabulary) -> SessionRecord:
+    return SessionRecord(config, vocab, None, cloud_engine(llm, slm_minus))
+
+
+def _check_shared_vocab(vocab: Vocabulary, *models) -> None:
+    for m in models:
+        if m.vocab.tokens != vocab.tokens or m.vocab.eos_id != vocab.eos_id:
+            raise ProtocolStateError("models do not share the session vocabulary")
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +639,11 @@ class EdgeSession:
     """Drafter-side state machine: draft, commit verdicts, recover.
 
     ``next_draft`` and ``apply_verdict`` are the checked message interface
-    that the transport drives; each checks its message and then runs the
-    same core (``_draft``, ``_commit``) that ``run_session`` calls directly.
-    ``checked=True`` skips the config and prompt checks, for a caller that
-    has already run them for this session.  Recovery goes through the
-    drafter's ``EdgeEngine``, which ``engine`` passes in when the caller has
-    already looked it up.
+    that the transport drives: each checks its message and then runs the
+    same core (``SessionRecord.draft``, ``SessionRecord.commit``) that
+    ``run_session`` calls directly.  The config is validated once per
+    drafter, vocabulary and config (seed aside); the seed and the prompt
+    are checked here.
     """
 
     def __init__(
@@ -426,25 +653,17 @@ class EdgeSession:
         vocab: Vocabulary,
         prompt_ids: Sequence[int],
         streams: RngStreams | None = None,
-        *,
-        checked: bool = False,
-        engine: EdgeEngine | None = None,
     ) -> None:
-        if not checked:
-            config.validate(vocab.size)
-            validate_sequence(prompt_ids, vocab, config.max_len)
-        if engine is None:
-            engine = edge_engine(drafter)
-        self._engine = engine
+        objs = (drafter, vocab)
+        memo = _registry(("edge-records", id(drafter), id(vocab)), objs, dict)
+        rec = self._rec = _record(memo, config, _edge_record, objs)
+        check_seed(config.seed)
+        validate_sequence(prompt_ids, vocab, rec.max_len)
         self.config = config
         self.drafter = drafter
         self.vocab = vocab
         self.committed: list[int] = list(prompt_ids)
-        self.prompt_len = len(self.committed)
         self.seq_no = 0
-        self.finished = len(self.committed) >= config.max_len
-        if self.committed and self.committed[-1] == vocab.eos_id:
-            self.finished = True
         self.pending_delta: int | None = None
         if streams is not None:
             self._draft_rng = streams.draft
@@ -452,14 +671,13 @@ class EdgeSession:
         else:
             self._draft_rng = uniform_stream(config.seed, ROLE_DRAFT)
             self._recovery_rng = uniform_stream(config.seed, ROLE_RECOVERY)
-        self._greedy = config.decode_mode == "greedy"
-        self._cdf_fn = getattr(drafter, "next_token_cdf", None)
-        self._window = engine.window
-        self._eos = vocab.eos_id
-        self._max_len = config.max_len
-        self._horizon = config.horizon_k
-        self._beta = config.beta
         self._last_batch: DraftBatch | None = None
+
+    @property
+    def finished(self) -> bool:
+        """Whether the committed history ends in eos or has reached
+        ``max_len``, so that there is nothing left to draft."""
+        return self._rec.ended(self.committed)
 
     def take_delta(self) -> int | None:
         delta, self.pending_delta = self.pending_delta, None
@@ -470,31 +688,10 @@ class EdgeSession:
             return None
         if self._last_batch is not None:
             raise ProtocolStateError("previous draft awaiting verdict")
-        batch = self._last_batch = DraftBatch(self.seq_no, self._draft())
+        batch = self._last_batch = DraftBatch(
+            self.seq_no, self._rec.draft(self.drafter, self.committed, self._draft_rng)
+        )
         return batch
-
-    def _draft(self) -> tuple[int, ...]:
-        """Sample up to ``horizon_k`` tokens, stopping at eos and at
-        ``max_len``; the session must not be finished."""
-        k = self._max_len - len(self.committed)
-        if k > self._horizon:
-            k = self._horizon
-        eos = self._eos
-        hist = history_tail(self.committed, self._window)
-        tokens: list[int] = []
-        for _ in range(k):
-            if self._greedy:
-                tok = greedy_pick(self.drafter.next_token_probs(hist))
-            elif self._cdf_fn is not None:
-                cdf = self._cdf_fn(hist)
-                tok = min(bisect_right(cdf, self._draft_rng.random()), len(cdf) - 1)
-            else:
-                tok = sample(self.drafter.next_token_probs(hist), self._draft_rng)
-            tokens.append(tok)
-            if tok == eos:
-                break
-            hist.append(tok)
-        return tuple(tokens)
 
     def apply_verdict(self, verdict: Verdict) -> tuple[int, int | None]:
         """Commit the accepted prefix plus any recovery token; returns
@@ -508,31 +705,15 @@ class EdgeSession:
             raise ProtocolStateError(f"accepted_count {a} out of range for batch of {k}")
         if (verdict.recovery is None) != (a == k):
             raise ProtocolStateError("recovery payload presence inconsistent with accepted_count")
-        rec_token = self._commit(batch.token_ids, a, verdict.recovery)
-        self._last_batch = None
-        return a, rec_token
-
-    def _commit(
-        self, tokens: tuple[int, ...], accepted: int, payload: SparseSteeringPayload | None
-    ) -> int | None:
-        """Commit ``tokens[:accepted]`` and, when ``payload`` is given (the
-        draft was rejected at ``accepted``), the recovery token, which is
-        returned."""
-        committed = self.committed
-        committed.extend(tokens[:accepted])
-        rec_token: int | None = None
-        if payload is not None:
-            # The committed list is now exactly the history at the rejected
-            # position, so the private term is scored lazily here, if at all.
-            rec_token = self._engine.recover(
-                payload, committed, self.drafter, self._beta, self._recovery_rng, self._greedy
-            )
-            committed.append(rec_token)
+        rec_token = self._rec.commit(
+            self.drafter, self.committed, batch.token_ids, a, verdict.recovery,
+            self._recovery_rng,
+        )
+        if rec_token is not None:
             self.pending_delta = rec_token
         self.seq_no += 1
-        if committed[-1] == self._eos or len(committed) >= self._max_len:
-            self.finished = True
-        return rec_token
+        self._last_batch = None
+        return a, rec_token
 
 
 # ---------------------------------------------------------------------------
@@ -546,15 +727,14 @@ class CloudVerifier:
 
     Sees only token ids and its own two models; keeps a mirror of the
     committed history repaired by the one-token delta riding on the next
-    draft frame.  Every id arriving from the edge (prompt, draft, delta) is
-    untrusted, and ``handle_draft`` checks it, and the draft's length and
-    place in the session, before running the scan core (``_scan``) that
+    draft frame, and by the DONE message's trailing id.  Every id arriving
+    from the edge (prompt, draft, delta, trailing id) is untrusted, and
+    ``handle_draft`` and ``finish`` check it, and its length and place in
+    the session, before running the scan core (``SessionRecord.scan``) that
     ``run_session`` calls directly with drafts its own edge sampled.
-    ``zt_fn``, like the models, exposes the ``window`` it reads.
-    ``checked=True`` skips the config and prompt checks, for a caller that
-    has already run them for this session.  Payloads come from the pair's
-    ``CloudEngine``, which ``engine`` passes in when the caller has already
-    looked it up.
+    ``zt_fn``, like the models, exposes the ``window`` it reads.  The config
+    is validated once per model pair, vocabulary and config (seed aside);
+    the seed and the prompt are checked here.
     """
 
     def __init__(
@@ -566,18 +746,14 @@ class CloudVerifier:
         prompt_ids: Sequence[int],
         streams: RngStreams | None = None,
         zt_fn: Callable[[Sequence[int]], float] | None = None,
-        *,
-        checked: bool = False,
-        engine: CloudEngine | None = None,
     ) -> None:
-        if not checked:
-            config.validate(vocab.size)
-            validate_sequence(prompt_ids, vocab, config.max_len)
-        if config.exact_z and zt_fn is None:
+        objs = (llm, slm_minus, vocab)
+        memo = _registry(("cloud-records", id(llm), id(slm_minus), id(vocab)), objs, dict)
+        rec = self._rec = _record(memo, config, _cloud_record, objs)
+        check_seed(config.seed)
+        validate_sequence(prompt_ids, vocab, rec.max_len)
+        if rec.exact_z and zt_fn is None:
             raise ProtocolStateError("exact-Z verification needs a partition callback")
-        if engine is None:
-            engine = cloud_engine(llm, slm_minus)
-        self._payload = engine.payload
         self.config = config
         self.llm = llm
         self.slm_minus = slm_minus
@@ -585,61 +761,18 @@ class CloudVerifier:
         self.mirror: list[int] = list(prompt_ids)
         self.expected_seq = 0
         self.awaiting_delta = False
+        self.finished = False
         self.traces: list[RoundTrace] = []
         self._verify_rng = (
             streams.verify if streams is not None else uniform_stream(config.seed, ROLE_VERIFY)
         )
-        self._greedy = config.decode_mode == "greedy"
-        self._zt_fn = zt_fn
-        self._lam = config.lam
-        self._beta = config.beta
-        self._top_k = config.top_k
-        self._exact_z = config.exact_z
-        self._vsize = vocab.size
-        self._eos = vocab.eos_id
-        self._horizon = config.horizon_k
-        self._max_len = config.max_len
-        self._window = engine.window
-        if self._exact_z and zt_fn.window > self._window:
-            self._window = zt_fn.window
-
-    def _check_ids(self, ids: Sequence[int], what: str) -> None:
-        """Untrusted ids must index the vocabulary before any model or
-        logit vector sees them.  A plain loop: these are at most K ids, and
-        builtin min/max cost more than the loop at that size."""
-        vsize = self._vsize
-        for i in ids:
-            if not 0 <= i < vsize:
-                raise ProtocolStateError(
-                    f"{what} token id {i} out of range for vocabulary of size {vsize}"
-                )
-
-    def _check_draft_bounds(self, tokens: Sequence[int], history_delta: int | None) -> None:
-        """An honest edge drafts at most ``horizon_k`` tokens, never past
-        ``max_len`` or past eos, and stops drafting once its history ends in
-        eos or reaches ``max_len``; anything else is refused before the
-        draft costs a model call."""
-        n = len(self.mirror)
-        last = self.mirror[-1] if n else None
-        if history_delta is not None:
-            n += 1
-            last = history_delta
-        if last == self._eos or n >= self._max_len:
-            raise ProtocolStateError("draft arrived after the session ended")
-        k = len(tokens)
-        if k > self._horizon:
-            raise ProtocolStateError(f"draft of {k} tokens exceeds horizon_k {self._horizon}")
-        if n + k > self._max_len:
-            raise ProtocolStateError(
-                f"draft of {k} tokens takes the history to {n + k}, past max_len {self._max_len}"
-            )
-        eos = self._eos
-        if eos in tokens and tokens.index(eos) != k - 1:
-            raise ProtocolStateError("draft has a token after eos")
+        self._zt_fn = zt_fn if rec.exact_z else None
 
     def handle_draft(self, batch: DraftBatch, history_delta: int | None) -> Verdict:
         """Check an untrusted draft, then score and scan-accept it.  A
         refused draft leaves the verifier as it was."""
+        if self.finished:
+            raise ProtocolStateError("session already finished")
         if batch.seq_no != self.expected_seq:
             raise ProtocolStateError(
                 f"out-of-order draft: got seq {batch.seq_no}, expected {self.expected_seq}"
@@ -649,95 +782,49 @@ class CloudVerifier:
             raise ProtocolStateError("empty draft batch")
         if self.awaiting_delta != (history_delta is not None):
             raise ProtocolStateError("recovery history delta missing or unexpected")
-        self._check_ids(tokens, "draft")
+        rec = self._rec
+        rec.check_ids(tokens, "draft")
         if history_delta is not None:
-            self._check_ids((history_delta,), "history delta")
-        self._check_draft_bounds(tokens, history_delta)
-        accepted, payload = self._scan(tokens, history_delta)
-        return Verdict(batch.seq_no, accepted, payload)
-
-    def _scan(
-        self, tokens: tuple[int, ...], history_delta: int | None
-    ) -> tuple[int, SparseSteeringPayload | None]:
-        """Apply the delta, then score and scan-accept the drafted tokens;
-        returns (accepted_count, steering payload or None) and records the
-        round's trace.
-
-        Position t is scored by the two models (and, in exact-Z mode, the
-        partition callback) only when the scan reaches it: everything
-        drafted after the first rejection is discarded unscored.  Scoring
-        is pure, and verify draws stop at the rejection either way, so this
-        gives the same alphas and verdicts as scoring every position.
-        Nothing about the private drafter distribution enters here.
-        """
+            rec.check_ids((history_delta,), "history delta")
         mirror = self.mirror
+        rec.check_extension(mirror, history_delta, tokens, "draft")
         if history_delta is not None:
             mirror.append(history_delta)
-            self.awaiting_delta = False
-
-        prefix = history_tail(mirror, self._window)
-        llm_logits = self.llm.next_token_logits
-        minus_logits = self.slm_minus.next_token_logits
-        draw = self._verify_rng.random
-        alphas: list[float] = []
-        k = len(tokens)
-        accepted = k
-        payload: SparseSteeringPayload | None = None
-        for t, tok in enumerate(tokens):
-            h_llm = llm_logits(prefix)
-            h_minus = minus_logits(prefix)
-            lam = self._zt_fn(prefix) if self._exact_z else self._lam
-            # Conditionals equal to builtin max/min here, and cheaper.
-            p_minus = math.exp(h_minus[tok])
-            if p_minus < PROB_FLOOR:
-                p_minus = PROB_FLOOR
-            alpha = math.exp(h_llm[tok]) / (lam * p_minus)
-            if not alpha < 1.0:
-                alpha = 1.0
-            alphas.append(alpha)
-            ok = alpha >= 1.0 if self._greedy else draw() <= alpha
-            if not ok:
-                accepted = t
-                payload = self._payload(h_llm, h_minus, self._beta, self._top_k, prefix)
-                break
-            prefix.append(tok)
-
-        mirror.extend(tokens[:accepted])
-        if payload is not None:
-            self.awaiting_delta = True
-        seq = self.expected_seq
-        self.traces.append(
-            RoundTrace(
-                index=seq,
-                drafted=tokens,
-                alphas=tuple(alphas),
-                accepted_count=accepted,
-                recovery_token=None,
-                uplink_bytes=draft_frame_bytes(k, history_delta is not None),
-                downlink_bytes=verdict_frame_bytes(len(payload.entries) if payload else 0),
-            )
+        trace, payload = rec.scan(
+            self.llm, self.slm_minus, self._zt_fn, mirror, tokens, self._verify_rng,
+            batch.seq_no, history_delta is not None,
         )
-        self.expected_seq = seq + 1
-        return accepted, payload
+        accepted = trace.accepted_count
+        mirror.extend(tokens[:accepted])
+        self.awaiting_delta = payload is not None
+        self.traces.append(trace)
+        self.expected_seq += 1
+        return Verdict(batch.seq_no, accepted, payload)
 
     def finish(self, trailing_ids: Sequence[int]) -> None:
-        """Apply the final history repair carried by the DONE message."""
-        if self.awaiting_delta and not trailing_ids:
-            raise ProtocolStateError("session ended with unrepaired recovery token")
-        self._check_ids(trailing_ids, "trailing")
-        self.mirror.extend(trailing_ids)
+        """Apply the final history repair carried by the DONE message: the
+        pending recovery token when there is one, and nothing otherwise.
+        The token is checked as a one-token draft would be, and a session
+        finishes once."""
+        if self.finished:
+            raise ProtocolStateError("session already finished")
+        want = 1 if self.awaiting_delta else 0
+        if len(trailing_ids) != want:
+            raise ProtocolStateError(
+                f"DONE carries {len(trailing_ids)} trailing ids, expected {want}"
+            )
+        if want:
+            rec = self._rec
+            rec.check_ids(trailing_ids, "trailing")
+            rec.check_extension(self.mirror, None, trailing_ids, "trailing id")
+            self.mirror.extend(trailing_ids)
         self.awaiting_delta = False
+        self.finished = True
 
 
 # ---------------------------------------------------------------------------
 # End-to-end session
 # ---------------------------------------------------------------------------
-
-
-def _check_shared_vocab(vocab: Vocabulary, *models) -> None:
-    for m in models:
-        if m.vocab.tokens != vocab.tokens or m.vocab.eos_id != vocab.eos_id:
-            raise ProtocolStateError("models do not share the session vocabulary")
 
 
 def exact_partition_fn(llm, slm_plus, slm_minus) -> Callable[[Sequence[int]], float]:
@@ -763,33 +850,37 @@ def run_session(
     prompt_ids: Sequence[int],
     streams: RngStreams | None = None,
 ) -> tuple[list[int], list[RoundTrace]]:
-    """Full draft-verify-recover loop until eos or the length cap."""
-    edge_eng, cloud_eng = _session_engines(llm, slm_plus, slm_minus, vocab)
-    config.validate(vocab.size)
-    validate_sequence(prompt_ids, vocab, config.max_len)
-    rngs = streams if streams is not None else make_streams(config.seed)
-    edge = EdgeSession(
-        config, slm_plus, vocab, prompt_ids, streams=rngs, checked=True, engine=edge_eng
-    )
-    zt_fn = exact_partition_fn(llm, slm_plus, slm_minus) if config.exact_z else None
-    cloud = CloudVerifier(
-        config, llm, slm_minus, vocab, prompt_ids, streams=rngs, zt_fn=zt_fn, checked=True,
-        engine=cloud_eng,
-    )
+    """Full draft-verify-recover loop until eos or the length cap.
 
-    # The edge's draft goes straight into the cloud's scan and the outcome
-    # straight into the edge's commit: no messages are built, and ids the
-    # edge sampled itself are not checked again.  The checked public
-    # methods run these same cores.
-    draft, scan, commit, take_delta = edge._draft, cloud._scan, edge._commit, edge.take_delta
-    traces = cloud.traces
-    while not edge.finished:
-        tokens = draft()
-        accepted, payload = scan(tokens, take_delta())
-        traces[-1].recovery_token = commit(tokens, accepted, payload)
-    # The cloud's mirror is dropped with it, so the final repair that the
-    # DONE message carries on the wire is not applied here.
-    return edge.committed, traces
+    One flat loop over the cores.  Its one history list is both the edge's
+    committed history and the cloud's mirror, which are equal in-process:
+    the draft goes straight into the scan and the outcome straight into the
+    commit, no messages are built, and ids the edge sampled itself are not
+    checked again.  The checked public methods run these same cores.
+    """
+    objs = (llm, slm_plus, slm_minus, vocab)
+    memo = _registry(("session", id(llm), id(slm_plus), id(slm_minus), id(vocab)), objs, dict)
+    rec = _record(memo, config, _session_record, objs)
+    check_seed(config.seed)
+    validate_sequence(prompt_ids, vocab, rec.max_len)
+    rngs = streams if streams is not None else make_streams(config.seed)
+    zt_fn = exact_partition_fn(llm, slm_plus, slm_minus) if rec.exact_z else None
+    draft_rng, verify_rng, recovery_rng = rngs.draft, rngs.verify, rngs.recovery
+    history = list(prompt_ids)
+    traces: list[RoundTrace] = []
+    payload = None
+    while not rec.ended(history):
+        tokens = rec.draft(slm_plus, history, draft_rng)
+        trace, payload = rec.scan(
+            llm, slm_minus, zt_fn, history, tokens, verify_rng, len(traces), payload is not None
+        )
+        trace.recovery_token = rec.commit(
+            slm_plus, history, tokens, trace.accepted_count, payload, recovery_rng
+        )
+        traces.append(trace)
+    # The history is the cloud's mirror too, so the final repair that the
+    # DONE message carries on the wire has nothing to do here.
+    return history, traces
 
 
 def autoregressive_decode(

@@ -281,6 +281,40 @@ class TestCloudIngest:
             cloud.handle_draft(DraftBatch(1, (0,)), 2)
         assert cloud.mirror == [0] and cloud.awaiting_delta
 
+    def test_done_without_pending_delta_carries_no_ids(self):
+        # A finished 7-token session (it ends in eos) at max_len 8: DONE may
+        # not grow the mirror past eos or past max_len, and comes once.
+        vocab = make_vocab(12)
+        cfg = ProtocolConfig(top_k=12, max_len=8)
+        eos = vocab.eos_id
+        prompt = [0, 1, 2, 3, 4, 5, eos]
+        cloud = CloudVerifier(cfg, single_row_model(vocab, np.full(12, 1 / 12)),
+                              single_row_model(vocab, np.full(12, 1 / 12)), vocab, prompt)
+        for trailing in ([eos, 5, eos, 7, 9, 11], [5], [eos]):
+            with pytest.raises(ProtocolStateError, match="trailing ids"):
+                cloud.finish(trailing)
+            assert cloud.mirror == prompt
+        cloud.finish([])
+        with pytest.raises(ProtocolStateError, match="already finished"):
+            cloud.finish([])
+        with pytest.raises(ProtocolStateError, match="already finished"):
+            cloud.handle_draft(DraftBatch(0, (0,)), None)
+        assert cloud.mirror == prompt
+
+    def test_done_repairs_exactly_the_pending_delta(self):
+        vocab = make_vocab(3)
+        cloud = self._cloud(vocab, lam=1.0, decode_mode="greedy")
+        assert cloud.handle_draft(DraftBatch(0, (0,)), None).recovery is not None
+        for trailing in ([], [1, 1], [1, 2, 0]):
+            with pytest.raises(ProtocolStateError, match="trailing ids"):
+                cloud.finish(trailing)
+            assert cloud.mirror == [0] and cloud.awaiting_delta
+        cloud.finish([1])
+        assert cloud.mirror == [0, 1] and not cloud.awaiting_delta
+        with pytest.raises(ProtocolStateError, match="already finished"):
+            cloud.finish([1])
+        assert cloud.mirror == [0, 1]
+
 
 class TestSteeringPayload:
     def test_sorted_unique_truncated(self):

@@ -1,5 +1,6 @@
 """Per-window recovery caches: the cloud's steering-payload cache and the
-edge's recovery cache, both held by engines that outlive a session.
+edge's recovery cache, both held by engines that outlive a session; and
+the per-config records that sessions look up next to the engines.
 
 A cached payload and a cached recovery must equal what an uncached
 computation gives, float for float, so these tests pin both against a
@@ -16,6 +17,7 @@ import gc
 import math
 import weakref
 from bisect import bisect_right
+from dataclasses import replace
 from itertools import accumulate
 from unittest import mock
 
@@ -24,16 +26,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specsteer import models, protocol
-from specsteer.core import ROLE_RECOVERY, ProtocolConfig, uniform_stream
+from specsteer.core import ROLE_RECOVERY, ConfigError, ProtocolConfig, uniform_stream
 from specsteer.models import TableModel
 from specsteer.protocol import (
     CloudEngine,
+    CloudVerifier,
     EdgeEngine,
+    EdgeSession,
     SparseSteeringPayload,
     Verdict,
     build_steering_payload,
     cloud_engine,
     edge_engine,
+    exact_partition_fn,
     recover,
     run_session,
 )
@@ -325,8 +330,14 @@ def test_lookup_keeps_no_dropped_model_alive():
     rng = np.random.default_rng(74)
     vocab = make_vocab(5)
     triple = window_triple(rng, vocab)
-    for seed in range(10):
-        run_session(ProtocolConfig(max_len=12, top_k=3, seed=seed), *triple, vocab, [0])
+    # Several records per model set, exact-Z's among them, and the views'.
+    cfgs = [ProtocolConfig(max_len=12, top_k=3, seed=seed, **kw) for seed, kw in enumerate(
+        [{}, {}, {"lam": 0.9}, {"decode_mode": "greedy"}, {"exact_z": True}, {"beta": 0.0}])]
+    for cfg in cfgs:
+        run_session(cfg, *triple, vocab, [0])
+        EdgeSession(cfg, triple[1], vocab, [0])
+        CloudVerifier(cfg, triple[0], triple[2], vocab, [0], zt_fn=exact_partition_fn(*triple))
+    assert len(session_records(*triple, vocab)) == 5
     refs = [weakref.ref(m) for m in triple]
     ids = {id(m) for m in triple}
     del triple
@@ -370,3 +381,86 @@ def test_unregistrable_model_gets_a_fresh_engine():
     with pytest.raises(TypeError):
         weakref.ref(m)
     assert edge_engine(m) is not edge_engine(m)
+
+
+# ---------------------------------------------------------------------------
+# (e) Per-config records
+# ---------------------------------------------------------------------------
+
+
+def session_records(llm, plus, minus, vocab) -> dict:
+    """``run_session``'s record memo of a model set and vocabulary."""
+    entry = protocol._engines[("session", id(llm), id(plus), id(minus), id(vocab))]
+    return entry[0]
+
+
+def test_configs_that_differ_in_seed_share_a_record():
+    rng = np.random.default_rng(76)
+    vocab = make_vocab(5)
+    triple = window_triple(rng, vocab)
+    cfg = ProtocolConfig(max_len=12, top_k=3)
+    for seed in (0, 1, 2**64 - 1):
+        run_session(replace(cfg, seed=seed), *triple, vocab, [0])
+    records = session_records(*triple, vocab)
+    assert len(records) == 1
+    (rec,) = records.values()
+    assert (rec.lam, rec.beta, rec.horizon, rec.top_k, rec.max_len) == (0.5, 1.0, 4, 3, 12)
+
+
+# Each config field but the seed, with a second value.
+FIELD_VALUES = {
+    "lam": 0.75, "beta": 2.0, "horizon_k": 2, "top_k": 4, "max_len": 9,
+    "decode_mode": "greedy", "exact_z": True,
+}
+
+
+def test_every_other_field_gets_its_own_record():
+    rng = np.random.default_rng(77)
+    vocab = make_vocab(5)
+    triple = window_triple(rng, vocab)
+    base = ProtocolConfig(max_len=12, top_k=3, seed=4)
+    cfgs = [base] + [replace(base, **{f: v}) for f, v in FIELD_VALUES.items()]
+    # A zero beta keeps its sign, as the payload cache's key does.
+    cfgs += [replace(base, beta=0.0), replace(base, beta=-0.0)]
+    want = [cold(cfg, triple, vocab, [0]) for cfg in cfgs]
+    protocol._engines.clear()
+    assert [run_session(cfg, *triple, vocab, [0]) for cfg in cfgs] == want
+    records = session_records(*triple, vocab)
+    assert len(records) == len(cfgs)
+    for cfg, rec in zip(cfgs, records.values()):
+        assert (rec.lam, rec.horizon, rec.top_k, rec.max_len, rec.exact_z) == (
+            cfg.lam, cfg.horizon_k, cfg.top_k, cfg.max_len, cfg.exact_z)
+        assert math.copysign(1.0, rec.beta) == math.copysign(1.0, cfg.beta)
+        assert rec.beta == cfg.beta and rec.greedy == (cfg.decode_mode == "greedy")
+
+
+@pytest.mark.parametrize("bad", [{"lam": 0.0}, {"top_k": 6}, {"decode_mode": "beam"},
+                                 {"seed": -1}, {"seed": 2**64}])
+def test_invalid_config_or_seed_raises_on_every_call(bad):
+    rng = np.random.default_rng(78)
+    vocab = make_vocab(5)
+    triple = window_triple(rng, vocab)
+    good = ProtocolConfig(max_len=12, top_k=3)
+    # The record of the config with a valid seed already exists.
+    run_session(good, *triple, vocab, [0])
+    for _ in range(3):
+        with pytest.raises(ConfigError):
+            run_session(replace(good, **bad), *triple, vocab, [0])
+        with pytest.raises(ConfigError):
+            EdgeSession(replace(good, **bad), triple[1], vocab, [0])
+        with pytest.raises(ConfigError):
+            CloudVerifier(replace(good, **bad), triple[0], triple[2], vocab, [0])
+    assert len(session_records(*triple, vocab)) == 1
+
+
+def test_record_memo_keeps_to_its_bound():
+    rng = np.random.default_rng(79)
+    vocab = make_vocab(5)
+    triple = window_triple(rng, vocab)
+    cfgs = [ProtocolConfig(lam=0.1 * (i + 1), max_len=12, top_k=3, seed=i) for i in range(10)]
+    want = [cold(cfg, triple, vocab, [0]) for cfg in cfgs]
+    protocol._engines.clear()
+    with mock.patch.object(protocol, "RECORDS_PER_MODEL_SET", 4):
+        for _ in range(2):
+            assert [run_session(cfg, *triple, vocab, [0]) for cfg in cfgs] == want
+            assert len(session_records(*triple, vocab)) == 4

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specsteer import transport
-from specsteer.core import ProtocolConfig, SequenceError, Vocabulary
+from specsteer.core import ProtocolConfig, SequenceError, SpecSteerError, Vocabulary, validate_sequence
 from specsteer.models import ModelError, TableModel
 from specsteer.protocol import (
     DraftBatch,
@@ -517,11 +517,22 @@ def hostile_done(cfg, vocab):
     return rewrite
 
 
+def padded_done(cfg, vocab):
+    """DONE with ids after the honest trailing ones, among them a second
+    eos, and the length they would give the mirror."""
+    def rewrite(payload):
+        final_len, trailing = decode_done(payload)
+        extra = [vocab.eos_id, 5, vocab.eos_id, 7]
+        return encode_done(final_len + len(extra), list(trailing) + extra)
+    return rewrite
+
+
 class TestCloudRefusal:
     @pytest.mark.parametrize("msg_type, rewrite, cloud_error", [
         (MSG_HELLO, hostile_hello, SequenceError),
         (MSG_DRAFT, hostile_draft, ProtocolStateError),
         (MSG_DONE, hostile_done, WireError),
+        (MSG_DONE, padded_done, ProtocolStateError),
     ])
     def test_refusal_reaches_edge(self, msg_type, rewrite, cloud_error):
         vocab, (llm, plus, minus) = random_table_triple(np.random.default_rng(51), 8)
@@ -682,3 +693,156 @@ class TestDeadCloud:
         with pytest.raises(RuntimeError, match="drafter crashed"):
             run_simulated_session(cfg, llm, broken, minus, vocab, [1])
         assert set(threading.enumerate()) <= before
+
+
+# ---------------------------------------------------------------------------
+# Uplink fuzzing
+# ---------------------------------------------------------------------------
+
+FUZZ_VOCAB, FUZZ_MODELS = random_table_triple(np.random.default_rng(81), 8)
+_honest_uplinks: dict = {}
+
+
+def honest_uplink(seed: int, lam: float, horizon_k: int, max_len: int) -> list[bytes]:
+    """The uplink frames (HELLO, DRAFTs, DONE) of an honest edge's session
+    against an honest cloud, over a socketpair."""
+    key = (seed, lam, horizon_k, max_len)
+    if key not in _honest_uplinks:
+        llm, plus, minus = FUZZ_MODELS
+        cfg = ProtocolConfig(lam=lam, horizon_k=horizon_k, top_k=8, max_len=max_len, seed=seed)
+        frames: list[bytes] = []
+
+        class Recorder(SocketEndpoint):
+            def send_frame(self, frame):
+                frames.append(frame)
+                super().send_frame(frame)
+
+        a, b = socket.socketpair()
+        try:
+            thread, errors = in_thread(
+                lambda: run_cloud(SocketEndpoint(a, timeout=5), llm, minus, FUZZ_VOCAB))
+            run_edge(cfg, Recorder(b, timeout=5), plus, FUZZ_VOCAB, [0])
+            thread.join(timeout=5)
+            assert not thread.is_alive() and not errors
+        finally:
+            a.close()
+            b.close()
+        _honest_uplinks[key] = frames
+    return list(_honest_uplinks[key])
+
+
+ids_strategy = st.lists(st.integers(0, FUZZ_VOCAB.size + 1), max_size=6)
+
+
+@st.composite
+def mutated_uplink(draw) -> tuple[list[bytes], tuple]:
+    """An honest session's uplink with one frame mutated: raw bytes flipped,
+    cut or appended, a frame dropped or repeated, or a frame re-encoded with
+    other ids, seq, delta, final length or handshake config."""
+    params = (
+        draw(st.integers(0, 40), label="seed"),
+        draw(st.sampled_from([0.3, 0.8, 1e-12]), label="lam"),
+        draw(st.integers(1, 4), label="horizon_k"),
+        draw(st.integers(2, 10), label="max_len"),
+    )
+    frames = honest_uplink(*params)
+    kind = draw(st.sampled_from(["flip", "cut", "append", "drop", "repeat", MSG_HELLO,
+                                 MSG_DRAFT, MSG_DONE]), label="kind")
+    if kind in (MSG_HELLO, MSG_DRAFT, MSG_DONE):
+        # A re-encoded frame of each type is as likely as the others,
+        # though drafts outnumber the one HELLO and the one DONE.
+        i = draw(st.sampled_from([j for j, f in enumerate(frames) if f[5] == kind]))
+    else:
+        i = draw(st.integers(0, len(frames) - 1), label="frame")
+    frame = frames[i]
+    msg_type, payload = decode_frame(frame)
+    if kind == "flip":
+        pos = draw(st.integers(0, len(frame) - 1))
+        frames[i] = frame[:pos] + bytes([draw(st.integers(0, 255))]) + frame[pos + 1:]
+    elif kind == "cut":
+        frames[i] = frame[: draw(st.integers(0, len(frame) - 1))]
+    elif kind == "append":
+        frames[i] = frame + draw(st.binary(min_size=1, max_size=12))
+    elif kind == "drop":
+        del frames[i]
+    elif kind == "repeat":
+        frames.insert(i, frame)
+    elif msg_type == MSG_HELLO:
+        cfg, vhash, prompt = decode_hello(payload)
+        cfg = ProtocolConfig(
+            lam=cfg.lam, beta=cfg.beta,
+            horizon_k=draw(st.sampled_from([cfg.horizon_k, 0, 1, 6])),
+            top_k=draw(st.sampled_from([cfg.top_k, 0, 3, 9])),
+            max_len=draw(st.sampled_from([cfg.max_len, 0, 1, 2, 64])),
+            decode_mode=cfg.decode_mode, seed=cfg.seed,
+        )
+        frames[i] = encode_hello(cfg, vhash, draw(st.one_of(st.just(list(prompt)), ids_strategy)))
+    elif msg_type == MSG_DRAFT:
+        delta = None
+        try:
+            batch, delta = decode_draft(payload, expect_delta=True)
+        except WireError:
+            batch, _ = decode_draft(payload, expect_delta=False)
+        tokens = draw(ids_strategy.filter(bool))
+        seq = draw(st.sampled_from([batch.seq_no, batch.seq_no + 1, 0]))
+        delta = draw(st.sampled_from([delta, None, 0, FUZZ_VOCAB.eos_id, FUZZ_VOCAB.size]))
+        frames[i] = encode_draft(DraftBatch(seq, tuple(tokens)), delta)
+    else:
+        final_len, trailing = decode_done(payload)
+        new = draw(ids_strategy, label="trailing")
+        # The length an attacker who kept count would report, or another.
+        honest = final_len - len(trailing) + len(new)
+        frames[i] = encode_done(draw(st.sampled_from([honest, final_len, 0])), new)
+    return frames, params
+
+
+def read_frames(sock) -> list[bytes]:
+    """Every frame left to read on ``sock``, up to the peer's close."""
+    data = bytearray()
+    while chunk := sock.recv(65536):
+        data += chunk
+    frames = []
+    while data:
+        n = transport._HEADER.size + transport._HEADER.unpack_from(data)[3]
+        frames.append(bytes(data[:n]))
+        del data[:n]
+    return frames
+
+
+class TestUplinkFuzz:
+    """Mutated uplink frames from an honest edge end in a typed refusal or
+    in a completed session whose mirror is a valid sequence."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(case=mutated_uplink())
+    def test_refused_or_valid(self, case):
+        frames, _ = case
+        llm, _, minus = FUZZ_MODELS
+        a, b = socket.socketpair()
+        try:
+            # The whole uplink is queued before the cloud reads it; the
+            # half-close then ends any frame the mutation cut short.
+            b.sendall(b"".join(frames))
+            b.shutdown(socket.SHUT_WR)
+            try:
+                stats = run_cloud(SocketEndpoint(a, timeout=5), llm, minus, FUZZ_VOCAB)
+                refused = stats.refused
+            except SpecSteerError:
+                refused, stats = True, None
+            # A half-close, not a close: closing with uplink left unread
+            # would reset the connection under the downlink.
+            a.shutdown(socket.SHUT_WR)
+            down = read_frames(b)
+        finally:
+            a.close()
+            b.close()
+        msg_type, payload = decode_frame(down[-1])
+        assert msg_type == MSG_DONE
+        final_len, trailing = decode_done(payload)
+        assert trailing == ()
+        if refused:
+            assert final_len == 0
+            return
+        cfg, _, _ = decode_hello(decode_frame(frames[0])[1])
+        validate_sequence(stats.mirror, FUZZ_VOCAB, cfg.max_len)
+        assert final_len == len(stats.mirror)
