@@ -20,12 +20,13 @@ samples itself are trusted.
 from __future__ import annotations
 
 import math
+import struct
 import weakref
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import accumulate, count
+from functools import cached_property, lru_cache, partial
+from itertools import accumulate, chain, count
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,6 +53,7 @@ from .core import (
 FRAME_HEADER_BYTES = 10
 DRAFT_PAYLOAD_FIXED = 6   # seq_no u32 + count u16
 VERDICT_PAYLOAD_FIXED = 7  # seq_no u32 + accepted u16 + flag u8
+STEERING_ENTRY_BYTES = 8  # token id u32 + value binary32
 
 
 class ProtocolStateError(SpecSteerError):
@@ -71,6 +73,13 @@ class DraftBatch:
     token_ids: tuple[int, ...]
 
 
+@lru_cache(maxsize=256)
+def entries_struct(n: int) -> struct.Struct:
+    """The wire form of n steering entries: each a u32 token id and an
+    IEEE-754 binary32 value, little-endian."""
+    return struct.Struct("<" + "If" * n)
+
+
 @dataclass(frozen=True)
 class SparseSteeringPayload:
     """Top-k slice of the cloud-side steering term (prior logits minus
@@ -86,6 +95,23 @@ class SparseSteeringPayload:
 
     entries: tuple[tuple[int, float], ...]
     key: int | bytes | None = field(default=None, compare=False, repr=False)
+
+    @classmethod
+    def from_wire(cls, section: bytes) -> SparseSteeringPayload:
+        """The payload whose packed entry section (``wire_entries``) is
+        ``section``, keyed by those bytes: they fix the decoded entries
+        exactly."""
+        flat = entries_struct(len(section) // STEERING_ENTRY_BYTES).unpack(section)
+        return cls(tuple(zip(flat[::2], flat[1::2])), section)
+
+    @cached_property
+    def wire_entries(self) -> bytes:
+        """The entries packed as a verdict frame's entry section.  Packed on
+        first use and kept with the payload, so a payload from a cloud's
+        cache is packed once however many verdicts carry it, and an
+        in-process session packs nothing.  Raises ``struct.error`` or
+        ``OverflowError`` for an entry that does not fit the wire form."""
+        return entries_struct(len(self.entries)).pack(*chain.from_iterable(self.entries))
 
 
 @dataclass(frozen=True)
@@ -114,7 +140,7 @@ def draft_frame_bytes(k: int, has_delta: bool) -> int:
 def verdict_frame_bytes(n_entries: int) -> int:
     size = FRAME_HEADER_BYTES + VERDICT_PAYLOAD_FIXED
     if n_entries:
-        size += 2 + 8 * n_entries
+        size += 2 + STEERING_ENTRY_BYTES * n_entries
     return size
 
 
@@ -145,16 +171,21 @@ def build_steering_payload(
     return SparseSteeringPayload(_steering_entries(h_llm, h_minus, beta, top_k))
 
 
+def check_steering_count(n: int, top_k: int) -> None:
+    """A steering payload holds between 1 and ``top_k`` entries."""
+    if not n:
+        raise ProtocolStateError("empty steering payload")
+    if n > top_k:
+        raise ProtocolStateError(f"steering payload has {n} entries, top_k is {top_k}")
+
+
 def check_steering_payload(payload: SparseSteeringPayload, vocab_size: int, top_k: int) -> None:
     """An untrusted payload (one decoded from the wire) must hold at most
     ``top_k`` entries with unique in-vocabulary ids and finite values
     before ``recover`` reads it.  Payloads our own cloud builds in-process
     skip this."""
     entries = payload.entries
-    if not entries:
-        raise ProtocolStateError("empty steering payload")
-    if len(entries) > top_k:
-        raise ProtocolStateError(f"steering payload has {len(entries)} entries, top_k is {top_k}")
+    check_steering_count(len(entries), top_k)
     seen: set[int] = set()
     add, isfinite = seen.add, math.isfinite
     for i, v in entries:
@@ -169,8 +200,38 @@ def check_steering_payload(payload: SparseSteeringPayload, vocab_size: int, top_
         add(i)
 
 
+class WireSteeringPayload:
+    """A steering payload still in its wire form: the packed entry section
+    of a verdict frame from an untrusted cloud, for ``EdgeEngine.recover``.
+
+    Its entry count is checked against ``top_k`` when it is made, so on
+    every frame.  ``entries`` decodes the section and checks it with
+    ``check_steering_payload``; only a recovery-cache miss reads them.
+    Those checks depend on nothing but the bytes, the vocabulary size and
+    ``top_k``, whose part every frame repeats, so ``key`` is the vocabulary
+    size with the bytes: a cached state was checked when it was cached.
+    """
+
+    __slots__ = ("key", "_top_k")
+
+    def __init__(self, section: bytes, vocab_size: int, top_k: int) -> None:
+        check_steering_count(len(section) // STEERING_ENTRY_BYTES, top_k)
+        self.key = (vocab_size, section)
+        self._top_k = top_k
+
+    @property
+    def entries(self) -> tuple[tuple[int, float], ...]:
+        vocab_size, section = self.key
+        payload = SparseSteeringPayload.from_wire(section)
+        check_steering_payload(payload, vocab_size, self._top_k)
+        return payload.entries
+
+
 def _recovery_state(
-    payload: SparseSteeringPayload, h_plus: np.ndarray, beta: float, greedy: bool
+    payload: SparseSteeringPayload | WireSteeringPayload,
+    h_plus: np.ndarray,
+    beta: float,
+    greedy: bool,
 ) -> int | tuple[tuple[int, ...], array, float]:
     """Everything recovery computes before its random draw: the picked id
     when ``greedy``, else the payload's ids, the running sums of their
@@ -307,7 +368,8 @@ class EdgeEngine:
     pure function of the payload, beta, the decode mode and the drafter's
     logits at the rejected position.  So a keyed payload's state is cached under
     (beta, greedy, the payload's key, the last ``window`` tokens of the
-    history there), and a hit skips the drafter call and the sums.
+    history there), and a hit skips the drafter call and the sums, and for
+    a ``WireSteeringPayload`` the decoding and the checks of its entries.
     """
 
     __slots__ = ("window", "by_cdf", "_states", "__weakref__")
@@ -319,7 +381,7 @@ class EdgeEngine:
 
     def recover(
         self,
-        payload: SparseSteeringPayload,
+        payload: SparseSteeringPayload | WireSteeringPayload,
         history: list[int],
         drafter,
         beta: float,
@@ -538,7 +600,7 @@ class SessionRecord:
         history: list[int],
         tokens: tuple[int, ...],
         accepted: int,
-        payload: SparseSteeringPayload | None,
+        payload: SparseSteeringPayload | WireSteeringPayload | None,
         rng,
     ) -> int | None:
         """Append ``tokens[:accepted]`` to ``history`` and, when ``payload``
@@ -617,10 +679,16 @@ def _session_record(config, llm, slm_plus, slm_minus, vocab: Vocabulary) -> Sess
 
 
 def _edge_record(config, drafter, vocab: Vocabulary) -> SessionRecord:
+    """A new record for an ``EdgeSession``, once the drafter is known to
+    share ``vocab``."""
+    _check_shared_vocab(vocab, drafter)
     return SessionRecord(config, vocab, edge_engine(drafter), None)
 
 
 def _cloud_record(config, llm, slm_minus, vocab: Vocabulary) -> SessionRecord:
+    """A new record for a ``CloudVerifier``, once its two models are known
+    to share ``vocab``."""
+    _check_shared_vocab(vocab, llm, slm_minus)
     return SessionRecord(config, vocab, None, cloud_engine(llm, slm_minus))
 
 
@@ -638,10 +706,12 @@ def _check_shared_vocab(vocab: Vocabulary, *models) -> None:
 class EdgeSession:
     """Drafter-side state machine: draft, commit verdicts, recover.
 
-    ``next_draft`` and ``apply_verdict`` are the checked message interface
-    that the transport drives: each checks its message and then runs the
-    same core (``SessionRecord.draft``, ``SessionRecord.commit``) that
-    ``run_session`` calls directly.  The config is validated once per
+    ``draft`` and ``apply`` are the checked interface, in plain values,
+    that the transport drives straight from frames; ``next_draft`` and
+    ``apply_verdict`` are the same calls in message form.  Each checks its
+    input and then runs the same core (``SessionRecord.draft``,
+    ``SessionRecord.commit``) that ``run_session`` calls directly.  The
+    config is validated, and the drafter's vocabulary checked, once per
     drafter, vocabulary and config (seed aside); the seed and the prompt
     are checked here.
     """
@@ -671,7 +741,7 @@ class EdgeSession:
         else:
             self._draft_rng = uniform_stream(config.seed, ROLE_DRAFT)
             self._recovery_rng = uniform_stream(config.seed, ROLE_RECOVERY)
-        self._last_batch: DraftBatch | None = None
+        self._outstanding: tuple[int, ...] | None = None
 
     @property
     def finished(self) -> bool:
@@ -683,37 +753,58 @@ class EdgeSession:
         delta, self.pending_delta = self.pending_delta, None
         return delta
 
-    def next_draft(self) -> DraftBatch | None:
-        if self.finished:
+    def draft(self) -> tuple[int, ...] | None:
+        """The ids of draft ``seq_no``, or None once the session has
+        finished."""
+        rec = self._rec
+        if rec.ended(self.committed):
             return None
-        if self._last_batch is not None:
+        if self._outstanding is not None:
             raise ProtocolStateError("previous draft awaiting verdict")
-        batch = self._last_batch = DraftBatch(
-            self.seq_no, self._rec.draft(self.drafter, self.committed, self._draft_rng)
-        )
-        return batch
+        tokens = self._outstanding = rec.draft(self.drafter, self.committed, self._draft_rng)
+        return tokens
 
-    def apply_verdict(self, verdict: Verdict) -> tuple[int, int | None]:
-        """Commit the accepted prefix plus any recovery token; returns
-        (accepted_count, recovery_token)."""
-        batch = self._last_batch
-        if batch is None or verdict.seq_no != batch.seq_no:
+    def next_draft(self) -> DraftBatch | None:
+        tokens = self.draft()
+        return None if tokens is None else DraftBatch(self.seq_no, tokens)
+
+    def apply(
+        self,
+        seq_no: int,
+        accepted: int,
+        recovery: SparseSteeringPayload | WireSteeringPayload | None,
+    ) -> tuple[int, int | None]:
+        """Commit the verdict on draft ``seq_no``: its first ``accepted``
+        ids plus, when ``recovery`` is given, the token recovered from it.
+        Returns (accepted, recovery_token)."""
+        tokens = self._outstanding
+        if tokens is None or seq_no != self.seq_no:
             raise ProtocolStateError("verdict does not match outstanding draft")
-        k = len(batch.token_ids)
-        a = verdict.accepted_count
-        if not 0 <= a <= k:
-            raise ProtocolStateError(f"accepted_count {a} out of range for batch of {k}")
-        if (verdict.recovery is None) != (a == k):
+        k = len(tokens)
+        if not 0 <= accepted <= k:
+            raise ProtocolStateError(f"accepted_count {accepted} out of range for batch of {k}")
+        if (recovery is None) != (accepted == k):
             raise ProtocolStateError("recovery payload presence inconsistent with accepted_count")
-        rec_token = self._rec.commit(
-            self.drafter, self.committed, batch.token_ids, a, verdict.recovery,
-            self._recovery_rng,
-        )
+        committed = self.committed
+        n = len(committed)
+        try:
+            rec_token = self._rec.commit(
+                self.drafter, committed, tokens, accepted, recovery, self._recovery_rng
+            )
+        except ProtocolStateError:
+            # A wire payload's entries are checked when first recovered
+            # from; one refused then leaves the session as it was.
+            del committed[n:]
+            raise
         if rec_token is not None:
             self.pending_delta = rec_token
         self.seq_no += 1
-        self._last_batch = None
-        return a, rec_token
+        self._outstanding = None
+        return accepted, rec_token
+
+    def apply_verdict(self, verdict: Verdict) -> tuple[int, int | None]:
+        """``apply`` for a ``Verdict``."""
+        return self.apply(verdict.seq_no, verdict.accepted_count, verdict.recovery)
 
 
 # ---------------------------------------------------------------------------
@@ -729,12 +820,13 @@ class CloudVerifier:
     committed history repaired by the one-token delta riding on the next
     draft frame, and by the DONE message's trailing id.  Every id arriving
     from the edge (prompt, draft, delta, trailing id) is untrusted, and
-    ``handle_draft`` and ``finish`` check it, and its length and place in
-    the session, before running the scan core (``SessionRecord.scan``) that
-    ``run_session`` calls directly with drafts its own edge sampled.
-    ``zt_fn``, like the models, exposes the ``window`` it reads.  The config
-    is validated once per model pair, vocabulary and config (seed aside);
-    the seed and the prompt are checked here.
+    ``verify`` (``handle_draft`` in message form) and ``finish`` check it,
+    and its length and place in the session, before running the scan core
+    (``SessionRecord.scan``) that ``run_session`` calls directly with drafts
+    its own edge sampled.  ``zt_fn``, like the models, exposes the
+    ``window`` it reads.  The config is validated, and the models'
+    vocabularies checked, once per model pair, vocabulary and config (seed
+    aside); the seed and the prompt are checked here.
     """
 
     def __init__(
@@ -768,16 +860,18 @@ class CloudVerifier:
         )
         self._zt_fn = zt_fn if rec.exact_z else None
 
-    def handle_draft(self, batch: DraftBatch, history_delta: int | None) -> Verdict:
-        """Check an untrusted draft, then score and scan-accept it.  A
-        refused draft leaves the verifier as it was."""
+    def verify(
+        self, seq_no: int, tokens: tuple[int, ...], history_delta: int | None
+    ) -> tuple[int, SparseSteeringPayload | None]:
+        """Check an untrusted draft, then score and scan-accept it; returns
+        (accepted_count, steering payload or None).  A refused draft leaves
+        the verifier as it was."""
         if self.finished:
             raise ProtocolStateError("session already finished")
-        if batch.seq_no != self.expected_seq:
+        if seq_no != self.expected_seq:
             raise ProtocolStateError(
-                f"out-of-order draft: got seq {batch.seq_no}, expected {self.expected_seq}"
+                f"out-of-order draft: got seq {seq_no}, expected {self.expected_seq}"
             )
-        tokens = batch.token_ids
         if not tokens:
             raise ProtocolStateError("empty draft batch")
         if self.awaiting_delta != (history_delta is not None):
@@ -792,13 +886,18 @@ class CloudVerifier:
             mirror.append(history_delta)
         trace, payload = rec.scan(
             self.llm, self.slm_minus, self._zt_fn, mirror, tokens, self._verify_rng,
-            batch.seq_no, history_delta is not None,
+            seq_no, history_delta is not None,
         )
         accepted = trace.accepted_count
         mirror.extend(tokens[:accepted])
         self.awaiting_delta = payload is not None
         self.traces.append(trace)
         self.expected_seq += 1
+        return accepted, payload
+
+    def handle_draft(self, batch: DraftBatch, history_delta: int | None) -> Verdict:
+        """``verify`` for a ``DraftBatch``, answered with a ``Verdict``."""
+        accepted, payload = self.verify(batch.seq_no, batch.token_ids, history_delta)
         return Verdict(batch.seq_no, accepted, payload)
 
     def finish(self, trailing_ids: Sequence[int]) -> None:

@@ -8,30 +8,40 @@ exist: an in-process simulated channel with a latency/bandwidth clock,
 and a length-delimited byte stream over a local socket.  Both drive the
 same state machines from the protocol module, so committed sequences are
 identical for identical seeds.
+
+The endpoint loops read draft and verdict frames in place.  The cloud's
+frame handler (``CloudSession.handle``) hands a draft's ids to
+``CloudVerifier.verify`` and packs the verdict around the payload's
+cached entry section; the edge checks a verdict's fields and hands its
+entry bytes to ``EdgeSession.apply`` undecoded.  The ``encode_*`` and
+``decode_*`` functions are the same codec in message form.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import logging
+import math
 import queue
 import socket
 import struct
 import threading
+from collections import deque
 from dataclasses import dataclass, field
+from time import monotonic
 from typing import Iterable, Sequence
 
 from .core import DECODE_MODES, ProtocolConfig, SpecSteerError, Vocabulary
 from .protocol import (
+    STEERING_ENTRY_BYTES,
     CloudVerifier,
     DraftBatch,
     EdgeSession,
     RoundTrace,
     SparseSteeringPayload,
     Verdict,
-    check_steering_payload,
+    WireSteeringPayload,
 )
 
 log = logging.getLogger("specsteer.transport")
@@ -43,6 +53,7 @@ MSG_HELLO = 1
 MSG_DRAFT = 2
 MSG_VERDICT = 3
 MSG_DONE = 4
+_MSG_TYPES = (MSG_HELLO, MSG_DRAFT, MSG_VERDICT, MSG_DONE)
 
 DIR_UP = 0    # edge -> cloud
 DIR_DOWN = 1  # cloud -> edge
@@ -51,9 +62,13 @@ _HEADER = struct.Struct("<4sBBI")
 _HELLO = struct.Struct("<ddHHIBQQH")
 _DRAFT_FIXED = struct.Struct("<IH")
 _VERDICT_FIXED = struct.Struct("<IHB")
-_ENTRY = struct.Struct("<If")
 _DONE_FIXED = struct.Struct("<IH")
+_U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
+# A whole accept-all verdict frame, and a recovery verdict frame up to its
+# entry section: header, fixed fields and the u16 entry count.
+_ACCEPT_ALL_FRAME = struct.Struct("<4sBBIIHB")
+_RECOVERY_HEAD = struct.Struct("<4sBBIIHBH")
 
 # Every variable-length section has a u16 count, so the largest legal payload
 # is a verdict with 0xFFFF entries.  SocketEndpoint refuses any longer
@@ -62,7 +77,7 @@ _U32 = struct.Struct("<I")
 MAX_PAYLOAD = max(
     _HELLO.size + _U32.size * 0xFFFF,
     _DRAFT_FIXED.size + _U32.size * (0xFFFF + 1),
-    _VERDICT_FIXED.size + 2 + _ENTRY.size * 0xFFFF,
+    _VERDICT_FIXED.size + 2 + STEERING_ENTRY_BYTES * 0xFFFF,
     _DONE_FIXED.size + _U32.size * 0xFFFF,
 )
 
@@ -79,6 +94,11 @@ class HandshakeError(WireError):
 
 class ChannelClosedError(WireError):
     """The peer closed the channel; no further frame will arrive."""
+
+
+class ChannelTimeoutError(WireError, TimeoutError):
+    """A frame was not received or sent, or a connection not accepted or
+    made, within the socket timeout."""
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +122,10 @@ def _ids_struct(n: int) -> struct.Struct:
 
 
 @functools.lru_cache(maxsize=256)
-def _entries_struct(n: int) -> struct.Struct:
-    """n steering entries, each a u32 id and an f32 value."""
-    return struct.Struct("<" + "If" * n)
+def _draft_struct(n: int) -> struct.Struct:
+    """A whole draft frame carrying n u32 ids: the draft's, then any
+    history delta."""
+    return struct.Struct(f"<4sBBIIH{n}I")
 
 
 def _pack_ids(ids: Sequence[int]) -> bytes:
@@ -115,12 +136,14 @@ def _pack_ids(ids: Sequence[int]) -> bytes:
 
 
 def encode_frame(msg_type: int, payload: bytes) -> bytes:
-    if msg_type not in (MSG_HELLO, MSG_DRAFT, MSG_VERDICT, MSG_DONE):
+    if msg_type not in _MSG_TYPES:
         raise WireError(f"unknown message type {msg_type}")
     return _HEADER.pack(MAGIC, VERSION, msg_type, len(payload)) + payload
 
 
-def decode_frame(frame: bytes) -> tuple[int, bytes]:
+def _frame_type(frame: bytes) -> int:
+    """The message type of a whole frame, once its header is checked
+    against the frame."""
     if len(frame) < _HEADER.size:
         raise WireError("frame shorter than header")
     magic, version, msg_type, payload_len = _HEADER.unpack_from(frame, 0)
@@ -128,12 +151,15 @@ def decode_frame(frame: bytes) -> tuple[int, bytes]:
         raise WireError("bad frame magic")
     if version != VERSION:
         raise WireError(f"unsupported protocol version {version}")
-    if msg_type not in (MSG_HELLO, MSG_DRAFT, MSG_VERDICT, MSG_DONE):
+    if msg_type not in _MSG_TYPES:
         raise WireError(f"unknown message type {msg_type}")
-    payload = frame[_HEADER.size:]
-    if len(payload) != payload_len:
+    if len(frame) - _HEADER.size != payload_len:
         raise WireError("declared payload length mismatch")
-    return msg_type, payload
+    return msg_type
+
+
+def decode_frame(frame: bytes) -> tuple[int, bytes]:
+    return _frame_type(frame), frame[_HEADER.size:]
 
 
 def encode_hello(config: ProtocolConfig, vhash: int, prompt_ids: Sequence[int]) -> bytes:
@@ -180,66 +206,98 @@ def decode_hello_ack(payload: bytes) -> int:
     return struct.unpack("<Q", payload)[0]
 
 
-def encode_draft(batch: DraftBatch, history_delta: int | None = None) -> bytes:
-    k = len(batch.token_ids)
+def _draft_frame(seq_no: int, tokens: Sequence[int], history_delta: int | None) -> bytes:
+    k = len(tokens)
     if k == 0:
         raise WireError("cannot encode an empty draft batch")
     if k > 0xFFFF:
         raise WireError("draft batch too large for frame")
-    ids = batch.token_ids if history_delta is None else (*batch.token_ids, history_delta)
-    return encode_frame(MSG_DRAFT, _DRAFT_FIXED.pack(batch.seq_no, k) + _pack_ids(ids))
+    ids = tokens if history_delta is None else (*tokens, history_delta)
+    try:
+        return _draft_struct(len(ids)).pack(
+            MAGIC, VERSION, MSG_DRAFT, _DRAFT_FIXED.size + 4 * len(ids), seq_no, k, *ids
+        )
+    except struct.error:
+        raise WireError("draft seq or token id does not fit an unsigned 32-bit field") from None
+
+
+def encode_draft(batch: DraftBatch, history_delta: int | None = None) -> bytes:
+    return _draft_frame(batch.seq_no, batch.token_ids, history_delta)
+
+
+def _draft_fields(
+    buf: bytes, off: int, expect_delta: bool
+) -> tuple[int, tuple[int, ...], int | None]:
+    """(seq_no, token ids, history delta) of the draft payload that starts
+    at ``off`` in ``buf`` and runs to its end."""
+    size = len(buf) - off
+    if size < _DRAFT_FIXED.size:
+        raise WireError("truncated draft payload")
+    seq_no, k = _DRAFT_FIXED.unpack_from(buf, off)
+    expected = _DRAFT_FIXED.size + 4 * k + (4 if expect_delta else 0)
+    if size != expected:
+        raise WireError(f"draft payload length {size}, expected {expected}")
+    off += _DRAFT_FIXED.size
+    if not expect_delta:
+        return seq_no, _ids_struct(k).unpack_from(buf, off), None
+    ids = _ids_struct(k + 1).unpack_from(buf, off)
+    return seq_no, ids[:k], ids[k]
 
 
 def decode_draft(payload: bytes, expect_delta: bool) -> tuple[DraftBatch, int | None]:
-    if len(payload) < _DRAFT_FIXED.size:
-        raise WireError("truncated draft payload")
-    seq_no, k = _DRAFT_FIXED.unpack_from(payload, 0)
-    expected = _DRAFT_FIXED.size + 4 * k + (4 if expect_delta else 0)
-    if len(payload) != expected:
-        raise WireError(f"draft payload length {len(payload)}, expected {expected}")
-    if not expect_delta:
-        return DraftBatch(seq_no, _ids_struct(k).unpack_from(payload, _DRAFT_FIXED.size)), None
-    ids = _ids_struct(k + 1).unpack_from(payload, _DRAFT_FIXED.size)
-    return DraftBatch(seq_no, ids[:k]), ids[k]
+    seq_no, ids, delta = _draft_fields(payload, 0, expect_delta)
+    return DraftBatch(seq_no, ids), delta
+
+
+def _verdict_frame(seq_no: int, accepted: int, payload: SparseSteeringPayload | None) -> bytes:
+    if payload is None:
+        return _ACCEPT_ALL_FRAME.pack(
+            MAGIC, VERSION, MSG_VERDICT, _VERDICT_FIXED.size, seq_no, accepted, 0
+        )
+    n = len(payload.entries)
+    if not n:
+        raise WireError("recovery verdict with empty payload")
+    try:
+        section = payload.wire_entries
+    except (struct.error, OverflowError):
+        raise WireError("steering entry does not fit a u32 id and an f32 value") from None
+    payload_len = _VERDICT_FIXED.size + 2 + len(section)
+    return _RECOVERY_HEAD.pack(
+        MAGIC, VERSION, MSG_VERDICT, payload_len, seq_no, accepted, 1, n
+    ) + section
 
 
 def encode_verdict(v: Verdict) -> bytes:
-    flag = 0 if v.recovery is None else 1
-    payload = _VERDICT_FIXED.pack(v.seq_no, v.accepted_count, flag)
-    if v.recovery is not None:
-        entries = v.recovery.entries
-        if not entries:
-            raise WireError("recovery verdict with empty payload")
-        payload += struct.pack("<H", len(entries))
-        try:
-            payload += _entries_struct(len(entries)).pack(*itertools.chain.from_iterable(entries))
-        except (struct.error, OverflowError):
-            raise WireError("steering entry does not fit a u32 id and an f32 value") from None
-    return encode_frame(MSG_VERDICT, payload)
+    return _verdict_frame(v.seq_no, v.accepted_count, v.recovery)
+
+
+def _verdict_fields(buf: bytes, off: int) -> tuple[int, int, bytes | None]:
+    """(seq_no, accepted count, packed entry section or None) of the
+    verdict payload that starts at ``off`` in ``buf`` and runs to its end."""
+    size = len(buf) - off
+    if size < _VERDICT_FIXED.size:
+        raise WireError("truncated verdict payload")
+    seq_no, accepted, flag = _VERDICT_FIXED.unpack_from(buf, off)
+    if flag == 0:
+        if size != _VERDICT_FIXED.size:
+            raise WireError("accept-all verdict carries extra bytes")
+        return seq_no, accepted, None
+    if flag != 1:
+        raise WireError(f"unknown verdict flag {flag}")
+    if size < _VERDICT_FIXED.size + 2:
+        raise WireError("truncated verdict payload")
+    (n,) = _U16.unpack_from(buf, off + _VERDICT_FIXED.size)
+    off += _VERDICT_FIXED.size + 2
+    if len(buf) != off + STEERING_ENTRY_BYTES * n:
+        raise WireError("verdict entry section length mismatch")
+    return seq_no, accepted, buf[off:]
 
 
 def decode_verdict(payload: bytes) -> Verdict:
-    if len(payload) < _VERDICT_FIXED.size:
-        raise WireError("truncated verdict payload")
-    seq_no, accepted, flag = _VERDICT_FIXED.unpack_from(payload, 0)
-    off = _VERDICT_FIXED.size
-    if flag == 0:
-        if len(payload) != off:
-            raise WireError("accept-all verdict carries extra bytes")
+    seq_no, accepted, section = _verdict_fields(payload, 0)
+    if section is None:
         return Verdict(seq_no, accepted, None)
-    if flag != 1:
-        raise WireError(f"unknown verdict flag {flag}")
-    if len(payload) < off + 2:
-        raise WireError("truncated verdict payload")
-    (n,) = struct.unpack_from("<H", payload, off)
-    off += 2
-    if len(payload) != off + 8 * n:
-        raise WireError("verdict entry section length mismatch")
-    flat = _entries_struct(n).unpack_from(payload, off)
-    # The entry bytes fix the decoded entries exactly, so they key the
-    # edge's recovery cache (see SparseSteeringPayload).
-    entries = tuple(zip(flat[::2], flat[1::2]))
-    return Verdict(seq_no, accepted, SparseSteeringPayload(entries, payload[off:]))
+    return Verdict(seq_no, accepted, SparseSteeringPayload.from_wire(section))
 
 
 def encode_done(final_len: int, trailing_ids: Sequence[int] = ()) -> bytes:
@@ -254,6 +312,10 @@ def decode_done(payload: bytes) -> tuple[int, tuple[int, ...]]:
     if len(payload) != _DONE_FIXED.size + 4 * n:
         raise WireError("done payload length mismatch")
     return final_len, _ids_struct(n).unpack_from(payload, _DONE_FIXED.size)
+
+
+# The cloud's refusal: a DONE of length 0 (a finished session is never empty).
+_REFUSAL = encode_done(0, ())
 
 
 # ---------------------------------------------------------------------------
@@ -332,37 +394,138 @@ def simulated_pair(model: ChannelModel | None = None) -> tuple[QueueEndpoint, Qu
     return edge_end, cloud_end, counters
 
 
-class SocketEndpoint:
-    """Frame stream over a connected socket; frames are self-delimiting."""
+_TIMEVAL = struct.Struct("@ll")
 
-    def __init__(self, sock: socket.socket, timeout: float = DEFAULT_SOCKET_TIMEOUT) -> None:
-        sock.settimeout(timeout)
+
+def _timeval(seconds: float | None) -> bytes:
+    """``seconds`` as the ``struct timeval`` of SO_RCVTIMEO/SO_SNDTIMEO.
+    None is the zero timeval, which never times out, so a positive timeout
+    shorter than a microsecond rounds up to one."""
+    if seconds is None:
+        return _TIMEVAL.pack(0, 0)
+    if not seconds >= 0:
+        raise ValueError(f"timeout must be non-negative or None, not {seconds}")
+    return _TIMEVAL.pack(*divmod(max(1, math.ceil(seconds * 1_000_000)), 1_000_000))
+
+
+class SocketEndpoint:
+    """Frame stream over a connected socket; frames are self-delimiting.
+
+    The socket blocks in the kernel with ``timeout`` as its SO_RCVTIMEO and
+    SO_SNDTIMEO, so a frame that has arrived costs one ``recv_into``, into
+    a buffer the endpoint reuses and that keeps any bytes read past the
+    frame for the next one.  ``timeout`` is a deadline for each whole
+    frame, not for each read: after a partial read or write the kernel
+    timeout is re-armed with what is left of it, so a peer that trickles
+    bytes cannot stretch a frame.  A declared payload length is checked
+    against ``MAX_PAYLOAD`` before the buffer grows for it.  Timeouts raise
+    ``ChannelTimeoutError``.
+    """
+
+    BUFFER_BYTES = 4096
+
+    def __init__(
+        self, sock: socket.socket, timeout: float | None = DEFAULT_SOCKET_TIMEOUT
+    ) -> None:
+        if sock.gettimeout() is not None:
+            sock.settimeout(None)
         self._sock = sock
+        self._timeout = timeout
+        self._timeval = _timeval(timeout)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, self._timeval)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, self._timeval)
+        self._buf = bytearray(self.BUFFER_BYTES)
+        self._view = memoryview(self._buf)
+        # The unread bytes are _buf[_start:_end].
+        self._start = 0
+        self._end = 0
+
+    def _rearm(self, option: int, began: float) -> None:
+        """Set the kernel timeout ``option`` to what is left of the frame's
+        deadline, ``timeout`` after ``began``."""
+        if self._timeout is None:
+            return
+        left = began + self._timeout - monotonic()
+        if left <= 0:
+            raise ChannelTimeoutError(f"frame not completed within {self._timeout} s")
+        self._sock.setsockopt(socket.SOL_SOCKET, option, _timeval(left))
 
     def send_frame(self, frame: bytes) -> None:
-        self._sock.sendall(frame)
+        sock = self._sock
+        began = monotonic()
+        try:
+            sent = sock.send(frame)
+            if sent == len(frame):
+                return
+            view = memoryview(frame)
+            try:
+                while sent < len(frame):
+                    self._rearm(socket.SO_SNDTIMEO, began)
+                    sent += sock.send(view[sent:])
+            finally:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, self._timeval)
+        except BlockingIOError:
+            raise ChannelTimeoutError(f"frame not sent within {self._timeout} s") from None
 
-    def _recv_exact(self, n: int) -> bytes:
-        buf = bytearray()
-        while len(buf) < n:
-            chunk = self._sock.recv(n - len(buf))
-            if not chunk:
-                raise ChannelClosedError("peer closed the connection mid-frame")
-            buf.extend(chunk)
-        return bytes(buf)
+    def _make_room(self, need: int) -> None:
+        """Move the unread bytes to the front of the buffer, into a larger
+        one when ``need`` bytes would not fit.  ``need`` is at most a whole
+        frame whose declared length was checked against the cap, so this
+        bounds the buffer."""
+        start, end = self._start, self._end
+        buf = self._buf
+        if need > len(buf):
+            buf = bytearray(min(max(need, 2 * len(buf)), _HEADER.size + MAX_PAYLOAD))
+        buf[: end - start] = self._buf[start:end]
+        if buf is not self._buf:
+            self._buf, self._view = buf, memoryview(buf)
+        self._start, self._end = 0, end - start
 
     def recv_frame(self) -> bytes:
-        header = self._recv_exact(_HEADER.size)
-        magic, version, msg_type, payload_len = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise WireError("bad frame magic on stream")
-        if payload_len > MAX_PAYLOAD:
-            raise WireError(
-                f"declared payload length {payload_len} exceeds the largest legal payload "
-                f"({MAX_PAYLOAD} bytes)"
-            )
-        payload = self._recv_exact(payload_len) if payload_len else b""
-        return header + payload
+        began = None  # when the frame's first read began
+        rearmed = False
+        try:
+            while True:
+                start, end = self._start, self._end
+                size = _HEADER.size
+                if end - start >= size:
+                    magic, _, _, payload_len = _HEADER.unpack_from(self._buf, start)
+                    if magic != MAGIC:
+                        raise WireError("bad frame magic on stream")
+                    if payload_len > MAX_PAYLOAD:
+                        raise WireError(
+                            f"declared payload length {payload_len} exceeds the largest legal "
+                            f"payload ({MAX_PAYLOAD} bytes)"
+                        )
+                    size += payload_len
+                    if end - start >= size:
+                        break
+                if start + size > len(self._buf):
+                    self._make_room(size)
+                    end = self._end
+                # The frame's first read waits the whole timeout, each later
+                # one what is left of it.
+                if began is None:
+                    began = monotonic()
+                else:
+                    self._rearm(socket.SO_RCVTIMEO, began)
+                    rearmed = True
+                try:
+                    n = self._sock.recv_into(self._view[end:])
+                except BlockingIOError:
+                    raise ChannelTimeoutError(f"no whole frame within {self._timeout} s") from None
+                if not n:
+                    raise ChannelClosedError("peer closed the connection mid-frame")
+                self._end = end + n
+        finally:
+            if rearmed:
+                self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, self._timeval)
+        end = start + size
+        if end == self._end:
+            self._start = self._end = 0
+        else:
+            self._start = end
+        return bytes(self._view[start:end])
 
     def close(self) -> None:
         try:
@@ -399,13 +562,19 @@ class FrameLog:
 
     @staticmethod
     def read(path: str) -> list[tuple[int, bytes]]:
+        """Every (direction, frame) record; a log whose last record is cut
+        short raises ``WireError``."""
         records: list[tuple[int, bytes]] = []
         with open(path, "rb") as fh:
             blob = fh.read()
         off = 0
         while off < len(blob):
+            if off + FrameLog._REC.size > len(blob):
+                raise WireError(f"frame log ends in a truncated record header at byte {off}")
             direction, n = FrameLog._REC.unpack_from(blob, off)
             off += FrameLog._REC.size
+            if off + n > len(blob):
+                raise WireError(f"frame log ends in a truncated frame at byte {off}")
             records.append((direction, blob[off:off + n]))
             off += n
         return records
@@ -455,66 +624,125 @@ def run_edge(
         endpoint.send_frame(frame)
 
     def recv(expected_type: int) -> bytes:
+        """The next frame, once its header is checked and its type is
+        ``expected_type``."""
         nonlocal down_bytes
         frame = endpoint.recv_frame()
         down_bytes += len(frame)
         if frame_log is not None:
             frame_log.write(DIR_DOWN, frame)
-        msg_type, payload = decode_frame(frame)
+        msg_type = _frame_type(frame)
         if msg_type != expected_type:
             if msg_type == MSG_DONE:
                 raise HandshakeError("session refused by cloud")
             raise WireError(f"unexpected message type {msg_type}")
-        return payload
+        return frame
 
     send(encode_hello(config, vhash, prompt_ids))
-    ack_hash = decode_hello_ack(recv(MSG_HELLO))
+    ack_hash = decode_hello_ack(recv(MSG_HELLO)[_HEADER.size:])
     if ack_hash != vhash:
         raise HandshakeError("vocabulary hash mismatch in handshake ack")
 
+    clock = getattr(endpoint, "counters", None)
+    vocab_size, top_k = vocab.size, config.top_k
     traces: list[RoundTrace] = []
     while True:
-        batch = edge.next_draft()
-        if batch is None:
+        seq_no = edge.seq_no
+        tokens = edge.draft()
+        if tokens is None:
             trailing = [edge.pending_delta] if edge.pending_delta is not None else []
             send(encode_done(len(edge.committed), trailing))
             # The cloud acknowledges with its mirror length, and refuses with
             # a DONE of length 0; a finished session is never empty.
-            final_len, _ = decode_done(recv(MSG_DONE))
+            final_len, _ = decode_done(recv(MSG_DONE)[_HEADER.size:])
             if final_len != len(edge.committed):
                 raise HandshakeError("session refused by cloud")
             break
-        delta = edge.take_delta()
-        draft_frame = encode_draft(batch, delta)
+        draft_frame = _draft_frame(seq_no, tokens, edge.take_delta())
         send(draft_frame)
-        verdict_payload = recv(MSG_VERDICT)
-        verdict = decode_verdict(verdict_payload)
-        if verdict.recovery is not None:
-            check_steering_payload(verdict.recovery, vocab.size, config.top_k)
-        accepted, rec_token = edge.apply_verdict(verdict)
-        clock = getattr(endpoint, "counters", None)
+        verdict_frame = recv(MSG_VERDICT)
+        v_seq, accepted, section = _verdict_fields(verdict_frame, _HEADER.size)
+        accepted, rec_token = edge.apply(
+            v_seq, accepted,
+            None if section is None else WireSteeringPayload(section, vocab_size, top_k),
+        )
         traces.append(
             RoundTrace(
-                index=batch.seq_no,
-                drafted=batch.token_ids,
-                alphas=(),
-                accepted_count=accepted,
-                recovery_token=rec_token,
-                uplink_bytes=len(draft_frame),
-                downlink_bytes=len(verdict_payload) + _HEADER.size,
-                clock_ms=clock.clock_ms if clock is not None else 0.0,
+                seq_no, tokens, (), accepted, rec_token, len(draft_frame), len(verdict_frame),
+                clock.clock_ms if clock is not None else 0.0,
             )
         )
 
-    counters = getattr(endpoint, "counters", None)
     stats = EdgeStats(
         rounds=len(traces),
         uplink_bytes=up_bytes,
         downlink_bytes=down_bytes,
-        clock_ms=counters.clock_ms if counters is not None else 0.0,
+        clock_ms=clock.clock_ms if clock is not None else 0.0,
         traces=traces,
     )
     return edge.committed, stats
+
+
+class CloudSession:
+    """The cloud's side of one session as a function from frames to frames,
+    and the cloud's single entry point: ``handle`` takes an uplink frame and
+    returns the downlink frame that answers it.  ``run_cloud`` serves a
+    channel with it, and ``replay_cloud_log`` a logged uplink."""
+
+    def __init__(self, llm, slm_minus, vocab: Vocabulary) -> None:
+        self.llm = llm
+        self.slm_minus = slm_minus
+        self.vocab = vocab
+        self.vhash = vocab_hash64(vocab)
+        self.verifier: CloudVerifier | None = None
+        self.refused = False
+        # Set once the last frame of the session has been answered.
+        self.finished = False
+
+    def handle(self, frame: bytes) -> bytes:
+        """The answer to ``frame``: a handshake ack (or a refusal, for
+        another vocabulary), a verdict, or the DONE acknowledgement.  A
+        ``SpecSteerError`` ends the session, which its caller then refuses
+        with a DONE of length 0."""
+        msg_type = _frame_type(frame)
+        verifier = self.verifier
+        if msg_type == MSG_DRAFT and verifier is not None:
+            seq_no, tokens, delta = _draft_fields(frame, _HEADER.size, verifier.awaiting_delta)
+            accepted, payload = verifier.verify(seq_no, tokens, delta)
+            return _verdict_frame(seq_no, accepted, payload)
+        if self.finished:
+            raise WireError("frame after the session ended")
+        if verifier is None:
+            if msg_type != MSG_HELLO:
+                raise WireError("expected handshake frame")
+            config, peer_hash, prompt = decode_hello(frame[_HEADER.size:])
+            if peer_hash != self.vhash:
+                log.warning("refusing session: vocabulary hash mismatch")
+                self.refused = self.finished = True
+                return _REFUSAL
+            # Checks the handshake's config and prompt before acknowledging it.
+            self.verifier = CloudVerifier(config, self.llm, self.slm_minus, self.vocab, prompt)
+            return encode_hello_ack(self.vhash)
+        if msg_type != MSG_DONE:
+            raise WireError(f"unexpected message type {msg_type} mid-session")
+        final_len, trailing = decode_done(frame[_HEADER.size:])
+        verifier.finish(trailing)
+        mirror = verifier.mirror
+        if final_len != len(mirror):
+            raise WireError(f"edge reports length {final_len}, cloud mirror has {len(mirror)}")
+        self.finished = True
+        return encode_done(len(mirror), ())
+
+    def stats(self) -> CloudStats:
+        verifier = self.verifier
+        if verifier is None:
+            return CloudStats(refused=self.refused, rounds=0, traces=[], mirror=[])
+        return CloudStats(
+            refused=self.refused,
+            rounds=verifier.expected_seq,
+            traces=verifier.traces,
+            mirror=verifier.mirror,
+        )
 
 
 def run_cloud(
@@ -525,68 +753,29 @@ def run_cloud(
     frame_log: FrameLog | None = None,
 ) -> CloudStats:
     """Serve one session from the cloud side of a channel."""
-    vhash = vocab_hash64(vocab)
-
-    def send(frame: bytes) -> None:
-        if frame_log is not None:
-            frame_log.write(DIR_DOWN, frame)
-        endpoint.send_frame(frame)
-
-    def recv() -> tuple[int, bytes]:
-        frame = endpoint.recv_frame()
-        if frame_log is not None:
-            frame_log.write(DIR_UP, frame)
-        return decode_frame(frame)
-
-    try:
-        return _serve_session(send, recv, llm, slm_minus, vocab, vhash)
-    except SpecSteerError:
-        # Tell the edge the session is over before giving up on it.  The
-        # peer may already be gone, which is not a further error.
+    session = CloudSession(llm, slm_minus, vocab)
+    while not session.finished:
         try:
-            send(encode_done(0, ()))
-        except OSError:
-            pass
-        raise
-
-
-def _serve_session(send, recv, llm, slm_minus, vocab: Vocabulary, vhash: int) -> CloudStats:
-    msg_type, payload = recv()
-    if msg_type != MSG_HELLO:
-        raise WireError("expected handshake frame")
-    config, peer_hash, prompt = decode_hello(payload)
-    if peer_hash != vhash:
-        log.warning("refusing session: vocabulary hash mismatch")
-        send(encode_done(0, ()))
-        return CloudStats(refused=True, rounds=0, traces=[], mirror=[])
-    # Checks the handshake's config and prompt before acknowledging it.
-    verifier = CloudVerifier(config, llm, slm_minus, vocab, prompt)
-    send(encode_hello_ack(vhash))
-
-    while True:
-        msg_type, payload = recv()
-        if msg_type == MSG_DRAFT:
-            batch, delta = decode_draft(payload, expect_delta=verifier.awaiting_delta)
-            verdict = verifier.handle_draft(batch, delta)
-            send(encode_verdict(verdict))
-        elif msg_type == MSG_DONE:
-            final_len, trailing = decode_done(payload)
-            verifier.finish(trailing)
-            if final_len != len(verifier.mirror):
-                raise WireError(
-                    f"edge reports length {final_len}, cloud mirror has {len(verifier.mirror)}"
-                )
-            send(encode_done(len(verifier.mirror), ()))
-            break
-        else:
-            raise WireError(f"unexpected message type {msg_type} mid-session")
-
-    return CloudStats(
-        refused=False,
-        rounds=verifier.expected_seq,
-        traces=verifier.traces,
-        mirror=verifier.mirror,
-    )
+            frame = endpoint.recv_frame()
+            if frame_log is not None:
+                frame_log.write(DIR_UP, frame)
+            reply = session.handle(frame)
+        except SpecSteerError:
+            # Tell the edge the session is over before giving up on it.  The
+            # peer may already be gone, which is not a further error.
+            if frame_log is not None:
+                frame_log.write(DIR_DOWN, _REFUSAL)
+            try:
+                endpoint.send_frame(_REFUSAL)
+            except OSError:
+                pass
+            raise
+        if frame_log is not None:
+            frame_log.write(DIR_DOWN, reply)
+        # A send that fails leaves the stream broken, perhaps mid-frame, and
+        # the peer not reading: no refusal can follow it.
+        endpoint.send_frame(reply)
+    return session.stats()
 
 
 def run_simulated_session(
@@ -651,25 +840,58 @@ def serve_cloud_once(
     ready: threading.Event | None = None,
     bound: list | None = None,
 ) -> CloudStats:
-    """Accept one connection and serve one session."""
+    """Accept one connection, within ``DEFAULT_SOCKET_TIMEOUT`` seconds,
+    and serve one session."""
+    timeout = DEFAULT_SOCKET_TIMEOUT
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    server.bind(bind)
-    server.listen(1)
-    server.settimeout(DEFAULT_SOCKET_TIMEOUT)
-    if bound is not None:
-        bound.append(server.getsockname())
-    if ready is not None:
-        ready.set()
     try:
-        conn, _ = server.accept()
-        endpoint = SocketEndpoint(conn)
+        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        server.bind(bind)
+        server.listen(1)
+        # A blocking accept, bounded by the kernel's receive timeout.
+        server.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, _timeval(timeout))
+        if bound is not None:
+            bound.append(server.getsockname())
+        if ready is not None:
+            ready.set()
+        try:
+            conn, _ = server.accept()
+        except BlockingIOError:
+            raise ChannelTimeoutError(f"no connection within {timeout} s") from None
+        endpoint = SocketEndpoint(conn, timeout=timeout)
         try:
             return run_cloud(endpoint, llm, slm_minus, vocab, frame_log=frame_log)
         finally:
             endpoint.close()
     finally:
         server.close()
+
+
+def _connect(address: tuple[str, int], timeout: float | None) -> socket.socket:
+    """A TCP socket connected to ``address`` within ``timeout`` seconds.  A
+    numeric IPv4 host is connected to directly, without the resolver call
+    of ``create_connection``.  The connect keeps a timeout of its own:
+    CPython would poll a blocking socket's interrupted connect without
+    limit."""
+    host, port = address
+    try:
+        socket.inet_pton(socket.AF_INET, host)
+        numeric = True
+    except (OSError, TypeError):
+        numeric = False
+    try:
+        if not numeric:
+            return socket.create_connection(address, timeout=timeout)
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            sock.settimeout(timeout)
+            sock.connect((host, port))
+        except BaseException:
+            sock.close()
+            raise
+        return sock
+    except TimeoutError:
+        raise ChannelTimeoutError(f"connect to {host}:{port} took over {timeout} s") from None
 
 
 def run_edge_socket(
@@ -681,8 +903,7 @@ def run_edge_socket(
     frame_log: FrameLog | None = None,
     timeout: float = DEFAULT_SOCKET_TIMEOUT,
 ) -> tuple[list[int], EdgeStats]:
-    sock = socket.create_connection(connect, timeout=timeout)
-    endpoint = SocketEndpoint(sock, timeout=timeout)
+    endpoint = SocketEndpoint(_connect(connect, timeout), timeout=timeout)
     try:
         return run_edge(config, endpoint, drafter, vocab, prompt_ids, frame_log=frame_log)
     finally:
@@ -738,29 +959,29 @@ def scan_frame_log(path: str, forbidden: Iterable[bytes] = ()) -> list[str]:
 
 
 def replay_cloud_log(path: str, llm, slm_minus, vocab: Vocabulary) -> list[str]:
-    """Re-run the cloud state machine over the logged uplink frames and
-    compare the produced verdicts to the logged downlink, bit for bit."""
-    records = FrameLog.read(path)
+    """Serve the logged uplink frames again through the cloud's frame
+    handler and compare every answer (handshake ack, verdicts, the DONE
+    exchange, or a refusal) to the logged downlink, bit for bit.  A log may
+    hold several sessions one after another."""
     mismatches: list[str] = []
-    verifier: CloudVerifier | None = None
-    pending_verdicts: list[bytes] = []
-    for direction, frame in records:
-        msg_type, payload = decode_frame(frame)
+    answers: deque[bytes] = deque()
+    session: CloudSession | None = None
+    for idx, (direction, frame) in enumerate(FrameLog.read(path)):
         if direction == DIR_UP:
-            if msg_type == MSG_HELLO:
-                config, _, prompt = decode_hello(payload)
-                verifier = CloudVerifier(config, llm, slm_minus, vocab, prompt)
-            elif msg_type == MSG_DRAFT and verifier is not None:
-                batch, delta = decode_draft(payload, expect_delta=verifier.awaiting_delta)
-                verdict = verifier.handle_draft(batch, delta)
-                pending_verdicts.append(encode_verdict(verdict))
-        elif msg_type == MSG_VERDICT:
-            if not pending_verdicts:
-                mismatches.append("logged verdict without matching draft")
-                continue
-            expected = pending_verdicts.pop(0)
-            if expected != frame:
-                mismatches.append("replayed verdict differs from log")
-    if pending_verdicts:
-        mismatches.append(f"{len(pending_verdicts)} replayed verdicts missing from log")
+            if session is None:
+                session = CloudSession(llm, slm_minus, vocab)
+            try:
+                answers.append(session.handle(frame))
+            except SpecSteerError:
+                answers.append(_REFUSAL)
+                session = None
+            else:
+                if session.finished:
+                    session = None
+        elif not answers:
+            mismatches.append(f"frame {idx}: logged downlink frame answers no uplink frame")
+        elif answers.popleft() != frame:
+            mismatches.append(f"frame {idx}: replayed downlink frame differs from log")
+    if answers:
+        mismatches.append(f"{len(answers)} replayed downlink frames missing from log")
     return mismatches

@@ -506,6 +506,21 @@ class TestRunSession:
         with pytest.raises(ProtocolStateError):
             run_session(cfg, llm2, plus, minus, vocab, [0])
 
+    def test_views_check_the_shared_vocabulary(self):
+        # A drafter over 8 ids would draft ids the 4-token session vocabulary
+        # does not have; a cloud model over 7 would score ids it lacks.
+        rng = np.random.default_rng(19)
+        vocab, (llm, plus, minus) = random_table_triple(rng, 4)
+        _, (llm8, plus8, _) = random_table_triple(rng, 8)
+        cfg = ProtocolConfig(max_len=8, top_k=4)
+        with pytest.raises(ProtocolStateError, match="share the session vocabulary"):
+            EdgeSession(cfg, plus8, vocab, [1])
+        for pair in ((llm8, minus), (llm, plus8)):
+            with pytest.raises(ProtocolStateError, match="share the session vocabulary"):
+                CloudVerifier(cfg, *pair, vocab, [1])
+        EdgeSession(cfg, plus, vocab, [1])
+        CloudVerifier(cfg, llm, minus, vocab, [1])
+
     def test_session_stops_at_max_len(self):
         rng = np.random.default_rng(18)
         vocab, (llm, plus, minus) = random_table_triple(rng, 6)

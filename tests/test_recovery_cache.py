@@ -33,8 +33,10 @@ from specsteer.protocol import (
     CloudVerifier,
     EdgeEngine,
     EdgeSession,
+    ProtocolStateError,
     SparseSteeringPayload,
     Verdict,
+    WireSteeringPayload,
     build_steering_payload,
     cloud_engine,
     edge_engine,
@@ -194,6 +196,19 @@ def test_wire_payloads_that_differ_anywhere_do_not_share_a_state():
     for first, want in ((1.0, 0), (-1.0, 1), (1.0, 0)):
         payload = wire_payload(((0, first),) + rest)
         assert engine.recover(payload, [], drafter, 0.0, None, True) == want
+
+
+def test_cached_wire_bytes_are_checked_again_for_another_vocabulary():
+    # Ids 0-4 are in range at V=5, id 4 is not at V=4: the state cached for
+    # the same bytes at V=5 must not serve the V=4 recovery.
+    drafter = TailModel(5, 0, 8)
+    engine = EdgeEngine(drafter)
+    section = SparseSteeringPayload(((4, 1.0), (0, 0.5))).wire_entries
+    assert engine.recover(WireSteeringPayload(section, 5, 2), [], drafter, 0.0, None, True) == 4
+    with pytest.raises(ProtocolStateError, match="out of range"):
+        engine.recover(WireSteeringPayload(section, 4, 2), [], drafter, 0.0, None, True)
+    with pytest.raises(ProtocolStateError, match="top_k"):
+        WireSteeringPayload(section, 5, 1)
 
 
 def test_unkeyed_payload_is_not_cached():

@@ -2,6 +2,7 @@ import math
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,18 +10,21 @@ from hypothesis import given, settings, strategies as st
 
 from specsteer import transport
 from specsteer.core import ProtocolConfig, SequenceError, SpecSteerError, Vocabulary, validate_sequence
-from specsteer.models import ModelError, TableModel
+from specsteer.models import TableModel
 from specsteer.protocol import (
     DraftBatch,
+    EdgeSession,
     ProtocolStateError,
     SparseSteeringPayload,
     Verdict,
+    WireSteeringPayload,
     draft_frame_bytes,
     run_session,
     verdict_frame_bytes,
 )
 from specsteer.transport import (
     ChannelModel,
+    ChannelTimeoutError,
     FrameLog,
     HandshakeError,
     MAX_PAYLOAD,
@@ -393,6 +397,49 @@ class TestFrameLogs:
         vocab, llm, minus, path, _ = self._logged_session(tmp_path)
         assert replay_cloud_log(path, llm, minus, vocab) == []
 
+    def test_replay_checks_the_done_exchange(self, tmp_path):
+        vocab, llm, minus, path, _ = self._logged_session(tmp_path)
+        records = FrameLog.read(path)
+        assert records[-1][0] == DIR_DOWN and records[-1][1][5] == MSG_DONE
+        final_len, _ = decode_done(decode_frame(records[-1][1])[1])
+        tampered = str(tmp_path / "tampered.bin")
+        with FrameLog(tampered) as fl:
+            for direction, frame in records[:-1]:
+                fl.write(direction, frame)
+            fl.write(DIR_DOWN, encode_done(final_len + 1, ()))
+        assert len(replay_cloud_log(tampered, llm, minus, vocab)) == 1
+
+    def test_replay_matches_a_refused_session(self, tmp_path):
+        vocab, (llm, plus, minus) = random_table_triple(np.random.default_rng(51), 8)
+        cfg = ProtocolConfig(lam=0.8, max_len=24, top_k=8, seed=3)
+        path = str(tmp_path / "refused.bin")
+        a, b = socket.socketpair()
+        try:
+            with FrameLog(path) as fl:
+                thread, errors = in_thread(
+                    lambda: run_cloud(SocketEndpoint(a, timeout=5), llm, minus, vocab, fl))
+                edge_end = Tamper(
+                    SocketEndpoint(b, timeout=5), MSG_DRAFT, hostile_draft(cfg, vocab))
+                with pytest.raises(HandshakeError):
+                    run_edge(cfg, edge_end, plus, vocab, [0])
+                thread.join(timeout=5)
+                assert not thread.is_alive() and len(errors) == 1
+        finally:
+            a.close()
+            b.close()
+        assert FrameLog.read(path)[-1] == (DIR_DOWN, encode_done(0, ()))
+        assert replay_cloud_log(path, llm, minus, vocab) == []
+
+    @pytest.mark.parametrize("blob", [
+        b"\x00\x01\x02",                                    # cut inside a record header
+        struct.pack("<BI", DIR_UP, 16) + encode_done(1)[:4],  # cut inside a frame
+    ])
+    def test_truncated_log_is_a_wire_error(self, tmp_path, blob):
+        path = tmp_path / "cut.bin"
+        path.write_bytes(blob)
+        with pytest.raises(WireError, match="truncated"):
+            scan_frame_log(str(path))
+
     def test_replay_detects_tampering(self, tmp_path):
         vocab, llm, minus, path, _ = self._logged_session(tmp_path)
         records = FrameLog.read(path)
@@ -498,6 +545,107 @@ class TestSocketHardening:
         with pytest.raises(TimeoutError):
             serve_cloud_once(("127.0.0.1", 0), llm, minus, vocab)
 
+    @pytest.mark.parametrize("timeout", [0.2, 1e-9])
+    def test_recv_times_out(self, timeout):
+        # A zero timeval would block forever: a timeout under a microsecond
+        # must still fire.
+        a, b = socket.socketpair()
+        try:
+            thread, errors = in_thread(SocketEndpoint(b, timeout=timeout).recv_frame)
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            assert len(errors) == 1 and isinstance(errors[0], ChannelTimeoutError)
+        finally:
+            a.close()
+            b.close()
+
+    def test_trickling_peer_hits_the_frame_deadline(self):
+        # One byte every 0.1 s would reset a per-read timeout of 0.35 s for
+        # the whole 1.6 s the frame takes.
+        frame = encode_done(1)
+        a, b = socket.socketpair()
+
+        def trickle():
+            for i in range(len(frame)):
+                a.sendall(frame[i:i + 1])
+                time.sleep(0.1)
+
+        try:
+            thread, _ = in_thread(trickle)
+            began = time.monotonic()
+            with pytest.raises(ChannelTimeoutError):
+                SocketEndpoint(b, timeout=0.35).recv_frame()
+            assert time.monotonic() - began < 1.0
+            thread.join(timeout=5)
+        finally:
+            a.close()
+            b.close()
+
+    def test_send_times_out(self):
+        # Nobody reads b, so the socket buffers fill and the send stalls.
+        frame = encode_verdict(Verdict(0, 0, SparseSteeringPayload(
+            tuple((i, 0.5) for i in range(0xFFFF)))))
+        a, b = socket.socketpair()
+        try:
+            endpoint = SocketEndpoint(a, timeout=0.2)
+            began = time.monotonic()
+            with pytest.raises(ChannelTimeoutError):
+                for _ in range(8):
+                    endpoint.send_frame(frame)
+            assert time.monotonic() - began < 3.0
+        finally:
+            a.close()
+            b.close()
+
+    def test_connect_times_out(self):
+        # A listener that accepts nothing: once its queue is full, the
+        # handshake of the next connection never completes.
+        server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        held: list = []
+        try:
+            server.bind(("127.0.0.1", 0))
+            server.listen(0)
+            with pytest.raises(ChannelTimeoutError):
+                for _ in range(16):
+                    held.append(transport._connect(server.getsockname(), 0.2))
+        finally:
+            for sock in held:
+                sock.close()
+            server.close()
+
+    def test_cloud_send_timeout_is_not_followed_by_a_refusal(self):
+        # An edge that reads nothing: the ack cannot be sent, and a refusal
+        # after it would wait out a second timeout on the same full buffer.
+        vocab, (llm, _, minus) = random_table_triple(np.random.default_rng(0), 4)
+        a, b = socket.socketpair()
+        try:
+            b.sendall(encode_hello(ProtocolConfig(max_len=8, top_k=4), vocab_hash64(vocab), [0]))
+            a.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                while True:
+                    a.send(b"\0" * 4096)
+            began = time.monotonic()
+            with pytest.raises(ChannelTimeoutError):
+                run_cloud(SocketEndpoint(a, timeout=0.5), llm, minus, vocab)
+            assert time.monotonic() - began < 0.85
+        finally:
+            a.close()
+            b.close()
+
+    def test_stalled_edge_gets_the_refusal(self):
+        vocab, (llm, _, minus) = random_table_triple(np.random.default_rng(0), 4)
+        cfg = ProtocolConfig(max_len=8, top_k=4)
+        a, b = socket.socketpair()
+        try:
+            b.sendall(encode_hello(cfg, vocab_hash64(vocab), [0]))
+            with pytest.raises(ChannelTimeoutError):
+                run_cloud(SocketEndpoint(a, timeout=0.2), llm, minus, vocab)
+            a.shutdown(socket.SHUT_WR)
+            assert read_frames(b) == [encode_hello_ack(vocab_hash64(vocab)), encode_done(0, ())]
+        finally:
+            a.close()
+            b.close()
+
 
 def hostile_hello(cfg, vocab):
     return lambda payload: encode_hello(cfg, vocab_hash64(vocab), [0, 10**6])
@@ -552,14 +700,14 @@ class TestCloudRefusal:
             b.close()
 
     def test_cloud_error_surfaces_in_simulated_session(self):
-        # The cloud's generalist knows fewer ids than the session uses, so
-        # scoring the prompt raises on the cloud.
+        # The cloud's generalist has another vocabulary than the session,
+        # so the cloud refuses the handshake.
         rng = np.random.default_rng(52)
         vocab, (_, plus, minus) = random_table_triple(rng, 8)
         p = rng.dirichlet(np.ones(6))
         llm = TableModel(make_vocab(6), {(): p, (0,): p})
         cfg = ProtocolConfig(lam=0.8, max_len=24, top_k=8, seed=3)
-        with pytest.raises(ModelError):
+        with pytest.raises(ProtocolStateError, match="share the session vocabulary"):
             run_simulated_session(cfg, llm, plus, minus, vocab, [6])
 
 
@@ -647,6 +795,24 @@ class TestEdgeVerdictIngest:
         finally:
             a.close()
             b.close()
+
+    def test_refused_payload_leaves_the_edge_as_it_was(self):
+        vocab = make_vocab(8)
+        # Never drafts eos, so a draft has horizon_k = 4 ids.
+        plus = TableModel(vocab, {(): [0.25] * 4 + [0.0] * 4})
+        edge = EdgeSession(ProtocolConfig(max_len=24, top_k=4), plus, vocab, [0])
+        tokens = edge.draft()
+        assert len(tokens) == 4
+
+        def payload(entries):
+            section = SparseSteeringPayload(entries).wire_entries
+            return WireSteeringPayload(section, vocab.size, 4)
+
+        with pytest.raises(ProtocolStateError, match="out of range"):
+            edge.apply(0, 2, payload(((8, 0.5),)))
+        assert edge.committed == [0] and edge.seq_no == 0
+        assert edge.apply(0, 2, payload(((1, 0.5),))) == (2, 1)
+        assert edge.committed == [0, *tokens[:2], 1]
 
 
 class TestDeadCloud:
@@ -846,3 +1012,175 @@ class TestUplinkFuzz:
         cfg, _, _ = decode_hello(decode_frame(frames[0])[1])
         validate_sequence(stats.mirror, FUZZ_VOCAB, cfg.max_len)
         assert final_len == len(stats.mirror)
+
+
+# ---------------------------------------------------------------------------
+# Downlink fuzzing
+# ---------------------------------------------------------------------------
+
+_honest_downlinks: dict = {}
+
+
+def honest_downlink(seed: int, lam: float, top_k: int, max_len: int) -> list[bytes]:
+    """The downlink frames (HELLO ack, VERDICTs, DONE) of an honest cloud's
+    session against an honest edge, over a socketpair."""
+    key = (seed, lam, top_k, max_len)
+    if key not in _honest_downlinks:
+        llm, plus, minus = FUZZ_MODELS
+        frames: list[bytes] = []
+
+        class Recorder(SocketEndpoint):
+            def send_frame(self, frame):
+                frames.append(frame)
+                super().send_frame(frame)
+
+        a, b = socket.socketpair()
+        try:
+            thread, errors = in_thread(
+                lambda: run_cloud(Recorder(a, timeout=5), llm, minus, FUZZ_VOCAB))
+            run_edge(downlink_config(*key), SocketEndpoint(b, timeout=5), plus, FUZZ_VOCAB, [0])
+            thread.join(timeout=5)
+            assert not thread.is_alive() and not errors
+        finally:
+            a.close()
+            b.close()
+        _honest_downlinks[key] = frames
+    return list(_honest_downlinks[key])
+
+
+def downlink_config(seed: int, lam: float, top_k: int, max_len: int) -> ProtocolConfig:
+    return ProtocolConfig(lam=lam, horizon_k=3, top_k=top_k, max_len=max_len, seed=seed)
+
+
+def verdict_bytes(seq: int, accepted: int, entries) -> bytes:
+    """A verdict frame packed field by field, so that any entries, none
+    among them, can be sent."""
+    payload = struct.pack("<IHB", seq, accepted, 0 if entries is None else 1)
+    if entries is not None:
+        payload += struct.pack("<H", len(entries))
+        payload += b"".join(struct.pack("<If", i, x) for i, x in entries)
+    return encode_frame(MSG_VERDICT, payload)
+
+
+hostile_entries = st.one_of(
+    st.none(),
+    st.just(()),
+    st.lists(st.tuples(st.integers(0, FUZZ_VOCAB.size + 1),
+                       st.sampled_from([0.5, -2.0, 0.0, math.inf, math.nan])),
+             min_size=1, max_size=9).map(tuple),
+)
+
+
+@st.composite
+def mutated_downlink(draw) -> tuple[list[bytes], tuple]:
+    """An honest session's downlink with one frame mutated: raw bytes
+    flipped, cut or appended, a frame dropped or repeated, or a frame
+    re-encoded with another hash, seq, accepted count, entries or length."""
+    params = (
+        draw(st.integers(0, 40), label="seed"),
+        draw(st.sampled_from([0.3, 3.0]), label="lam"),
+        draw(st.sampled_from([2, 8]), label="top_k"),
+        draw(st.integers(2, 10), label="max_len"),
+    )
+    frames = honest_downlink(*params)
+    kind = draw(st.sampled_from(["flip", "cut", "append", "drop", "repeat", MSG_HELLO,
+                                 MSG_VERDICT, MSG_DONE]), label="kind")
+    if kind in (MSG_HELLO, MSG_VERDICT, MSG_DONE):
+        i = draw(st.sampled_from([j for j, f in enumerate(frames) if f[5] == kind]))
+    else:
+        i = draw(st.integers(0, len(frames) - 1), label="frame")
+    frame = frames[i]
+    msg_type, payload = decode_frame(frame)
+    if kind == "flip":
+        pos = draw(st.integers(0, len(frame) - 1))
+        frames[i] = frame[:pos] + bytes([draw(st.integers(0, 255))]) + frame[pos + 1:]
+    elif kind == "cut":
+        frames[i] = frame[: draw(st.integers(0, len(frame) - 1))]
+    elif kind == "append":
+        frames[i] = frame + draw(st.binary(min_size=1, max_size=12))
+    elif kind == "drop":
+        del frames[i]
+    elif kind == "repeat":
+        frames.insert(i, frame)
+    elif msg_type == MSG_HELLO:
+        frames[i] = encode_hello_ack(draw(st.sampled_from([0, decode_hello_ack(payload) ^ 1])))
+    elif msg_type == MSG_VERDICT:
+        v = decode_verdict(payload)
+        entries = v.recovery.entries if v.recovery is not None else None
+        frames[i] = verdict_bytes(
+            draw(st.sampled_from([v.seq_no, v.seq_no + 1, 0])),
+            draw(st.sampled_from([v.accepted_count, 0, v.accepted_count + 1, 0xFFFF])),
+            draw(st.one_of(st.just(entries), hostile_entries)),
+        )
+    else:
+        final_len, _ = decode_done(payload)
+        frames[i] = encode_done(draw(st.sampled_from([final_len + 1, 0, final_len])),
+                                draw(ids_strategy))
+    return frames, params
+
+
+def edge_against(frames: list[bytes], params: tuple, drip: bool = False):
+    """``run_edge`` against a cloud that sends ``frames`` whatever the edge
+    says: all at once in one send, or, with ``drip``, a few bytes per send."""
+    a, b = socket.socketpair()
+    stream = b"".join(frames)
+
+    def drip_feed():
+        for i in range(0, len(stream), 3):
+            a.sendall(stream[i:i + 3])
+            time.sleep(0.0005)
+        a.shutdown(socket.SHUT_WR)
+
+    try:
+        if drip:
+            thread, errors = in_thread(drip_feed)
+        else:
+            a.sendall(stream)
+            # The half-close ends any frame the mutation cut short.
+            a.shutdown(socket.SHUT_WR)
+        committed, _ = run_edge(downlink_config(*params), SocketEndpoint(b, timeout=5),
+                                FUZZ_MODELS[1], FUZZ_VOCAB, [0])
+        if drip:
+            thread.join(timeout=5)
+            assert not thread.is_alive() and not errors
+        return committed
+    finally:
+        a.close()
+        b.close()
+
+
+class TestDownlinkFuzz:
+    """Mutated downlink frames from an honest cloud end in a typed error
+    on the edge or in a completed session whose committed sequence is
+    valid."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(case=mutated_downlink())
+    def test_refused_or_valid(self, case):
+        frames, params = case
+        try:
+            committed = edge_against(frames, params)
+        except SpecSteerError:
+            return
+        validate_sequence(committed, FUZZ_VOCAB, params[3])
+
+    @pytest.mark.parametrize("drip", [False, True])
+    def test_coalesced_or_split_frames(self, drip):
+        # Every downlink frame of a session in one send, so reads run past
+        # frame ends; or each frame split over many sends, so frames arrive
+        # in pieces.
+        params = (7, 3.0, 8, 10)
+        llm, plus, minus = FUZZ_MODELS
+        ref, traces = run_session(downlink_config(*params), llm, plus, minus, FUZZ_VOCAB, [0])
+        assert len(traces) > 1 and any(t.recovery_token is not None for t in traces)
+        assert edge_against(honest_downlink(*params), params, drip=drip) == ref
+
+    def test_cached_entry_bytes_are_checked_again_under_a_smaller_top_k(self):
+        # The honest session at top_k 8 leaves its 8-entry payloads in the
+        # drafter's recovery cache; the same verdict bytes sent to a session
+        # at top_k 4 must still be refused.
+        params = (7, 3.0, 8, 10)
+        frames = honest_downlink(*params)
+        assert any(f[5] == MSG_VERDICT and len(f) == verdict_frame_bytes(8) for f in frames)
+        with pytest.raises(ProtocolStateError, match="top_k"):
+            edge_against(frames, (7, 3.0, 4, 10))
