@@ -539,6 +539,29 @@ class TestSocketHardening:
             a.close()
             b.close()
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(0, 20_000), min_size=1, max_size=6),
+        chunk=st.integers(1, 9000),
+    )
+    def test_stream_reassembles_frames(self, sizes, chunk):
+        # Frames of any size, read from a stream cut at arbitrary points:
+        # reads run past frame ends and the buffer grows with unread bytes
+        # in it.
+        frames = [encode_frame(MSG_DONE, bytes([i % 251]) * n) for i, n in enumerate(sizes)]
+        stream = b"".join(frames)
+        a, b = socket.socketpair()
+        try:
+            thread, errors = in_thread(
+                lambda: [a.sendall(stream[i:i + chunk]) for i in range(0, len(stream), chunk)])
+            endpoint = SocketEndpoint(b, timeout=1)
+            assert [endpoint.recv_frame() for _ in frames] == frames
+            thread.join(timeout=5)
+            assert not thread.is_alive() and not errors
+        finally:
+            a.close()
+            b.close()
+
     def test_accept_times_out(self, monkeypatch):
         monkeypatch.setattr(transport, "DEFAULT_SOCKET_TIMEOUT", 0.05)
         vocab, (llm, _, minus) = random_table_triple(np.random.default_rng(0), 4)
