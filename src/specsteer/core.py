@@ -10,6 +10,7 @@ the two-process transport consume identical random numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
@@ -155,10 +156,10 @@ class ProtocolConfig:
     exact_z: bool = False
 
     def validate(self, vocab_size: int | None = None) -> None:
-        if not self.lam > 0:
-            raise ConfigError("lambda must be > 0")
-        if self.beta < 0:
-            raise ConfigError("beta must be >= 0")
+        if not (self.lam > 0 and math.isfinite(self.lam)):
+            raise ConfigError("lambda must be finite and > 0")
+        if not (self.beta >= 0 and math.isfinite(self.beta)):
+            raise ConfigError("beta must be finite and >= 0")
         if self.horizon_k < 1:
             raise ConfigError("horizon_k must be >= 1")
         if self.top_k < 1:

@@ -7,8 +7,10 @@ verdicts.  The draft, scan and commit logic exists once, as the cores of a
 (its seed aside), validated once and memoized.  ``run_session`` runs the
 cores in one flat loop in-process; the transport module drives the
 checked state machines ``EdgeSession`` and ``CloudVerifier``, thin views
-over the same cores, across a byte channel, so the two execution modes are
-equivalent by construction (same random streams, same draw order).
+over the same cores, through frames: over a socket, or over the simulated
+channel, which calls the cloud's frame handler directly in one thread.  So
+the execution modes are equivalent by construction (same random streams,
+same draw order).
 
 Models are scored from the tail of the history that their ``window``
 covers, so a round costs O(K + window) whatever the history length.  Token
@@ -130,6 +132,8 @@ class RoundTrace:
     recovery_token: int | None
     uplink_bytes: int
     downlink_bytes: int
+    # Modeled time of this round in ms, filled by ``metrics.apply_clock``;
+    # 0.0 until then.
     clock_ms: float = 0.0
 
 

@@ -3,11 +3,14 @@
 Frames are little-endian: 4-byte magic ``SPST``, version byte, message
 type byte, u32 payload length, payload.  The uplink carries token ids and
 handshake configuration only; steering values (IEEE-754 binary32) appear
-exclusively in downlink verdicts.  Two interchangeable channel backends
-exist: an in-process simulated channel with a latency/bandwidth clock,
-and a length-delimited byte stream over a local socket.  Both drive the
-same state machines from the protocol module, so committed sequences are
-identical for identical seeds.
+exclusively in downlink verdicts.  Two channel backends exist: a
+length-delimited byte stream over a local socket, and a simulated channel
+that is the socket path minus the socket: ``run_edge`` over an endpoint
+that answers each frame at once by calling the cloud's frame handler in
+the caller's thread.  Both run the same edge loop and the same frame
+handler, so their frames, and the committed sequences, are identical for
+identical seeds.  Modeled channel time is not kept here:
+``metrics.round_time_ms`` computes it from a round's byte counts.
 
 The endpoint loops read draft and verdict frames in place.  The cloud's
 frame handler (``CloudSession.handle``) hands a draft's ids to
@@ -23,12 +26,11 @@ import functools
 import hashlib
 import logging
 import math
-import queue
 import socket
 import struct
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import monotonic
 from typing import Iterable, Sequence
 
@@ -325,7 +327,8 @@ _REFUSAL = encode_done(0, ())
 
 @dataclass
 class ChannelModel:
-    """Simulated link: one-way latency plus serialization delay."""
+    """Modeled link: one-way latency plus serialization delay, for
+    ``metrics.round_time_ms``."""
 
     one_way_latency_ms: float = 0.0
     bandwidth_bps: float = float("inf")
@@ -336,62 +339,6 @@ class ChannelModel:
 
     def transfer_ms(self, nbytes: int) -> float:
         return self.one_way_latency_ms + 1000.0 * nbytes / self.bandwidth_bps
-
-
-@dataclass
-class ChannelCounters:
-    up_bytes: int = 0
-    down_bytes: int = 0
-    clock_ms: float = 0.0
-    lock: threading.Lock = field(default_factory=threading.Lock)
-
-
-class QueueEndpoint:
-    """One end of the deterministic in-process channel."""
-
-    def __init__(
-        self,
-        tx: "queue.Queue[bytes | None]",
-        rx: "queue.Queue[bytes | None]",
-        direction: int,
-        model: ChannelModel,
-        counters: ChannelCounters,
-    ) -> None:
-        self._tx = tx
-        self._rx = rx
-        self._direction = direction
-        self._model = model
-        self.counters = counters
-
-    def send_frame(self, frame: bytes) -> None:
-        with self.counters.lock:
-            if self._direction == DIR_UP:
-                self.counters.up_bytes += len(frame)
-            else:
-                self.counters.down_bytes += len(frame)
-            self.counters.clock_ms += self._model.transfer_ms(len(frame))
-        self._tx.put(frame)
-
-    def recv_frame(self) -> bytes:
-        frame = self._rx.get()
-        if frame is None:
-            raise ChannelClosedError("peer closed the channel")
-        return frame
-
-    def close(self) -> None:
-        """Wake the peer: once it has read every frame sent before this,
-        its next ``recv_frame`` raises ``ChannelClosedError``."""
-        self._tx.put(None)
-
-
-def simulated_pair(model: ChannelModel | None = None) -> tuple[QueueEndpoint, QueueEndpoint, ChannelCounters]:
-    model = model or ChannelModel()
-    up: "queue.Queue[bytes | None]" = queue.Queue()
-    down: "queue.Queue[bytes | None]" = queue.Queue()
-    counters = ChannelCounters()
-    edge_end = QueueEndpoint(up, down, DIR_UP, model, counters)
-    cloud_end = QueueEndpoint(down, up, DIR_DOWN, model, counters)
-    return edge_end, cloud_end, counters
 
 
 _TIMEVAL = struct.Struct("@ll")
@@ -590,7 +537,6 @@ class EdgeStats:
     rounds: int
     uplink_bytes: int
     downlink_bytes: int
-    clock_ms: float
     traces: list[RoundTrace]
 
 
@@ -643,7 +589,6 @@ def run_edge(
     if ack_hash != vhash:
         raise HandshakeError("vocabulary hash mismatch in handshake ack")
 
-    clock = getattr(endpoint, "counters", None)
     vocab_size, top_k = vocab.size, config.top_k
     traces: list[RoundTrace] = []
     while True:
@@ -666,19 +611,12 @@ def run_edge(
             v_seq, accepted,
             None if section is None else WireSteeringPayload(section, vocab_size, top_k),
         )
-        traces.append(
-            RoundTrace(
-                seq_no, tokens, (), accepted, rec_token, len(draft_frame), len(verdict_frame),
-                clock.clock_ms if clock is not None else 0.0,
-            )
-        )
+        traces.append(RoundTrace(
+            seq_no, tokens, (), accepted, rec_token, len(draft_frame), len(verdict_frame)
+        ))
 
     stats = EdgeStats(
-        rounds=len(traces),
-        uplink_bytes=up_bytes,
-        downlink_bytes=down_bytes,
-        clock_ms=clock.clock_ms if clock is not None else 0.0,
-        traces=traces,
+        rounds=len(traces), uplink_bytes=up_bytes, downlink_bytes=down_bytes, traces=traces
     )
     return edge.committed, stats
 
@@ -686,8 +624,11 @@ def run_edge(
 class CloudSession:
     """The cloud's side of one session as a function from frames to frames,
     and the cloud's single entry point: ``handle`` takes an uplink frame and
-    returns the downlink frame that answers it.  ``run_cloud`` serves a
-    channel with it, and ``replay_cloud_log`` a logged uplink."""
+    returns the downlink frame that answers it.  ``answer`` adds the one
+    rule for errors: a ``SpecSteerError`` ends the session with the DONE
+    refusal, logged on the downlink.  ``run_cloud`` serves a channel with
+    it, ``DirectEndpoint`` the simulated channel, and ``replay_cloud_log`` a
+    logged uplink."""
 
     def __init__(self, llm, slm_minus, vocab: Vocabulary) -> None:
         self.llm = llm
@@ -698,11 +639,13 @@ class CloudSession:
         self.refused = False
         # Set once the last frame of the session has been answered.
         self.finished = False
+        # The error that ended the session, if one did.
+        self.error: SpecSteerError | None = None
 
     def handle(self, frame: bytes) -> bytes:
         """The answer to ``frame``: a handshake ack (or a refusal, for
         another vocabulary), a verdict, or the DONE acknowledgement.  A
-        ``SpecSteerError`` ends the session, which its caller then refuses
+        ``SpecSteerError`` ends the session, which ``answer`` then refuses
         with a DONE of length 0."""
         msg_type = _frame_type(frame)
         verifier = self.verifier
@@ -733,6 +676,29 @@ class CloudSession:
         self.finished = True
         return encode_done(len(mirror), ())
 
+    def answer(self, frame: bytes, frame_log: FrameLog | None = None) -> bytes:
+        """``handle``'s answer to ``frame``, or the refusal if it raises a
+        ``SpecSteerError``.  A log gets ``frame`` on its uplink and the
+        answer on its downlink."""
+        if frame_log is not None:
+            frame_log.write(DIR_UP, frame)
+        try:
+            reply = self.handle(frame)
+        except SpecSteerError as exc:
+            return self.refuse(exc, frame_log)
+        if frame_log is not None:
+            frame_log.write(DIR_DOWN, reply)
+        return reply
+
+    def refuse(self, error: SpecSteerError, frame_log: FrameLog | None = None) -> bytes:
+        """End the session on ``error``, kept in ``self.error``, and return
+        the refusal, a DONE of length 0, logged on the downlink."""
+        self.error = error
+        self.finished = True
+        if frame_log is not None:
+            frame_log.write(DIR_DOWN, _REFUSAL)
+        return _REFUSAL
+
     def stats(self) -> CloudStats:
         verifier = self.verifier
         if verifier is None:
@@ -752,30 +718,46 @@ def run_cloud(
     vocab: Vocabulary,
     frame_log: FrameLog | None = None,
 ) -> CloudStats:
-    """Serve one session from the cloud side of a channel."""
+    """Serve one session from the cloud side of a channel.  A session that
+    ends in an error is refused, and the error raised."""
     session = CloudSession(llm, slm_minus, vocab)
     while not session.finished:
         try:
             frame = endpoint.recv_frame()
-            if frame_log is not None:
-                frame_log.write(DIR_UP, frame)
-            reply = session.handle(frame)
-        except SpecSteerError:
-            # Tell the edge the session is over before giving up on it.  The
-            # peer may already be gone, which is not a further error.
-            if frame_log is not None:
-                frame_log.write(DIR_DOWN, _REFUSAL)
-            try:
-                endpoint.send_frame(_REFUSAL)
-            except OSError:
-                pass
-            raise
-        if frame_log is not None:
-            frame_log.write(DIR_DOWN, reply)
-        # A send that fails leaves the stream broken, perhaps mid-frame, and
-        # the peer not reading: no refusal can follow it.
-        endpoint.send_frame(reply)
+        except SpecSteerError as exc:
+            reply = session.refuse(exc, frame_log)
+        else:
+            reply = session.answer(frame, frame_log)
+        try:
+            endpoint.send_frame(reply)
+        except OSError:
+            # Once refused, the peer may already be gone, which is not a
+            # further error.  Any other send that fails leaves the stream
+            # broken, perhaps mid-frame, and the peer not reading: no
+            # refusal can follow it.
+            if session.error is None:
+                raise
+        if session.error is not None:
+            raise session.error
     return session.stats()
+
+
+class DirectEndpoint:
+    """The edge's end of the simulated channel.  The protocol is strict
+    request/response, so ``send_frame`` has the cloud's frame handler answer
+    the frame at once, in the caller's thread, and the next ``recv_frame``
+    returns that answer."""
+
+    def __init__(self, session: CloudSession, frame_log: FrameLog | None = None) -> None:
+        self._session = session
+        self._log = frame_log
+        self._answer = b""
+
+    def send_frame(self, frame: bytes) -> None:
+        self._answer = self._session.answer(frame, self._log)
+
+    def recv_frame(self) -> bytes:
+        return self._answer
 
 
 def run_simulated_session(
@@ -785,45 +767,24 @@ def run_simulated_session(
     slm_minus,
     vocab: Vocabulary,
     prompt_ids: Sequence[int],
-    channel: ChannelModel | None = None,
     edge_log: FrameLog | None = None,
     cloud_log: FrameLog | None = None,
 ) -> tuple[list[int], EdgeStats, CloudStats]:
-    """Edge and cloud over the in-process channel (cloud on a thread)."""
-    edge_end, cloud_end, _ = simulated_pair(channel)
-    result: dict[str, CloudStats] = {}
-    errors: list[BaseException] = []
-
-    def cloud_main() -> None:
-        try:
-            result["stats"] = run_cloud(cloud_end, llm, slm_minus, vocab, frame_log=cloud_log)
-        except BaseException as exc:  # surfaced to the caller below
-            errors.append(exc)
-        finally:
-            # However the cloud ends, an edge waiting for a frame wakes up.
-            cloud_end.close()
-
-    thread = threading.Thread(target=cloud_main, daemon=True)
-    thread.start()
+    """Edge and cloud over the simulated channel: ``run_edge`` over a
+    ``DirectEndpoint``, in the caller's thread.  A session the cloud ended
+    on an error raises that error, the more specific one, instead of the
+    edge's view of the refusal."""
+    cloud = CloudSession(llm, slm_minus, vocab)
     try:
-        try:
-            committed, edge_stats = run_edge(
-                config, edge_end, slm_plus, vocab, prompt_ids, frame_log=edge_log
-            )
-        finally:
-            # Likewise a cloud still waiting for a frame, so its thread ends.
-            edge_end.close()
-            thread.join(timeout=DEFAULT_SOCKET_TIMEOUT)
+        committed, edge_stats = run_edge(
+            config, DirectEndpoint(cloud, cloud_log), slm_plus, vocab, prompt_ids,
+            frame_log=edge_log,
+        )
     except WireError:
-        # A refusal or a closed channel: the cloud ended the session, and its
-        # error is the more specific one, unless all it saw was this edge
-        # closing the channel.
-        if errors and not isinstance(errors[0], ChannelClosedError):
-            raise errors[0] from None
+        if cloud.error is not None:
+            raise cloud.error from None
         raise
-    if errors:
-        raise errors[0]
-    return committed, edge_stats, result["stats"]
+    return committed, edge_stats, cloud.stats()
 
 
 # ---------------------------------------------------------------------------
@@ -923,7 +884,6 @@ def scan_frame_log(path: str, forbidden: Iterable[bytes] = ()) -> list[str]:
     forbidden byte patterns (e.g. raw private-document text)."""
     forbidden = [f for f in forbidden if f]
     violations: list[str] = []
-    hello_seen = False
     for idx, (direction, frame) in enumerate(FrameLog.read(path)):
         try:
             msg_type, payload = decode_frame(frame)
@@ -936,12 +896,10 @@ def scan_frame_log(path: str, forbidden: Iterable[bytes] = ()) -> list[str]:
             violations.append(f"frame {idx}: uplink carries message type {msg_type}")
             continue
         try:
+            # Every uplink HELLO is a handshake: a log may hold several
+            # sessions, and acks travel only on the downlink.
             if msg_type == MSG_HELLO:
-                if hello_seen:
-                    decode_hello_ack(payload)
-                else:
-                    decode_hello(payload)
-                    hello_seen = True
+                decode_hello(payload)
             elif msg_type == MSG_DRAFT:
                 try:
                     decode_draft(payload, expect_delta=False)
@@ -970,14 +928,9 @@ def replay_cloud_log(path: str, llm, slm_minus, vocab: Vocabulary) -> list[str]:
         if direction == DIR_UP:
             if session is None:
                 session = CloudSession(llm, slm_minus, vocab)
-            try:
-                answers.append(session.handle(frame))
-            except SpecSteerError:
-                answers.append(_REFUSAL)
+            answers.append(session.answer(frame))
+            if session.finished:
                 session = None
-            else:
-                if session.finished:
-                    session = None
         elif not answers:
             mismatches.append(f"frame {idx}: logged downlink frame answers no uplink frame")
         elif answers.popleft() != frame:

@@ -1,7 +1,10 @@
+import csv
 import json
+import threading
 
 import pytest
 
+from specsteer import cli
 from specsteer.cli import (
     DEFAULT_CONFIG,
     build_world,
@@ -11,6 +14,7 @@ from specsteer.cli import (
 )
 from specsteer.core import ConfigError, ROLE_DRAFT, stream
 from specsteer.protocol import autoregressive_decode
+from specsteer.transport import replay_cloud_log, scan_frame_log
 
 TINY_GENERALIST = """\
 we ordered the pizza
@@ -220,3 +224,66 @@ class TestOracleCommand:
         p_star = sum(float(r[5]) for r in rows)
         # Report shows the top 16 tokens only; most mass should be there.
         assert p_star > 0.5
+
+
+def trace_rows(path):
+    """The rows of a trace.csv under its header, as dicts."""
+    lines = path.read_text().splitlines()
+    return list(csv.DictReader(lines[1:]))
+
+
+class TestSocketCommands:
+    def test_two_sessions_into_one_out_dir(self, tmp_path, capsys, monkeypatch):
+        path = write_tiny_config(tmp_path)
+        out = tmp_path / "wire"
+        # serve-cloud binds port 0; the wrapper reports the port it got.
+        ready, bound = threading.Event(), []
+        serve = cli.serve_cloud_once
+        monkeypatch.setattr(
+            cli, "serve_cloud_once",
+            lambda *args, **kw: serve(*args, ready=ready, bound=bound, **kw),
+        )
+        codes = []
+        for _ in range(2):
+            ready.clear()
+            bound.clear()
+            served: list = []
+            thread = threading.Thread(target=lambda: served.append(
+                main(["--config", str(path), "--out", str(out), "serve-cloud",
+                      "--bind", "127.0.0.1:0"])))
+            thread.start()
+            try:
+                assert ready.wait(10)
+                host, port = bound[0]
+                codes.append(main(["--config", str(path), "--out", str(out), "run-edge",
+                                   "--connect", f"{host}:{port}"]))
+            finally:
+                thread.join(timeout=10)
+            assert not thread.is_alive()
+            codes.extend(served)
+        assert codes == [0, 0, 0, 0]
+        edge_text = [line for line in capsys.readouterr().out.splitlines()
+                     if not line.startswith("served ")]
+        assert len(edge_text) == 2 and edge_text[0] == edge_text[1]
+
+        # The in-process run of the same config: same text, and the same
+        # trace rows but for the mean alpha, which only the cloud knows.
+        ref = tmp_path / "ref"
+        assert main(["--config", str(path), "--out", str(ref), "run"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == edge_text[0]
+        cfg = load_config(path)
+        cfg.out_dir = out
+        header = (out / "trace.csv").read_text().splitlines()[0]
+        assert header == f"# config_hash={config_hash(cfg)}"
+        wire_rows, ref_rows = trace_rows(out / "trace.csv"), trace_rows(ref / "trace.csv")
+        assert wire_rows and all(row["alpha"] == "" for row in wire_rows)
+        assert [{**row, "alpha": ""} for row in ref_rows] == wire_rows
+        assert all(float(row["clock_ms"]) > 0 for row in wire_rows)
+
+        # Both frame logs hold the two sessions, one after the other.
+        for name in ("cloud_frames.bin", "edge_frames.bin"):
+            assert scan_frame_log(str(out / name)) == []
+        world = build_world(cfg)
+        assert replay_cloud_log(
+            str(out / "cloud_frames.bin"), world.llm, world.slm_minus, world.vocab) == []
+        assert (out / "cloud_frames.bin").read_bytes() == (out / "edge_frames.bin").read_bytes()

@@ -104,6 +104,10 @@ class TestProtocolConfig:
             {"lam": 0.0},
             {"lam": -1.0},
             {"beta": -0.5},
+            {"lam": float("nan")},
+            {"lam": float("inf")},
+            {"beta": float("nan")},
+            {"beta": float("inf")},
             {"horizon_k": 0},
             {"top_k": 0},
             {"max_len": 0},

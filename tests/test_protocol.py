@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from specsteer.core import (
+    ConfigError,
     ProtocolConfig,
     ROLE_DRAFT,
     SequenceError,
@@ -450,6 +451,14 @@ class TestRecoverPick:
 
 
 class TestRunSession:
+    @pytest.mark.parametrize("field", ["lam", "beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_config_refused(self, field, value):
+        vocab, (llm, plus, minus) = random_table_triple(np.random.default_rng(11), 6)
+        cfg = ProtocolConfig(**{"max_len": 8, "top_k": 6, field: value})
+        with pytest.raises(ConfigError, match="finite"):
+            run_session(cfg, llm, plus, minus, vocab, [0])
+
     def test_tiny_lambda_equals_pure_drafter(self):
         rng = np.random.default_rng(12)
         vocab, (llm, plus, minus) = random_table_triple(rng, 6)

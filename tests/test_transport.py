@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specsteer import transport
-from specsteer.core import ProtocolConfig, SequenceError, SpecSteerError, Vocabulary, validate_sequence
+from specsteer.core import (
+    ConfigError,
+    ProtocolConfig,
+    SequenceError,
+    SpecSteerError,
+    Vocabulary,
+    validate_sequence,
+)
 from specsteer.models import TableModel
 from specsteer.protocol import (
     DraftBatch,
@@ -25,6 +32,8 @@ from specsteer.protocol import (
 from specsteer.transport import (
     ChannelModel,
     ChannelTimeoutError,
+    CloudSession,
+    DirectEndpoint,
     FrameLog,
     HandshakeError,
     MAX_PAYLOAD,
@@ -54,7 +63,6 @@ from specsteer.transport import (
     run_simulated_session,
     scan_frame_log,
     serve_cloud_once,
-    simulated_pair,
     SocketEndpoint,
     vocab_hash64,
 )
@@ -278,16 +286,6 @@ class TestChannel:
         with pytest.raises(WireError):
             ChannelModel(bandwidth_bps=0.0)
 
-    def test_counters_accumulate(self):
-        edge_end, cloud_end, counters = simulated_pair(
-            ChannelModel(one_way_latency_ms=1.0, bandwidth_bps=1e6)
-        )
-        edge_end.send_frame(b"x" * 10)
-        cloud_end.send_frame(b"y" * 20)
-        assert counters.up_bytes == 10
-        assert counters.down_bytes == 20
-        assert counters.clock_ms == pytest.approx(2.0 + 1000.0 * 30 / 1e6)
-
 
 class TestSimulatedEqualsInProcess:
     def test_committed_and_traces_match(self):
@@ -319,39 +317,74 @@ class TestSimulatedEqualsInProcess:
         assert sizes[0] == sizes[1]
 
 
+def serve_uplink(frames, llm, minus, vocab, log_path):
+    """``run_cloud`` over a socketpair on the given uplink frames, with a
+    cloud frame log at ``log_path``.  Returns the cloud's error, or None,
+    and the downlink frames an edge would read."""
+    a, b = socket.socketpair()
+    try:
+        b.sendall(b"".join(frames))
+        b.shutdown(socket.SHUT_WR)
+        error = None
+        with FrameLog(log_path) as fl:
+            try:
+                run_cloud(SocketEndpoint(a, timeout=5), llm, minus, vocab, fl)
+            except SpecSteerError as exc:
+                error = exc
+        a.shutdown(socket.SHUT_WR)
+        return error, read_frames(b)
+    finally:
+        a.close()
+        b.close()
+
+
 class TestHandshake:
-    def test_vocab_mismatch_refused(self):
+    def test_vocab_mismatch_refused(self, tmp_path):
         rng = np.random.default_rng(33)
         vocab_a, (_, plus, _) = random_table_triple(rng, 6)
         vocab_b, (llm_b, _, minus_b) = random_table_triple(rng, 7)
-        edge_end, cloud_end, _ = simulated_pair()
-        out = {}
-
-        def cloud_main():
-            out["stats"] = run_cloud(cloud_end, llm_b, minus_b, vocab_b)
-
-        thread = threading.Thread(target=cloud_main, daemon=True)
-        thread.start()
+        cloud = CloudSession(llm_b, minus_b, vocab_b)
         cfg = ProtocolConfig(max_len=8, top_k=6)
-        with pytest.raises(HandshakeError):
-            run_edge(cfg, edge_end, plus, vocab_a, [0])
-        thread.join(timeout=10)
-        assert out["stats"].refused
+        path = str(tmp_path / "cloud.bin")
+        with FrameLog(path) as fl:
+            with pytest.raises(HandshakeError):
+                run_edge(cfg, DirectEndpoint(cloud, fl), plus, vocab_a, [0])
+        assert cloud.stats().refused and cloud.error is None
+        # No ack: the only downlink frame is the DONE refusal.
+        assert [r for r in FrameLog.read(path) if r[0] == DIR_DOWN] == [
+            (DIR_DOWN, encode_done(0, ()))
+        ]
 
     @pytest.mark.parametrize("prompt", [[0, 6], [5, 1]])
-    def test_bad_prompt_not_acknowledged(self, prompt):
+    def test_bad_prompt_not_acknowledged(self, tmp_path, prompt):
         # Out of range, and a token after eos (id 5): checked before the ack.
         rng = np.random.default_rng(34)
         vocab, (llm, _, minus) = random_table_triple(rng, 6)
-        edge_end, cloud_end, counters = simulated_pair()
         cfg = ProtocolConfig(max_len=8, top_k=6)
-        edge_end.send_frame(encode_hello(cfg, vocab_hash64(vocab), prompt))
-        with pytest.raises(SequenceError):
-            run_cloud(cloud_end, llm, minus, vocab)
+        hello = encode_hello(cfg, vocab_hash64(vocab), prompt)
+        path = str(tmp_path / "cloud.bin")
+        error, down = serve_uplink([hello], llm, minus, vocab, path)
+        assert isinstance(error, SequenceError)
         # No ack: the only downlink frame is the DONE refusal.
         refusal = encode_done(0, ())
-        assert counters.down_bytes == len(refusal)
-        assert edge_end.recv_frame() == refusal
+        assert down == [refusal]
+        assert FrameLog.read(path) == [(DIR_UP, hello), (DIR_DOWN, refusal)]
+
+    @pytest.mark.parametrize("field, value", [
+        ("lam", math.nan), ("lam", math.inf), ("beta", math.nan), ("beta", math.inf),
+    ])
+    def test_non_finite_config_not_acknowledged(self, tmp_path, field, value):
+        rng = np.random.default_rng(35)
+        vocab, (llm, _, minus) = random_table_triple(rng, 6)
+        cfg = ProtocolConfig(**{"max_len": 8, "top_k": 6, field: value})
+        hello = encode_hello(cfg, vocab_hash64(vocab), [0])
+        with pytest.raises(ConfigError, match="finite"):
+            CloudSession(llm, minus, vocab).handle(hello)
+        path = str(tmp_path / "cloud.bin")
+        error, down = serve_uplink([hello], llm, minus, vocab, path)
+        assert isinstance(error, ConfigError)
+        assert down == [encode_done(0, ())]
+        assert FrameLog.read(path) == [(DIR_UP, hello), (DIR_DOWN, encode_done(0, ()))]
 
 
 class TestFrameLogs:
@@ -369,6 +402,29 @@ class TestFrameLogs:
     def test_scan_clean_log(self, tmp_path):
         _, _, _, path, _ = self._logged_session(tmp_path)
         assert scan_frame_log(path) == []
+
+    def test_scan_clean_two_session_log(self, tmp_path):
+        # FrameLog appends, so runs into one out dir leave several sessions
+        # in one log.
+        vocab, (llm, plus, minus) = random_table_triple(np.random.default_rng(5), 8)
+        path = str(tmp_path / "cloud_frames.bin")
+        for seed in (5, 6):
+            cfg = ProtocolConfig(lam=0.8, max_len=24, top_k=8, seed=seed)
+            with FrameLog(path) as fl:
+                run_simulated_session(cfg, llm, plus, minus, vocab, [0], cloud_log=fl)
+        assert sum(1 for d, f in FrameLog.read(path) if d == DIR_UP and f[5] == MSG_HELLO) == 2
+        assert scan_frame_log(path) == []
+        assert replay_cloud_log(path, llm, minus, vocab) == []
+
+    def test_scan_flags_ack_on_uplink(self, tmp_path):
+        path = str(tmp_path / "ack.bin")
+        vocab = make_vocab(8)
+        with FrameLog(path) as fl:
+            fl.write(DIR_UP, encode_hello(ProtocolConfig(top_k=8), vocab_hash64(vocab), [0]))
+            fl.write(DIR_DOWN, encode_hello_ack(vocab_hash64(vocab)))
+            fl.write(DIR_UP, encode_hello_ack(vocab_hash64(vocab)))
+        violations = scan_frame_log(path)
+        assert len(violations) == 1 and violations[0].startswith("frame 2: malformed uplink")
 
     def test_scan_flags_values_on_uplink(self, tmp_path):
         path = str(tmp_path / "bad.bin")
@@ -475,6 +531,74 @@ class TestSocketMode:
         thread.join(timeout=10)
         assert committed == ref
         assert out["stats"].mirror == ref
+
+
+def socket_session(cfg, models, vocab, prompt, edge_log, cloud_log):
+    """``run_edge`` against ``run_cloud`` over a socketpair, each with its
+    frame log.  Returns the edge's error and the cloud's, or None."""
+    llm, plus, minus = models
+    a, b = socket.socketpair()
+    try:
+        thread, errors = in_thread(
+            lambda: run_cloud(SocketEndpoint(a, timeout=5), llm, minus, vocab, cloud_log))
+        edge_error = None
+        try:
+            run_edge(cfg, SocketEndpoint(b, timeout=5), plus, vocab, prompt, frame_log=edge_log)
+        except SpecSteerError as exc:
+            edge_error = exc
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        return edge_error, (errors[0] if errors else None)
+    finally:
+        a.close()
+        b.close()
+
+
+class TestBackendFrameLogs:
+    """The simulated channel is the socket path minus the socket: a
+    session's edge and cloud frame logs are byte-equal over both, every
+    frame counted, a refused session's included."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, "refused"])
+    def test_simulated_logs_equal_socket_logs(self, tmp_path, monkeypatch, seed):
+        rng = np.random.default_rng(71)
+        vocab, (llm, plus, minus) = random_table_triple(rng, 8)
+        cfg = ProtocolConfig(lam=0.8, horizon_k=3, max_len=24, top_k=8,
+                             seed=7 if seed == "refused" else seed)
+        if seed == "refused":
+            # A generalist over another vocabulary: the cloud refuses the
+            # handshake with a ProtocolStateError.
+            p = rng.dirichlet(np.ones(6))
+            llm = TableModel(make_vocab(6), {(): p, (0,): p})
+
+        def logs(name, run):
+            paths = [str(tmp_path / f"{name}_{side}.bin") for side in ("edge", "cloud")]
+            with FrameLog(paths[0]) as el, FrameLog(paths[1]) as cl:
+                errors = run(el, cl)
+            return [FrameLog.read(path) for path in paths], errors
+
+        def simulated(el, cl):
+            with monkeypatch.context() as m:
+                m.setattr(threading.Thread, "start", no_thread)
+                try:
+                    run_simulated_session(cfg, llm, plus, minus, vocab, [0],
+                                          edge_log=el, cloud_log=cl)
+                except SpecSteerError as exc:
+                    return exc
+            return None
+
+        sim_logs, sim_error = logs("sim", simulated)
+        sock_logs, (edge_error, cloud_error) = logs(
+            "sock", lambda el, cl: socket_session(cfg, (llm, plus, minus), vocab, [0], el, cl))
+        assert sim_logs == sock_logs
+        if seed == "refused":
+            assert isinstance(edge_error, HandshakeError)
+            assert type(sim_error) is type(cloud_error) is ProtocolStateError
+            assert sim_logs[1][-1] == (DIR_DOWN, encode_done(0, ())) and len(sim_logs[1]) == 2
+        else:
+            assert sim_error is edge_error is cloud_error is None
+            # HELLO, ack, at least one draft and verdict, and the DONE exchange.
+            assert len(sim_logs[0]) >= 6
 
 
 class Tamper:
@@ -839,9 +963,10 @@ class TestEdgeVerdictIngest:
 
 
 class TestDeadCloud:
-    def test_model_error_surfaces_instead_of_hanging(self):
+    def test_model_error_surfaces_instead_of_hanging(self, monkeypatch):
         # A cloud whose generalist raises something other than a
-        # SpecSteerError sends no refusal; the edge must still wake up.
+        # SpecSteerError sends no refusal; its error reaches the caller
+        # straight from the frame handler, with no thread to wait on.
         class BrokenModel(TableModel):
             def next_token_logits(self, history):
                 raise RuntimeError("generalist crashed")
@@ -850,24 +975,13 @@ class TestDeadCloud:
         vocab, (llm, plus, minus) = random_table_triple(rng, 8)
         broken = BrokenModel(vocab, {(): llm.next_token_probs([])})
         cfg = ProtocolConfig(lam=0.8, max_len=24, top_k=8, seed=3)
-        outcome: list[BaseException] = []
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        with pytest.raises(RuntimeError, match="generalist crashed"):
+            run_simulated_session(cfg, broken, plus, minus, vocab, [1])
 
-        def edge() -> None:
-            try:
-                run_simulated_session(cfg, broken, plus, minus, vocab, [1])
-            except BaseException as exc:
-                outcome.append(exc)
-
-        thread = threading.Thread(target=edge, daemon=True)
-        thread.start()
-        thread.join(timeout=10)
-        assert not thread.is_alive(), "edge still waiting on a dead cloud"
-        assert len(outcome) == 1 and isinstance(outcome[0], RuntimeError)
-        assert "generalist crashed" in str(outcome[0])
-
-    def test_edge_error_ends_the_cloud_thread(self):
-        # The edge's own error wins over the cloud's view of the closed
-        # channel, and the cloud thread does not outlive the session.
+    def test_edge_error_surfaces_without_a_thread(self, monkeypatch):
+        # The edge's own error reaches the caller, and the simulated session
+        # runs the cloud in the caller's thread: it starts none.
         class BrokenDrafter(TableModel):
             def next_token_cdf(self, history):
                 raise RuntimeError("drafter crashed")
@@ -878,10 +992,13 @@ class TestDeadCloud:
         vocab, (llm, plus, minus) = random_table_triple(rng, 8)
         broken = BrokenDrafter(vocab, {(): plus.next_token_probs([])})
         cfg = ProtocolConfig(lam=0.8, max_len=24, top_k=8, seed=3)
-        before = set(threading.enumerate())
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         with pytest.raises(RuntimeError, match="drafter crashed"):
             run_simulated_session(cfg, llm, broken, minus, vocab, [1])
-        assert set(threading.enumerate()) <= before
+
+
+def no_thread(self):
+    raise AssertionError("the simulated session started a thread")
 
 
 # ---------------------------------------------------------------------------
