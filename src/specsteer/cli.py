@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -402,8 +403,8 @@ def cmd_oracle(cfg: ExperimentConfig, history_tokens: list[str]) -> int:
 
 def _parse_hostport(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise ConfigError(f"expected HOST:PORT, got {text!r}")
+    if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise ConfigError(f"expected HOST:PORT with a port of at most 65535, got {text!r}")
     return host, int(port)
 
 
@@ -411,8 +412,14 @@ def cmd_serve_cloud(cfg: ExperimentConfig, bind: str) -> int:
     world = build_world(cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     log_path = cfg.out_dir / "cloud_frames.bin"
+    # Printed before the accept, so that an edge can learn a port 0 bind.
+    bound: list = []
+    announce = SimpleNamespace(set=lambda: print("listening on %s:%d" % bound[0], flush=True))
     with FrameLog(str(log_path)) as flog:
-        stats = serve_cloud_once(_parse_hostport(bind), world.llm, world.slm_minus, world.vocab, frame_log=flog)
+        stats = serve_cloud_once(
+            _parse_hostport(bind), world.llm, world.slm_minus, world.vocab,
+            frame_log=flog, ready=announce, bound=bound,
+        )
     if stats.refused:
         print("session refused: vocabulary hash mismatch", file=sys.stderr)
         return 1

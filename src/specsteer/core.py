@@ -208,9 +208,17 @@ class _PhiloxKey(ISeedSequence):
         self._words = (key & _U64_MASK, key >> 64)
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
+        # Philox passes the scalar type itself; np.dtype() only for others.
+        if n_words != 2 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError("a Philox key is two 64-bit words")
         return np.array(self._words, dtype=np.uint64)
+
+
+# Philox copies its start counter into its own state.  Handing it this
+# array skips the conversion of its default, the int 0, which costs about as
+# much as the rest of the construction.
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_ZERO_COUNTER.flags.writeable = False
 
 
 def stream(seed: int, role: int) -> np.random.Generator:
@@ -222,7 +230,7 @@ def stream(seed: int, role: int) -> np.random.Generator:
     stream equals ``Generator(Philox(key=key))``.
     """
     key = ((role + 1) << 64) | (seed & _U64_MASK)
-    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=_ZERO_COUNTER))
 
 
 # A stream serves its first SCALAR_DRAWS uniforms with one scalar
@@ -238,8 +246,11 @@ SCALAR_DRAWS = 4
 UNIFORM_BLOCK = 64
 
 
-def _uniforms(generator: np.random.Generator) -> Iterator[float]:
-    draw = generator.random
+def _uniforms(seed: int, role: int) -> Iterator[float]:
+    # A generator's body runs at its first next(), so the Philox stream is
+    # built at the first draw: a stream a session never draws from (the
+    # recovery stream of a session with no rejection) costs nothing.
+    draw = stream(seed, role).random
     for _ in range(SCALAR_DRAWS):
         yield draw()
     while True:
@@ -247,24 +258,23 @@ def _uniforms(generator: np.random.Generator) -> Iterator[float]:
 
 
 class UniformStream:
-    """The uniforms of one Philox stream, served from blocks after the
+    """The uniforms of ``stream(seed, role)``, served from blocks after the
     first few.
 
     ``random()`` returns the same floats, in the same order, as successive
-    ``generator.random()`` calls, at a fraction of the cost of a NumPy call
-    per draw.  The generator runs up to a block ahead of what has been
-    served, so draw only through this object.
+    ``stream(seed, role).random()`` calls, at a fraction of the cost of a
+    NumPy call per draw.  The Philox stream is built at the first draw.
     """
 
     __slots__ = ("random",)
 
-    def __init__(self, generator: np.random.Generator) -> None:
-        self.random: Callable[[], float] = _uniforms(generator).__next__
+    def __init__(self, seed: int, role: int) -> None:
+        self.random: Callable[[], float] = _uniforms(seed, role).__next__
 
 
 def uniform_stream(seed: int, role: int) -> UniformStream:
     """Block-served uniforms of ``stream(seed, role)``."""
-    return UniformStream(stream(seed, role))
+    return UniformStream(seed, role)
 
 
 @dataclass

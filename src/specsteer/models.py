@@ -80,12 +80,32 @@ def _check_history(history: Sequence[int], size: int) -> None:
             raise _unknown_id(i, size)
 
 
+class _Row:
+    """The rows of one window: its probs, logits and CDF.  An
+    ``NGramModel`` fills each on first use, so a model scored only through
+    logits keeps no probability row or CDF; a ``TableModel`` fills all
+    three when it is built."""
+
+    __slots__ = ("probs", "logits", "cdf")
+
+    def __init__(
+        self,
+        probs: np.ndarray | None = None,
+        logits: np.ndarray | None = None,
+        cdf: list[float] | None = None,
+    ) -> None:
+        self.probs = probs
+        self.logits = logits
+        self.cdf = cdf
+
+
 class TableModel:
     """History-window lookup table over windows of 0, 1, or 2 tokens.
 
     Missing histories fall back to the empty-window row, which must be
     present.  Rows are validated distributions; probs, logits, and CDFs
-    are cached per row so sessions can query in tight loops.
+    are kept in one record per window so sessions can query in tight
+    loops.
     """
 
     def __init__(
@@ -102,30 +122,39 @@ class TableModel:
         if self.window > 2:
             raise ModelError("TableModel windows are limited to 2 tokens")
         self._vsize = vocab.size
-        self._probs = {k: check_distribution(v, vocab.size) for k, v in rows.items()}
-        self._logits = {k: np.log(np.maximum(p, PROB_FLOOR)) for k, p in self._probs.items()}
-        self._cdfs = {k: p.cumsum().tolist() for k, p in self._probs.items()}
+        self._rows: dict[tuple[int, ...], _Row] = {}
+        for k, v in rows.items():
+            p = check_distribution(v, vocab.size)
+            self._rows[k] = _Row(p, np.log(np.maximum(p, PROB_FLOOR)), p.cumsum().tolist())
+        self._root = self._rows[()]
+        # The nonzero window lengths that have rows, longest first: the
+        # only suffixes of a history worth a probe.
+        self._lengths = sorted({len(k) for k in rows if k}, reverse=True)
 
-    def _row(self, history: Sequence[int]) -> tuple[int, ...]:
-        """Key of the longest stored window ``history`` ends in, after
+    def _row(self, history: Sequence[int]) -> _Row:
+        """Record of the longest stored window ``history`` ends in, after
         checking every id in ``history``."""
-        _check_history(history, self._vsize)
+        size = self._vsize
+        for i in history:
+            if not 0 <= i < size:
+                raise _unknown_id(i, size)
         n = len(history)
-        for m in range(self.window if self.window < n else n, -1, -1):
-            key = tuple(history[n - m:])
-            if key in self._probs:
-                return key
-        return ()
+        for m in self._lengths:
+            if m <= n:
+                row = self._rows.get(tuple(history[n - m:]))
+                if row is not None:
+                    return row
+        return self._root
 
     def next_token_probs(self, history: Sequence[int]) -> np.ndarray:
-        return self._probs[self._row(history)]
+        return self._row(history).probs
 
     def next_token_logits(self, history: Sequence[int]) -> np.ndarray:
-        return self._logits[self._row(history)]
+        return self._row(history).logits
 
     def next_token_cdf(self, history: Sequence[int]) -> list[float]:
         """Cached cumulative distribution; lets samplers skip the cumsum."""
-        return self._cdfs[self._row(history)]
+        return self._row(history).cdf
 
 
 # An NGramModel keeps the rows of at most this many windows and drops the
@@ -134,18 +163,6 @@ class TableModel:
 # benchmark workload recomputes a row; at V=102 a full generalist cache of
 # logit rows holds about 15 MB.
 ROW_CACHE_SIZE = 16384
-
-
-class _Row:
-    """The cached rows of one window, each filled on first use: a model
-    scored only through logits keeps no probability row or CDF."""
-
-    __slots__ = ("probs", "logits", "cdf")
-
-    def __init__(self) -> None:
-        self.probs: np.ndarray | None = None
-        self.logits: np.ndarray | None = None
-        self.cdf: list[float] | None = None
 
 
 class NGramModel:

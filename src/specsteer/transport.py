@@ -334,7 +334,9 @@ class ChannelModel:
     bandwidth_bps: float = float("inf")
 
     def __post_init__(self) -> None:
-        if self.one_way_latency_ms < 0 or self.bandwidth_bps <= 0:
+        # Written so that NaN fails both checks; an infinite bandwidth is
+        # the default and means no serialization delay.
+        if not (0 <= self.one_way_latency_ms < math.inf and self.bandwidth_bps > 0):
             raise WireError("invalid channel parameters")
 
     def transfer_ms(self, nbytes: int) -> float:
@@ -802,7 +804,9 @@ def serve_cloud_once(
     bound: list | None = None,
 ) -> CloudStats:
     """Accept one connection, within ``DEFAULT_SOCKET_TIMEOUT`` seconds,
-    and serve one session."""
+    and serve one session.  Once the socket listens, its address is
+    appended to ``bound`` and then ``ready.set()`` is called (``ready`` may
+    be any object with a ``set()`` method)."""
     timeout = DEFAULT_SOCKET_TIMEOUT
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:

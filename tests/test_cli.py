@@ -1,6 +1,9 @@
 import csv
 import json
-import threading
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -226,44 +229,77 @@ class TestOracleCommand:
         assert p_star > 0.5
 
 
+class TestBadInputsExitOne:
+    @pytest.mark.parametrize("key, value", [
+        ("channel.latency_ms", "nan"),
+        ("channel.latency_ms", "inf"),
+        ("channel.bandwidth_bps", "nan"),
+    ])
+    def test_non_finite_channel(self, tmp_path, capsys, key, value):
+        path = write_tiny_config(tmp_path, **{key: value})
+        out = tmp_path / "o"
+        assert main(["--config", str(path), "--out", str(out), "run"]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid channel parameters")
+        assert not (out / "trace.csv").exists()
+
+    def test_infinite_bandwidth_is_no_serialization_delay(self, tmp_path, capsys):
+        path = write_tiny_config(tmp_path, **{"channel.bandwidth_bps": "inf"})
+        assert load_config(path).channel.transfer_ms(10**6) == 0.0
+
+    @pytest.mark.parametrize("address", [
+        "127.0.0.1:65536", "127.0.0.1:99999", "127.0.0.1:", ":80",
+        pytest.param("127.0.0.1:\N{SUPERSCRIPT TWO}", id="non-ascii-digit"),
+    ])
+    @pytest.mark.parametrize("command", ["serve-cloud --bind", "run-edge --connect"])
+    def test_bad_address(self, tmp_path, capsys, command, address):
+        path = write_tiny_config(tmp_path)
+        args = ["--config", str(path), "--out", str(tmp_path / "o"), *command.split(), address]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: expected HOST:PORT") and "Traceback" not in err
+
+
 def trace_rows(path):
     """The rows of a trace.csv under its header, as dicts."""
     lines = path.read_text().splitlines()
     return list(csv.DictReader(lines[1:]))
 
 
+def serve_cloud_child(path, out):
+    """``specsteer serve-cloud --bind 127.0.0.1:0`` in a child process."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.Popen(
+        [sys.executable, "-m", "specsteer.cli", "--config", str(path), "--out", str(out),
+         "serve-cloud", "--bind", "127.0.0.1:0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+
+
 class TestSocketCommands:
-    def test_two_sessions_into_one_out_dir(self, tmp_path, capsys, monkeypatch):
+    def test_two_sessions_into_one_out_dir(self, tmp_path, capsys):
         path = write_tiny_config(tmp_path)
         out = tmp_path / "wire"
-        # serve-cloud binds port 0; the wrapper reports the port it got.
-        ready, bound = threading.Event(), []
-        serve = cli.serve_cloud_once
-        monkeypatch.setattr(
-            cli, "serve_cloud_once",
-            lambda *args, **kw: serve(*args, ready=ready, bound=bound, **kw),
-        )
         codes = []
         for _ in range(2):
-            ready.clear()
-            bound.clear()
-            served: list = []
-            thread = threading.Thread(target=lambda: served.append(
-                main(["--config", str(path), "--out", str(out), "serve-cloud",
-                      "--bind", "127.0.0.1:0"])))
-            thread.start()
-            try:
-                assert ready.wait(10)
-                host, port = bound[0]
-                codes.append(main(["--config", str(path), "--out", str(out), "run-edge",
-                                   "--connect", f"{host}:{port}"]))
-            finally:
-                thread.join(timeout=10)
-            assert not thread.is_alive()
-            codes.extend(served)
-        assert codes == [0, 0, 0, 0]
-        edge_text = [line for line in capsys.readouterr().out.splitlines()
-                     if not line.startswith("served ")]
+            # serve-cloud binds port 0 and prints the address it got before
+            # it accepts; the edge connects to that address.
+            with serve_cloud_child(path, out) as child:
+                try:
+                    first = child.stdout.readline()
+                    assert first.startswith("listening on 127.0.0.1:"), first
+                    address = first.split()[-1]
+                    codes.append(main(["--config", str(path), "--out", str(out), "run-edge",
+                                       "--connect", address]))
+                    rest, err = child.communicate(timeout=30)
+                except BaseException:
+                    child.kill()
+                    raise
+            assert child.returncode == 0, err
+            assert rest.startswith("served ")
+        assert codes == [0, 0]
+        edge_text = capsys.readouterr().out.splitlines()
         assert len(edge_text) == 2 and edge_text[0] == edge_text[1]
 
         # The in-process run of the same config: same text, and the same

@@ -28,7 +28,9 @@ from specsteer.core import (
     uniform_stream,
     validate_sequence,
 )
-from specsteer.protocol import run_session
+from specsteer import core
+from specsteer.protocol import CloudVerifier, EdgeSession, run_session
+from specsteer.transport import run_simulated_session
 
 from conftest import random_table_triple
 
@@ -266,3 +268,88 @@ class TestUniformStream:
                     == run_session(cfg, llm, plus, minus, vocab, [0], streams=scalar))
         for role in ("draft", "verify", "recovery"):
             assert getattr(served, role).random() == getattr(scalar, role).random()
+
+
+ROLES = (ROLE_DRAFT, ROLE_VERIFY, ROLE_RECOVERY)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The roles of the Philox streams built while the test runs, in order."""
+    roles = []
+    real = core.stream
+
+    def counted(seed, role):
+        roles.append(role)
+        return real(seed, role)
+
+    monkeypatch.setattr(core, "stream", counted)
+    return roles
+
+
+class TestLazyStreams:
+    """A stream is built at its first draw, and only then."""
+
+    def test_set_up_builds_no_philox(self, built):
+        rng = np.random.default_rng(3)
+        vocab, (llm, plus, minus) = random_table_triple(rng, 5)
+        cfg = ProtocolConfig(lam=0.7, horizon_k=2, top_k=5, max_len=6, seed=9)
+        streams = make_streams(9)
+        served = [uniform_stream(9, role) for role in ROLES]
+        edges = [EdgeSession(cfg, plus, vocab, [0], streams=s) for s in (None, streams)]
+        clouds = [CloudVerifier(cfg, llm, minus, vocab, [0], streams=s) for s in (None, streams)]
+        assert built == []
+        served[ROLE_RECOVERY].random()
+        streams.verify.random()
+        streams.verify.random()
+        assert built == [ROLE_RECOVERY, ROLE_VERIFY]
+        edges[0].draft()
+        clouds[0].verify(0, edges[0]._outstanding, None)
+        assert built == [ROLE_RECOVERY, ROLE_VERIFY, ROLE_DRAFT, ROLE_VERIFY]
+
+    @pytest.mark.parametrize("simulated", [False, True])
+    def test_all_accepted_session_builds_no_recovery_stream(self, built, simulated):
+        # At a vanishing lambda every alpha is 1: every draft is accepted.
+        rng = np.random.default_rng(4)
+        vocab, (llm, plus, minus) = random_table_triple(rng, 6)
+        cfg = ProtocolConfig(lam=1e-12, horizon_k=3, top_k=6, max_len=12, seed=21)
+        if simulated:
+            committed, edge_stats, _ = run_simulated_session(cfg, llm, plus, minus, vocab, [0])
+            traces = edge_stats.traces
+        else:
+            committed, traces = run_session(cfg, llm, plus, minus, vocab, [0])
+        assert traces and all(t.recovery_token is None for t in traces)
+        assert ROLE_RECOVERY not in built and {ROLE_DRAFT, ROLE_VERIFY} <= set(built)
+
+    def test_rejection_builds_the_recovery_stream(self, built):
+        rng = np.random.default_rng(4)
+        vocab, (llm, plus, minus) = random_table_triple(rng, 6)
+        cfg = ProtocolConfig(lam=50.0, horizon_k=3, top_k=6, max_len=12, seed=21)
+        committed, traces = run_session(cfg, llm, plus, minus, vocab, [0])
+        assert any(t.recovery_token is not None for t in traces)
+        assert sorted(built) == [ROLE_DRAFT, ROLE_VERIFY, ROLE_RECOVERY]
+
+    @pytest.mark.parametrize("simulated", [False, True])
+    def test_greedy_session_builds_no_stream(self, built, simulated):
+        rng = np.random.default_rng(6)
+        vocab, (llm, plus, minus) = random_table_triple(rng, 6)
+        cfg = ProtocolConfig(lam=50.0, horizon_k=3, top_k=6, max_len=12, seed=2,
+                             decode_mode="greedy")
+        if simulated:
+            committed, edge_stats, _ = run_simulated_session(cfg, llm, plus, minus, vocab, [0])
+            traces = edge_stats.traces
+        else:
+            committed, traces = run_session(cfg, llm, plus, minus, vocab, [0])
+        assert any(t.recovery_token is not None for t in traces)
+        assert built == []
+
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("role", ROLES)
+    def test_lazy_start_draws_the_keyed_philox_stream(self, seed, role):
+        keyed = np.random.Generator(np.random.Philox(key=((role + 1) << 64) | seed))
+        n = SCALAR_DRAWS + 2 * UNIFORM_BLOCK + 1
+        for served in (uniform_stream(seed, role),
+                       getattr(make_streams(seed), ("draft", "verify", "recovery")[role])):
+            got = [served.random() for _ in range(n)]
+            assert got == [keyed.random() for _ in range(n)]
+            keyed = np.random.Generator(np.random.Philox(key=((role + 1) << 64) | seed))

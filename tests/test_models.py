@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specsteer.core import PrivateContext, Vocabulary, softmax
 from specsteer.fusion import pmi_reward
 from specsteer.models import (
+    BOS,
     ModelError,
     ModelProfile,
     NGramModel,
@@ -12,9 +14,73 @@ from specsteer.models import (
     train_ngram,
 )
 
+from conftest import make_vocab
+
 
 def vocab_of(*docs):
     return Vocabulary.build([list(d) for d in docs])
+
+
+def longest_stored_suffix(rows, window, history):
+    """Reference row resolution: probe every suffix of ``history`` from the
+    model's window length down to the empty one."""
+    n = len(history)
+    for m in range(min(window, n), -1, -1):
+        key = tuple(history[n - m:])
+        if key in rows:
+            return key
+    return ()
+
+
+@st.composite
+def sparse_tables(draw):
+    """A vocabulary of 2-8 tokens, a sparse set of rows over windows of 0-2
+    tokens, and histories of 0-5 ids."""
+    v = draw(st.integers(2, 8))
+    ids = st.integers(0, v - 1)
+    keys = draw(st.sets(st.lists(ids, min_size=1, max_size=2).map(tuple), max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = {k: rng.dirichlet(np.ones(v)) for k in [(), *sorted(keys)]}
+    histories = draw(st.lists(st.lists(ids, max_size=5), min_size=1, max_size=8))
+    return make_vocab(v), rows, histories
+
+
+class TestTableRowResolution:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_tables())
+    def test_same_objects_as_longest_suffix_search(self, table):
+        vocab, rows, histories = table
+        m = TableModel(vocab, rows)
+        for history in histories:
+            rec = m._rows[longest_stored_suffix(rows, m.window, history)]
+            for h in (history, tuple(history)):
+                assert m.next_token_probs(h) is rec.probs
+                assert m.next_token_logits(h) is rec.logits
+                assert m.next_token_cdf(h) is rec.cdf
+            np.testing.assert_array_equal(
+                rec.probs, rows[longest_stored_suffix(rows, m.window, history)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_tables(), st.data())
+    def test_bad_id_anywhere_raises(self, table, data):
+        vocab, rows, histories = table
+        m = TableModel(vocab, rows)
+        history = data.draw(st.sampled_from(histories))
+        bad = data.draw(st.sampled_from([-1, BOS - 1, vocab.size, vocab.size + 7, 2**40]))
+        at = data.draw(st.integers(0, len(history)))
+        spoiled = history[:at] + [bad] + history[at:]
+        for score in (m.next_token_probs, m.next_token_logits, m.next_token_cdf):
+            with pytest.raises(ModelError, match="unknown token id"):
+                score(spoiled)
+
+    def test_row_arrays_as_before(self):
+        vocab = make_vocab(4)
+        probs = [0.1, 0.2, 0.3, 0.4]
+        m = TableModel(vocab, {(): probs, (1,): [0.25] * 4})
+        rec = m._rows[()]
+        np.testing.assert_array_equal(rec.probs, probs)
+        np.testing.assert_array_equal(rec.logits, np.log(np.maximum(probs, 1e-12)))
+        assert rec.cdf == np.cumsum(probs).tolist()
 
 
 class TestModelProfile:

@@ -286,6 +286,17 @@ class TestChannel:
         with pytest.raises(WireError):
             ChannelModel(bandwidth_bps=0.0)
 
+    @pytest.mark.parametrize("latency, bandwidth", [
+        (math.nan, 1000.0), (math.inf, 1000.0), (-math.inf, 1000.0),
+        (0.0, math.nan), (0.0, -math.inf), (math.nan, math.nan),
+    ])
+    def test_non_finite_params(self, latency, bandwidth):
+        with pytest.raises(WireError):
+            ChannelModel(one_way_latency_ms=latency, bandwidth_bps=bandwidth)
+
+    def test_infinite_bandwidth_adds_no_delay(self):
+        assert ChannelModel(one_way_latency_ms=2.5).transfer_ms(10**9) == 2.5
+
 
 class TestSimulatedEqualsInProcess:
     def test_committed_and_traces_match(self):
