@@ -409,6 +409,7 @@ def _parse_hostport(text: str) -> tuple[str, int]:
 
 
 def cmd_serve_cloud(cfg: ExperimentConfig, bind: str) -> int:
+    address = _parse_hostport(bind)
     world = build_world(cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     log_path = cfg.out_dir / "cloud_frames.bin"
@@ -417,7 +418,7 @@ def cmd_serve_cloud(cfg: ExperimentConfig, bind: str) -> int:
     announce = SimpleNamespace(set=lambda: print("listening on %s:%d" % bound[0], flush=True))
     with FrameLog(str(log_path)) as flog:
         stats = serve_cloud_once(
-            _parse_hostport(bind), world.llm, world.slm_minus, world.vocab,
+            address, world.llm, world.slm_minus, world.vocab,
             frame_log=flog, ready=announce, bound=bound,
         )
     if stats.refused:
@@ -428,6 +429,7 @@ def cmd_serve_cloud(cfg: ExperimentConfig, bind: str) -> int:
 
 
 def cmd_run_edge(cfg: ExperimentConfig, connect: str, prompt_tokens: list[str]) -> int:
+    address = _parse_hostport(connect)
     world = build_world(cfg)
     cfg.protocol.validate(world.vocab.size)
     prompt = _prompt_ids(world, prompt_tokens)
@@ -435,7 +437,7 @@ def cmd_run_edge(cfg: ExperimentConfig, connect: str, prompt_tokens: list[str]) 
     log_path = cfg.out_dir / "edge_frames.bin"
     with FrameLog(str(log_path)) as flog:
         committed, stats = run_edge_socket(
-            cfg.protocol, _parse_hostport(connect), world.slm_plus, world.vocab, prompt, frame_log=flog
+            cfg.protocol, address, world.slm_plus, world.vocab, prompt, frame_log=flog
         )
     chash = config_hash(cfg)
     latency = LatencyModel()

@@ -242,10 +242,6 @@ class TestBadInputsExitOne:
         assert capsys.readouterr().err.startswith("error: invalid channel parameters")
         assert not (out / "trace.csv").exists()
 
-    def test_infinite_bandwidth_is_no_serialization_delay(self, tmp_path, capsys):
-        path = write_tiny_config(tmp_path, **{"channel.bandwidth_bps": "inf"})
-        assert load_config(path).channel.transfer_ms(10**6) == 0.0
-
     @pytest.mark.parametrize("address", [
         "127.0.0.1:65536", "127.0.0.1:99999", "127.0.0.1:", ":80",
         pytest.param("127.0.0.1:\N{SUPERSCRIPT TWO}", id="non-ascii-digit"),
@@ -257,6 +253,7 @@ class TestBadInputsExitOne:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: expected HOST:PORT") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()  # refused before any frame log is opened
 
 
 def trace_rows(path):

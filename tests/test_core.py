@@ -303,8 +303,7 @@ class TestLazyStreams:
         streams.verify.random()
         streams.verify.random()
         assert built == [ROLE_RECOVERY, ROLE_VERIFY]
-        edges[0].draft()
-        clouds[0].verify(0, edges[0]._outstanding, None)
+        clouds[0].verify(0, edges[0].draft(), None)
         assert built == [ROLE_RECOVERY, ROLE_VERIFY, ROLE_DRAFT, ROLE_VERIFY]
 
     @pytest.mark.parametrize("simulated", [False, True])
@@ -348,8 +347,7 @@ class TestLazyStreams:
     def test_lazy_start_draws_the_keyed_philox_stream(self, seed, role):
         keyed = np.random.Generator(np.random.Philox(key=((role + 1) << 64) | seed))
         n = SCALAR_DRAWS + 2 * UNIFORM_BLOCK + 1
+        want = [keyed.random() for _ in range(n)]
         for served in (uniform_stream(seed, role),
                        getattr(make_streams(seed), ("draft", "verify", "recovery")[role])):
-            got = [served.random() for _ in range(n)]
-            assert got == [keyed.random() for _ in range(n)]
-            keyed = np.random.Generator(np.random.Philox(key=((role + 1) << 64) | seed))
+            assert [served.random() for _ in range(n)] == want

@@ -52,13 +52,13 @@ class TestTableRowResolution:
         vocab, rows, histories = table
         m = TableModel(vocab, rows)
         for history in histories:
-            rec = m._rows[longest_stored_suffix(rows, m.window, history)]
+            key = longest_stored_suffix(rows, m.window, history)
+            rec = m._rows[key]
+            np.testing.assert_array_equal(rec.probs, rows[key])
             for h in (history, tuple(history)):
                 assert m.next_token_probs(h) is rec.probs
                 assert m.next_token_logits(h) is rec.logits
                 assert m.next_token_cdf(h) is rec.cdf
-            np.testing.assert_array_equal(
-                rec.probs, rows[longest_stored_suffix(rows, m.window, history)])
 
     @settings(max_examples=200, deadline=None)
     @given(sparse_tables(), st.data())
@@ -73,7 +73,7 @@ class TestTableRowResolution:
             with pytest.raises(ModelError, match="unknown token id"):
                 score(spoiled)
 
-    def test_row_arrays_as_before(self):
+    def test_row_record_values(self):
         vocab = make_vocab(4)
         probs = [0.1, 0.2, 0.3, 0.4]
         m = TableModel(vocab, {(): probs, (1,): [0.25] * 4})
