@@ -12,11 +12,18 @@ channel, which calls the cloud's frame handler directly in one thread.  So
 the execution modes are equivalent by construction (same random streams,
 same draw order).
 
+A steering payload takes one form between cloud and edge in every
+backend: the packed entry section of a verdict frame (``entries_struct``),
+which the cloud packs once per cache entry and the edge decodes and checks
+on a recovery-cache miss.  ``SparseSteeringPayload`` is its float64
+reference, for analysis and tests.
+
 Models are scored from the tail of the history that their ``window``
 covers, so a round costs O(K + window) whatever the history length.  Token
 ids are checked once, where they enter: the prompt when a session starts,
-and every draft id and recovery delta at cloud ingest.  Tokens the edge
-samples itself are trusted.
+every draft id and recovery delta at cloud ingest, and every steering
+entry when the edge decodes it.  Tokens the edge samples itself are
+trusted.
 """
 
 from __future__ import annotations
@@ -26,9 +33,9 @@ import struct
 import weakref
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
-from itertools import accumulate, chain, count
+from dataclasses import dataclass
+from functools import lru_cache, partial
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,7 +84,7 @@ class DraftBatch:
 
 @lru_cache(maxsize=256)
 def entries_struct(n: int) -> struct.Struct:
-    """The wire form of n steering entries: each a u32 token id and an
+    """The packed form of n steering entries: each a u32 token id and an
     IEEE-754 binary32 value, little-endian."""
     return struct.Struct("<" + "If" * n)
 
@@ -85,46 +92,33 @@ def entries_struct(n: int) -> struct.Struct:
 @dataclass(frozen=True)
 class SparseSteeringPayload:
     """Top-k slice of the cloud-side steering term (prior logits minus
-    beta times the generic baseline logits) at the rejected position.
+    beta times the generic baseline logits) at the rejected position, in
+    float64: the reference ``recover`` and ``recovery_law`` read.  Sessions
+    hold only its packed entry section (``pack_steering_entries``).
 
     Entries are (token_id, value), sorted by descending value with
-    token-id tie-break, unique ids.  ``key``, when set, stands for the
-    entries in the edge's recovery cache: the serial number a cloud's
-    payload cache gave the payload, or the raw entry bytes of a payload
-    decoded from the wire.  Equal keys mean equal entries; a payload
-    without a key is recovered uncached.
+    token-id tie-break, unique ids.
     """
 
     entries: tuple[tuple[int, float], ...]
-    key: int | bytes | None = field(default=None, compare=False, repr=False)
-
-    @classmethod
-    def from_wire(cls, section: bytes) -> SparseSteeringPayload:
-        """The payload whose packed entry section (``wire_entries``) is
-        ``section``, keyed by those bytes: they fix the decoded entries
-        exactly."""
-        flat = entries_struct(len(section) // STEERING_ENTRY_BYTES).unpack(section)
-        return cls(tuple(zip(flat[::2], flat[1::2])), section)
-
-    @cached_property
-    def wire_entries(self) -> bytes:
-        """The entries packed as a verdict frame's entry section.  Packed on
-        first use and kept with the payload, so a payload from a cloud's
-        cache is packed once however many verdicts carry it, and an
-        in-process session packs nothing.  Raises ``struct.error`` or
-        ``OverflowError`` for an entry that does not fit the wire form."""
-        return entries_struct(len(self.entries)).pack(*chain.from_iterable(self.entries))
 
 
 @dataclass(frozen=True)
 class Verdict:
+    """Downlink unit: the accepted count and, after a rejection, the
+    steering payload as its packed entry section, undecoded."""
+
     seq_no: int
     accepted_count: int
-    recovery: SparseSteeringPayload | None
+    recovery: bytes | None
 
 
 @dataclass
 class RoundTrace:
+    """One round, made by ``round_trace`` on either side.  ``alphas`` is
+    cloud-only, one per scored position: alphas never cross the wire, so an
+    edge's trace has none."""
+
     index: int
     drafted: tuple[int, ...]
     alphas: tuple[float, ...]
@@ -148,6 +142,20 @@ def verdict_frame_bytes(n_entries: int) -> int:
     return size
 
 
+def round_trace(
+    index: int, drafted: tuple[int, ...], alphas: tuple[float, ...], accepted: int,
+    recovery_token: int | None, has_delta: bool, section: bytes | None,
+) -> RoundTrace:
+    """The trace of round ``index``: ``drafted`` (sent with a history delta
+    when ``has_delta``) answered by ``accepted`` and, after a rejection,
+    the packed entry ``section``.  Every trace is made here."""
+    return RoundTrace(
+        index, drafted, alphas, accepted, recovery_token,
+        draft_frame_bytes(len(drafted), has_delta),
+        verdict_frame_bytes(len(section) // STEERING_ENTRY_BYTES if section is not None else 0),
+    )
+
+
 def history_tail(history: list[int], window: int) -> list[int]:
     """The last ``window`` tokens of ``history`` as a new list (all of it
     when shorter, none when ``window`` is 0).  A model scores it exactly as
@@ -163,16 +171,48 @@ def history_tail(history: list[int], window: int) -> list[int]:
 
 def _steering_entries(
     h_llm: np.ndarray, h_minus: np.ndarray, beta: float, top_k: int
-) -> tuple[tuple[int, float], ...]:
+) -> tuple[list[int], list[float]]:
+    """The ids and the float64 values of the top-k steering entries."""
     values = h_llm - beta * h_minus
     order = np.argsort(-values, kind="stable")[: min(top_k, len(values))]
-    return tuple(zip(order.tolist(), values[order].tolist()))
+    return order.tolist(), values[order].tolist()
 
 
 def build_steering_payload(
     h_llm: np.ndarray, h_minus: np.ndarray, beta: float, top_k: int
 ) -> SparseSteeringPayload:
-    return SparseSteeringPayload(_steering_entries(h_llm, h_minus, beta, top_k))
+    """The float64 reference of the payload a cloud packs for these
+    logits."""
+    return SparseSteeringPayload(tuple(zip(*_steering_entries(h_llm, h_minus, beta, top_k))))
+
+
+def pack_steering_entries(ids: Sequence[int], values: Sequence[float]) -> bytes:
+    """The entries ``zip(ids, values)`` as a verdict's packed entry section
+    (``entries_struct``), the one form a steering payload takes between
+    cloud and edge, in every backend.  An id that does not fit a u32, or a
+    value that is not finite in binary32, raises ``ProtocolStateError``."""
+    flat: list = [None] * (2 * len(ids))
+    flat[::2] = ids
+    flat[1::2] = values
+    try:
+        section = entries_struct(len(ids)).pack(*flat)
+    except (struct.error, OverflowError):
+        section = None
+    # Once packed, every finite value is below 3.5e38 (and every id below
+    # 2**32), so the sum is finite exactly when every value is.
+    if section is None or not math.isfinite(sum(flat)):
+        raise ProtocolStateError("steering entry does not fit a u32 id and a finite binary32 value")
+    return section
+
+
+def unpack_steering_entries(section: bytes) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The ids and the values of a packed entry section, unchecked: the
+    inverse of ``pack_steering_entries``."""
+    n, rest = divmod(len(section), STEERING_ENTRY_BYTES)
+    if rest:
+        raise ProtocolStateError("steering section ends in part of an entry")
+    flat = entries_struct(n).unpack(section)
+    return flat[::2], flat[1::2]
 
 
 def check_steering_count(n: int, top_k: int) -> None:
@@ -183,78 +223,47 @@ def check_steering_count(n: int, top_k: int) -> None:
         raise ProtocolStateError(f"steering payload has {n} entries, top_k is {top_k}")
 
 
-def check_steering_payload(payload: SparseSteeringPayload, vocab_size: int, top_k: int) -> None:
-    """An untrusted payload (one decoded from the wire) must hold at most
+def check_steering_payload(
+    ids: Sequence[int], values: Sequence[float], vocab_size: int, top_k: int
+) -> None:
+    """Steering entries decoded from a packed section must hold at most
     ``top_k`` entries with unique in-vocabulary ids and finite values
-    before ``recover`` reads it.  Payloads our own cloud builds in-process
-    skip this."""
-    entries = payload.entries
-    check_steering_count(len(entries), top_k)
-    seen: set[int] = set()
-    add, isfinite = seen.add, math.isfinite
-    for i, v in entries:
-        if not 0 <= i < vocab_size:
-            raise ProtocolStateError(
-                f"steering token id {i} out of range for vocabulary of size {vocab_size}"
-            )
-        if not isfinite(v):
-            raise ProtocolStateError(f"steering value {v} for token id {i} is not finite")
-        if i in seen:
-            raise ProtocolStateError("steering payload repeats a token id")
-        add(i)
-
-
-class WireSteeringPayload:
-    """A steering payload still in its wire form: the packed entry section
-    of a verdict frame from an untrusted cloud, for ``EdgeEngine.recover``.
-
-    Its entry count is checked against ``top_k`` when it is made, so on
-    every frame.  ``entries`` decodes the section and checks it with
-    ``check_steering_payload``; only a recovery-cache miss reads them.
-    Those checks depend on nothing but the bytes, the vocabulary size and
-    ``top_k``, whose part every frame repeats, so ``key`` is the vocabulary
-    size with the bytes: a cached state was checked when it was cached.
-    """
-
-    __slots__ = ("key", "_top_k")
-
-    def __init__(self, section: bytes, vocab_size: int, top_k: int) -> None:
-        check_steering_count(len(section) // STEERING_ENTRY_BYTES, top_k)
-        self.key = (vocab_size, section)
-        self._top_k = top_k
-
-    @property
-    def entries(self) -> tuple[tuple[int, float], ...]:
-        vocab_size, section = self.key
-        payload = SparseSteeringPayload.from_wire(section)
-        check_steering_payload(payload, vocab_size, self._top_k)
-        return payload.entries
+    before a recovery reads them.  The edge checks every section it
+    decodes, whether it came from the wire or from the cloud in-process."""
+    check_steering_count(len(ids), top_k)
+    if not (min(ids) >= 0 and max(ids) < vocab_size):
+        bad = next(i for i in ids if not 0 <= i < vocab_size)
+        raise ProtocolStateError(
+            f"steering token id {bad} out of range for vocabulary of size {vocab_size}"
+        )
+    # Binary32 values are below 3.5e38, so at most 0xFFFF of them sum to a
+    # finite number exactly when each is finite.
+    if not math.isfinite(sum(values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise ProtocolStateError(f"steering value {bad} is not finite")
+    if len(set(ids)) != len(ids):
+        raise ProtocolStateError("steering payload repeats a token id")
 
 
 def _recovery_state(
-    payload: SparseSteeringPayload | WireSteeringPayload,
-    h_plus: np.ndarray,
-    beta: float,
-    greedy: bool,
+    ids: Sequence[int], values: Sequence[float], h_plus: np.ndarray, beta: float, greedy: bool
 ) -> int | tuple[tuple[int, ...], array, float]:
     """Everything recovery computes before its random draw: the picked id
     when ``greedy``, else the payload's ids, the running sums of their
     weights (float64, held compactly for the edge's cache) and the weights'
     total (see ``_draw_recovery``)."""
-    entries = payload.entries
-    if not entries:
+    if not ids:
         raise ProtocolStateError("empty steering payload")
     # Only the payload's ids are read from the private logits: item() costs
     # O(top_k), where tolist() or a fancy index would also pay for the
     # vocabulary or for an index array.
     h = h_plus.item
-    ids = [i for i, _ in entries]
-    scores = [v + beta * h(i) for i, v in entries]
+    scores = [v + beta * h(i) for i, v in zip(ids, values)]
     best = max(scores)
     if greedy:
         return min(i for i, s in zip(ids, scores) if s == best)
-    # Scores are our own finite values, so no revalidation on this hot path.
-    # accumulate adds left to right, as a running sum would.
+    # Scores are finite once the entries are checked, so no revalidation on
+    # this hot path.  accumulate adds left to right, as a running sum would.
     weights = [math.exp(s - best) for s in scores]
     return tuple(ids), array("d", accumulate(weights)), math.fsum(weights)
 
@@ -279,12 +288,14 @@ def recover(
     rng: np.random.Generator | None,
     greedy: bool = False,
 ) -> int:
-    """Complete the steering sum with the private term and resample.
+    """Complete the steering sum with the private term and resample: the
+    float64 reference of what ``EdgeEngine.recover`` does with a section.
 
     Tokens outside the payload support are masked out entirely; the edge
     cannot reconstruct the tail of the cloud logits.
     """
-    state = _recovery_state(payload, h_plus, beta, greedy)
+    ids, values = [i for i, _ in payload.entries], [v for _, v in payload.entries]
+    state = _recovery_state(ids, values, h_plus, beta, greedy)
     return state if greedy else _draw_recovery(state, rng)
 
 
@@ -310,11 +321,6 @@ def recovery_law(
 PAYLOAD_CACHE_SIZE = 512
 RECOVERY_CACHE_SIZE = 512
 
-# Keys of the payloads a cloud cache makes; never reused, so two payloads
-# share a key only when they are one cache entry.
-_payload_serials = count()
-
-
 def _beta_key(beta: float) -> float | tuple[float, float]:
     """``beta`` as a cache key.  A zero keeps its sign, which ``0.0 ==
     -0.0`` would lose, since the two can give steering values that differ
@@ -329,15 +335,15 @@ class CloudEngine:
 
     A payload is a pure function of the two models' logits at the rejected
     position, beta and top_k, so it is cached under (beta, top_k, the last
-    ``window`` tokens of the history there) and a hit returns the payload
-    object built on the miss, with the same floats.
+    ``window`` tokens of the history there), packed: a hit returns the
+    entry section packed on the miss.
     """
 
     __slots__ = ("window", "_payloads", "__weakref__")
 
     def __init__(self, llm, slm_minus) -> None:
         self.window = max(llm.window, slm_minus.window)
-        self._payloads: dict[tuple, SparseSteeringPayload] = {}
+        self._payloads: dict[tuple, bytes] = {}
 
     def payload(
         self,
@@ -346,21 +352,21 @@ class CloudEngine:
         beta: float,
         top_k: int,
         prefix: list[int],
-    ) -> SparseSteeringPayload:
-        """``build_steering_payload(h_llm, h_minus, beta, top_k)`` for the
-        logits the pair gives ``prefix``, from the cache when it holds it."""
+    ) -> bytes:
+        """The packed entry section of ``build_steering_payload(h_llm,
+        h_minus, beta, top_k)`` for the logits the pair gives ``prefix``,
+        from the cache when it holds it.  A value that is not finite in
+        binary32 raises ``ProtocolStateError``."""
         w = self.window
         key = (_beta_key(beta), top_k, tuple(prefix[-w:]) if w else ())
         cache = self._payloads
-        payload = cache.pop(key, None)
-        if payload is None:
-            payload = SparseSteeringPayload(
-                _steering_entries(h_llm, h_minus, beta, top_k), next(_payload_serials)
-            )
+        section = cache.pop(key, None)
+        if section is None:
+            section = pack_steering_entries(*_steering_entries(h_llm, h_minus, beta, top_k))
             if len(cache) >= PAYLOAD_CACHE_SIZE:
                 evict_oldest(cache)
-        cache[key] = payload
-        return payload
+        cache[key] = section
+        return section
 
 
 class EdgeEngine:
@@ -369,11 +375,14 @@ class EdgeEngine:
     cache, shared by every session that drafts with it.
 
     A recovery's state before its random draw (``_recovery_state``) is a
-    pure function of the payload, beta, the decode mode and the drafter's
-    logits at the rejected position.  So a keyed payload's state is cached under
-    (beta, greedy, the payload's key, the last ``window`` tokens of the
-    history there), and a hit skips the drafter call and the sums, and for
-    a ``WireSteeringPayload`` the decoding and the checks of its entries.
+    pure function of the entry section, beta, the decode mode and the
+    drafter's logits at the rejected position.  The checks of the section's
+    entries depend on nothing but its bytes, the vocabulary size and
+    ``top_k``, whose part ``EdgeSession.apply`` repeats on every verdict.
+    So the state is cached under (beta, greedy, the vocabulary size, the
+    section, the last ``window`` tokens of the history there): a cached
+    state was checked when it was cached, and a hit skips the decoding, the
+    checks, the drafter call and the sums.
     """
 
     __slots__ = ("window", "by_cdf", "_states", "__weakref__")
@@ -384,27 +393,22 @@ class EdgeEngine:
         self._states: dict[tuple, int | tuple] = {}
 
     def recover(
-        self,
-        payload: SparseSteeringPayload | WireSteeringPayload,
-        history: list[int],
-        drafter,
-        beta: float,
-        rng,
-        greedy: bool,
+        self, section: bytes, history: list[int], drafter, beta: float, rng, greedy: bool,
+        vocab_size: int, top_k: int,
     ) -> int:
-        """``recover`` with this engine's drafter's logits at ``history``,
-        from the cache when it holds the state."""
+        """The token recovered from the packed entry ``section`` with this
+        engine's drafter's logits at ``history``, from the cache when it
+        holds the state.  Entries that fail ``check_steering_payload`` raise
+        ``ProtocolStateError``."""
         w = self.window
-        key = payload.key
-        if key is None:
-            h_plus = drafter.next_token_logits(history_tail(history, w))
-            return recover(payload, h_plus, beta, rng, greedy)
-        key = (_beta_key(beta), greedy, key, tuple(history[-w:]) if w else ())
+        key = (_beta_key(beta), greedy, vocab_size, section, tuple(history[-w:]) if w else ())
         cache = self._states
         state = cache.pop(key, None)
         if state is None:
+            ids, values = unpack_steering_entries(section)
+            check_steering_payload(ids, values, vocab_size, top_k)
             state = _recovery_state(
-                payload, drafter.next_token_logits(history_tail(history, w)), beta, greedy
+                ids, values, drafter.next_token_logits(history_tail(history, w)), beta, greedy
             )
             if len(cache) >= RECOVERY_CACHE_SIZE:
                 evict_oldest(cache)
@@ -548,10 +552,11 @@ class SessionRecord:
         rng,
         seq: int,
         has_delta: bool,
-    ) -> tuple[RoundTrace, SparseSteeringPayload | None]:
+    ) -> tuple[RoundTrace, bytes | None]:
         """Score and scan-accept ``tokens`` drafted after ``history``, which
         this leaves as it was; returns the round's trace (without its
-        recovery token) and the steering payload when a token was rejected.
+        recovery token) and, when a token was rejected, the steering
+        payload's packed entry section.
 
         Position t is scored by the two models (and, in exact-Z mode, the
         partition callback ``zt_fn``, which exposes the ``window`` it reads)
@@ -571,9 +576,8 @@ class SessionRecord:
         draw = rng.random
         greedy = self.greedy
         alphas: list[float] = []
-        k = len(tokens)
-        accepted = k
-        payload: SparseSteeringPayload | None = None
+        accepted = len(tokens)
+        section: bytes | None = None
         for t, tok in enumerate(tokens):
             h_llm = llm_logits(prefix)
             h_minus = minus_logits(prefix)
@@ -589,14 +593,11 @@ class SessionRecord:
             ok = alpha >= 1.0 if greedy else draw() <= alpha
             if not ok:
                 accepted = t
-                payload = cloud.payload(h_llm, h_minus, self.beta, self.top_k, prefix)
+                section = cloud.payload(h_llm, h_minus, self.beta, self.top_k, prefix)
                 break
             prefix.append(tok)
-        trace = RoundTrace(
-            seq, tokens, tuple(alphas), accepted, None, draft_frame_bytes(k, has_delta),
-            verdict_frame_bytes(len(payload.entries) if payload is not None else 0),
-        )
-        return trace, payload
+        trace = round_trace(seq, tokens, tuple(alphas), accepted, None, has_delta, section)
+        return trace, section
 
     def commit(
         self,
@@ -604,18 +605,20 @@ class SessionRecord:
         history: list[int],
         tokens: tuple[int, ...],
         accepted: int,
-        payload: SparseSteeringPayload | WireSteeringPayload | None,
+        section: bytes | None,
         rng,
     ) -> int | None:
-        """Append ``tokens[:accepted]`` to ``history`` and, when ``payload``
-        is given (the draft was rejected at ``accepted``), the recovery
-        token, which is returned."""
+        """Append ``tokens[:accepted]`` to ``history`` and, when the packed
+        entry ``section`` is given (the draft was rejected at ``accepted``),
+        the recovery token, which is returned."""
         history.extend(tokens[:accepted])
-        if payload is None:
+        if section is None:
             return None
         # The history is now exactly the history at the rejected position,
         # so the private term is scored lazily here, if at all.
-        tok = self.edge.recover(payload, history, drafter, self.beta, rng, self.greedy)
+        tok = self.edge.recover(
+            section, history, drafter, self.beta, rng, self.greedy, self.vsize, self.top_k
+        )
         history.append(tok)
         return tok
 
@@ -773,14 +776,11 @@ class EdgeSession:
         return None if tokens is None else DraftBatch(self.seq_no, tokens)
 
     def apply(
-        self,
-        seq_no: int,
-        accepted: int,
-        recovery: SparseSteeringPayload | WireSteeringPayload | None,
+        self, seq_no: int, accepted: int, recovery: bytes | None
     ) -> tuple[int, int | None]:
         """Commit the verdict on draft ``seq_no``: its first ``accepted``
-        ids plus, when ``recovery`` is given, the token recovered from it.
-        Returns (accepted, recovery_token)."""
+        ids plus, when the packed entry section ``recovery`` is given, the
+        token recovered from it.  Returns (accepted, recovery_token)."""
         tokens = self._outstanding
         if tokens is None or seq_no != self.seq_no:
             raise ProtocolStateError("verdict does not match outstanding draft")
@@ -789,15 +789,18 @@ class EdgeSession:
             raise ProtocolStateError(f"accepted_count {accepted} out of range for batch of {k}")
         if (recovery is None) != (accepted == k):
             raise ProtocolStateError("recovery payload presence inconsistent with accepted_count")
+        rec = self._rec
+        if recovery is not None:
+            check_steering_count(len(recovery) // STEERING_ENTRY_BYTES, rec.top_k)
         committed = self.committed
         n = len(committed)
         try:
-            rec_token = self._rec.commit(
+            rec_token = rec.commit(
                 self.drafter, committed, tokens, accepted, recovery, self._recovery_rng
             )
         except ProtocolStateError:
-            # A wire payload's entries are checked when first recovered
-            # from; one refused then leaves the session as it was.
+            # A section's entries are checked when first recovered from;
+            # one refused then leaves the session as it was.
             del committed[n:]
             raise
         if rec_token is not None:
@@ -866,10 +869,10 @@ class CloudVerifier:
 
     def verify(
         self, seq_no: int, tokens: tuple[int, ...], history_delta: int | None
-    ) -> tuple[int, SparseSteeringPayload | None]:
+    ) -> tuple[int, bytes | None]:
         """Check an untrusted draft, then score and scan-accept it; returns
-        (accepted_count, steering payload or None).  A refused draft leaves
-        the verifier as it was."""
+        (accepted_count, the steering payload's packed entry section or
+        None).  A refused draft leaves the verifier as it was."""
         if self.finished:
             raise ProtocolStateError("session already finished")
         if seq_no != self.expected_seq:
@@ -888,21 +891,21 @@ class CloudVerifier:
         rec.check_extension(mirror, history_delta, tokens, "draft")
         if history_delta is not None:
             mirror.append(history_delta)
-        trace, payload = rec.scan(
+        trace, section = rec.scan(
             self.llm, self.slm_minus, self._zt_fn, mirror, tokens, self._verify_rng,
             seq_no, history_delta is not None,
         )
         accepted = trace.accepted_count
         mirror.extend(tokens[:accepted])
-        self.awaiting_delta = payload is not None
+        self.awaiting_delta = section is not None
         self.traces.append(trace)
         self.expected_seq += 1
-        return accepted, payload
+        return accepted, section
 
     def handle_draft(self, batch: DraftBatch, history_delta: int | None) -> Verdict:
         """``verify`` for a ``DraftBatch``, answered with a ``Verdict``."""
-        accepted, payload = self.verify(batch.seq_no, batch.token_ids, history_delta)
-        return Verdict(batch.seq_no, accepted, payload)
+        accepted, section = self.verify(batch.seq_no, batch.token_ids, history_delta)
+        return Verdict(batch.seq_no, accepted, section)
 
     def finish(self, trailing_ids: Sequence[int]) -> None:
         """Apply the final history repair carried by the DONE message: the
@@ -971,14 +974,14 @@ def run_session(
     draft_rng, verify_rng, recovery_rng = rngs.draft, rngs.verify, rngs.recovery
     history = list(prompt_ids)
     traces: list[RoundTrace] = []
-    payload = None
+    section = None
     while not rec.ended(history):
         tokens = rec.draft(slm_plus, history, draft_rng)
-        trace, payload = rec.scan(
-            llm, slm_minus, zt_fn, history, tokens, verify_rng, len(traces), payload is not None
+        trace, section = rec.scan(
+            llm, slm_minus, zt_fn, history, tokens, verify_rng, len(traces), section is not None
         )
         trace.recovery_token = rec.commit(
-            slm_plus, history, tokens, trace.accepted_count, payload, recovery_rng
+            slm_plus, history, tokens, trace.accepted_count, section, recovery_rng
         )
         traces.append(trace)
     # The history is the cloud's mirror too, so the final repair that the

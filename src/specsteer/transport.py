@@ -14,10 +14,13 @@ identical seeds.  Modeled channel time is not kept here:
 
 The endpoint loops read draft and verdict frames in place.  The cloud's
 frame handler (``CloudSession.handle``) hands a draft's ids to
-``CloudVerifier.verify`` and packs the verdict around the payload's
-cached entry section; the edge checks a verdict's fields and hands its
-entry bytes to ``EdgeSession.apply`` undecoded.  The ``encode_*`` and
-``decode_*`` functions are the same codec in message form.
+``CloudVerifier.verify`` and appends the packed entry section it returns,
+the one form a steering payload takes, to the verdict as it is; the edge
+checks a verdict's fields and hands that section to ``EdgeSession.apply``
+undecoded.  So the wire adds nothing to a payload that an in-process
+session does not see.  The ``encode_*`` and ``decode_*`` functions are the
+same codec in message form; a ``Verdict`` carries the section undecoded
+too.
 """
 
 from __future__ import annotations
@@ -41,9 +44,8 @@ from .protocol import (
     DraftBatch,
     EdgeSession,
     RoundTrace,
-    SparseSteeringPayload,
     Verdict,
-    WireSteeringPayload,
+    round_trace,
 )
 
 log = logging.getLogger("specsteer.transport")
@@ -251,18 +253,16 @@ def decode_draft(payload: bytes, expect_delta: bool) -> tuple[DraftBatch, int | 
     return DraftBatch(seq_no, ids), delta
 
 
-def _verdict_frame(seq_no: int, accepted: int, payload: SparseSteeringPayload | None) -> bytes:
-    if payload is None:
+def _verdict_frame(seq_no: int, accepted: int, section: bytes | None) -> bytes:
+    """The verdict frame around ``section``, a packed entry section (see
+    ``protocol.pack_steering_entries``), or the accept-all verdict."""
+    if section is None:
         return _ACCEPT_ALL_FRAME.pack(
             MAGIC, VERSION, MSG_VERDICT, _VERDICT_FIXED.size, seq_no, accepted, 0
         )
-    n = len(payload.entries)
-    if not n:
-        raise WireError("recovery verdict with empty payload")
-    try:
-        section = payload.wire_entries
-    except (struct.error, OverflowError):
-        raise WireError("steering entry does not fit a u32 id and an f32 value") from None
+    n, rest = divmod(len(section), STEERING_ENTRY_BYTES)
+    if not n or rest:
+        raise WireError("recovery verdict needs one or more whole steering entries")
     payload_len = _VERDICT_FIXED.size + 2 + len(section)
     return _RECOVERY_HEAD.pack(
         MAGIC, VERSION, MSG_VERDICT, payload_len, seq_no, accepted, 1, n
@@ -296,10 +296,7 @@ def _verdict_fields(buf: bytes, off: int) -> tuple[int, int, bytes | None]:
 
 
 def decode_verdict(payload: bytes) -> Verdict:
-    seq_no, accepted, section = _verdict_fields(payload, 0)
-    if section is None:
-        return Verdict(seq_no, accepted, None)
-    return Verdict(seq_no, accepted, SparseSteeringPayload.from_wire(section))
+    return Verdict(*_verdict_fields(payload, 0))
 
 
 def encode_done(final_len: int, trailing_ids: Sequence[int] = ()) -> bytes:
@@ -591,7 +588,6 @@ def run_edge(
     if ack_hash != vhash:
         raise HandshakeError("vocabulary hash mismatch in handshake ack")
 
-    vocab_size, top_k = vocab.size, config.top_k
     traces: list[RoundTrace] = []
     while True:
         seq_no = edge.seq_no
@@ -605,16 +601,13 @@ def run_edge(
             if final_len != len(edge.committed):
                 raise HandshakeError("session refused by cloud")
             break
-        draft_frame = _draft_frame(seq_no, tokens, edge.take_delta())
-        send(draft_frame)
-        verdict_frame = recv(MSG_VERDICT)
-        v_seq, accepted, section = _verdict_fields(verdict_frame, _HEADER.size)
-        accepted, rec_token = edge.apply(
-            v_seq, accepted,
-            None if section is None else WireSteeringPayload(section, vocab_size, top_k),
-        )
-        traces.append(RoundTrace(
-            seq_no, tokens, (), accepted, rec_token, len(draft_frame), len(verdict_frame)
+        delta = edge.take_delta()
+        send(_draft_frame(seq_no, tokens, delta))
+        v_seq, accepted, section = _verdict_fields(recv(MSG_VERDICT), _HEADER.size)
+        accepted, rec_token = edge.apply(v_seq, accepted, section)
+        # The edge never sees the alphas.
+        traces.append(round_trace(
+            seq_no, tokens, (), accepted, rec_token, delta is not None, section
         ))
 
     stats = EdgeStats(

@@ -32,6 +32,7 @@ from specsteer.protocol import (
     DraftBatch,
     autoregressive_decode,
     draft_frame_bytes,
+    pack_steering_entries,
     run_session,
 )
 from specsteer.toydata import LLM_PROFILE, SLM_PROFILE
@@ -40,7 +41,6 @@ from specsteer.transport import (
     DIR_UP,
     FrameLog,
     MSG_VERDICT,
-    SparseSteeringPayload,
     Verdict,
     decode_draft,
     decode_frame,
@@ -243,11 +243,9 @@ class TestAcceptance:
             elif kind == 1:
                 n = int(rng.integers(0, 65))
                 rec = (
-                    SparseSteeringPayload(
-                        tuple(
-                            (int(t), float(np.float32(x)))
-                            for t, x in zip(rng.integers(0, 2**32, n), rng.normal(0, 5, n))
-                        )
+                    pack_steering_entries(
+                        rng.integers(0, 2**32, n).tolist(),
+                        [float(np.float32(x)) for x in rng.normal(0, 5, n)],
                     )
                     if n
                     else None

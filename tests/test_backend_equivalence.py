@@ -1,0 +1,190 @@
+"""Backend equivalence by construction: a steering payload takes one form,
+the cloud's packed binary32 entry section, in process and on the wire, so
+``run_session``, the simulated channel and a socket commit the same ids
+and record the same rounds.  Pinned here: a near-tie that float64 and
+binary32 break differently, a beta whose steering values overflow
+binary32, the one trace record on both sides, and a property over random
+table worlds."""
+
+from __future__ import annotations
+
+import socket
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from specsteer.core import ProtocolConfig, SpecSteerError
+from specsteer.models import TableModel
+from specsteer.protocol import ProtocolStateError, run_session
+from specsteer.transport import (
+    DIR_DOWN,
+    FrameLog,
+    HandshakeError,
+    SocketEndpoint,
+    encode_done,
+    run_cloud,
+    run_edge,
+    run_simulated_session,
+)
+
+from conftest import make_vocab
+from test_transport import in_thread
+
+NEAR_TIE_LLM = [0.05, 0.45, 0.45 + 3e-10, 0.05 - 3e-10]
+DRAFTER = [0.97, 0.01, 0.01, 0.01]
+
+
+def four_token_triple(minus_row):
+    vocab = make_vocab(4)
+    return vocab, tuple(
+        TableModel(vocab, {(): row}) for row in (NEAR_TIE_LLM, DRAFTER, minus_row)
+    )
+
+
+def socketpair_session(cfg, models, vocab, prompt, cloud_log=None):
+    """``run_edge`` against ``run_cloud`` over a socketpair: the edge's
+    committed ids and stats, or its error, and the cloud's error."""
+    llm, plus, minus = models
+    a, b = socket.socketpair()
+    try:
+        thread, errors = in_thread(
+            lambda: run_cloud(SocketEndpoint(a, timeout=5), llm, minus, vocab, cloud_log))
+        try:
+            edge = run_edge(cfg, SocketEndpoint(b, timeout=5), plus, vocab, prompt)
+        except SpecSteerError as exc:
+            edge = exc
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        return edge, (errors[0] if errors else None)
+    finally:
+        a.close()
+        b.close()
+
+
+def test_near_tie_commits_the_same_ids_on_every_backend():
+    # Ids 1 and 2 have steering values 7e-10 apart (relative): distinct in
+    # float64, one value in binary32, where greedy recovery takes the lower
+    # id.  Every backend recovers from the binary32 section.
+    vocab, models = four_token_triple([0.25] * 4)
+    cfg = ProtocolConfig(decode_mode="greedy", beta=0.0, lam=1.0, horizon_k=1, top_k=3,
+                         max_len=2, seed=0)
+    assert run_session(cfg, *models, vocab, [])[0] == [1, 1]
+    assert run_simulated_session(cfg, *models, vocab, [])[0] == [1, 1]
+    (committed, _), cloud_error = socketpair_session(cfg, models, vocab, [])
+    assert committed == [1, 1] and cloud_error is None
+
+
+def test_steering_overflow_ends_every_backend_in_the_same_error(tmp_path):
+    # beta * h_minus is about 1e40, past the largest binary32: the cloud
+    # refuses to pack the payload, in process and on the wire alike.
+    vocab, models = four_token_triple([0.4, 0.2, 0.3, 0.1])
+    cfg = ProtocolConfig(beta=1e40, lam=1.0, horizon_k=1, top_k=3, max_len=3, seed=0)
+    errors = []
+    for run in (run_session, run_simulated_session):
+        with pytest.raises(ProtocolStateError, match="finite binary32") as info:
+            run(cfg, *models, vocab, [])
+        errors.append(info.value)
+    assert type(errors[0]) is type(errors[1]) and str(errors[0]) == str(errors[1])
+    # On the wire the refusal is the DONE of length 0, as for any error.
+    path = str(tmp_path / "cloud.bin")
+    with FrameLog(path) as log:
+        edge_error, cloud_error = socketpair_session(cfg, models, vocab, [], log)
+    assert isinstance(edge_error, HandshakeError)
+    assert type(cloud_error) is ProtocolStateError and str(cloud_error) == str(errors[0])
+    assert FrameLog.read(path)[-1] == (DIR_DOWN, encode_done(0, ()))
+
+
+def test_edge_traces_equal_run_session_traces_but_for_alphas(world):
+    prompt = world.vocab.ids_of(["we", "ordered", "the"])
+    triple = (world.llm, world.slm_plus, world.slm_minus)
+    rounds = recoveries = 0
+    for seed, kw in enumerate([{}, {"lam": 0.1}, {"lam": 1.0, "decode_mode": "greedy"}]):
+        cfg = ProtocolConfig(max_len=40, horizon_k=4, top_k=16, seed=seed, **kw)
+        committed, traces = run_session(cfg, *triple, world.vocab, prompt)
+        without_alphas = [replace(t, alphas=()) for t in traces]
+        sim, edge_stats, cloud_stats = run_simulated_session(cfg, *triple, world.vocab, prompt)
+        (sock, sock_stats), _ = socketpair_session(cfg, triple, world.vocab, prompt)
+        assert sim == sock == committed
+        assert edge_stats.traces == sock_stats.traces == without_alphas
+        # The cloud's own traces carry the alphas but never learn the
+        # recovered token.
+        assert cloud_stats.traces == [replace(t, recovery_token=None) for t in traces]
+        assert all(t.alphas for t in traces)
+        rounds += len(traces)
+        recoveries += sum(t.recovery_token is not None for t in traces)
+    assert 0 < recoveries < rounds
+
+
+# ---------------------------------------------------------------------------
+# Property: run_session equals the simulated channel on random table worlds
+# ---------------------------------------------------------------------------
+
+
+def table_row(rng: np.random.Generator, kind: str, v: int) -> np.ndarray:
+    """A distribution over v ids: dense, sparse (zeros read as the
+    probability floor), or dense with a near-tie at the top, below binary32
+    resolution.  The higher id of the tie is the larger in float64 and
+    the two are equal in binary32, so a greedy recovery at beta 0 that
+    read float64 values would pick another id than one that reads the
+    binary32 section."""
+    weights = rng.uniform(0.01, 1.0, v)
+    if kind == "sparse":
+        weights[rng.random(v) < 0.6] = 0.0
+        weights[rng.integers(v)] = 1.0
+    elif kind == "near_tie" and v > 1:
+        top = weights.max()
+        lo, hi = sorted(rng.choice(v, 2, replace=False))
+        weights[lo] = top
+        weights[hi] = top * (1 + rng.choice([3e-10, 1e-9]))
+    return weights / weights.sum()
+
+
+ROW_KINDS = st.sampled_from(["near_tie", "dense", "sparse"])
+
+
+@st.composite
+def table_model(draw, vocab) -> TableModel:
+    """A model of window 0, 1 or 2, with rows for some windows of each
+    length up to it.  Hypothesis draws the shape, numpy the weights."""
+    v = vocab.size
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    window = draw(st.integers(0, 2))
+    rows = {(): table_row(rng, draw(ROW_KINDS), v)}
+    for n in range(1, window + 1):
+        keys = draw(st.lists(st.tuples(*[st.integers(0, v - 1)] * n), min_size=1, max_size=4))
+        rows.update({k: table_row(rng, draw(ROW_KINDS), v) for k in keys})
+    return TableModel(vocab, rows)
+
+
+@st.composite
+def table_session(draw):
+    v = draw(st.integers(2, 40), label="vocab")
+    vocab = make_vocab(v)
+    models = tuple(draw(table_model(vocab)) for _ in range(3))
+    # Drawn so that the simplest examples reject often (a large lambda)
+    # and send every entry (top_k = V), where near-ties reach a recovery.
+    cfg = ProtocolConfig(
+        lam=draw(st.sampled_from([1.5, 1.0, 0.8, 0.3])),
+        beta=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+        horizon_k=draw(st.integers(1, 6)),
+        top_k=v - draw(st.integers(0, v - 1)),
+        max_len=draw(st.integers(2, 16)),
+        decode_mode=draw(st.sampled_from(["greedy", "stochastic"])),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    # Non-eos ids only, so the prompt never ends the session.
+    prompt = draw(st.lists(st.integers(0, v - 2), max_size=2))
+    return cfg, models, vocab, prompt
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=table_session())
+def test_run_session_equals_simulated_channel(case):
+    cfg, models, vocab, prompt = case
+    committed, traces = run_session(cfg, *models, vocab, prompt)
+    sim, edge_stats, cloud_stats = run_simulated_session(cfg, *models, vocab, prompt)
+    assert sim == committed
+    assert cloud_stats.traces == [replace(t, recovery_token=None) for t in traces]
+    assert edge_stats.traces == [replace(t, alphas=()) for t in traces]

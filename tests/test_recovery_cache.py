@@ -3,9 +3,10 @@ edge's recovery cache, both held by engines that outlive a session; and
 the per-config records that sessions look up next to the engines.
 
 A cached payload and a cached recovery must equal what an uncached
-computation gives, float for float, so these tests pin both against a
-reference kept here: the payload build and the recovery pick written out
-as they were before any cache existed.  They also pin that engines of
+computation gives, bit for bit, so these tests pin both against a
+reference kept here: the payload build, packed entry by entry as binary32,
+and the recovery pick, written out as they were before any cache
+existed.  They also pin that engines of
 different model sets never share entries, that every cache keeps to its
 bound, and that the engine lookup neither keeps a dropped model alive nor
 mistakes a new model for a dead one whose id it reuses.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import gc
 import math
+import struct
 import weakref
 from bisect import bisect_right
 from dataclasses import replace
@@ -36,13 +38,14 @@ from specsteer.protocol import (
     ProtocolStateError,
     SparseSteeringPayload,
     Verdict,
-    WireSteeringPayload,
     build_steering_payload,
     cloud_engine,
     edge_engine,
     exact_partition_fn,
+    pack_steering_entries,
     recover,
     run_session,
+    unpack_steering_entries,
 )
 from specsteer.toydata import toy_world
 from specsteer.transport import decode_frame, decode_verdict, encode_verdict
@@ -79,6 +82,11 @@ def bits(entries):
     return [(i, float(v).hex()) for i, v in entries]
 
 
+def packed(entries) -> bytes:
+    """``entries`` packed one by one: a u32 id and a binary32 value each."""
+    return b"".join(struct.pack("<If", i, v) for i, v in entries)
+
+
 class TailModel:
     """Duck-typed model whose logits are a pure function of the last
     ``window`` ids of the history (all of it when shorter)."""
@@ -93,13 +101,11 @@ class TailModel:
         return np.random.default_rng([self._salt, len(tail), *tail]).normal(0.0, 4.0, self._v)
 
 
-def wire_payload(entries) -> SparseSteeringPayload:
-    """``entries`` as the edge sees them after the wire: float32 values,
-    keyed by their bytes."""
-    frame = encode_verdict(Verdict(0, 0, SparseSteeringPayload(tuple(entries))))
-    payload = decode_verdict(decode_frame(frame)[1]).recovery
-    assert isinstance(payload.key, bytes)
-    return payload
+def wire_section(entries) -> bytes:
+    """``entries`` as the edge gets them over the wire: packed by the
+    cloud, then read back out of a verdict frame as a new bytes object."""
+    frame = encode_verdict(Verdict(0, 0, pack_steering_entries(*zip(*entries))))
+    return decode_verdict(decode_frame(frame)[1]).recovery
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +135,11 @@ def test_cached_payload_equals_direct_build(data):
             h_llm = llm.next_token_logits(history)
             h_minus = minus.next_token_logits(history)
             got = engine.payload(h_llm, h_minus, beta, top_k, list(history))
-            assert bits(got.entries) == bits(build_steering_payload(h_llm, h_minus, beta, top_k).entries)
-            assert bits(got.entries) == bits(reference_entries(h_llm, h_minus, beta, top_k))
-            assert got.key is not None
+            want = reference_entries(h_llm, h_minus, beta, top_k)
+            # The section is the float64 reference's entries in binary32,
+            # bit for bit.
+            assert got == packed(want)
+            assert bits(build_steering_payload(h_llm, h_minus, beta, top_k).entries) == bits(want)
             assert len(engine._payloads) <= BOUND
 
 
@@ -150,9 +158,9 @@ entries_strategy = st.integers(1, 9).flatmap(
 def test_cached_recovery_equals_direct_recover(data):
     drafter = TailModel(12, data.draw(st.integers(0, 2), label="window"), 3)
     shapes = data.draw(st.lists(entries_strategy, min_size=1, max_size=3), label="entries")
-    # In-process payloads carry a serial key, wire payloads their bytes.
-    payloads = [SparseSteeringPayload(e, k) for k, e in enumerate(shapes)]
-    payloads += [wire_payload(e) for e in shapes]
+    sections = [wire_section(e) for e in shapes]
+    # What the edge reads from each section: its binary32 values.
+    payloads = [SparseSteeringPayload(tuple(zip(*unpack_steering_entries(s)))) for s in sections]
     calls = data.draw(st.lists(
         st.tuples(
             st.integers(0, len(payloads) - 1),
@@ -171,7 +179,8 @@ def test_cached_recovery_equals_direct_recover(data):
             h_plus = drafter.next_token_logits(history)
             want = reference_recover(payload.entries, h_plus, beta, ref, greedy)
             assert recover(payload, h_plus, beta, direct, greedy) == want
-            assert engine.recover(payload, list(history), drafter, beta, cached, greedy) == want
+            got = engine.recover(sections[p], list(history), drafter, beta, cached, greedy, 12, 12)
+            assert got == want
             assert len(engine._states) <= BOUND
     # Every stream made the same draws.
     assert cached.random() == direct.random() == ref.random()
@@ -184,8 +193,8 @@ def test_zero_beta_keeps_its_sign():
     engine = CloudEngine(TailModel(2, 0, 5), TailModel(2, 0, 6))
     for beta in (0.0, -0.0, 0.0):
         got = engine.payload(h_llm, h_minus, beta, 2, [])
-        assert bits(got.entries) == bits(reference_entries(h_llm, h_minus, beta, 2))
-    assert bits(reference_entries(h_llm, h_minus, 0.0, 2)) != bits(
+        assert got == packed(reference_entries(h_llm, h_minus, beta, 2))
+    assert packed(reference_entries(h_llm, h_minus, 0.0, 2)) != packed(
         reference_entries(h_llm, h_minus, -0.0, 2))
 
 
@@ -194,29 +203,21 @@ def test_wire_payloads_that_differ_anywhere_do_not_share_a_state():
     engine = EdgeEngine(drafter)
     rest = ((1, 0.0), (2, -0.5))
     for first, want in ((1.0, 0), (-1.0, 1), (1.0, 0)):
-        payload = wire_payload(((0, first),) + rest)
-        assert engine.recover(payload, [], drafter, 0.0, None, True) == want
+        section = wire_section(((0, first),) + rest)
+        assert engine.recover(section, [], drafter, 0.0, None, True, 3, 3) == want
 
 
 def test_cached_wire_bytes_are_checked_again_for_another_vocabulary():
     # Ids 0-4 are in range at V=5, id 4 is not at V=4: the state cached for
-    # the same bytes at V=5 must not serve the V=4 recovery.
+    # the same bytes at V=5 must not serve the V=4 recovery.  (The entry
+    # count is EdgeSession.apply's to check, on every verdict.)
     drafter = TailModel(5, 0, 8)
     engine = EdgeEngine(drafter)
-    section = SparseSteeringPayload(((4, 1.0), (0, 0.5))).wire_entries
-    assert engine.recover(WireSteeringPayload(section, 5, 2), [], drafter, 0.0, None, True) == 4
+    section = packed(((4, 1.0), (0, 0.5)))
+    assert engine.recover(section, [], drafter, 0.0, None, True, 5, 2) == 4
     with pytest.raises(ProtocolStateError, match="out of range"):
-        engine.recover(WireSteeringPayload(section, 4, 2), [], drafter, 0.0, None, True)
-    with pytest.raises(ProtocolStateError, match="top_k"):
-        WireSteeringPayload(section, 5, 1)
-
-
-def test_unkeyed_payload_is_not_cached():
-    drafter = TailModel(5, 1, 4)
-    engine = EdgeEngine(drafter)
-    payload = SparseSteeringPayload(((3, 0.5), (1, 0.25)))
-    assert engine.recover(payload, [2], drafter, 1.0, None, True) in (1, 3)
-    assert not engine._states
+        engine.recover(section, [], drafter, 0.0, None, True, 4, 2)
+    assert len(engine._states) == 1
 
 
 # ---------------------------------------------------------------------------

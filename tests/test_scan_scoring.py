@@ -17,6 +17,7 @@ from specsteer.protocol import (
     Verdict,
     build_steering_payload,
     exact_partition_fn,
+    pack_steering_entries,
 )
 from specsteer.transport import encode_verdict
 
@@ -51,7 +52,8 @@ class FullScoringCloud:
             greedy = self.cfg.decode_mode == "greedy"
             if not (alpha >= 1.0 if greedy else self.rng.random() <= alpha):
                 accepted = t
-                payload = build_steering_payload(h_llm, h_minus, self.cfg.beta, self.cfg.top_k)
+                entries = build_steering_payload(h_llm, h_minus, self.cfg.beta, self.cfg.top_k)
+                payload = pack_steering_entries(*zip(*entries.entries))
                 break
         self.mirror.extend(batch.token_ids[:accepted])
         return Verdict(batch.seq_no, accepted, payload), tuple(alphas)

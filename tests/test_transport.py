@@ -22,11 +22,11 @@ from specsteer.protocol import (
     DraftBatch,
     EdgeSession,
     ProtocolStateError,
-    SparseSteeringPayload,
     Verdict,
-    WireSteeringPayload,
     draft_frame_bytes,
+    pack_steering_entries,
     run_session,
+    unpack_steering_entries,
     verdict_frame_bytes,
 )
 from specsteer.transport import (
@@ -74,6 +74,12 @@ def f32(x):
     return struct.unpack("<f", struct.pack("<f", x))[0]
 
 
+def section(entries) -> bytes:
+    """``entries`` packed one by one as a verdict's entry section, with no
+    check, as a hostile cloud could send them."""
+    return b"".join(struct.pack("<If", i, x) for i, x in entries)
+
+
 class TestFrameArithmetic:
     def test_draft_frame_size(self):
         frame = encode_draft(DraftBatch(0, (1, 2, 3, 4)))
@@ -89,7 +95,7 @@ class TestFrameArithmetic:
 
     def test_rejection_verdict_size_top_k_32(self):
         entries = tuple((i, float(i)) for i in range(32))
-        frame = encode_verdict(Verdict(0, 1, SparseSteeringPayload(entries)))
+        frame = encode_verdict(Verdict(0, 1, section(entries)))
         assert len(frame) == verdict_frame_bytes(32) == 275
         _, payload = decode_frame(frame)
         assert len(payload) == 265
@@ -116,17 +122,15 @@ class TestCodecRoundTrips:
         assert decode_verdict(payload) == v
 
     def test_verdict_values_are_binary32(self):
-        entries = ((4, 1.2345678901234), (1, -0.1), (0, 3.0))
-        v = Verdict(2, 1, SparseSteeringPayload(entries))
+        values = (1.2345678901234, -0.1, 3.0)
+        v = Verdict(2, 1, pack_steering_entries((4, 1, 0), values))
         _, payload = decode_frame(encode_verdict(v))
         out = decode_verdict(payload)
-        assert out.seq_no == 2 and out.accepted_count == 1
-        for (i, x), (j, y) in zip(entries, out.recovery.entries):
-            assert i == j and y == f32(x)
+        assert out == v
+        assert unpack_steering_entries(out.recovery) == ((4, 1, 0), tuple(map(f32, values)))
 
     def test_verdict_reencode_stable(self):
-        entries = ((4, 1.2345678901234), (1, -0.1))
-        frame = encode_verdict(Verdict(0, 0, SparseSteeringPayload(entries)))
+        frame = encode_verdict(Verdict(0, 0, pack_steering_entries((4, 1), (1.2345678901234, -0.1))))
         _, payload = decode_frame(frame)
         assert encode_verdict(decode_verdict(payload)) == frame
 
@@ -172,8 +176,7 @@ class TestCodecRoundTrips:
         ),
     )
     def test_verdict_roundtrip_random(self, seq, accepted, entries):
-        rec = SparseSteeringPayload(tuple(entries)) if entries else None
-        v = Verdict(seq, accepted, rec)
+        v = Verdict(seq, accepted, section(entries) if entries else None)
         _, payload = decode_frame(encode_verdict(v))
         assert decode_verdict(payload) == v
 
@@ -194,7 +197,7 @@ class TestCodecRoundTrips:
         tail = u32s([delta]) if delta is not None else b""
         assert encode_draft(DraftBatch(3, tuple(ids)), delta) == frame(
             MSG_DRAFT, struct.pack("<IH", 3, len(ids)) + u32s(ids) + tail)
-        verdict = Verdict(3, 1, SparseSteeringPayload(tuple(entries)))
+        verdict = Verdict(3, 1, pack_steering_entries(*zip(*entries)))
         assert encode_verdict(verdict) == frame(
             MSG_VERDICT, struct.pack("<IHBH", 3, 1, 1, len(entries))
             + b"".join(struct.pack("<If", i, x) for i, x in entries))
@@ -245,7 +248,10 @@ class TestCodecErrors:
 
     def test_recovery_with_empty_entries(self):
         with pytest.raises(WireError):
-            encode_verdict(Verdict(0, 0, SparseSteeringPayload(())))
+            encode_verdict(Verdict(0, 0, b""))
+        # Part of an entry would make a frame the decoder refuses.
+        with pytest.raises(WireError):
+            encode_verdict(Verdict(0, 0, section(((1, 0.5),)) + b"\0"))
 
     @pytest.mark.parametrize("bad", [2**32, -1])
     def test_id_outside_u32(self, bad):
@@ -257,8 +263,17 @@ class TestCodecErrors:
             encode_done(2, (bad,))
         with pytest.raises(WireError):
             encode_hello(ProtocolConfig(), 0, (bad,))
-        with pytest.raises(WireError):
-            encode_verdict(Verdict(0, 0, SparseSteeringPayload(((bad, 0.5),))))
+        with pytest.raises(ProtocolStateError, match="u32 id"):
+            pack_steering_entries([bad], [0.5])
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 3.5e38, -1e39])
+    def test_value_not_finite_in_binary32(self, value):
+        # 3.5e38 is finite in float64 but rounds past the largest binary32.
+        with pytest.raises(ProtocolStateError, match="finite binary32"):
+            pack_steering_entries([0, 1], [0.5, value])
+        # The largest binary32 itself packs.
+        top = 3.4028234663852886e38
+        assert unpack_steering_entries(pack_steering_entries([1], [top])) == ((1,), (top,))
 
 
 class TestVocabHash:
@@ -439,7 +454,7 @@ class TestFrameLogs:
 
     def test_scan_flags_values_on_uplink(self, tmp_path):
         path = str(tmp_path / "bad.bin")
-        verdict = encode_verdict(Verdict(0, 0, SparseSteeringPayload(((1, 0.5),))))
+        verdict = encode_verdict(Verdict(0, 0, section(((1, 0.5),))))
         with FrameLog(path) as fl:
             fl.write(DIR_UP, verdict)
         violations = scan_frame_log(path)
@@ -455,7 +470,7 @@ class TestFrameLogs:
 
     def test_scan_ignores_downlink_values(self, tmp_path):
         path = str(tmp_path / "down.bin")
-        verdict = encode_verdict(Verdict(0, 0, SparseSteeringPayload(((1, 0.5),))))
+        verdict = encode_verdict(Verdict(0, 0, section(((1, 0.5),))))
         with FrameLog(path) as fl:
             fl.write(DIR_DOWN, verdict)
         assert scan_frame_log(path) == []
@@ -659,7 +674,7 @@ class TestSocketHardening:
     def test_largest_verdict_fits_the_cap(self):
         assert MAX_PAYLOAD == 7 + 2 + 8 * 0xFFFF
         entries = tuple((i, 0.5) for i in range(0xFFFF))
-        frame = encode_verdict(Verdict(0, 0, SparseSteeringPayload(entries)))
+        frame = encode_verdict(Verdict(0, 0, section(entries)))
         assert len(frame) == 10 + MAX_PAYLOAD
         a, b = socket.socketpair()
         try:
@@ -741,8 +756,7 @@ class TestSocketHardening:
 
     def test_send_times_out(self):
         # Nobody reads b, so the socket buffers fill and the send stalls.
-        frame = encode_verdict(Verdict(0, 0, SparseSteeringPayload(
-            tuple((i, 0.5) for i in range(0xFFFF)))))
+        frame = encode_verdict(Verdict(0, 0, section((i, 0.5) for i in range(0xFFFF))))
         a, b = socket.socketpair()
         try:
             endpoint = SocketEndpoint(a, timeout=0.2)
@@ -942,7 +956,7 @@ class TestEdgeVerdictIngest:
             cloud_end.recv_frame()
             cloud_end.send_frame(encode_hello_ack(vocab_hash64(vocab)))
             cloud_end.recv_frame()
-            cloud_end.send_frame(encode_verdict(Verdict(0, 0, SparseSteeringPayload(entries))))
+            cloud_end.send_frame(encode_verdict(Verdict(0, 0, section(entries))))
 
         try:
             thread, errors = in_thread(fake_cloud)
@@ -962,14 +976,13 @@ class TestEdgeVerdictIngest:
         tokens = edge.draft()
         assert len(tokens) == 4
 
-        def payload(entries):
-            section = SparseSteeringPayload(entries).wire_entries
-            return WireSteeringPayload(section, vocab.size, 4)
-
         with pytest.raises(ProtocolStateError, match="out of range"):
-            edge.apply(0, 2, payload(((8, 0.5),)))
+            edge.apply(0, 2, section(((8, 0.5),)))
         assert edge.committed == [0] and edge.seq_no == 0
-        assert edge.apply(0, 2, payload(((1, 0.5),))) == (2, 1)
+        with pytest.raises(ProtocolStateError, match="part of an entry"):
+            edge.apply(0, 2, section(((1, 0.5),)) + b"\0")
+        assert edge.committed == [0] and edge.seq_no == 0
+        assert edge.apply(0, 2, section(((1, 0.5),))) == (2, 1)
         assert edge.committed == [0, *tokens[:2], 1]
 
 
@@ -1257,7 +1270,7 @@ def mutated_downlink(draw) -> tuple[list[bytes], tuple]:
         frames[i] = encode_hello_ack(draw(st.sampled_from([0, decode_hello_ack(payload) ^ 1])))
     elif msg_type == MSG_VERDICT:
         v = decode_verdict(payload)
-        entries = v.recovery.entries if v.recovery is not None else None
+        entries = None if v.recovery is None else tuple(zip(*unpack_steering_entries(v.recovery)))
         frames[i] = verdict_bytes(
             draw(st.sampled_from([v.seq_no, v.seq_no + 1, 0])),
             draw(st.sampled_from([v.accepted_count, 0, v.accepted_count + 1, 0xFFFF])),
