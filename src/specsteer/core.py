@@ -5,12 +5,16 @@ transport) builds on the primitives here: a shared vocabulary, validated
 probability/logit vectors represented as 1-D float64 numpy arrays, a
 numerically stable softmax, inverse-CDF sampling, and counter-based
 (Philox) random streams split by role so that the in-process engine and
-the two-process transport consume identical random numbers.
+the two-process transport consume identical random numbers.  A Philox
+stream is only a key and a counter, so the streams the protocol draws
+from (``UniformStream``) hold no generator: each block of uniforms is
+drawn by one per-thread Philox, re-keyed for it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
@@ -233,37 +237,60 @@ def stream(seed: int, role: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=_ZERO_COUNTER))
 
 
-# A stream serves its first SCALAR_DRAWS uniforms with one scalar
-# ``Generator.random()`` call each, and the rest from blocks of
-# UNIFORM_BLOCK, one ``Generator.random(UNIFORM_BLOCK)`` call a block.  A
-# block costs about six scalar calls (the NumPy call and the list it
-# makes), so a stream that a session draws from only once or twice, as a
-# single-step session with its own streams does, never pays for one, and a
-# stream drawn from often pays a fraction of a scalar call per draw.  Blocks
-# stay small because a caller may hold many stream sets at once (one per
-# table triple in the single-step workload).
-SCALAR_DRAWS = 4
+# A stream is served in blocks of UNIFORM_BLOCK uniforms.  Philox makes
+# four 64-bit words per counter step and a uniform takes one word, so a
+# block that is a multiple of four ends on a counter step, and block ``n``
+# is exactly what a Philox at counter ``n * UNIFORM_BLOCK // 4``, its buffer
+# empty, draws next.  Blocks stay small because a caller may hold many
+# stream sets at once (one per table triple in the single-step workload).
 UNIFORM_BLOCK = 64
+_STEPS_PER_BLOCK = UNIFORM_BLOCK // 4
+assert UNIFORM_BLOCK % 4 == 0
+
+# One Philox per thread, re-keyed for every block: the cloud and the edge
+# of a wire session draw from two threads.
+_philox = threading.local()
+
+
+def uniform_block(seed: int, role: int, counter: int) -> list[float]:
+    """The block of ``stream(seed, role)`` that starts at Philox counter
+    ``counter``: this thread's Philox, re-keyed through its ``state``
+    setter, draws it.  Re-keying costs a fraction of building a stream."""
+    try:
+        gen = _philox.gen
+    except AttributeError:
+        gen = _philox.gen = np.random.Generator(
+            np.random.Philox(_PhiloxKey(0), counter=_ZERO_COUNTER)
+        )
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (counter & _U64_MASK, counter >> 64, 0, 0), "key": (seed, role + 1)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen.random(UNIFORM_BLOCK).tolist()
 
 
 def _uniforms(seed: int, role: int) -> Iterator[float]:
-    # A generator's body runs at its first next(), so the Philox stream is
-    # built at the first draw: a stream a session never draws from (the
+    # A generator's body runs at its first next(), so the first block is
+    # drawn at the first draw: a stream a session never draws from (the
     # recovery stream of a session with no rejection) costs nothing.
-    draw = stream(seed, role).random
-    for _ in range(SCALAR_DRAWS):
-        yield draw()
+    seed &= _U64_MASK
+    counter = 0
     while True:
-        yield from draw(UNIFORM_BLOCK).tolist()
+        yield from uniform_block(seed, role, counter)
+        counter += _STEPS_PER_BLOCK
 
 
 class UniformStream:
-    """The uniforms of ``stream(seed, role)``, served from blocks after the
-    first few.
+    """The uniforms of ``stream(seed, role)``, served a block at a time.
 
     ``random()`` returns the same floats, in the same order, as successive
-    ``stream(seed, role).random()`` calls, at a fraction of the cost of a
-    NumPy call per draw.  The Philox stream is built at the first draw.
+    ``stream(seed, role).random()`` calls.  A stream keeps no Philox of its
+    own, only its seed, role and block counter: each block is drawn by
+    ``uniform_block`` at the stream's first draw from it.
     """
 
     __slots__ = ("random",)

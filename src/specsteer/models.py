@@ -17,6 +17,14 @@ trailing history tokens a score depends on.  Callers may pass any history
 that ends in the same ``window`` tokens (or the whole history when it is
 shorter) and get the same result, which keeps per-token cost independent
 of history length.
+
+Each model has two layers.  The public ``next_token_*`` methods check
+every id they are given and then call the row layer, which checks none:
+``key_of(history)`` is the model's row key for a history, and
+``probs_at``/``logits_at``/``cdf_at(key)`` its rows there.  The protocol
+cores, whose ids were checked where they entered, call only the row
+layer; ``PublicRows`` gives a model whose class has no row layer one over
+its public methods.
 """
 
 from __future__ import annotations
@@ -99,13 +107,33 @@ class _Row:
         self.cdf = cdf
 
 
-class TableModel:
+class _CheckedRows:
+    """The checked public layer over a class's row layer: each method
+    checks every id of ``history``, then reads the row at its key."""
+
+    _vsize: int
+
+    def next_token_probs(self, history: Sequence[int]) -> np.ndarray:
+        _check_history(history, self._vsize)
+        return self.probs_at(self.key_of(history))
+
+    def next_token_logits(self, history: Sequence[int]) -> np.ndarray:
+        _check_history(history, self._vsize)
+        return self.logits_at(self.key_of(history))
+
+    def next_token_cdf(self, history: Sequence[int]) -> list[float]:
+        """Cached cumulative distribution; lets samplers skip the cumsum."""
+        _check_history(history, self._vsize)
+        return self.cdf_at(self.key_of(history))
+
+
+class TableModel(_CheckedRows):
     """History-window lookup table over windows of 0, 1, or 2 tokens.
 
     Missing histories fall back to the empty-window row, which must be
-    present.  Rows are validated distributions; probs, logits, and CDFs
-    are kept in one record per window so sessions can query in tight
-    loops.
+    present.  Rows are validated distributions, and their keys tuples of
+    in-vocabulary ids; probs, logits, and CDFs are kept in one record per
+    window so sessions can query in tight loops.
     """
 
     def __init__(
@@ -116,45 +144,53 @@ class TableModel:
     ) -> None:
         if () not in rows:
             raise ModelError("TableModel requires an empty-window fallback row")
+        size = vocab.size
+        for k in rows:
+            if not (type(k) is tuple and all(type(i) is int and 0 <= i < size for i in k)):
+                raise ModelError(f"row key {k!r} is not a tuple of token ids below {size}")
         self.vocab = vocab
         self.profile = profile
         self.window = max(len(k) for k in rows)
         if self.window > 2:
             raise ModelError("TableModel windows are limited to 2 tokens")
-        self._vsize = vocab.size
+        self._vsize = size
         self._rows: dict[tuple[int, ...], _Row] = {}
         for k, v in rows.items():
-            p = check_distribution(v, vocab.size)
+            p = check_distribution(v, size)
             self._rows[k] = _Row(p, np.log(np.maximum(p, PROB_FLOOR)), p.cumsum().tolist())
-        self._root = self._rows[()]
+        # Every key resolved so far, to the record of the longest stored
+        # window it ends in; a stored window resolves to its own record.
+        # Keys hold in-vocabulary ids only, so there are at most 1 + V + V**2.
+        self._resolved = dict(self._rows)
         # The nonzero window lengths that have rows, longest first: the
-        # only suffixes of a history worth a probe.
+        # only suffixes of a key worth a probe.
         self._lengths = sorted({len(k) for k in rows if k}, reverse=True)
 
-    def _row(self, history: Sequence[int]) -> _Row:
-        """Record of the longest stored window ``history`` ends in, after
-        checking every id in ``history``."""
-        size = self._vsize
-        for i in history:
-            if not 0 <= i < size:
-                raise _unknown_id(i, size)
-        n = len(history)
+    def key_of(self, history: Sequence[int]) -> tuple[int, ...]:
+        """The last ``window`` ids of ``history`` (all of it when shorter)."""
+        w = self.window
+        return tuple(history[-w:]) if w else ()
+
+    def _resolve(self, key: tuple[int, ...]) -> _Row:
+        """The record of the longest stored window ``key`` ends in, now
+        memoized for ``key``."""
+        n = len(key)
         for m in self._lengths:
-            if m <= n:
-                row = self._rows.get(tuple(history[n - m:]))
-                if row is not None:
-                    return row
-        return self._root
+            if m <= n and (row := self._rows.get(key[n - m:])) is not None:
+                break
+        else:
+            row = self._rows[()]
+        self._resolved[key] = row
+        return row
 
-    def next_token_probs(self, history: Sequence[int]) -> np.ndarray:
-        return self._row(history).probs
+    def probs_at(self, key: tuple[int, ...]) -> np.ndarray:
+        return (self._resolved.get(key) or self._resolve(key)).probs
 
-    def next_token_logits(self, history: Sequence[int]) -> np.ndarray:
-        return self._row(history).logits
+    def logits_at(self, key: tuple[int, ...]) -> np.ndarray:
+        return (self._resolved.get(key) or self._resolve(key)).logits
 
-    def next_token_cdf(self, history: Sequence[int]) -> list[float]:
-        """Cached cumulative distribution; lets samplers skip the cumsum."""
-        return self._row(history).cdf
+    def cdf_at(self, key: tuple[int, ...]) -> list[float]:
+        return (self._resolved.get(key) or self._resolve(key)).cdf
 
 
 # An NGramModel keeps the rows of at most this many windows and drops the
@@ -165,7 +201,7 @@ class TableModel:
 ROW_CACHE_SIZE = 16384
 
 
-class NGramModel:
+class NGramModel(_CheckedRows):
     """Add-k smoothed n-gram model with optional private-table blending.
 
     The emitted distribution is ``(1-mu) * base + mu * private`` where both
@@ -209,19 +245,6 @@ class NGramModel:
         self._rows: dict[tuple[int, ...], _Row] = {}
         # Made on first use; the record of every window in neither count table.
         self._unseen_row: _Row | None = None
-
-    def _key(self, history: Sequence[int]) -> tuple[int, ...]:
-        """The last ``window`` ids of ``history``, left-padded with BOS when
-        it is shorter, after checking every id in ``history``."""
-        size = self._vsize
-        for i in history:
-            if not 0 <= i < size:
-                raise _unknown_id(i, size)
-        m = self.window
-        n = len(history)
-        if n >= m:
-            return tuple(history[n - m:])
-        return (BOS,) * (m - n) + tuple(history)
 
     def _table_probs(
         self,
@@ -269,33 +292,79 @@ class NGramModel:
         rows[window] = row
         return row
 
-    def next_token_probs(self, history: Sequence[int]) -> np.ndarray:
-        window = self._key(history)
-        row = self._rows.get(window) or self._add_row(window)
+    def key_of(self, history: Sequence[int]) -> tuple[int, ...]:
+        """The last ``window`` ids of ``history``, left-padded with BOS when
+        it is shorter."""
+        m = self.window
+        n = len(history)
+        if n >= m:
+            return tuple(history[n - m:])
+        return (BOS,) * (m - n) + tuple(history)
+
+    def probs_at(self, key: tuple[int, ...]) -> np.ndarray:
+        row = self._rows.get(key) or self._add_row(key)
         probs = row.probs
         if probs is None:
-            probs = row.probs = _frozen(self._probs(window))
+            probs = row.probs = _frozen(self._probs(key))
         return probs
 
-    def next_token_logits(self, history: Sequence[int]) -> np.ndarray:
-        window = self._key(history)
-        row = self._rows.get(window) or self._add_row(window)
+    def logits_at(self, key: tuple[int, ...]) -> np.ndarray:
+        row = self._rows.get(key) or self._add_row(key)
         logits = row.logits
         if logits is None:
             p = row.probs
             logits = row.logits = _frozen(
-                np.log(np.maximum(p if p is not None else self._probs(window), PROB_FLOOR))
+                np.log(np.maximum(p if p is not None else self._probs(key), PROB_FLOOR))
             )
         return logits
 
-    def next_token_cdf(self, history: Sequence[int]) -> list[float]:
-        """Cached cumulative distribution; lets samplers skip the cumsum."""
-        window = self._key(history)
-        row = self._rows.get(window) or self._add_row(window)
+    def cdf_at(self, key: tuple[int, ...]) -> list[float]:
+        row = self._rows.get(key) or self._add_row(key)
         cdf = row.cdf
         if cdf is None:
-            cdf = row.cdf = self.next_token_probs(history).cumsum().tolist()
+            cdf = row.cdf = self.probs_at(key).cumsum().tolist()
         return cdf
+
+
+def serves_rows(model) -> bool:
+    """Whether the class of ``model`` implements the row layer: ``key_of``
+    and ``probs_at``/``logits_at``/``cdf_at``, which check no ids."""
+    return hasattr(type(model), "key_of")
+
+
+class PublicRows:
+    """The row layer over the public methods of a model whose class has
+    none (a proxy, a test spy): a key is the tail of the history that the
+    model's ``window`` covers, as a tuple, which the model scores as it
+    would the whole history.  ``cdf_at`` is the model's ``next_token_cdf``
+    when it has one, else the running sum of its probs, whose bisection
+    draws exactly as ``core.sample`` does."""
+
+    __slots__ = ("window", "_model", "cdf_at")
+
+    def __init__(self, model) -> None:
+        self.window = model.window
+        self._model = model
+        self.cdf_at = getattr(model, "next_token_cdf", None) or self._cdf
+
+    def key_of(self, history: Sequence[int]) -> tuple[int, ...]:
+        w = self.window
+        return tuple(history[-w:]) if w else ()
+
+    def probs_at(self, key: tuple[int, ...]) -> np.ndarray:
+        return self._model.next_token_probs(key)
+
+    def logits_at(self, key: tuple[int, ...]) -> np.ndarray:
+        return self._model.next_token_logits(key)
+
+    def _cdf(self, key: tuple[int, ...]) -> list[float]:
+        return self._model.next_token_probs(key).cumsum().tolist()
+
+
+def model_rows(model):
+    """``model`` itself when it serves the row layer, else its
+    ``PublicRows``."""
+    return model if serves_rows(model) else PublicRows(model)
 
 
 def _check_corpus(corpus: Sequence[Sequence[int]], size: int) -> int:

@@ -18,12 +18,15 @@ which the cloud packs once per cache entry and the edge decodes and checks
 on a recovery-cache miss.  ``SparseSteeringPayload`` is its float64
 reference, for analysis and tests.
 
-Models are scored from the tail of the history that their ``window``
-covers, so a round costs O(K + window) whatever the history length.  Token
-ids are checked once, where they enter: the prompt when a session starts,
-every draft id and recovery delta at cloud ingest, and every steering
-entry when the edge decodes it.  Tokens the edge samples itself are
-trusted.
+Token ids are checked once, where they enter: the prompt when a session
+starts, every draft id, recovery delta and trailing id at cloud ingest,
+and every steering entry when the edge decodes it.  Tokens the edge
+samples itself are trusted.  So the cores score through the models'
+unchecked row layer (``key_of`` and ``probs_at``/``logits_at``/
+``cdf_at``): each core carries one row key per model and extends it one
+token at a time, so a round costs O(K + window) whatever the history
+length.  A model whose class has no row layer is scored through
+``models.PublicRows``.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from .core import (
     uniform_stream,
     validate_sequence,
 )
+from .models import model_rows, serves_rows
 
 FRAME_HEADER_BYTES = 10
 DRAFT_PAYLOAD_FIXED = 6   # seq_no u32 + count u16
@@ -329,20 +333,19 @@ def _beta_key(beta: float) -> float | tuple[float, float]:
 
 
 class CloudEngine:
-    """The cloud's long-lived half for one (llm, slm_minus) pair: the window
-    the pair scores from and the steering-payload cache, shared by every
-    session that verifies with these two models.
+    """The cloud's long-lived half for one (llm, slm_minus) pair: the
+    steering-payload cache, shared by every session that verifies with
+    these two models.
 
     A payload is a pure function of the two models' logits at the rejected
-    position, beta and top_k, so it is cached under (beta, top_k, the last
-    ``window`` tokens of the history there), packed: a hit returns the
-    entry section packed on the miss.
+    position, beta and top_k, so it is cached under (beta, top_k, the two
+    models' row keys there), packed: a hit returns the entry section packed
+    on the miss.
     """
 
-    __slots__ = ("window", "_payloads", "__weakref__")
+    __slots__ = ("_payloads", "__weakref__")
 
-    def __init__(self, llm, slm_minus) -> None:
-        self.window = max(llm.window, slm_minus.window)
+    def __init__(self) -> None:
         self._payloads: dict[tuple, bytes] = {}
 
     def payload(
@@ -351,14 +354,13 @@ class CloudEngine:
         h_minus: np.ndarray,
         beta: float,
         top_k: int,
-        prefix: list[int],
+        keys: tuple[tuple[int, ...], tuple[int, ...]],
     ) -> bytes:
         """The packed entry section of ``build_steering_payload(h_llm,
-        h_minus, beta, top_k)`` for the logits the pair gives ``prefix``,
-        from the cache when it holds it.  A value that is not finite in
-        binary32 raises ``ProtocolStateError``."""
-        w = self.window
-        key = (_beta_key(beta), top_k, tuple(prefix[-w:]) if w else ())
+        h_minus, beta, top_k)`` for the logits at the row ``keys`` (the
+        llm's and slm_minus's), from the cache when it holds it.  A value
+        that is not finite in binary32 raises ``ProtocolStateError``."""
+        key = (_beta_key(beta), top_k, keys)
         cache = self._payloads
         section = cache.pop(key, None)
         if section is None:
@@ -370,9 +372,8 @@ class CloudEngine:
 
 
 class EdgeEngine:
-    """The edge's long-lived half for one drafter: its window, whether it
-    serves cumulative distributions (``next_token_cdf``), and the recovery
-    cache, shared by every session that drafts with it.
+    """The edge's long-lived half for one drafter: the recovery cache,
+    shared by every session that drafts with it.
 
     A recovery's state before its random draw (``_recovery_state``) is a
     pure function of the entry section, beta, the decode mode and the
@@ -380,39 +381,34 @@ class EdgeEngine:
     entries depend on nothing but its bytes, the vocabulary size and
     ``top_k``, whose part ``EdgeSession.apply`` repeats on every verdict.
     So the state is cached under (beta, greedy, the vocabulary size, the
-    section, the last ``window`` tokens of the history there): a cached
-    state was checked when it was cached, and a hit skips the decoding, the
-    checks, the drafter call and the sums.
+    section, the drafter's row key there): a cached state was checked when
+    it was cached, and a hit skips the decoding, the checks, the drafter
+    call and the sums.
     """
 
-    __slots__ = ("window", "by_cdf", "_states", "__weakref__")
+    __slots__ = ("_states", "__weakref__")
 
-    def __init__(self, drafter) -> None:
-        self.window = drafter.window
-        self.by_cdf = hasattr(drafter, "next_token_cdf")
+    def __init__(self) -> None:
         self._states: dict[tuple, int | tuple] = {}
 
     def recover(
-        self, section: bytes, history: list[int], drafter, beta: float, rng, greedy: bool,
+        self, section: bytes, key: tuple[int, ...], drafter, beta: float, rng, greedy: bool,
         vocab_size: int, top_k: int,
     ) -> int:
-        """The token recovered from the packed entry ``section`` with this
-        engine's drafter's logits at ``history``, from the cache when it
-        holds the state.  Entries that fail ``check_steering_payload`` raise
-        ``ProtocolStateError``."""
-        w = self.window
-        key = (_beta_key(beta), greedy, vocab_size, section, tuple(history[-w:]) if w else ())
+        """The token recovered from the packed entry ``section`` with the
+        logits of ``drafter``'s row layer (``model_rows``) at ``key``, from
+        the cache when it holds the state.  Entries that fail
+        ``check_steering_payload`` raise ``ProtocolStateError``."""
+        ckey = (_beta_key(beta), greedy, vocab_size, section, key)
         cache = self._states
-        state = cache.pop(key, None)
+        state = cache.pop(ckey, None)
         if state is None:
             ids, values = unpack_steering_entries(section)
             check_steering_payload(ids, values, vocab_size, top_k)
-            state = _recovery_state(
-                ids, values, drafter.next_token_logits(history_tail(history, w)), beta, greedy
-            )
+            state = _recovery_state(ids, values, drafter.logits_at(key), beta, greedy)
             if len(cache) >= RECOVERY_CACHE_SIZE:
                 evict_oldest(cache)
-        cache[key] = state
+        cache[ckey] = state
         return state if greedy else _draw_recovery(state, rng)
 
 
@@ -460,14 +456,12 @@ def _registry(key: tuple, objs: tuple, make, *args):
 
 def edge_engine(drafter) -> EdgeEngine:
     """The engine of ``drafter``, made on first use."""
-    return _registry(("edge", id(drafter)), (drafter,), EdgeEngine, drafter)
+    return _registry(("edge", id(drafter)), (drafter,), EdgeEngine)
 
 
 def cloud_engine(llm, slm_minus) -> CloudEngine:
     """The engine of the (llm, slm_minus) pair, made on first use."""
-    return _registry(
-        ("cloud", id(llm), id(slm_minus)), (llm, slm_minus), CloudEngine, llm, slm_minus
-    )
+    return _registry(("cloud", id(llm), id(slm_minus)), (llm, slm_minus), CloudEngine)
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +480,18 @@ class SessionRecord:
 
     ``edge`` is the drafter's engine, for a record that drafts and commits;
     ``cloud`` the (llm, slm_minus) pair's, for one that scans.
+
+    The cores score through the models' row layer (``key_of`` and
+    ``*_at``), which checks no ids: every id they see was checked where it
+    entered or sampled by the edge itself.  They carry one row key per
+    model and extend it one token at a time.  ``wrap`` is decided once per
+    model set: whether some model's class lacks the layer, so that a
+    session hands the cores ``model_rows`` of its models.
     """
 
     __slots__ = (
         "eos", "vsize", "max_len", "horizon", "greedy", "beta", "lam", "top_k", "exact_z",
-        "edge", "cloud",
+        "edge", "cloud", "wrap",
     )
 
     def __init__(
@@ -499,6 +500,7 @@ class SessionRecord:
         vocab: Vocabulary,
         edge: EdgeEngine | None,
         cloud: CloudEngine | None,
+        models: tuple,
     ) -> None:
         config.validate(vocab.size)
         self.eos = vocab.eos_id
@@ -512,6 +514,7 @@ class SessionRecord:
         self.exact_z = config.exact_z
         self.edge = edge
         self.cloud = cloud
+        self.wrap = not all(map(serves_rows, models))
 
     def ended(self, history: list[int]) -> bool:
         """Whether a session with this history drafts no more: it ends in
@@ -519,27 +522,29 @@ class SessionRecord:
         return len(history) >= self.max_len or (bool(history) and history[-1] == self.eos)
 
     def draft(self, drafter, history: list[int], rng) -> tuple[int, ...]:
-        """Sample up to ``horizon_k`` tokens after ``history``, stopping at
-        eos and at ``max_len``; the session must not have ended."""
+        """Sample up to ``horizon_k`` tokens after ``history`` from the
+        drafter's rows, stopping at eos and at ``max_len``; the session
+        must not have ended."""
         k = self.max_len - len(history)
         if k > self.horizon:
             k = self.horizon
         eos = self.eos
-        edge = self.edge
-        hist = history_tail(history, edge.window)
+        w = drafter.window
+        key = drafter.key_of(history)
+        greedy = self.greedy
+        row_at = drafter.probs_at if greedy else drafter.cdf_at
         tokens: list[int] = []
         for _ in range(k):
-            if self.greedy:
-                tok = greedy_pick(drafter.next_token_probs(hist))
-            elif edge.by_cdf:
-                cdf = drafter.next_token_cdf(hist)
-                tok = min(bisect_right(cdf, rng.random()), len(cdf) - 1)
+            if greedy:
+                tok = greedy_pick(row_at(key))
             else:
-                tok = sample(drafter.next_token_probs(hist), rng)
+                cdf = row_at(key)
+                tok = min(bisect_right(cdf, rng.random()), len(cdf) - 1)
             tokens.append(tok)
             if tok == eos:
                 break
-            hist.append(tok)
+            if w:
+                key = key[1:] + (tok,) if len(key) == w else key + (tok,)
         return tuple(tokens)
 
     def scan(
@@ -558,29 +563,26 @@ class SessionRecord:
         recovery token) and, when a token was rejected, the steering
         payload's packed entry section.
 
-        Position t is scored by the two models (and, in exact-Z mode, the
-        partition callback ``zt_fn``, which exposes the ``window`` it reads)
-        only when the scan reaches it: everything drafted after the first
-        rejection is discarded unscored.  Scoring is pure, and verify draws
-        stop at the rejection either way, so this gives the same alphas and
-        verdicts as scoring every position.  Nothing about the private
-        drafter distribution enters here.
+        Position t is scored from the two models' rows (and, in exact-Z
+        mode, by the partition callback ``zt_fn``, which exposes the
+        ``window`` it reads) only when the scan reaches it: everything
+        drafted after the first rejection is discarded unscored.  Scoring is
+        pure, and verify draws stop at the rejection either way, so this
+        gives the same alphas and verdicts as scoring every position.
+        Nothing about the private drafter distribution enters here.
         """
-        cloud = self.cloud
-        window = cloud.window
-        if zt_fn is not None and zt_fn.window > window:
-            window = zt_fn.window
-        prefix = history_tail(history, window)
-        llm_logits = llm.next_token_logits
-        minus_logits = slm_minus.next_token_logits
+        lw, mw = llm.window, slm_minus.window
+        lkey, mkey = llm.key_of(history), slm_minus.key_of(history)
+        llm_at, minus_at = llm.logits_at, slm_minus.logits_at
+        prefix = history_tail(history, zt_fn.window) if zt_fn is not None else None
         draw = rng.random
         greedy = self.greedy
         alphas: list[float] = []
         accepted = len(tokens)
         section: bytes | None = None
         for t, tok in enumerate(tokens):
-            h_llm = llm_logits(prefix)
-            h_minus = minus_logits(prefix)
+            h_llm = llm_at(lkey)
+            h_minus = minus_at(mkey)
             lam = zt_fn(prefix) if zt_fn is not None else self.lam
             # Conditionals equal to builtin max/min here, and cheaper.
             p_minus = math.exp(h_minus[tok])
@@ -593,9 +595,14 @@ class SessionRecord:
             ok = alpha >= 1.0 if greedy else draw() <= alpha
             if not ok:
                 accepted = t
-                section = cloud.payload(h_llm, h_minus, self.beta, self.top_k, prefix)
+                section = self.cloud.payload(h_llm, h_minus, self.beta, self.top_k, (lkey, mkey))
                 break
-            prefix.append(tok)
+            if lw:
+                lkey = lkey[1:] + (tok,) if len(lkey) == lw else lkey + (tok,)
+            if mw:
+                mkey = mkey[1:] + (tok,) if len(mkey) == mw else mkey + (tok,)
+            if prefix is not None:
+                prefix.append(tok)
         trace = round_trace(seq, tokens, tuple(alphas), accepted, None, has_delta, section)
         return trace, section
 
@@ -610,14 +617,15 @@ class SessionRecord:
     ) -> int | None:
         """Append ``tokens[:accepted]`` to ``history`` and, when the packed
         entry ``section`` is given (the draft was rejected at ``accepted``),
-        the recovery token, which is returned."""
+        the token recovered with the drafter's rows, which is returned."""
         history.extend(tokens[:accepted])
         if section is None:
             return None
         # The history is now exactly the history at the rejected position,
         # so the private term is scored lazily here, if at all.
         tok = self.edge.recover(
-            section, history, drafter, self.beta, rng, self.greedy, self.vsize, self.top_k
+            section, drafter.key_of(history), drafter, self.beta, rng, self.greedy, self.vsize,
+            self.top_k,
         )
         history.append(tok)
         return tok
@@ -682,21 +690,23 @@ def _session_record(config, llm, slm_plus, slm_minus, vocab: Vocabulary) -> Sess
     """A new record for ``run_session``, once the three models are known to
     share ``vocab``."""
     _check_shared_vocab(vocab, llm, slm_plus, slm_minus)
-    return SessionRecord(config, vocab, edge_engine(slm_plus), cloud_engine(llm, slm_minus))
+    return SessionRecord(
+        config, vocab, edge_engine(slm_plus), cloud_engine(llm, slm_minus), (llm, slm_plus, slm_minus)
+    )
 
 
 def _edge_record(config, drafter, vocab: Vocabulary) -> SessionRecord:
     """A new record for an ``EdgeSession``, once the drafter is known to
     share ``vocab``."""
     _check_shared_vocab(vocab, drafter)
-    return SessionRecord(config, vocab, edge_engine(drafter), None)
+    return SessionRecord(config, vocab, edge_engine(drafter), None, (drafter,))
 
 
 def _cloud_record(config, llm, slm_minus, vocab: Vocabulary) -> SessionRecord:
     """A new record for a ``CloudVerifier``, once its two models are known
     to share ``vocab``."""
     _check_shared_vocab(vocab, llm, slm_minus)
-    return SessionRecord(config, vocab, None, cloud_engine(llm, slm_minus))
+    return SessionRecord(config, vocab, None, cloud_engine(llm, slm_minus), (llm, slm_minus))
 
 
 def _check_shared_vocab(vocab: Vocabulary, *models) -> None:
@@ -738,6 +748,7 @@ class EdgeSession:
         validate_sequence(prompt_ids, vocab, rec.max_len)
         self.config = config
         self.drafter = drafter
+        self._rows = model_rows(drafter) if rec.wrap else drafter
         self.vocab = vocab
         self.committed: list[int] = list(prompt_ids)
         self.seq_no = 0
@@ -768,7 +779,7 @@ class EdgeSession:
             return None
         if self._outstanding is not None:
             raise ProtocolStateError("previous draft awaiting verdict")
-        tokens = self._outstanding = rec.draft(self.drafter, self.committed, self._draft_rng)
+        tokens = self._outstanding = rec.draft(self._rows, self.committed, self._draft_rng)
         return tokens
 
     def next_draft(self) -> DraftBatch | None:
@@ -796,7 +807,7 @@ class EdgeSession:
         n = len(committed)
         try:
             rec_token = rec.commit(
-                self.drafter, committed, tokens, accepted, recovery, self._recovery_rng
+                self._rows, committed, tokens, accepted, recovery, self._recovery_rng
             )
         except ProtocolStateError:
             # A section's entries are checked when first recovered from;
@@ -856,6 +867,7 @@ class CloudVerifier:
         self.config = config
         self.llm = llm
         self.slm_minus = slm_minus
+        self._rows = (model_rows(llm), model_rows(slm_minus)) if rec.wrap else (llm, slm_minus)
         self.vocab = vocab
         self.mirror: list[int] = list(prompt_ids)
         self.expected_seq = 0
@@ -891,8 +903,9 @@ class CloudVerifier:
         rec.check_extension(mirror, history_delta, tokens, "draft")
         if history_delta is not None:
             mirror.append(history_delta)
+            self.traces[-1].recovery_token = history_delta
         trace, section = rec.scan(
-            self.llm, self.slm_minus, self._zt_fn, mirror, tokens, self._verify_rng,
+            *self._rows, self._zt_fn, mirror, tokens, self._verify_rng,
             seq_no, history_delta is not None,
         )
         accepted = trace.accepted_count
@@ -924,6 +937,7 @@ class CloudVerifier:
             rec.check_ids(trailing_ids, "trailing")
             rec.check_extension(self.mirror, None, trailing_ids, "trailing id")
             self.mirror.extend(trailing_ids)
+            self.traces[-1].recovery_token = trailing_ids[0]
         self.awaiting_delta = False
         self.finished = True
 
@@ -935,13 +949,13 @@ class CloudVerifier:
 
 def exact_partition_fn(llm, slm_plus, slm_minus) -> Callable[[Sequence[int]], float]:
     """Per-step true partition function for exact-Z verification; its
-    ``window`` covers all three models."""
+    ``window`` covers all three models.  It scores each model's rows at
+    that model's key of ``prefix``, whose ids it does not check."""
+    rows = tuple(map(model_rows, (llm, slm_plus, slm_minus)))
 
     def zt(prefix: Sequence[int]) -> float:
-        p_llm = llm.next_token_probs(prefix)
-        p_plus = slm_plus.next_token_probs(prefix)
-        p_minus = np.maximum(slm_minus.next_token_probs(prefix), PROB_FLOOR)
-        return float(np.sum(p_llm * p_plus / p_minus))
+        p_llm, p_plus, p_minus = (m.probs_at(m.key_of(prefix)) for m in rows)
+        return float(np.sum(p_llm * p_plus / np.maximum(p_minus, PROB_FLOOR)))
 
     zt.window = max(llm.window, slm_plus.window, slm_minus.window)
     return zt
@@ -971,6 +985,8 @@ def run_session(
     validate_sequence(prompt_ids, vocab, rec.max_len)
     rngs = streams if streams is not None else make_streams(config.seed)
     zt_fn = exact_partition_fn(llm, slm_plus, slm_minus) if rec.exact_z else None
+    if rec.wrap:
+        llm, slm_plus, slm_minus = map(model_rows, (llm, slm_plus, slm_minus))
     draft_rng, verify_rng, recovery_rng = rngs.draft, rngs.verify, rngs.recovery
     history = list(prompt_ids)
     traces: list[RoundTrace] = []

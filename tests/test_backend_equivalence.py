@@ -108,9 +108,9 @@ def test_edge_traces_equal_run_session_traces_but_for_alphas(world):
         (sock, sock_stats), _ = socketpair_session(cfg, triple, world.vocab, prompt)
         assert sim == sock == committed
         assert edge_stats.traces == sock_stats.traces == without_alphas
-        # The cloud's own traces carry the alphas but never learn the
-        # recovered token.
-        assert cloud_stats.traces == [replace(t, recovery_token=None) for t in traces]
+        # The cloud's own traces carry the alphas, and learn each recovered
+        # token from the next draft's delta or the DONE's trailing id.
+        assert cloud_stats.traces == traces
         assert all(t.alphas for t in traces)
         rounds += len(traces)
         recoveries += sum(t.recovery_token is not None for t in traces)
@@ -186,5 +186,5 @@ def test_run_session_equals_simulated_channel(case):
     committed, traces = run_session(cfg, *models, vocab, prompt)
     sim, edge_stats, cloud_stats = run_simulated_session(cfg, *models, vocab, prompt)
     assert sim == committed
-    assert cloud_stats.traces == [replace(t, recovery_token=None) for t in traces]
+    assert cloud_stats.traces == traces
     assert edge_stats.traces == [replace(t, alphas=()) for t in traces]

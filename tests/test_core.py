@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +11,6 @@ from specsteer.core import (
     ROLE_DRAFT,
     ROLE_RECOVERY,
     ROLE_VERIFY,
-    SCALAR_DRAWS,
     UNIFORM_BLOCK,
     RngStreams,
     SequenceError,
@@ -25,6 +26,7 @@ from specsteer.core import (
     softmax,
     stream,
     total_variation,
+    uniform_block,
     uniform_stream,
     validate_sequence,
 )
@@ -234,9 +236,8 @@ class TestStreams:
 class TestUniformStream:
     """Block-served draws are the scalar draws of the same stream."""
 
-    @pytest.mark.parametrize("n", [1, SCALAR_DRAWS, SCALAR_DRAWS + 1,
-                                   SCALAR_DRAWS + UNIFORM_BLOCK, SCALAR_DRAWS + UNIFORM_BLOCK + 1,
-                                   3 * UNIFORM_BLOCK + 7])
+    @pytest.mark.parametrize("n", sorted({1, 4, 5, 68, 69, 199, UNIFORM_BLOCK - 1, UNIFORM_BLOCK,
+                                          UNIFORM_BLOCK + 1, 2 * UNIFORM_BLOCK + 1}))
     @pytest.mark.parametrize("role", [ROLE_DRAFT, ROLE_VERIFY, ROLE_RECOVERY])
     def test_equals_scalar_draws(self, n, role):
         scalar = stream(2**64 - 3, role)
@@ -275,20 +276,76 @@ ROLES = (ROLE_DRAFT, ROLE_VERIFY, ROLE_RECOVERY)
 
 @pytest.fixture
 def built(monkeypatch):
-    """The roles of the Philox streams built while the test runs, in order."""
+    """The roles of the streams whose first block was drawn while the test
+    runs, in order."""
     roles = []
-    real = core.stream
+    real = core.uniform_block
 
-    def counted(seed, role):
-        roles.append(role)
-        return real(seed, role)
+    def counted(seed, role, counter):
+        if counter == 0:
+            roles.append(role)
+        return real(seed, role, counter)
 
-    monkeypatch.setattr(core, "stream", counted)
+    monkeypatch.setattr(core, "uniform_block", counted)
     return roles
 
 
+STEPS = UNIFORM_BLOCK // 4  # Philox counter steps per block
+
+
+class TestKeyedRefills:
+    """A block is the next ``UNIFORM_BLOCK`` draws of the stream at its
+    counter, whatever this thread's Philox drew before."""
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("role", ROLES)
+    def test_blocks_equal_scalar_draws(self, seed, role):
+        scalar = stream(seed, role)
+        want = [scalar.random() for _ in range(3 * UNIFORM_BLOCK)]
+        # Out of order, and with other keys drawn in between.
+        blocks = {}
+        for c in (2, 0, 1):
+            uniform_block(seed ^ 1, (role + 1) % 3, c * STEPS)
+            blocks[c] = uniform_block(seed, role, c * STEPS)
+        assert blocks[0] + blocks[1] + blocks[2] == want
+        assert all(type(u) is float for u in want)
+
+    def test_counter_past_64_bits(self):
+        # A counter past 64 bits carries into Philox's second counter word.
+        keyed = np.random.Philox(key=(1 << 64) | 5)
+        keyed = np.random.Generator(keyed.advance(2**64))
+        assert uniform_block(5, ROLE_DRAFT, 2**64) == keyed.random(UNIFORM_BLOCK).tolist()
+
+    def test_two_threads_draw_interleaved(self):
+        # Each thread alternates between two streams and the two threads
+        # refill at the same time, block after block.
+        n_blocks = 4
+        barrier = threading.Barrier(2)
+        got: dict = {}
+
+        def drain(seeds):
+            streams = [uniform_stream(seed, ROLE_VERIFY) for seed in seeds]
+            out = {seed: [] for seed in seeds}
+            for _ in range(n_blocks):
+                barrier.wait(timeout=10)
+                for _ in range(UNIFORM_BLOCK):
+                    for seed, s in zip(seeds, streams):
+                        out[seed].append(s.random())
+            got.update(out)
+
+        threads = [threading.Thread(target=drain, args=(seeds,)) for seeds in ((0, 7), (2**64 - 1, 8))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        for seed in (0, 7, 2**64 - 1, 8):
+            scalar = stream(seed, ROLE_VERIFY)
+            assert got[seed] == [scalar.random() for _ in range(n_blocks * UNIFORM_BLOCK)]
+
+
 class TestLazyStreams:
-    """A stream is built at its first draw, and only then."""
+    """A stream draws its first block at its first draw, and only then."""
 
     def test_set_up_builds_no_philox(self, built):
         rng = np.random.default_rng(3)
@@ -346,7 +403,7 @@ class TestLazyStreams:
     @pytest.mark.parametrize("role", ROLES)
     def test_lazy_start_draws_the_keyed_philox_stream(self, seed, role):
         keyed = np.random.Generator(np.random.Philox(key=((role + 1) << 64) | seed))
-        n = SCALAR_DRAWS + 2 * UNIFORM_BLOCK + 1
+        n = 2 * UNIFORM_BLOCK + 1
         want = [keyed.random() for _ in range(n)]
         for served in (uniform_stream(seed, role),
                        getattr(make_streams(seed), ("draft", "verify", "recovery")[role])):

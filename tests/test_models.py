@@ -9,8 +9,10 @@ from specsteer.models import (
     ModelError,
     ModelProfile,
     NGramModel,
+    PublicRows,
     TableModel,
     condition_private,
+    model_rows,
     train_ngram,
 )
 
@@ -83,6 +85,98 @@ class TestTableRowResolution:
         assert rec.cdf == np.cumsum(probs).tolist()
 
 
+def extended(key, tok, window):
+    """A row key one token on, as the protocol cores extend it."""
+    if not window:
+        return key
+    return key[1:] + (tok,) if len(key) == window else key + (tok,)
+
+
+def assert_rows_equal_public(m, fresh, history, tok):
+    """``m``'s row layer gives the public layer's rows at ``history``, as the
+    same objects, and ``fresh`` (built as ``m`` was, scored only through
+    its row layer) gives equal values; the key one token on is the key of
+    the history one token on."""
+    key = m.key_of(history)
+    assert type(key) is tuple and key == m.key_of(tuple(history))
+    assert extended(key, tok, m.window) == m.key_of(history + [tok])
+    for public, row_at, fresh_at in (
+        (m.next_token_probs, m.probs_at, fresh.probs_at),
+        (m.next_token_logits, m.logits_at, fresh.logits_at),
+        (m.next_token_cdf, m.cdf_at, fresh.cdf_at),
+    ):
+        want = public(history)
+        assert row_at(key) is want
+        np.testing.assert_array_equal(fresh_at(fresh.key_of(history)), want)
+
+
+@st.composite
+def ngram_models(draw):
+    """Two equal n-gram models (orders 1-3, mu 0 or above 0) over 2-7
+    tokens, and histories of 0-5 ids: shorter than the window and longer."""
+    v = draw(st.integers(2, 7))
+    vocab = make_vocab(v)
+    ids = st.integers(0, v - 1)
+    order = draw(st.integers(1, 3))
+    corpus = draw(st.lists(st.lists(ids, min_size=1, max_size=8), min_size=1, max_size=6))
+    private = draw(st.lists(st.lists(ids, min_size=1, max_size=6), min_size=1, max_size=3))
+    mu = draw(st.sampled_from([0.0, 0.3, 1.0]))
+
+    def build():
+        m = train_ngram(corpus, vocab, order, 0.5)
+        return condition_private(m, PrivateContext.from_documents(private), mu) if mu else m
+
+    histories = draw(st.lists(st.lists(ids, max_size=5), min_size=1, max_size=8))
+    return build(), build(), histories, draw(ids)
+
+
+class TestRowLayer:
+    """The unchecked row layer the protocol cores call gives exactly the
+    rows of the checked public layer."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ngram_models())
+    def test_ngram(self, case):
+        m, fresh, histories, tok = case
+        for history in histories:
+            assert_rows_equal_public(m, fresh, history, tok)
+            assert len(m.key_of(history)) == m.window
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_tables(), st.data())
+    def test_table(self, table, data):
+        vocab, rows, histories = table
+        m, fresh = TableModel(vocab, rows), TableModel(vocab, rows)
+        tok = data.draw(st.integers(0, vocab.size - 1))
+        for history in histories:
+            assert_rows_equal_public(m, fresh, history, tok)
+            assert len(m.key_of(history)) == min(m.window, len(history))
+
+    def test_public_rows_adapter(self, world):
+        # A model whose class has no row layer is scored through its public
+        # methods, at the tail of the history its window covers.
+        class Wrapped:
+            def __init__(self, model):
+                self.window, self._m = model.window, model
+
+            def next_token_probs(self, history):
+                assert len(history) <= self.window
+                return self._m.next_token_probs(history)
+
+            next_token_logits = next_token_probs
+
+        m = world.llm
+        for model in (Wrapped(m), Wrapped(TableModel(make_vocab(3), {(): [0.2, 0.3, 0.5]}))):
+            rows = model_rows(model)
+            assert isinstance(rows, PublicRows) and model_rows(m) is m
+            for history in ([], [4], [4, 9, 12, 3]):
+                key = rows.key_of(history)
+                assert key == tuple(history[-rows.window:] if rows.window else ())
+                probs = model.next_token_probs(key)
+                assert rows.probs_at(key) is probs
+                assert rows.cdf_at(key) == probs.cumsum().tolist()
+
+
 class TestModelProfile:
     def test_valid(self):
         ModelProfile("m", 10, 2, 4, "generalist")
@@ -117,6 +211,14 @@ class TestTableModel:
             {(): [1 / 3] * 3, (1,): [0.1, 0.8, 0.1], (0, 1): [0.7, 0.2, 0.1]},
         )
         np.testing.assert_allclose(m.next_token_probs([2, 0, 1]), [0.7, 0.2, 0.1])
+
+    @pytest.mark.parametrize("key", [(-1, 0), (0, 3), (3,), (BOS,), (2**40,), (1.0,), (True,),
+                                     (np.int64(1),), ("a",), "ab"])
+    def test_row_key_outside_the_vocabulary(self, key):
+        # Every stored key must be a row key the protocol cores could carry:
+        # a tuple of int ids below the vocabulary size.
+        with pytest.raises(ModelError, match="row key"):
+            TableModel(make_vocab(3), {(): [0.2, 0.3, 0.5], key: [1 / 3] * 3})
 
     def test_requires_fallback_row(self):
         vocab = vocab_of(["a", "b"])

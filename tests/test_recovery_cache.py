@@ -29,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from specsteer import models, protocol
 from specsteer.core import ROLE_RECOVERY, ConfigError, ProtocolConfig, uniform_stream
-from specsteer.models import TableModel
+from specsteer.models import TableModel, model_rows
 from specsteer.protocol import (
     CloudEngine,
     CloudVerifier,
@@ -129,12 +129,15 @@ def test_cached_payload_equals_direct_build(data):
         st.tuples(st.lists(st.integers(0, min(v - 1, 2)), max_size=3), st.sampled_from(BETAS)),
         min_size=1, max_size=40,
     ), label="calls")
-    engine = CloudEngine(llm, minus)
+    engine = CloudEngine()
+    # The row keys a scan carries: each model's own tail of the history.
+    rows = model_rows(llm), model_rows(minus)
     with mock.patch.object(protocol, "PAYLOAD_CACHE_SIZE", BOUND):
         for history, beta in calls:
             h_llm = llm.next_token_logits(history)
             h_minus = minus.next_token_logits(history)
-            got = engine.payload(h_llm, h_minus, beta, top_k, list(history))
+            keys = tuple(r.key_of(history) for r in rows)
+            got = engine.payload(h_llm, h_minus, beta, top_k, keys)
             want = reference_entries(h_llm, h_minus, beta, top_k)
             # The section is the float64 reference's entries in binary32,
             # bit for bit.
@@ -172,14 +175,16 @@ def test_cached_recovery_equals_direct_recover(data):
     ), label="calls")
     seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
     cached, direct, ref = (uniform_stream(seed, ROLE_RECOVERY) for _ in range(3))
-    engine = EdgeEngine(drafter)
+    engine = EdgeEngine()
+    rows = model_rows(drafter)
     with mock.patch.object(protocol, "RECOVERY_CACHE_SIZE", BOUND):
         for p, history, beta, greedy in calls:
             payload = payloads[p]
             h_plus = drafter.next_token_logits(history)
             want = reference_recover(payload.entries, h_plus, beta, ref, greedy)
             assert recover(payload, h_plus, beta, direct, greedy) == want
-            got = engine.recover(sections[p], list(history), drafter, beta, cached, greedy, 12, 12)
+            key = rows.key_of(history)
+            got = engine.recover(sections[p], key, rows, beta, cached, greedy, 12, 12)
             assert got == want
             assert len(engine._states) <= BOUND
     # Every stream made the same draws.
@@ -190,33 +195,33 @@ def test_zero_beta_keeps_its_sign():
     # 0.0 == -0.0, but with a -0.0 logit the two betas give steering values
     # that differ in the sign of a zero, and so would their frames.
     h_llm, h_minus = np.array([-0.0, -1.0]), np.array([-1.0, -2.0])
-    engine = CloudEngine(TailModel(2, 0, 5), TailModel(2, 0, 6))
+    engine = CloudEngine()
     for beta in (0.0, -0.0, 0.0):
-        got = engine.payload(h_llm, h_minus, beta, 2, [])
+        got = engine.payload(h_llm, h_minus, beta, 2, ((), ()))
         assert got == packed(reference_entries(h_llm, h_minus, beta, 2))
     assert packed(reference_entries(h_llm, h_minus, 0.0, 2)) != packed(
         reference_entries(h_llm, h_minus, -0.0, 2))
 
 
 def test_wire_payloads_that_differ_anywhere_do_not_share_a_state():
-    drafter = TailModel(3, 0, 7)
-    engine = EdgeEngine(drafter)
+    drafter = model_rows(TailModel(3, 0, 7))
+    engine = EdgeEngine()
     rest = ((1, 0.0), (2, -0.5))
     for first, want in ((1.0, 0), (-1.0, 1), (1.0, 0)):
         section = wire_section(((0, first),) + rest)
-        assert engine.recover(section, [], drafter, 0.0, None, True, 3, 3) == want
+        assert engine.recover(section, (), drafter, 0.0, None, True, 3, 3) == want
 
 
 def test_cached_wire_bytes_are_checked_again_for_another_vocabulary():
     # Ids 0-4 are in range at V=5, id 4 is not at V=4: the state cached for
     # the same bytes at V=5 must not serve the V=4 recovery.  (The entry
     # count is EdgeSession.apply's to check, on every verdict.)
-    drafter = TailModel(5, 0, 8)
-    engine = EdgeEngine(drafter)
+    drafter = model_rows(TailModel(5, 0, 8))
+    engine = EdgeEngine()
     section = packed(((4, 1.0), (0, 0.5)))
-    assert engine.recover(section, [], drafter, 0.0, None, True, 5, 2) == 4
+    assert engine.recover(section, (), drafter, 0.0, None, True, 5, 2) == 4
     with pytest.raises(ProtocolStateError, match="out of range"):
-        engine.recover(section, [], drafter, 0.0, None, True, 4, 2)
+        engine.recover(section, (), drafter, 0.0, None, True, 4, 2)
     assert len(engine._states) == 1
 
 
@@ -369,7 +374,7 @@ def test_lookup_is_not_fooled_by_a_reused_id():
     other = window_triple(rng, vocab)[0]
     # Entries as a model that has died would leave them if its id came back:
     # one naming a different live object, one whose reference is dead.
-    stale = EdgeEngine(other)
+    stale = EdgeEngine()
     protocol._engines[("edge", id(plus))] = (stale, weakref.ref(other))
     assert edge_engine(plus) is not stale
     assert edge_engine(plus) is edge_engine(plus)
@@ -381,7 +386,7 @@ def test_lookup_is_not_fooled_by_a_reused_id():
     dead = weakref.ref(gone)
     del gone
     gc.collect()
-    stale_cloud = CloudEngine(llm, minus)
+    stale_cloud = CloudEngine()
     protocol._engines[("cloud", id(llm), id(minus))] = (stale_cloud, dead, dead)
     assert cloud_engine(llm, minus) is not stale_cloud
 

@@ -5,6 +5,7 @@ drafted position first, and that each round makes exactly the model calls
 the scan needs."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -60,7 +61,9 @@ class FullScoringCloud:
 
 
 class CallCounter:
-    """Counts ``next_token_logits`` calls; everything else passes through."""
+    """Counts ``next_token_logits`` calls; everything else passes through.
+    Its class has no row layer, so the cores score it through
+    ``PublicRows``."""
 
     def __init__(self, model) -> None:
         self._m = model
@@ -72,6 +75,18 @@ class CallCounter:
     def next_token_logits(self, history):
         self.calls += 1
         return self._m.next_token_logits(history)
+
+
+class RowCallCounter(CallCounter):
+    """Counts ``logits_at`` calls of the wrapped model's row layer, which
+    its class serves, so the cores call it as they call the model."""
+
+    def key_of(self, history):
+        return self._m.key_of(history)
+
+    def logits_at(self, key):
+        self.calls += 1
+        return self._m.logits_at(key)
 
 
 def drive(cfg, llm, plus, minus, vocab, prompt, reference):
@@ -161,9 +176,9 @@ class TestScanScoring:
     def test_scores_only_scanned_positions(self, world, kind, mode):
         rng = np.random.default_rng(len(kind) * 5 + len(mode))
         vocab, (llm, plus, minus) = models_of(kind, world, rng)
-        for seed in range(6):
+        for seed, counter in product(range(6), (CallCounter, RowCallCounter)):
             cfg = ProtocolConfig(top_k=min(32, vocab.size), max_len=40, seed=seed, **mode)
-            spies = CallCounter(llm), CallCounter(minus)
+            spies = counter(llm), counter(minus)
             rngs = make_streams(seed)
             edge = EdgeSession(cfg, plus, vocab, prompt_of(kind, vocab), streams=rngs)
             zt_calls = [0]

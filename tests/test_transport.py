@@ -986,13 +986,102 @@ class TestEdgeVerdictIngest:
         assert edge.committed == [0, *tokens[:2], 1]
 
 
+class RowCounter(TableModel):
+    """A table that counts its row lookups, checked or not."""
+
+    lookups = 0
+
+    def _counted(name):
+        def at(self, key):
+            self.lookups += 1
+            return getattr(TableModel, name)(self, key)
+
+        return at
+
+    probs_at = _counted("probs_at")
+    logits_at = _counted("logits_at")
+    cdf_at = _counted("cdf_at")
+    del _counted
+
+
+def row_counter_triple(rng, size):
+    vocab = make_vocab(size)
+    return vocab, tuple(
+        RowCounter(vocab, {(): rng.dirichlet(np.ones(size)),
+                           (0,): rng.dirichlet(np.ones(size))})
+        for _ in range(3)
+    )
+
+
+class TestIdsCheckedBeforeRowLookup:
+    """The protocol cores read model rows with ids nobody checks again, so
+    every untrusted id must end in a typed error before any row lookup:
+    the HELLO prompt, a draft, a history delta and the DONE's trailing id
+    at the cloud, and a steering entry at the edge."""
+
+    BAD = (8, 9, 2**32 - 1)  # out of range for V=8, up to the u32 limit
+
+    def rejected_cloud(self, models, vocab, cfg):
+        """A cloud session whose first draft, [0], was rejected, so it now
+        awaits the recovered token."""
+        llm, _, minus = models
+        cloud = CloudSession(llm, minus, vocab)
+        cloud.handle(encode_hello(cfg, vocab_hash64(vocab), [0]))
+        frame = cloud.handle(encode_draft(DraftBatch(0, (0,))))
+        assert decode_verdict(decode_frame(frame)[1]).accepted_count == 0
+        assert cloud.verifier.awaiting_delta
+        return cloud
+
+    def assert_no_lookup(self, models, call):
+        before = [m.lookups for m in models]
+        with pytest.raises(SpecSteerError):
+            call()
+        assert [m.lookups for m in models] == before
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_cloud_entry_points(self, bad):
+        vocab, models = row_counter_triple(np.random.default_rng(91), 8)
+        llm, _, minus = models
+        # Greedy at a large lambda rejects every draft at its first token.
+        cfg = ProtocolConfig(lam=1e6, horizon_k=3, top_k=8, max_len=12, seed=1,
+                             decode_mode="greedy")
+        hello = CloudSession(llm, minus, vocab)
+        self.assert_no_lookup(
+            models, lambda: hello.handle(encode_hello(cfg, vocab_hash64(vocab), [0, bad])))
+        fresh = CloudSession(llm, minus, vocab)
+        fresh.handle(encode_hello(cfg, vocab_hash64(vocab), [0]))
+        self.assert_no_lookup(models, lambda: fresh.handle(encode_draft(DraftBatch(0, (1, bad)))))
+        cloud = self.rejected_cloud(models, vocab, cfg)
+        self.assert_no_lookup(
+            models, lambda: cloud.handle(encode_draft(DraftBatch(1, (1,)), history_delta=bad)))
+        cloud = self.rejected_cloud(models, vocab, cfg)
+        self.assert_no_lookup(models, lambda: cloud.handle(encode_done(3, (bad,))))
+        # The same entry points answer with the refusal when they arrive
+        # through answer(), as a served session's do.
+        cloud = self.rejected_cloud(models, vocab, cfg)
+        before = [m.lookups for m in models]
+        assert cloud.answer(encode_done(3, (bad,))) == encode_done(0, ())
+        assert isinstance(cloud.error, ProtocolStateError)
+        assert [m.lookups for m in models] == before
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_edge_steering_entry(self, bad):
+        vocab, models = row_counter_triple(np.random.default_rng(92), 8)
+        plus = models[1]
+        cfg = ProtocolConfig(lam=0.5, horizon_k=3, top_k=8, max_len=12, seed=1)
+        edge = EdgeSession(cfg, plus, vocab, [0])
+        edge.draft()
+        self.assert_no_lookup(models, lambda: edge.apply(0, 0, section(((1, 0.5), (bad, 0.25)))))
+        assert edge.committed == [0]
+
+
 class TestDeadCloud:
     def test_model_error_surfaces_instead_of_hanging(self, monkeypatch):
         # A cloud whose generalist raises something other than a
         # SpecSteerError sends no refusal; its error reaches the caller
         # straight from the frame handler, with no thread to wait on.
         class BrokenModel(TableModel):
-            def next_token_logits(self, history):
+            def logits_at(self, key):
                 raise RuntimeError("generalist crashed")
 
         rng = np.random.default_rng(53)
@@ -1007,10 +1096,10 @@ class TestDeadCloud:
         # The edge's own error reaches the caller, and the simulated session
         # runs the cloud in the caller's thread: it starts none.
         class BrokenDrafter(TableModel):
-            def next_token_cdf(self, history):
+            def cdf_at(self, key):
                 raise RuntimeError("drafter crashed")
 
-            next_token_probs = next_token_cdf
+            probs_at = cdf_at
 
         rng = np.random.default_rng(54)
         vocab, (llm, plus, minus) = random_table_triple(rng, 8)

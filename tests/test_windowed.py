@@ -1,7 +1,8 @@
 """Windowed scoring: the state machines hand each model only the tail of
-the history its ``window`` covers.  These tests pin that this changes no
-committed token and no verdict frame, and that no model call sees a
-history longer than its window plus the draft horizon."""
+the history its ``window`` covers, as a row key.  These tests pin that
+this changes no committed token and no verdict frame, that no public
+model call sees a history longer than its window, and that every row
+lookup gets a key the model itself makes."""
 
 import numpy as np
 import pytest
@@ -37,20 +38,20 @@ class FullHistory:
 
 
 class Spy:
-    """Asserts that every history it is given fits its window plus the
-    draft horizon."""
+    """Asserts that every history its public methods are given fits its
+    window.  Its class has no row layer, so the cores score it through
+    ``PublicRows``, whose keys are window tails."""
 
-    def __init__(self, model, horizon_k: int) -> None:
+    def __init__(self, model) -> None:
         self._m = model
         self.window = model.window
         self.vocab = model.vocab
-        self.bound = model.window + horizon_k
         self.calls = 0
         if hasattr(model, "next_token_cdf"):
             self.next_token_cdf = lambda h: self._m.next_token_cdf(self._seen(h))
 
     def _seen(self, history):
-        assert len(history) <= self.bound, (len(history), self.bound)
+        assert len(history) <= self.window, (len(history), self.window)
         self.calls += 1
         return history
 
@@ -59,6 +60,29 @@ class Spy:
 
     def next_token_logits(self, history):
         return self._m.next_token_logits(self._seen(history))
+
+
+class RowSpy(Spy):
+    """Serves the wrapped model's row layer, so the cores call it as they
+    call the model, and asserts that every row key is the one the model
+    gives some history: no longer than its window, of exactly its window
+    for an n-gram (BOS-padded), and the key of itself for a table."""
+
+    def key_of(self, history):
+        return self._m.key_of(history)
+
+    def _key(self, key):
+        assert type(key) is tuple and self._m.key_of(key) == key, key
+        return self._seen(key)
+
+    def probs_at(self, key):
+        return self._m.probs_at(self._key(key))
+
+    def logits_at(self, key):
+        return self._m.logits_at(self._key(key))
+
+    def cdf_at(self, key):
+        return self._m.cdf_at(self._key(key))
 
 
 def drive(cfg, llm, plus, minus, vocab, prompt):
@@ -184,12 +208,13 @@ class TestHistoryBound:
         rng = np.random.default_rng(7)
         k = 4
         vocab, models = spy_models(rng, kind, world)
-        spies = tuple(Spy(m, k) for m in models)
         prompt = long_prompt(rng, vocab)
-        for seed in range(4):
-            cfg = ProtocolConfig(lam=0.5, horizon_k=k, top_k=min(32, vocab.size),
-                                 max_len=PROMPT_LEN + NEW_TOKENS, seed=seed, exact_z=exact_z)
-            run_session(cfg, *spies, vocab, prompt)
-        assert all(s.calls > 0 for s in spies)
-        autoregressive_decode(spies[0], vocab, prompt, PROMPT_LEN + NEW_TOKENS,
-                              rng=stream(1, ROLE_DRAFT))
+        for spy in (Spy, RowSpy):
+            spies = tuple(spy(m) for m in models)
+            for seed in range(4):
+                cfg = ProtocolConfig(lam=0.5, horizon_k=k, top_k=min(32, vocab.size),
+                                     max_len=PROMPT_LEN + NEW_TOKENS, seed=seed, exact_z=exact_z)
+                run_session(cfg, *spies, vocab, prompt)
+            assert all(s.calls > 0 for s in spies)
+            autoregressive_decode(spies[0], vocab, prompt, PROMPT_LEN + NEW_TOKENS,
+                                  rng=stream(1, ROLE_DRAFT))
