@@ -158,10 +158,6 @@ class TableModel(_CheckedRows):
         for k, v in rows.items():
             p = check_distribution(v, size)
             self._rows[k] = _Row(p, np.log(np.maximum(p, PROB_FLOOR)), p.cumsum().tolist())
-        # Every key resolved so far, to the record of the longest stored
-        # window it ends in; a stored window resolves to its own record.
-        # Keys hold in-vocabulary ids only, so there are at most 1 + V + V**2.
-        self._resolved = dict(self._rows)
         # The nonzero window lengths that have rows, longest first: the
         # only suffixes of a key worth a probe.
         self._lengths = sorted({len(k) for k in rows if k}, reverse=True)
@@ -172,25 +168,23 @@ class TableModel(_CheckedRows):
         return tuple(history[-w:]) if w else ()
 
     def _resolve(self, key: tuple[int, ...]) -> _Row:
-        """The record of the longest stored window ``key`` ends in, now
-        memoized for ``key``."""
+        """The record of the longest stored window that ``key``, which is
+        not itself stored, ends in: the empty window's when none is."""
         n = len(key)
+        rows = self._rows
         for m in self._lengths:
-            if m <= n and (row := self._rows.get(key[n - m:])) is not None:
-                break
-        else:
-            row = self._rows[()]
-        self._resolved[key] = row
-        return row
+            if m < n and (row := rows.get(key[n - m:])) is not None:
+                return row
+        return rows[()]
 
     def probs_at(self, key: tuple[int, ...]) -> np.ndarray:
-        return (self._resolved.get(key) or self._resolve(key)).probs
+        return (self._rows.get(key) or self._resolve(key)).probs
 
     def logits_at(self, key: tuple[int, ...]) -> np.ndarray:
-        return (self._resolved.get(key) or self._resolve(key)).logits
+        return (self._rows.get(key) or self._resolve(key)).logits
 
     def cdf_at(self, key: tuple[int, ...]) -> list[float]:
-        return (self._resolved.get(key) or self._resolve(key)).cdf
+        return (self._rows.get(key) or self._resolve(key)).cdf
 
 
 # An NGramModel keeps the rows of at most this many windows and drops the
@@ -326,10 +320,36 @@ class NGramModel(_CheckedRows):
         return cdf
 
 
+_PUBLIC = ("next_token_probs", "next_token_logits", "next_token_cdf")
+
+
+def _defined_at(mro: tuple[type, ...], name: str) -> int:
+    """The place in ``mro`` of the class that defines ``name``; past its
+    end when none does."""
+    return next((i for i, c in enumerate(mro) if name in c.__dict__), len(mro))
+
+
 def serves_rows(model) -> bool:
     """Whether the class of ``model`` implements the row layer: ``key_of``
-    and ``probs_at``/``logits_at``/``cdf_at``, which check no ids."""
-    return hasattr(type(model), "key_of")
+    and ``probs_at``/``logits_at``/``cdf_at``, which check no ids.  The
+    cores call that layer in place of the public ``next_token_*``, so a
+    class that defines one of those at or below the class that gives it
+    ``key_of`` (a subclass overriding ``next_token_logits``, say) does not
+    serve it: the override would be skipped."""
+    mro = type(model).__mro__
+    at = _defined_at(mro, "key_of")
+    return at < len(mro) and all(_defined_at(mro, n) > at for n in _PUBLIC)
+
+
+def next_key(key: tuple[int, ...], tok: int, window: int) -> tuple[int, ...]:
+    """The row key of a history one token on: ``key`` with ``tok`` appended
+    and its first id dropped once it holds ``window`` ids.  An n-gram's key
+    is BOS-padded to its window, a table's or ``PublicRows``' is the short
+    tail of a short history; both move on by this rule.  A window-0 key
+    stays ``()``."""
+    if not window:
+        return key
+    return key[1:] + (tok,) if len(key) == window else key + (tok,)
 
 
 class PublicRows:

@@ -24,9 +24,9 @@ and every steering entry when the edge decodes it.  Tokens the edge
 samples itself are trusted.  So the cores score through the models'
 unchecked row layer (``key_of`` and ``probs_at``/``logits_at``/
 ``cdf_at``): each core carries one row key per model and extends it one
-token at a time, so a round costs O(K + window) whatever the history
-length.  A model whose class has no row layer is scored through
-``models.PublicRows``.
+token at a time (``models.next_key``), so a round costs O(K + window)
+whatever the history length.  A model whose class has no row layer is
+scored through ``models.PublicRows``.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .core import (
     uniform_stream,
     validate_sequence,
 )
-from .models import model_rows, serves_rows
+from .models import model_rows, next_key, serves_rows
 
 FRAME_HEADER_BYTES = 10
 DRAFT_PAYLOAD_FIXED = 6   # seq_no u32 + count u16
@@ -543,8 +543,7 @@ class SessionRecord:
             tokens.append(tok)
             if tok == eos:
                 break
-            if w:
-                key = key[1:] + (tok,) if len(key) == w else key + (tok,)
+            key = next_key(key, tok, w)
         return tuple(tokens)
 
     def scan(
@@ -597,10 +596,8 @@ class SessionRecord:
                 accepted = t
                 section = self.cloud.payload(h_llm, h_minus, self.beta, self.top_k, (lkey, mkey))
                 break
-            if lw:
-                lkey = lkey[1:] + (tok,) if len(lkey) == lw else lkey + (tok,)
-            if mw:
-                mkey = mkey[1:] + (tok,) if len(mkey) == mw else mkey + (tok,)
+            lkey = next_key(lkey, tok, lw)
+            mkey = next_key(mkey, tok, mw)
             if prefix is not None:
                 prefix.append(tok)
         trace = round_trace(seq, tokens, tuple(alphas), accepted, None, has_delta, section)
@@ -949,13 +946,15 @@ class CloudVerifier:
 
 def exact_partition_fn(llm, slm_plus, slm_minus) -> Callable[[Sequence[int]], float]:
     """Per-step true partition function for exact-Z verification; its
-    ``window`` covers all three models.  It scores each model's rows at
-    that model's key of ``prefix``, whose ids it does not check."""
-    rows = tuple(map(model_rows, (llm, slm_plus, slm_minus)))
+    ``window`` covers all three models.  It scores through the models'
+    checked public methods, so a ``prefix`` holding an id outside the
+    vocabulary raises ``ModelError``."""
 
     def zt(prefix: Sequence[int]) -> float:
-        p_llm, p_plus, p_minus = (m.probs_at(m.key_of(prefix)) for m in rows)
-        return float(np.sum(p_llm * p_plus / np.maximum(p_minus, PROB_FLOOR)))
+        p_llm = llm.next_token_probs(prefix)
+        p_plus = slm_plus.next_token_probs(prefix)
+        p_minus = np.maximum(slm_minus.next_token_probs(prefix), PROB_FLOOR)
+        return float(np.sum(p_llm * p_plus / p_minus))
 
     zt.window = max(llm.window, slm_plus.window, slm_minus.window)
     return zt

@@ -13,8 +13,11 @@ from specsteer.models import (
     TableModel,
     condition_private,
     model_rows,
+    next_key,
+    serves_rows,
     train_ngram,
 )
+from specsteer.protocol import exact_partition_fn
 
 from conftest import make_vocab
 
@@ -85,13 +88,6 @@ class TestTableRowResolution:
         assert rec.cdf == np.cumsum(probs).tolist()
 
 
-def extended(key, tok, window):
-    """A row key one token on, as the protocol cores extend it."""
-    if not window:
-        return key
-    return key[1:] + (tok,) if len(key) == window else key + (tok,)
-
-
 def assert_rows_equal_public(m, fresh, history, tok):
     """``m``'s row layer gives the public layer's rows at ``history``, as the
     same objects, and ``fresh`` (built as ``m`` was, scored only through
@@ -99,7 +95,7 @@ def assert_rows_equal_public(m, fresh, history, tok):
     the history one token on."""
     key = m.key_of(history)
     assert type(key) is tuple and key == m.key_of(tuple(history))
-    assert extended(key, tok, m.window) == m.key_of(history + [tok])
+    assert next_key(key, tok, m.window) == m.key_of(history + [tok])
     for public, row_at, fresh_at in (
         (m.next_token_probs, m.probs_at, fresh.probs_at),
         (m.next_token_logits, m.logits_at, fresh.logits_at),
@@ -151,6 +147,40 @@ class TestRowLayer:
         for history in histories:
             assert_rows_equal_public(m, fresh, history, tok)
             assert len(m.key_of(history)) == min(m.window, len(history))
+        # Resolving keys stores nothing: a table holds only its own rows.
+        assert m._rows.keys() == rows.keys() and fresh._rows.keys() == rows.keys()
+
+    def test_public_override_is_not_skipped(self):
+        # A subclass that overrides a public method does not serve the row
+        # layer, so the cores reach the override through PublicRows; one
+        # that overrides only the row layer still serves it.
+        class PublicOverride(TableModel):
+            def next_token_logits(self, history):
+                return super().next_token_logits(history)
+
+        class RowOverride(TableModel):
+            def logits_at(self, key):
+                return super().logits_at(key)
+
+        vocab = make_vocab(3)
+        rows = {(): [0.2, 0.3, 0.5]}
+        for cls, serves in ((TableModel, True), (RowOverride, True), (PublicOverride, False)):
+            m = cls(vocab, rows)
+            assert serves_rows(m) is serves
+            assert (model_rows(m) is m) is serves
+        assert isinstance(model_rows(PublicOverride(vocab, rows)), PublicRows)
+
+    def test_exact_partition_fn_checks_ids(self, world):
+        vocab = make_vocab(3)
+        table = TableModel(vocab, {(): [0.2, 0.3, 0.5], (1,): [0.5, 0.3, 0.2]})
+        for triple in ((table,) * 3, (world.llm, world.slm_plus, world.slm_minus)):
+            zt = exact_partition_fn(*triple)
+            size = triple[0].vocab.size
+            assert zt([0]) > 0
+            for bad in ([size], [0, size], [-1]):
+                with pytest.raises(ModelError, match="unknown token id"):
+                    zt(bad)
+        assert table._rows.keys() == {(), (1,)}
 
     def test_public_rows_adapter(self, world):
         # A model whose class has no row layer is scored through its public

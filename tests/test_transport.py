@@ -1079,9 +1079,10 @@ class TestDeadCloud:
     def test_model_error_surfaces_instead_of_hanging(self, monkeypatch):
         # A cloud whose generalist raises something other than a
         # SpecSteerError sends no refusal; its error reaches the caller
-        # straight from the frame handler, with no thread to wait on.
+        # straight from the frame handler, with no thread to wait on.  The
+        # override of a public method is not skipped by the row layer.
         class BrokenModel(TableModel):
-            def logits_at(self, key):
+            def next_token_logits(self, history):
                 raise RuntimeError("generalist crashed")
 
         rng = np.random.default_rng(53)
@@ -1094,7 +1095,8 @@ class TestDeadCloud:
 
     def test_edge_error_surfaces_without_a_thread(self, monkeypatch):
         # The edge's own error reaches the caller, and the simulated session
-        # runs the cloud in the caller's thread: it starts none.
+        # runs the cloud in the caller's thread: it starts none.  Here the
+        # row layer itself fails.
         class BrokenDrafter(TableModel):
             def cdf_at(self, key):
                 raise RuntimeError("drafter crashed")

@@ -39,19 +39,20 @@ class FullHistory:
 
 class Spy:
     """Asserts that every history its public methods are given fits its
-    window.  Its class has no row layer, so the cores score it through
-    ``PublicRows``, whose keys are window tails."""
+    window, or ``bound`` when given.  Its class has no row layer, so the
+    cores score it through ``PublicRows``, whose keys are window tails."""
 
-    def __init__(self, model) -> None:
+    def __init__(self, model, bound=None) -> None:
         self._m = model
         self.window = model.window
         self.vocab = model.vocab
+        self.bound = model.window if bound is None else bound
         self.calls = 0
         if hasattr(model, "next_token_cdf"):
             self.next_token_cdf = lambda h: self._m.next_token_cdf(self._seen(h))
 
     def _seen(self, history):
-        assert len(history) <= self.window, (len(history), self.window)
+        assert len(history) <= self.bound, (len(history), self.bound)
         self.calls += 1
         return history
 
@@ -209,8 +210,12 @@ class TestHistoryBound:
         k = 4
         vocab, models = spy_models(rng, kind, world)
         prompt = long_prompt(rng, vocab)
+        # The exact-Z callback gives each model's public methods the tail
+        # that the widest window of the three covers, plus the round's
+        # tokens scanned so far.
+        bound = max(m.window for m in models) + k if exact_z else None
         for spy in (Spy, RowSpy):
-            spies = tuple(spy(m) for m in models)
+            spies = tuple(spy(m, bound) for m in models)
             for seed in range(4):
                 cfg = ProtocolConfig(lam=0.5, horizon_k=k, top_k=min(32, vocab.size),
                                      max_len=PROMPT_LEN + NEW_TOKENS, seed=seed, exact_z=exact_z)
