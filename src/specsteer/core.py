@@ -8,13 +8,16 @@ numerically stable softmax, inverse-CDF sampling, and counter-based
 the two-process transport consume identical random numbers.  A Philox
 stream is only a key and a counter, so the streams the protocol draws
 from (``UniformStream``) hold no generator: each block of uniforms is
-drawn by one per-thread Philox, re-keyed for it.
+drawn by one process-wide Philox, re-keyed for it under a lock.  Every
+token id from outside is checked by one function, ``check_token_ids``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
+from array import array
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
@@ -74,7 +77,6 @@ class Vocabulary:
         if not 0 <= self.eos_id < len(self.tokens):
             raise VocabError(f"eos_id {self.eos_id} out of range")
         object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.tokens)})
-        object.__setattr__(self, "_ids", frozenset(range(len(self.tokens))))
 
     @property
     def size(self) -> int:
@@ -104,24 +106,53 @@ class Vocabulary:
         return cls(tokens=tokens, eos_id=tokens.index(eos_token))
 
 
-def validate_sequence(ids: Sequence[int], vocab: Vocabulary, max_len: int | None = None) -> None:
-    """Enforce the token-sequence invariants: ids in range, length cap, and
-    nothing after eos."""
+# Longer inputs (prompts, corpora) take one C pass; a loop costs less below.
+LOOP_IDS = 96
+
+
+def check_token_ids(
+    ids: Sequence[int], size: int, error: type[SpecSteerError], what: str = "token",
+    eos: int | None = None,
+) -> None:
+    """The one rule for a token id from outside: ``operator.index`` takes it
+    (an int, a bool or a NumPy integer; not a float, a str or None) and it
+    lies in [0, ``size``); ``eos``, when given, may stand only last.  Else
+    ``error`` names the first bad id and its position.  A short input is
+    decided by a plain loop, a long one by one C pass: ``array("Q", ids)``
+    refuses non-integers and negative values and NumPy scans its buffer (a
+    set would not do: ``{1, 1.0}`` hides the float).  The last loop names
+    the culprit, or passes an input whose one eos is last."""
     n = len(ids)
-    if max_len is not None and n > max_len:
-        raise SequenceError(f"sequence length {n} exceeds cap {max_len}")
-    # C-level set operations decide; the loop below only runs to name the
-    # position in its error message.
-    valid: frozenset[int] = vocab._ids  # type: ignore[attr-defined]
-    seen = set(ids)
-    eos = vocab.eos_id
-    if valid.issuperset(seen) and (eos not in seen or ids.index(eos) == n - 1):
-        return
+    if n > LOOP_IDS:
+        try:
+            u = np.frombuffer(array("Q", ids), np.uint64)
+            if u.max() < size and (eos is None or not (u[:-1] == eos).any()):
+                return
+        except (TypeError, OverflowError):
+            pass
+    else:
+        for i in ids:
+            if type(i) is not int or not 0 <= i < size or i == eos:
+                break
+        else:
+            return
     for pos, i in enumerate(ids):
-        if not 0 <= i < vocab.size:
-            raise SequenceError(f"token id {i} out of range at position {pos}")
-        if i == vocab.eos_id and pos != len(ids) - 1:
-            raise SequenceError(f"token follows eos at position {pos}")
+        try:
+            i = operator.index(i)
+        except TypeError:
+            raise error(f"unknown {what} id {i!r} at position {pos}: not an integer") from None
+        if not 0 <= i < size:
+            raise error(f"unknown {what} id {i} at position {pos}: out of range [0, {size})")
+        if i == eos and pos != n - 1:
+            raise error(f"{what} after eos at position {pos}")
+
+
+def validate_sequence(ids: Sequence[int], vocab: Vocabulary, max_len: int | None = None) -> None:
+    """Enforce the token-sequence invariants: the length cap, token ids by
+    ``check_token_ids``, and nothing after eos."""
+    if max_len is not None and len(ids) > max_len:
+        raise SequenceError(f"sequence length {len(ids)} exceeds cap {max_len}")
+    check_token_ids(ids, vocab.size, SequenceError, "token", vocab.eos_id)
 
 
 @dataclass(frozen=True)
@@ -247,22 +278,17 @@ UNIFORM_BLOCK = 64
 _STEPS_PER_BLOCK = UNIFORM_BLOCK // 4
 assert UNIFORM_BLOCK % 4 == 0
 
-# One Philox per thread, re-keyed for every block: the cloud and the edge
-# of a wire session draw from two threads.
-_philox = threading.local()
+# One Philox, re-keyed for every block under a lock: the cloud and the edge
+# of a wire session draw from two threads, and a new thread builds none.
+_philox = np.random.Generator(np.random.Philox(_PhiloxKey(0), counter=_ZERO_COUNTER))
+_philox_lock = threading.Lock()
 
 
 def uniform_block(seed: int, role: int, counter: int) -> list[float]:
     """The block of ``stream(seed, role)`` that starts at Philox counter
-    ``counter``: this thread's Philox, re-keyed through its ``state``
-    setter, draws it.  Re-keying costs a fraction of building a stream."""
-    try:
-        gen = _philox.gen
-    except AttributeError:
-        gen = _philox.gen = np.random.Generator(
-            np.random.Philox(_PhiloxKey(0), counter=_ZERO_COUNTER)
-        )
-    gen.bit_generator.state = {
+    ``counter``: the shared Philox, re-keyed through its ``state`` setter,
+    draws it.  Re-keying costs a fraction of building a stream."""
+    state = {
         "bit_generator": "Philox",
         "state": {"counter": (counter & _U64_MASK, counter >> 64, 0, 0), "key": (seed, role + 1)},
         "buffer": (0, 0, 0, 0),
@@ -270,7 +296,10 @@ def uniform_block(seed: int, role: int, counter: int) -> list[float]:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return gen.random(UNIFORM_BLOCK).tolist()
+    with _philox_lock:
+        _philox.bit_generator.state = state
+        block = _philox.random(UNIFORM_BLOCK)
+    return block.tolist()
 
 
 def _uniforms(seed: int, role: int) -> Iterator[float]:

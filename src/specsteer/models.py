@@ -19,8 +19,8 @@ shorter) and get the same result, which keeps per-token cost independent
 of history length.
 
 Each model has two layers.  The public ``next_token_*`` methods check
-every id they are given and then call the row layer, which checks none:
-``key_of(history)`` is the model's row key for a history, and
+every id they are given (``core.check_token_ids``) and then call the row
+layer, which checks none: ``key_of(history)`` is a history's row key, and
 ``probs_at``/``logits_at``/``cdf_at(key)`` its rows there.  The protocol
 cores, whose ids were checked where they entered, call only the row
 layer; ``PublicRows`` gives a model whose class has no row layer one over
@@ -42,6 +42,7 @@ from .core import (
     SpecSteerError,
     Vocabulary,
     check_distribution,
+    check_token_ids,
     evict_oldest,
 )
 
@@ -72,20 +73,10 @@ class ModelProfile:
             raise ModelError("profile statistics must be positive")
 
 
-def _unknown_id(i: int, size: int) -> ModelError:
-    return ModelError(f"unknown token id {i} for vocabulary of size {size}")
-
-
 def _frozen(row: np.ndarray) -> np.ndarray:
     """``row`` made read-only, so no caller can corrupt a cached row."""
     row.flags.writeable = False
     return row
-
-
-def _check_history(history: Sequence[int], size: int) -> None:
-    for i in history:
-        if not 0 <= i < size:
-            raise _unknown_id(i, size)
 
 
 class _Row:
@@ -114,16 +105,16 @@ class _CheckedRows:
     _vsize: int
 
     def next_token_probs(self, history: Sequence[int]) -> np.ndarray:
-        _check_history(history, self._vsize)
+        check_token_ids(history, self._vsize, ModelError)
         return self.probs_at(self.key_of(history))
 
     def next_token_logits(self, history: Sequence[int]) -> np.ndarray:
-        _check_history(history, self._vsize)
+        check_token_ids(history, self._vsize, ModelError)
         return self.logits_at(self.key_of(history))
 
     def next_token_cdf(self, history: Sequence[int]) -> list[float]:
         """Cached cumulative distribution; lets samplers skip the cumsum."""
-        _check_history(history, self._vsize)
+        check_token_ids(history, self._vsize, ModelError)
         return self.cdf_at(self.key_of(history))
 
 
@@ -387,14 +378,6 @@ def model_rows(model):
     return model if serves_rows(model) else PublicRows(model)
 
 
-def _check_corpus(corpus: Sequence[Sequence[int]], size: int) -> int:
-    """Check every id of every document; returns the number of ids."""
-    ids = list(chain.from_iterable(corpus))
-    if ids and not (0 <= min(ids) and max(ids) < size):
-        _check_history(ids, size)
-    return len(ids)
-
-
 def _count_table(
     corpus: Sequence[Sequence[int]],
     order: int,
@@ -422,7 +405,8 @@ def _count_table(
         if row is None:
             row = counts[window] = {}
             totals[window] = 0
-        row[tok] = c
+        # A plain int: NumPy would read a bool index as a mask.
+        row[int(tok)] = c
         totals[window] += c
     return counts, totals
 
@@ -435,8 +419,11 @@ def train_ngram(
     profile: ModelProfile | None = None,
 ) -> NGramModel:
     """Count the corpus exactly; documents are used as given (append an
-    eos token to each document beforehand if sessions should terminate)."""
-    if not _check_corpus(corpus, vocab.size):
+    eos token to each document beforehand if sessions should terminate).
+    An id error's position counts through the documents, joined."""
+    ids = list(chain.from_iterable(corpus))
+    check_token_ids(ids, vocab.size, ModelError, "corpus token")
+    if not ids:
         raise ModelError("training corpus is empty")
     counts, totals = _count_table(corpus, order)
     return NGramModel(vocab, order, add_k, counts, totals, mu=0.0, profile=profile)
@@ -450,7 +437,9 @@ def condition_private(base: NGramModel, ctx: PrivateContext, mu: float) -> NGram
     """
     if not 0.0 <= mu <= 1.0:
         raise ModelError("mu must lie in [0, 1]")
-    if not _check_corpus(ctx.documents, base.vocab.size) and mu > 0:
+    ids = list(chain.from_iterable(ctx.documents))
+    check_token_ids(ids, base.vocab.size, ModelError, "private token")
+    if not ids and mu > 0:
         raise ModelError("private context is empty but mu > 0")
     private_counts, private_totals = _count_table(ctx.documents, base.order)
     profile = base.profile

@@ -18,15 +18,15 @@ which the cloud packs once per cache entry and the edge decodes and checks
 on a recovery-cache miss.  ``SparseSteeringPayload`` is its float64
 reference, for analysis and tests.
 
-Token ids are checked once, where they enter: the prompt when a session
-starts, every draft id, recovery delta and trailing id at cloud ingest,
-and every steering entry when the edge decodes it.  Tokens the edge
-samples itself are trusted.  So the cores score through the models'
-unchecked row layer (``key_of`` and ``probs_at``/``logits_at``/
-``cdf_at``): each core carries one row key per model and extends it one
-token at a time (``models.next_key``), so a round costs O(K + window)
-whatever the history length.  A model whose class has no row layer is
-scored through ``models.PublicRows``.
+Token ids are checked once, where they enter, by ``core.check_token_ids``:
+the prompt when a session starts, every draft id, recovery delta and
+trailing id at cloud ingest, and every steering entry when the edge
+decodes it.  Tokens the edge samples itself are trusted.  So the cores
+score through the models' unchecked row layer (``key_of`` and
+``probs_at``/``logits_at``/``cdf_at``): each core carries one row key per
+model and extends it one token at a time (``models.next_key``), so a
+round costs O(K + window) whatever the history length.  A model whose
+class has no row layer is scored through ``models.PublicRows``.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .core import (
     SpecSteerError,
     Vocabulary,
     check_seed,
+    check_token_ids,
     evict_oldest,
     greedy_pick,
     make_streams,
@@ -235,11 +236,7 @@ def check_steering_payload(
     before a recovery reads them.  The edge checks every section it
     decodes, whether it came from the wire or from the cloud in-process."""
     check_steering_count(len(ids), top_k)
-    if not (min(ids) >= 0 and max(ids) < vocab_size):
-        bad = next(i for i in ids if not 0 <= i < vocab_size)
-        raise ProtocolStateError(
-            f"steering token id {bad} out of range for vocabulary of size {vocab_size}"
-        )
+    check_token_ids(ids, vocab_size, ProtocolStateError, "steering token")
     # Binary32 values are below 3.5e38, so at most 0xFFFF of them sum to a
     # finite number exactly when each is finite.
     if not math.isfinite(sum(values)):
@@ -627,25 +624,13 @@ class SessionRecord:
         history.append(tok)
         return tok
 
-    def check_ids(self, ids: Sequence[int], what: str) -> None:
-        """Untrusted ids must index the vocabulary before any model or
-        logit vector sees them.  A plain loop: these are at most K ids, and
-        builtin min/max cost more than the loop at that size."""
-        vsize = self.vsize
-        for i in ids:
-            if not 0 <= i < vsize:
-                raise ProtocolStateError(
-                    f"{what} token id {i} out of range for vocabulary of size {vsize}"
-                )
-
     def check_extension(
         self, history: list[int], delta: int | None, tokens: Sequence[int], what: str
     ) -> None:
         """An honest edge sends at most ``horizon_k`` new tokens at a time,
-        never past ``max_len`` or past eos, and none once its history (with
-        the pending ``delta``, when given) ends in eos or reaches
-        ``max_len``; anything else is refused before it costs a model
-        call."""
+        never past ``max_len``, and none once its history (with the pending
+        ``delta``, when given) ends in eos or reaches ``max_len``; anything
+        else is refused before it costs a model call."""
         n = len(history)
         last = history[-1] if n else None
         if delta is not None:
@@ -660,9 +645,6 @@ class SessionRecord:
             raise ProtocolStateError(
                 f"{what} of {k} tokens takes the history to {n + k}, past max_len {self.max_len}"
             )
-        eos = self.eos
-        if eos in tokens and tokens.index(eos) != k - 1:
-            raise ProtocolStateError(f"{what} has a token after eos")
 
 
 def _record(records: dict, config: ProtocolConfig, make, objs: tuple) -> SessionRecord:
@@ -893,12 +875,11 @@ class CloudVerifier:
         if self.awaiting_delta != (history_delta is not None):
             raise ProtocolStateError("recovery history delta missing or unexpected")
         rec = self._rec
-        rec.check_ids(tokens, "draft")
-        if history_delta is not None:
-            rec.check_ids((history_delta,), "history delta")
+        check_token_ids(tokens, rec.vsize, ProtocolStateError, "draft token", rec.eos)
         mirror = self.mirror
         rec.check_extension(mirror, history_delta, tokens, "draft")
         if history_delta is not None:
+            check_token_ids((history_delta,), rec.vsize, ProtocolStateError, "history delta")
             mirror.append(history_delta)
             self.traces[-1].recovery_token = history_delta
         trace, section = rec.scan(
@@ -931,7 +912,7 @@ class CloudVerifier:
             )
         if want:
             rec = self._rec
-            rec.check_ids(trailing_ids, "trailing")
+            check_token_ids(trailing_ids, rec.vsize, ProtocolStateError, "trailing token")
             rec.check_extension(self.mirror, None, trailing_ids, "trailing id")
             self.mirror.extend(trailing_ids)
             self.traces[-1].recovery_token = trailing_ids[0]

@@ -3,19 +3,21 @@ the cloud's packed binary32 entry section, in process and on the wire, so
 ``run_session``, the simulated channel and a socket commit the same ids
 and record the same rounds.  Pinned here: a near-tie that float64 and
 binary32 break differently, a beta whose steering values overflow
-binary32, the one trace record on both sides, and a property over random
-table worlds."""
+binary32, the one trace record on both sides, prompt ids that are not
+token ids, which every backend refuses by the same rule before any frame
+is sent, and two properties over random table worlds."""
 
 from __future__ import annotations
 
 import socket
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specsteer.core import ProtocolConfig, SpecSteerError
+from specsteer.core import ProtocolConfig, SequenceError, SpecSteerError
 from specsteer.models import TableModel
 from specsteer.protocol import ProtocolStateError, run_session
 from specsteer.transport import (
@@ -26,7 +28,9 @@ from specsteer.transport import (
     encode_done,
     run_cloud,
     run_edge,
+    run_edge_socket,
     run_simulated_session,
+    serve_cloud_once,
 )
 
 from conftest import make_vocab
@@ -94,6 +98,33 @@ def test_steering_overflow_ends_every_backend_in_the_same_error(tmp_path):
     assert isinstance(edge_error, HandshakeError)
     assert type(cloud_error) is ProtocolStateError and str(cloud_error) == str(errors[0])
     assert FrameLog.read(path)[-1] == (DIR_DOWN, encode_done(0, ()))
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, "3"])
+def test_non_integer_prompt_id_refused_alike_before_any_frame(bad, tmp_path):
+    # In process, over the simulated channel and over a TCP socket, by the
+    # edge's own prompt check: no frame is sent.
+    vocab, models = four_token_triple([0.25] * 4)
+    llm, plus, minus = models
+    cfg = ProtocolConfig(top_k=4, max_len=6, seed=3)
+    prompt = [0, bad, 2]
+    for run in (run_session, run_simulated_session):
+        with pytest.raises(SequenceError, match="not an integer"):
+            run(cfg, *models, vocab, prompt)
+    path = str(tmp_path / "cloud.bin")
+    ready, bound = threading.Event(), []
+    with FrameLog(path) as log:
+        thread, errors = in_thread(lambda: serve_cloud_once(
+            ("127.0.0.1", 0), llm, minus, vocab, frame_log=log, ready=ready, bound=bound))
+        assert ready.wait(10)
+        with pytest.raises(SequenceError, match="not an integer"):
+            run_edge_socket(cfg, bound[0], plus, vocab, prompt, timeout=5)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    # The connection closed before any frame: the cloud logged only its
+    # refusal, which found no peer to read it.
+    assert len(errors) == 1 and isinstance(errors[0], SpecSteerError)
+    assert FrameLog.read(path) == [(DIR_DOWN, encode_done(0, ()))]
 
 
 def test_edge_traces_equal_run_session_traces_but_for_alphas(world):
@@ -188,3 +219,42 @@ def test_run_session_equals_simulated_channel(case):
     assert sim == committed
     assert cloud_stats.traces == traces
     assert edge_stats.traces == [replace(t, alphas=()) for t in traces]
+
+
+# ---------------------------------------------------------------------------
+# Property: both backends refuse the same prompts, by the same typed error
+# ---------------------------------------------------------------------------
+
+
+def prompt_element(v: int):
+    """Anything a caller might put in a prompt over a vocabulary of v ids:
+    ids (ints, bools, NumPy integers) and non-ids (floats, integral or
+    not, strings, None, negative values and values of v or more)."""
+    return st.one_of(
+        st.integers(0, v - 2),
+        st.booleans(),
+        st.integers(0, v - 1).map(np.int64),
+        st.integers(-2, v + 2).map(float),
+        st.floats(-2, v + 2).filter(lambda x: not x.is_integer()),
+        st.sampled_from(["0", "1", "t0", ""]),
+        st.none(),
+        st.integers(max_value=-1),
+        st.integers(min_value=v),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=table_session(), data=st.data())
+def test_backends_refuse_the_same_prompts(case, data):
+    cfg, models, vocab, _ = case
+    prompt = data.draw(st.lists(prompt_element(vocab.size), max_size=3), label="prompt")
+    outcomes = []
+    for run in (run_session, run_simulated_session):
+        try:
+            out = run(cfg, *models, vocab, prompt)
+        except SpecSteerError as exc:
+            outcomes.append(type(exc))
+        else:
+            # The cloud's traces, which run_session's equal.
+            outcomes.append((out[0], out[-1].traces if run is run_simulated_session else out[1]))
+    assert outcomes[0] == outcomes[1]

@@ -1,8 +1,9 @@
+import sys
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from specsteer.core import (
     DistributionError,
@@ -11,6 +12,7 @@ from specsteer.core import (
     ROLE_DRAFT,
     ROLE_RECOVERY,
     ROLE_VERIFY,
+    LOOP_IDS,
     UNIFORM_BLOCK,
     RngStreams,
     SequenceError,
@@ -18,6 +20,7 @@ from specsteer.core import (
     VocabError,
     Vocabulary,
     check_distribution,
+    check_token_ids,
     clamp_probs,
     greedy_pick,
     kl_divergence,
@@ -90,6 +93,85 @@ class TestSequenceValidation:
         vocab = Vocabulary.build([["a"]])
         with pytest.raises(SequenceError):
             validate_sequence([1, 1, 1], vocab, max_len=2)
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, "3", None])
+    def test_non_integer_id(self, bad):
+        vocab = Vocabulary.build([["a", "b"]])
+        with pytest.raises(SequenceError, match="not an integer"):
+            validate_sequence([1, bad, 0], vocab)
+
+    def test_numpy_integers_and_bools_are_ids(self):
+        vocab = Vocabulary.build([["a", "b"]])
+        validate_sequence([np.int64(1), True, np.uint8(2), 0], vocab)
+
+
+class TestCheckTokenIds:
+    """The one rule for an untrusted token id, on short inputs (the loop)
+    and long ones (the C pass), which must agree."""
+
+    SIZE = 7
+    LENGTHS = (3, LOOP_IDS + 40)
+
+    @staticmethod
+    def ids(n):
+        return [i % 5 + 1 for i in range(n)]
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("bad, reason", [
+        (1.0, "not an integer"), (1.5, "not an integer"), ("3", "not an integer"),
+        (None, "not an integer"), (np.float64(2.0), "not an integer"),
+        (-1, "out of range"), (SIZE, "out of range"), (2**64, "out of range"),
+    ])
+    def test_first_bad_id_named_with_its_position(self, n, bad, reason):
+        for pos in (0, n // 2, n - 1):
+            ids = self.ids(n)
+            ids[pos] = bad
+            # A later bad id does not hide the first.
+            ids.append(-5)
+            with pytest.raises(VocabError, match=rf"unknown thing id .* at position {pos}: {reason}"):
+                check_token_ids(ids, self.SIZE, VocabError, "thing")
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_integers_of_any_kind_pass(self, n):
+        for good in (True, False, np.int64(3), np.uint8(6), np.int32(0)):
+            ids = self.ids(n)
+            ids[n // 2] = good
+            check_token_ids(ids, self.SIZE, VocabError)
+            check_token_ids(tuple(ids), self.SIZE, VocabError)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_eos_only_last(self, n):
+        ids = self.ids(n) + [0]
+        check_token_ids(ids, self.SIZE, SequenceError, eos=0)
+        ids[n // 2] = 0
+        with pytest.raises(SequenceError, match=f"after eos at position {n // 2}"):
+            check_token_ids(ids, self.SIZE, SequenceError, eos=0)
+        check_token_ids(ids, self.SIZE, SequenceError)
+
+    def test_empty(self):
+        check_token_ids([], 1, SequenceError, eos=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ids=st.lists(st.one_of(
+            st.integers(0, SIZE - 1), st.booleans(), st.integers(0, SIZE - 1).map(np.int64),
+            st.integers(-2, SIZE + 2), st.floats(-2, SIZE + 2), st.sampled_from(["1", None]),
+        ), max_size=2 * LOOP_IDS),
+        eos=st.sampled_from([None, 0, SIZE - 1]),
+    )
+    def test_c_pass_decides_as_the_loop(self, ids, eos):
+        # The loop is the reference: long and short, every input gets the
+        # same verdict and message whichever path decides it.
+        outcomes = []
+        for loop_ids in (0, len(ids)):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(core, "LOOP_IDS", loop_ids)
+                try:
+                    check_token_ids(ids, self.SIZE, SequenceError, eos=eos)
+                    outcomes.append(None)
+                except SequenceError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestProtocolConfig:
@@ -341,6 +423,32 @@ class TestKeyedRefills:
         assert not any(t.is_alive() for t in threads)
         for seed in (0, 7, 2**64 - 1, 8):
             scalar = stream(seed, ROLE_VERIFY)
+            assert got[seed] == [scalar.random() for _ in range(n_blocks * UNIFORM_BLOCK)]
+
+    def test_more_threads_than_cores_under_fast_switching(self):
+        # Every block re-keys the one shared Philox: a refill that another
+        # thread's re-keying interrupted would draw from the wrong key.
+        n_threads, n_blocks = 6, 12
+        seeds = list(range(n_threads))
+        got: dict = {}
+
+        def drain(seed):
+            s = uniform_stream(seed, ROLE_DRAFT)
+            got[seed] = [s.random() for _ in range(n_blocks * UNIFORM_BLOCK)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=drain, args=(seed,)) for seed in seeds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for seed in seeds:
+            scalar = stream(seed, ROLE_DRAFT)
             assert got[seed] == [scalar.random() for _ in range(n_blocks * UNIFORM_BLOCK)]
 
 

@@ -71,12 +71,19 @@ class TestTableRowResolution:
         vocab, rows, histories = table
         m = TableModel(vocab, rows)
         history = data.draw(st.sampled_from(histories))
-        bad = data.draw(st.sampled_from([-1, BOS - 1, vocab.size, vocab.size + 7, 2**40]))
+        bad = data.draw(st.sampled_from(
+            [-1, BOS - 1, vocab.size, vocab.size + 7, 2**40, 1.0, 1.5, "3"]))
         at = data.draw(st.integers(0, len(history)))
         spoiled = history[:at] + [bad] + history[at:]
         for score in (m.next_token_probs, m.next_token_logits, m.next_token_cdf):
             with pytest.raises(ModelError, match="unknown token id"):
                 score(spoiled)
+        # NumPy integers and bools are ids, and read the same rows.
+        for i, good in ((1, True), (0, np.int64(0)), (vocab.size - 1, np.int64(vocab.size - 1))):
+            same = history[:at] + [good] + history[at:]
+            want = history[:at] + [i] + history[at:]
+            for score in (m.next_token_probs, m.next_token_logits, m.next_token_cdf):
+                assert score(same) is score(want)
 
     def test_row_record_values(self):
         vocab = make_vocab(4)
@@ -325,6 +332,29 @@ class TestNGramTraining:
         with pytest.raises(ModelError):
             train_ngram([[0]], vocab, order=1, add_k=0.0)
 
+    @pytest.mark.parametrize("bad", [1.0, 1.5, "3", -1, 3])
+    def test_bad_corpus_id(self, bad):
+        # The position counts through the documents, joined.
+        vocab = vocab_of(["a", "b"])
+        with pytest.raises(ModelError, match="corpus token id .* at position 4"):
+            train_ngram([[0, 1, 2], [1, bad, 0]], vocab, order=2, add_k=1.0)
+
+    def test_numpy_and_bool_corpus_ids(self):
+        vocab = vocab_of(["a", "b"])
+        m = train_ngram([[0, True, np.int64(2)]], vocab, order=2, add_k=0.5)
+        ref = train_ngram([[0, 1, 2]], vocab, order=2, add_k=0.5)
+        for hist in ([], [0], [1], [2]):
+            np.testing.assert_array_equal(m.next_token_probs(hist), ref.next_token_probs(hist))
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, "3", -1, 3])
+    def test_bad_history_id(self, bad):
+        vocab = vocab_of(["a", "b"])
+        m = train_ngram([[0, 1, 2, 1]], vocab, order=3, add_k=1.0)
+        for score in (m.next_token_probs, m.next_token_logits, m.next_token_cdf):
+            with pytest.raises(ModelError, match="unknown token id"):
+                score([0, bad, 1])
+            assert score([np.int64(0), True, 1]) is score([0, 1, 1])
+
     def test_cdf_matches_probs(self):
         vocab = vocab_of(["a", "b"])
         m = train_ngram([[0, 1, 2]], vocab, order=2, add_k=1.0)
@@ -367,6 +397,19 @@ class TestPrivateConditioning:
         _, base = self._base()
         with pytest.raises(ModelError):
             condition_private(base, PrivateContext.from_documents([]), mu=0.5)
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, "3", -1, 3])
+    def test_bad_private_id(self, bad):
+        _, base = self._base()
+        with pytest.raises(ModelError, match="private token id .* at position 1"):
+            condition_private(base, PrivateContext.from_documents([[2], [bad]]), mu=0.5)
+
+    def test_numpy_and_bool_private_ids(self):
+        _, base = self._base()
+        plus = condition_private(base, PrivateContext.from_documents([[np.int64(2), True]]), mu=0.5)
+        ref = condition_private(base, PrivateContext.from_documents([[2, 1]]), mu=0.5)
+        for hist in ([], [1], [2]):
+            np.testing.assert_array_equal(plus.next_token_probs(hist), ref.next_token_probs(hist))
 
     def test_base_untouched(self):
         vocab, base = self._base()

@@ -163,7 +163,8 @@ class TestCloudIngest:
         minus = single_row_model(vocab, [0.4, 0.4, 0.2])
         return CloudVerifier(cfg, llm, minus, vocab, prompt)
 
-    @pytest.mark.parametrize("ids", [(3,), (0, 1, 3), (-1,), (0, -2), (2**32 - 1,)])
+    @pytest.mark.parametrize("ids", [(3,), (0, 1, 3), (-1,), (0, -2), (2**32 - 1,),
+                                     (1.0,), (0, 1.5), ("1",)])
     def test_draft_id_out_of_range(self, ids):
         # (0, 1, 3): the last draft token is never scored as history, so
         # only the ingest check keeps it out of verify's logit index.
@@ -173,7 +174,7 @@ class TestCloudIngest:
             cloud.handle_draft(DraftBatch(0, ids), None)
         assert cloud.mirror == [0] and cloud.expected_seq == 0
 
-    @pytest.mark.parametrize("delta", [3, -1])
+    @pytest.mark.parametrize("delta", [3, -1, 1.0, 1.5, "1"])
     def test_history_delta_out_of_range(self, delta):
         vocab = make_vocab(3)
         cloud = self._cloud(vocab, lam=1.0, decode_mode="greedy")
@@ -184,10 +185,21 @@ class TestCloudIngest:
 
     def test_trailing_id_out_of_range(self):
         vocab = make_vocab(3)
+        for trailing in (7, 1.0, 1.5, "1"):
+            cloud = self._cloud(vocab, lam=1.0, decode_mode="greedy")
+            cloud.handle_draft(DraftBatch(0, (0,)), None)
+            with pytest.raises(ProtocolStateError):
+                cloud.finish([trailing])
+
+    def test_numpy_and_bool_ids_accepted(self):
+        vocab = make_vocab(3)
+        ref = self._cloud(vocab, lam=1.0, decode_mode="greedy")
         cloud = self._cloud(vocab, lam=1.0, decode_mode="greedy")
-        cloud.handle_draft(DraftBatch(0, (0,)), None)
-        with pytest.raises(ProtocolStateError):
-            cloud.finish([7])
+        for c, delta, trailing in ((ref, 1, 0), (cloud, True, np.int64(0))):
+            c.handle_draft(DraftBatch(0, (0,)), None)
+            c.handle_draft(DraftBatch(1, (0,)), delta)
+            c.finish([trailing])
+        assert cloud.mirror == ref.mirror and cloud.traces == ref.traces
 
     @pytest.mark.parametrize("prompt", [(0, 3), (0, 2, 1), (2**32 - 1,), (0,) * 17])
     def test_hello_prompt_refused(self, prompt):
@@ -641,6 +653,36 @@ class TestHistoryTail:
         assert history_tail(h, 5) == [1, 2, 3]
         assert history_tail(h, 0) == []  # not h[-0:], the whole list
         assert history_tail(h, 5) is not h
+
+
+class TestPromptIds:
+    """Every way into a session checks its prompt by the one rule: a float
+    or a str is refused with ``SequenceError``, a NumPy integer or a bool is
+    an id."""
+
+    @staticmethod
+    def starts(vocab, models):
+        llm, plus, minus = models
+        cfg = ProtocolConfig(top_k=vocab.size, max_len=8, seed=5)
+        return {
+            "run_session": lambda p: run_session(cfg, llm, plus, minus, vocab, p)[0],
+            "EdgeSession": lambda p: EdgeSession(cfg, plus, vocab, p).committed,
+            "CloudVerifier": lambda p: CloudVerifier(cfg, llm, minus, vocab, p).mirror,
+            "autoregressive_decode": lambda p: autoregressive_decode(
+                llm, vocab, p, 8, rng=np.random.default_rng(0)),
+        }
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, "3"])
+    def test_non_integer_refused(self, bad):
+        vocab, models = random_table_triple(np.random.default_rng(8), 5)
+        for start in self.starts(vocab, models).values():
+            with pytest.raises(SequenceError, match="not an integer"):
+                start([0, bad])
+
+    def test_numpy_integers_and_bools_accepted(self):
+        vocab, models = random_table_triple(np.random.default_rng(8), 5)
+        for name, start in self.starts(vocab, models).items():
+            assert start([0, np.int64(3), True]) == start([0, 3, 1]), name
 
 
 class TestAutoregressive:
