@@ -23,7 +23,6 @@ from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 # Probabilities below this floor are clamped before entering any log or
 # ratio denominator.  Ratios of small probabilities are the core of the
@@ -174,7 +173,11 @@ class PrivateContext:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Session hyperparameters.
+    """Session hyperparameters, valid once made: ``__post_init__`` runs
+    ``validate``, so a config with a field out of range raises
+    ``ConfigError`` where it is built, by ``dataclasses.replace`` and by the
+    handshake decoder too.  Only ``top_k`` against the vocabulary is left to
+    the session that knows it.
 
     ``lam`` is the scalar verification threshold standing in for the
     per-step partition function; ``exact_z`` switches verification to the
@@ -190,7 +193,10 @@ class ProtocolConfig:
     seed: int = 0
     exact_z: bool = False
 
-    def validate(self, vocab_size: int | None = None) -> None:
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise ConfigError("lambda must be finite and > 0")
         if not (self.beta >= 0 and math.isfinite(self.beta)):
@@ -199,21 +205,18 @@ class ProtocolConfig:
             raise ConfigError("horizon_k must be >= 1")
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
-        if vocab_size is not None and self.top_k > vocab_size:
-            raise ConfigError(f"top_k {self.top_k} exceeds vocabulary size {vocab_size}")
         if self.max_len < 1:
             raise ConfigError("max_len must be >= 1")
         if self.decode_mode not in DECODE_MODES:
             raise ConfigError(f"decode_mode must be one of {DECODE_MODES}")
-        check_seed(self.seed)
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must fit in 64 bits")
 
-
-def check_seed(seed: int) -> None:
-    """Raise ``ConfigError`` unless ``seed`` fits in 64 bits.  The protocol
-    validates a config once for all its seeds, so each session checks its
-    own seed with this."""
-    if not 0 <= seed < 2**64:
-        raise ConfigError("seed must fit in 64 bits")
+    def check_top_k(self, vocab_size: int) -> None:
+        """Raise ``ConfigError`` unless ``top_k`` fits a vocabulary of
+        ``vocab_size`` tokens: the one check a session makes of its config."""
+        if self.top_k > vocab_size:
+            raise ConfigError(f"top_k {self.top_k} exceeds vocabulary size {vocab_size}")
 
 
 # ---------------------------------------------------------------------------
@@ -228,44 +231,14 @@ ROLE_RECOVERY = 2
 _U64_MASK = 2**64 - 1
 
 
-class _PhiloxKey(ISeedSequence):
-    """Seed sequence that hands Philox a fixed 128-bit key.
-
-    ``Philox(key=...)`` first builds a ``SeedSequence`` from OS entropy and
-    then discards it.  Philox asks its seed sequence for exactly two 64-bit
-    words and uses them as the key, so answering with the key's words gives
-    the same stream without drawing entropy.
-    """
-
-    __slots__ = ("_words",)
-
-    def __init__(self, key: int) -> None:
-        self._words = (key & _U64_MASK, key >> 64)
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        # Philox passes the scalar type itself; np.dtype() only for others.
-        if n_words != 2 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
-            raise ValueError("a Philox key is two 64-bit words")
-        return np.array(self._words, dtype=np.uint64)
-
-
-# Philox copies its start counter into its own state.  Handing it this
-# array skips the conversion of its default, the int 0, which costs about as
-# much as the rest of the construction.
-_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
-_ZERO_COUNTER.flags.writeable = False
-
-
 def stream(seed: int, role: int) -> np.random.Generator:
     """Counter-based Philox stream for one role of one session.
 
     The 128-bit key is (role+1) << 64 | seed, so streams for different
     roles of the same session never collide and the edge/cloud processes
-    can reconstruct their own streams from the handshake seed alone.  The
-    stream equals ``Generator(Philox(key=key))``.
+    can reconstruct their own streams from the handshake seed alone.
     """
-    key = ((role + 1) << 64) | (seed & _U64_MASK)
-    return np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=_ZERO_COUNTER))
+    return np.random.Generator(np.random.Philox(key=((role + 1) << 64) | (seed & _U64_MASK)))
 
 
 # A stream is served in blocks of UNIFORM_BLOCK uniforms.  Philox makes
@@ -280,7 +253,7 @@ assert UNIFORM_BLOCK % 4 == 0
 
 # One Philox, re-keyed for every block under a lock: the cloud and the edge
 # of a wire session draw from two threads, and a new thread builds none.
-_philox = np.random.Generator(np.random.Philox(_PhiloxKey(0), counter=_ZERO_COUNTER))
+_philox = np.random.Generator(np.random.Philox(0))
 _philox_lock = threading.Lock()
 
 
@@ -328,11 +301,6 @@ class UniformStream:
         self.random: Callable[[], float] = _uniforms(seed, role).__next__
 
 
-def uniform_stream(seed: int, role: int) -> UniformStream:
-    """Block-served uniforms of ``stream(seed, role)``."""
-    return UniformStream(seed, role)
-
-
 @dataclass
 class RngStreams:
     """One session's streams by role.  The blocks live here, not in a
@@ -346,9 +314,9 @@ class RngStreams:
 
 def make_streams(seed: int) -> RngStreams:
     return RngStreams(
-        draft=uniform_stream(seed, ROLE_DRAFT),
-        verify=uniform_stream(seed, ROLE_VERIFY),
-        recovery=uniform_stream(seed, ROLE_RECOVERY),
+        draft=UniformStream(seed, ROLE_DRAFT),
+        verify=UniformStream(seed, ROLE_VERIFY),
+        recovery=UniformStream(seed, ROLE_RECOVERY),
     )
 
 

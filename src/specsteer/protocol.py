@@ -3,14 +3,15 @@
 The edge side owns the private drafter and the recovery sampler; the
 cloud side owns the large prior and the generic baseline and issues
 verdicts.  The draft, scan and commit logic exists once, as the cores of a
-``SessionRecord``: the constants of one model set, vocabulary and config
-(its seed aside), validated once and memoized.  ``run_session`` runs the
-cores in one flat loop in-process; the transport module drives the
-checked state machines ``EdgeSession`` and ``CloudVerifier``, thin views
-over the same cores, through frames: over a socket, or over the simulated
-channel, which calls the cloud's frame handler directly in one thread.  So
-the execution modes are equivalent by construction (same random streams,
-same draw order).
+``SessionRecord``: the engines and vocabulary constants of one model set,
+memoized per model set and vocabulary.  The cores read their config
+constants from the ``ProtocolConfig`` they are passed, which was checked
+when it was made.  ``run_session`` runs the cores in one flat loop
+in-process; the transport module drives the checked state machines
+``EdgeSession`` and ``CloudVerifier``, thin views over the same cores,
+through frames: over a socket, or over the simulated channel, which calls
+the cloud's frame handler directly in one thread.  So the execution modes
+are equivalent by construction (same random streams, same draw order).
 
 A steering payload takes one form between cloud and edge in every
 backend: the packed entry section of a verdict frame (``entries_struct``),
@@ -51,15 +52,14 @@ from .core import (
     ProtocolConfig,
     RngStreams,
     SpecSteerError,
+    UniformStream,
     Vocabulary,
-    check_seed,
     check_token_ids,
     evict_oldest,
     greedy_pick,
     make_streams,
     sample,
     softmax,
-    uniform_stream,
     validate_sequence,
 )
 from .models import model_rows, next_key, serves_rows
@@ -409,11 +409,11 @@ class EdgeEngine:
         return state if greedy else _draw_recovery(state, rng)
 
 
-# Engines, and the record memos of model sets, by the ids of the objects
-# they were made for.  An entry is the engine or memo followed by weak
-# references to those objects: nothing an entry holds references a model,
-# a dead object's entry is dropped, and a new object that reuses a dead
-# one's id does not match the old entry.
+# Engines and session records, by the ids of the objects they were made
+# for.  An entry is the engine or record followed by weak references to
+# those objects: nothing an entry holds references a model, a dead
+# object's entry is dropped, and a new object that reuses a dead one's id
+# does not match the old entry.
 _engines: dict[tuple, tuple] = {}
 
 
@@ -426,7 +426,7 @@ def _forget(key: tuple, ref: weakref.ref) -> None:
 def _registered(key: tuple, objs: tuple, value):
     """``value``, registered under ``key`` for as long as every object in
     ``objs`` lives.  An object that takes no weak reference leaves the
-    value unregistered, so an engine's caches or a memo last one session."""
+    value unregistered, so an engine's caches or a record last one session."""
     try:
         refs = tuple(weakref.ref(o, partial(_forget, key)) for o in objs)
     except TypeError:
@@ -462,21 +462,21 @@ def cloud_engine(llm, slm_minus) -> CloudEngine:
 
 
 # ---------------------------------------------------------------------------
-# Per-config records and the cores that read them
+# Session records and the cores
 # ---------------------------------------------------------------------------
-
-# Records kept per model set and vocabulary; the oldest made goes first.
-RECORDS_PER_MODEL_SET = 64
 
 
 class SessionRecord:
-    """What every session of one model set, vocabulary and config (its seed
-    aside) shares: the config, validated once, as the constants the draft,
-    scan and commit cores read, and the engines.  A record references no
-    model: the cores take the models as arguments.
+    """What every session of one model set and vocabulary shares, memoized
+    in the registry: the vocabulary's eos id and size, the engines, and
+    ``wrap``.  A record holds no config: a config is valid once made, and
+    the draft, scan and commit cores read their constants from the one
+    they are passed.  A record references no model either: the cores take
+    the models as arguments.
 
     ``edge`` is the drafter's engine, for a record that drafts and commits;
-    ``cloud`` the (llm, slm_minus) pair's, for one that scans.
+    ``cloud`` the (llm, slm_minus) pair's, for one that scans.  Making a
+    record checks that its models share the vocabulary.
 
     The cores score through the models' row layer (``key_of`` and
     ``*_at``), which checks no ids: every id they see was checked where it
@@ -486,49 +486,35 @@ class SessionRecord:
     session hands the cores ``model_rows`` of its models.
     """
 
-    __slots__ = (
-        "eos", "vsize", "max_len", "horizon", "greedy", "beta", "lam", "top_k", "exact_z",
-        "edge", "cloud", "wrap",
-    )
+    __slots__ = ("eos", "vsize", "edge", "cloud", "wrap")
 
-    def __init__(
-        self,
-        config: ProtocolConfig,
-        vocab: Vocabulary,
-        edge: EdgeEngine | None,
-        cloud: CloudEngine | None,
-        models: tuple,
-    ) -> None:
-        config.validate(vocab.size)
+    def __init__(self, vocab: Vocabulary, drafter=None, llm=None, slm_minus=None) -> None:
+        models = tuple(m for m in (llm, drafter, slm_minus) if m is not None)
+        for m in models:
+            if m.vocab.tokens != vocab.tokens or m.vocab.eos_id != vocab.eos_id:
+                raise ProtocolStateError("models do not share the session vocabulary")
         self.eos = vocab.eos_id
         self.vsize = vocab.size
-        self.max_len = config.max_len
-        self.horizon = config.horizon_k
-        self.greedy = config.decode_mode == "greedy"
-        self.beta = config.beta
-        self.lam = config.lam
-        self.top_k = config.top_k
-        self.exact_z = config.exact_z
-        self.edge = edge
-        self.cloud = cloud
+        self.edge = edge_engine(drafter) if drafter is not None else None
+        self.cloud = cloud_engine(llm, slm_minus) if llm is not None else None
         self.wrap = not all(map(serves_rows, models))
 
-    def ended(self, history: list[int]) -> bool:
+    def ended(self, config: ProtocolConfig, history: list[int]) -> bool:
         """Whether a session with this history drafts no more: it ends in
         eos or has reached ``max_len``."""
-        return len(history) >= self.max_len or (bool(history) and history[-1] == self.eos)
+        return len(history) >= config.max_len or (bool(history) and history[-1] == self.eos)
 
-    def draft(self, drafter, history: list[int], rng) -> tuple[int, ...]:
+    def draft(self, config: ProtocolConfig, drafter, history: list[int], rng) -> tuple[int, ...]:
         """Sample up to ``horizon_k`` tokens after ``history`` from the
         drafter's rows, stopping at eos and at ``max_len``; the session
         must not have ended."""
-        k = self.max_len - len(history)
-        if k > self.horizon:
-            k = self.horizon
+        k = config.max_len - len(history)
+        if k > config.horizon_k:
+            k = config.horizon_k
         eos = self.eos
         w = drafter.window
         key = drafter.key_of(history)
-        greedy = self.greedy
+        greedy = config.decode_mode == "greedy"
         row_at = drafter.probs_at if greedy else drafter.cdf_at
         tokens: list[int] = []
         for _ in range(k):
@@ -545,6 +531,7 @@ class SessionRecord:
 
     def scan(
         self,
+        config: ProtocolConfig,
         llm,
         slm_minus,
         zt_fn: Callable[[Sequence[int]], float] | None,
@@ -572,14 +559,14 @@ class SessionRecord:
         llm_at, minus_at = llm.logits_at, slm_minus.logits_at
         prefix = history_tail(history, zt_fn.window) if zt_fn is not None else None
         draw = rng.random
-        greedy = self.greedy
+        greedy = config.decode_mode == "greedy"
         alphas: list[float] = []
         accepted = len(tokens)
         section: bytes | None = None
         for t, tok in enumerate(tokens):
             h_llm = llm_at(lkey)
             h_minus = minus_at(mkey)
-            lam = zt_fn(prefix) if zt_fn is not None else self.lam
+            lam = zt_fn(prefix) if zt_fn is not None else config.lam
             # Conditionals equal to builtin max/min here, and cheaper.
             p_minus = math.exp(h_minus[tok])
             if p_minus < PROB_FLOOR:
@@ -591,7 +578,9 @@ class SessionRecord:
             ok = alpha >= 1.0 if greedy else draw() <= alpha
             if not ok:
                 accepted = t
-                section = self.cloud.payload(h_llm, h_minus, self.beta, self.top_k, (lkey, mkey))
+                section = self.cloud.payload(
+                    h_llm, h_minus, config.beta, config.top_k, (lkey, mkey)
+                )
                 break
             lkey = next_key(lkey, tok, lw)
             mkey = next_key(mkey, tok, mw)
@@ -602,6 +591,7 @@ class SessionRecord:
 
     def commit(
         self,
+        config: ProtocolConfig,
         drafter,
         history: list[int],
         tokens: tuple[int, ...],
@@ -618,14 +608,19 @@ class SessionRecord:
         # The history is now exactly the history at the rejected position,
         # so the private term is scored lazily here, if at all.
         tok = self.edge.recover(
-            section, drafter.key_of(history), drafter, self.beta, rng, self.greedy, self.vsize,
-            self.top_k,
+            section, drafter.key_of(history), drafter, config.beta, rng,
+            config.decode_mode == "greedy", self.vsize, config.top_k,
         )
         history.append(tok)
         return tok
 
     def check_extension(
-        self, history: list[int], delta: int | None, tokens: Sequence[int], what: str
+        self,
+        config: ProtocolConfig,
+        history: list[int],
+        delta: int | None,
+        tokens: Sequence[int],
+        what: str,
     ) -> None:
         """An honest edge sends at most ``horizon_k`` new tokens at a time,
         never past ``max_len``, and none once its history (with the pending
@@ -636,62 +631,15 @@ class SessionRecord:
         if delta is not None:
             n += 1
             last = delta
-        if last == self.eos or n >= self.max_len:
+        if last == self.eos or n >= config.max_len:
             raise ProtocolStateError(f"{what} arrived after the session ended")
         k = len(tokens)
-        if k > self.horizon:
-            raise ProtocolStateError(f"{what} of {k} tokens exceeds horizon_k {self.horizon}")
-        if n + k > self.max_len:
+        if k > config.horizon_k:
+            raise ProtocolStateError(f"{what} of {k} tokens exceeds horizon_k {config.horizon_k}")
+        if n + k > config.max_len:
             raise ProtocolStateError(
-                f"{what} of {k} tokens takes the history to {n + k}, past max_len {self.max_len}"
+                f"{what} of {k} tokens takes the history to {n + k}, past max_len {config.max_len}"
             )
-
-
-def _record(records: dict, config: ProtocolConfig, make, objs: tuple) -> SessionRecord:
-    """The record of ``config`` in ``records``, the memo of the models and
-    vocabulary ``objs``: ``make(config, *objs)`` builds and validates it on
-    first use, and later sessions at a config that differs at most in its
-    seed find it here."""
-    ckey = (
-        config.lam, _beta_key(config.beta), config.horizon_k, config.top_k, config.max_len,
-        config.decode_mode, config.exact_z,
-    )
-    rec = records.get(ckey)
-    if rec is None:
-        rec = make(config, *objs)
-        if len(records) >= RECORDS_PER_MODEL_SET:
-            evict_oldest(records)
-        records[ckey] = rec
-    return rec
-
-
-def _session_record(config, llm, slm_plus, slm_minus, vocab: Vocabulary) -> SessionRecord:
-    """A new record for ``run_session``, once the three models are known to
-    share ``vocab``."""
-    _check_shared_vocab(vocab, llm, slm_plus, slm_minus)
-    return SessionRecord(
-        config, vocab, edge_engine(slm_plus), cloud_engine(llm, slm_minus), (llm, slm_plus, slm_minus)
-    )
-
-
-def _edge_record(config, drafter, vocab: Vocabulary) -> SessionRecord:
-    """A new record for an ``EdgeSession``, once the drafter is known to
-    share ``vocab``."""
-    _check_shared_vocab(vocab, drafter)
-    return SessionRecord(config, vocab, edge_engine(drafter), None, (drafter,))
-
-
-def _cloud_record(config, llm, slm_minus, vocab: Vocabulary) -> SessionRecord:
-    """A new record for a ``CloudVerifier``, once its two models are known
-    to share ``vocab``."""
-    _check_shared_vocab(vocab, llm, slm_minus)
-    return SessionRecord(config, vocab, None, cloud_engine(llm, slm_minus), (llm, slm_minus))
-
-
-def _check_shared_vocab(vocab: Vocabulary, *models) -> None:
-    for m in models:
-        if m.vocab.tokens != vocab.tokens or m.vocab.eos_id != vocab.eos_id:
-            raise ProtocolStateError("models do not share the session vocabulary")
 
 
 # ---------------------------------------------------------------------------
@@ -707,9 +655,8 @@ class EdgeSession:
     ``apply_verdict`` are the same calls in message form.  Each checks its
     input and then runs the same core (``SessionRecord.draft``,
     ``SessionRecord.commit``) that ``run_session`` calls directly.  The
-    config is validated, and the drafter's vocabulary checked, once per
-    drafter, vocabulary and config (seed aside); the seed and the prompt
-    are checked here.
+    drafter's vocabulary is checked once per drafter and vocabulary; the
+    config's ``top_k`` against the vocabulary, and the prompt, here.
     """
 
     def __init__(
@@ -720,11 +667,11 @@ class EdgeSession:
         prompt_ids: Sequence[int],
         streams: RngStreams | None = None,
     ) -> None:
-        objs = (drafter, vocab)
-        memo = _registry(("edge-records", id(drafter), id(vocab)), objs, dict)
-        rec = self._rec = _record(memo, config, _edge_record, objs)
-        check_seed(config.seed)
-        validate_sequence(prompt_ids, vocab, rec.max_len)
+        rec = self._rec = _registry(
+            ("edge-record", id(drafter), id(vocab)), (drafter, vocab), SessionRecord, vocab, drafter
+        )
+        config.check_top_k(rec.vsize)
+        validate_sequence(prompt_ids, vocab, config.max_len)
         self.config = config
         self.drafter = drafter
         self._rows = model_rows(drafter) if rec.wrap else drafter
@@ -736,15 +683,15 @@ class EdgeSession:
             self._draft_rng = streams.draft
             self._recovery_rng = streams.recovery
         else:
-            self._draft_rng = uniform_stream(config.seed, ROLE_DRAFT)
-            self._recovery_rng = uniform_stream(config.seed, ROLE_RECOVERY)
+            self._draft_rng = UniformStream(config.seed, ROLE_DRAFT)
+            self._recovery_rng = UniformStream(config.seed, ROLE_RECOVERY)
         self._outstanding: tuple[int, ...] | None = None
 
     @property
     def finished(self) -> bool:
         """Whether the committed history ends in eos or has reached
         ``max_len``, so that there is nothing left to draft."""
-        return self._rec.ended(self.committed)
+        return self._rec.ended(self.config, self.committed)
 
     def take_delta(self) -> int | None:
         delta, self.pending_delta = self.pending_delta, None
@@ -753,12 +700,12 @@ class EdgeSession:
     def draft(self) -> tuple[int, ...] | None:
         """The ids of draft ``seq_no``, or None once the session has
         finished."""
-        rec = self._rec
-        if rec.ended(self.committed):
+        rec, config = self._rec, self.config
+        if rec.ended(config, self.committed):
             return None
         if self._outstanding is not None:
             raise ProtocolStateError("previous draft awaiting verdict")
-        tokens = self._outstanding = rec.draft(self._rows, self.committed, self._draft_rng)
+        tokens = self._outstanding = rec.draft(config, self._rows, self.committed, self._draft_rng)
         return tokens
 
     def next_draft(self) -> DraftBatch | None:
@@ -779,14 +726,14 @@ class EdgeSession:
             raise ProtocolStateError(f"accepted_count {accepted} out of range for batch of {k}")
         if (recovery is None) != (accepted == k):
             raise ProtocolStateError("recovery payload presence inconsistent with accepted_count")
-        rec = self._rec
+        config = self.config
         if recovery is not None:
-            check_steering_count(len(recovery) // STEERING_ENTRY_BYTES, rec.top_k)
+            check_steering_count(len(recovery) // STEERING_ENTRY_BYTES, config.top_k)
         committed = self.committed
         n = len(committed)
         try:
-            rec_token = rec.commit(
-                self._rows, committed, tokens, accepted, recovery, self._recovery_rng
+            rec_token = self._rec.commit(
+                config, self._rows, committed, tokens, accepted, recovery, self._recovery_rng
             )
         except ProtocolStateError:
             # A section's entries are checked when first recovered from;
@@ -821,9 +768,9 @@ class CloudVerifier:
     and its length and place in the session, before running the scan core
     (``SessionRecord.scan``) that ``run_session`` calls directly with drafts
     its own edge sampled.  ``zt_fn``, like the models, exposes the
-    ``window`` it reads.  The config is validated, and the models'
-    vocabularies checked, once per model pair, vocabulary and config (seed
-    aside); the seed and the prompt are checked here.
+    ``window`` it reads.  The models' vocabularies are checked once per
+    model pair and vocabulary; the config's ``top_k`` against the
+    vocabulary, and the prompt, here.
     """
 
     def __init__(
@@ -836,12 +783,13 @@ class CloudVerifier:
         streams: RngStreams | None = None,
         zt_fn: Callable[[Sequence[int]], float] | None = None,
     ) -> None:
-        objs = (llm, slm_minus, vocab)
-        memo = _registry(("cloud-records", id(llm), id(slm_minus), id(vocab)), objs, dict)
-        rec = self._rec = _record(memo, config, _cloud_record, objs)
-        check_seed(config.seed)
-        validate_sequence(prompt_ids, vocab, rec.max_len)
-        if rec.exact_z and zt_fn is None:
+        rec = self._rec = _registry(
+            ("cloud-record", id(llm), id(slm_minus), id(vocab)), (llm, slm_minus, vocab),
+            SessionRecord, vocab, None, llm, slm_minus,
+        )
+        config.check_top_k(rec.vsize)
+        validate_sequence(prompt_ids, vocab, config.max_len)
+        if config.exact_z and zt_fn is None:
             raise ProtocolStateError("exact-Z verification needs a partition callback")
         self.config = config
         self.llm = llm
@@ -854,9 +802,9 @@ class CloudVerifier:
         self.finished = False
         self.traces: list[RoundTrace] = []
         self._verify_rng = (
-            streams.verify if streams is not None else uniform_stream(config.seed, ROLE_VERIFY)
+            streams.verify if streams is not None else UniformStream(config.seed, ROLE_VERIFY)
         )
-        self._zt_fn = zt_fn if rec.exact_z else None
+        self._zt_fn = zt_fn if config.exact_z else None
 
     def verify(
         self, seq_no: int, tokens: tuple[int, ...], history_delta: int | None
@@ -877,13 +825,13 @@ class CloudVerifier:
         rec = self._rec
         check_token_ids(tokens, rec.vsize, ProtocolStateError, "draft token", rec.eos)
         mirror = self.mirror
-        rec.check_extension(mirror, history_delta, tokens, "draft")
+        rec.check_extension(self.config, mirror, history_delta, tokens, "draft")
         if history_delta is not None:
             check_token_ids((history_delta,), rec.vsize, ProtocolStateError, "history delta")
             mirror.append(history_delta)
             self.traces[-1].recovery_token = history_delta
         trace, section = rec.scan(
-            *self._rows, self._zt_fn, mirror, tokens, self._verify_rng,
+            self.config, *self._rows, self._zt_fn, mirror, tokens, self._verify_rng,
             seq_no, history_delta is not None,
         )
         accepted = trace.accepted_count
@@ -913,7 +861,7 @@ class CloudVerifier:
         if want:
             rec = self._rec
             check_token_ids(trailing_ids, rec.vsize, ProtocolStateError, "trailing token")
-            rec.check_extension(self.mirror, None, trailing_ids, "trailing id")
+            rec.check_extension(self.config, self.mirror, None, trailing_ids, "trailing id")
             self.mirror.extend(trailing_ids)
             self.traces[-1].recovery_token = trailing_ids[0]
         self.awaiting_delta = False
@@ -958,26 +906,28 @@ def run_session(
     commit, no messages are built, and ids the edge sampled itself are not
     checked again.  The checked public methods run these same cores.
     """
-    objs = (llm, slm_plus, slm_minus, vocab)
-    memo = _registry(("session", id(llm), id(slm_plus), id(slm_minus), id(vocab)), objs, dict)
-    rec = _record(memo, config, _session_record, objs)
-    check_seed(config.seed)
-    validate_sequence(prompt_ids, vocab, rec.max_len)
+    rec = _registry(
+        ("session", id(llm), id(slm_plus), id(slm_minus), id(vocab)),
+        (llm, slm_plus, slm_minus, vocab), SessionRecord, vocab, slm_plus, llm, slm_minus,
+    )
+    config.check_top_k(rec.vsize)
+    validate_sequence(prompt_ids, vocab, config.max_len)
     rngs = streams if streams is not None else make_streams(config.seed)
-    zt_fn = exact_partition_fn(llm, slm_plus, slm_minus) if rec.exact_z else None
+    zt_fn = exact_partition_fn(llm, slm_plus, slm_minus) if config.exact_z else None
     if rec.wrap:
         llm, slm_plus, slm_minus = map(model_rows, (llm, slm_plus, slm_minus))
     draft_rng, verify_rng, recovery_rng = rngs.draft, rngs.verify, rngs.recovery
     history = list(prompt_ids)
     traces: list[RoundTrace] = []
     section = None
-    while not rec.ended(history):
-        tokens = rec.draft(slm_plus, history, draft_rng)
+    while not rec.ended(config, history):
+        tokens = rec.draft(config, slm_plus, history, draft_rng)
         trace, section = rec.scan(
-            llm, slm_minus, zt_fn, history, tokens, verify_rng, len(traces), section is not None
+            config, llm, slm_minus, zt_fn, history, tokens, verify_rng, len(traces),
+            section is not None,
         )
         trace.recovery_token = rec.commit(
-            slm_plus, history, tokens, trace.accepted_count, section, recovery_rng
+            config, slm_plus, history, tokens, trace.accepted_count, section, recovery_rng
         )
         traces.append(trace)
     # The history is the cloud's mirror too, so the final repair that the

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import logging
 import math
 import socket
 import struct
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 from time import monotonic
 from typing import Iterable, Sequence
 
-from .core import DECODE_MODES, ProtocolConfig, SpecSteerError, Vocabulary
+from .core import DECODE_MODES, ConfigError, ProtocolConfig, SpecSteerError, Vocabulary
 from .protocol import (
     STEERING_ENTRY_BYTES,
     CloudVerifier,
@@ -47,8 +46,6 @@ from .protocol import (
     Verdict,
     round_trace,
 )
-
-log = logging.getLogger("specsteer.transport")
 
 MAGIC = b"SPST"
 VERSION = 1
@@ -184,6 +181,9 @@ def encode_hello(config: ProtocolConfig, vhash: int, prompt_ids: Sequence[int]) 
 
 
 def decode_hello(payload: bytes) -> tuple[ProtocolConfig, int, tuple[int, ...]]:
+    """(config, vocabulary hash, prompt) of a handshake payload.  The
+    config checks its fields as it is made, so one out of range raises
+    ``ConfigError``."""
     if len(payload) < _HELLO.size:
         raise WireError("truncated handshake payload")
     lam, beta, k, top_k, max_len, mode, seed, vhash, plen = _HELLO.unpack_from(payload, 0)
@@ -541,7 +541,6 @@ class EdgeStats:
 
 @dataclass
 class CloudStats:
-    refused: bool
     rounds: int
     traces: list[RoundTrace]
     mirror: list[int]
@@ -556,8 +555,15 @@ def run_edge(
     frame_log: FrameLog | None = None,
 ) -> tuple[list[int], EdgeStats]:
     """Drive a full session from the edge side of a channel."""
-    vhash = vocab_hash64(vocab)
-    edge = EdgeSession(config, drafter, vocab, prompt_ids)
+    return _edge_loop(EdgeSession(config, drafter, vocab, prompt_ids), endpoint, frame_log)
+
+
+def _edge_loop(
+    edge: EdgeSession, endpoint, frame_log: FrameLog | None
+) -> tuple[list[int], EdgeStats]:
+    """``run_edge`` for an ``EdgeSession`` that has checked its config and
+    prompt, which it sends in the handshake."""
+    vhash = vocab_hash64(edge.vocab)
     up_bytes = 0
     down_bytes = 0
 
@@ -583,7 +589,7 @@ def run_edge(
             raise WireError(f"unexpected message type {msg_type}")
         return frame
 
-    send(encode_hello(config, vhash, prompt_ids))
+    send(encode_hello(edge.config, vhash, edge.committed))
     ack_hash = decode_hello_ack(recv(MSG_HELLO)[_HEADER.size:])
     if ack_hash != vhash:
         raise HandshakeError("vocabulary hash mismatch in handshake ack")
@@ -620,10 +626,10 @@ class CloudSession:
     """The cloud's side of one session as a function from frames to frames,
     and the cloud's single entry point: ``handle`` takes an uplink frame and
     returns the downlink frame that answers it.  ``answer`` adds the one
-    rule for errors: a ``SpecSteerError`` ends the session with the DONE
-    refusal, logged on the downlink.  ``run_cloud`` serves a channel with
-    it, ``DirectEndpoint`` the simulated channel, and ``replay_cloud_log`` a
-    logged uplink."""
+    rule for errors: a ``SpecSteerError`` (a foreign vocabulary's among
+    them) ends the session with the DONE refusal, logged on the downlink.
+    ``run_cloud`` serves a channel with it, ``DirectEndpoint`` the simulated
+    channel, and ``replay_cloud_log`` a logged uplink."""
 
     def __init__(self, llm, slm_minus, vocab: Vocabulary) -> None:
         self.llm = llm
@@ -631,17 +637,16 @@ class CloudSession:
         self.vocab = vocab
         self.vhash = vocab_hash64(vocab)
         self.verifier: CloudVerifier | None = None
-        self.refused = False
         # Set once the last frame of the session has been answered.
         self.finished = False
         # The error that ended the session, if one did.
         self.error: SpecSteerError | None = None
 
     def handle(self, frame: bytes) -> bytes:
-        """The answer to ``frame``: a handshake ack (or a refusal, for
-        another vocabulary), a verdict, or the DONE acknowledgement.  A
-        ``SpecSteerError`` ends the session, which ``answer`` then refuses
-        with a DONE of length 0."""
+        """The answer to ``frame``: a handshake ack, a verdict, or the DONE
+        acknowledgement.  A ``SpecSteerError`` (a handshake from another
+        vocabulary raises ``HandshakeError``) ends the session, which
+        ``answer`` then refuses with a DONE of length 0."""
         msg_type = _frame_type(frame)
         verifier = self.verifier
         if msg_type == MSG_DRAFT and verifier is not None:
@@ -655,9 +660,7 @@ class CloudSession:
                 raise WireError("expected handshake frame")
             config, peer_hash, prompt = decode_hello(frame[_HEADER.size:])
             if peer_hash != self.vhash:
-                log.warning("refusing session: vocabulary hash mismatch")
-                self.refused = self.finished = True
-                return _REFUSAL
+                raise HandshakeError("vocabulary hash mismatch")
             # Checks the handshake's config and prompt before acknowledging it.
             self.verifier = CloudVerifier(config, self.llm, self.slm_minus, self.vocab, prompt)
             return encode_hello_ack(self.vhash)
@@ -697,9 +700,8 @@ class CloudSession:
     def stats(self) -> CloudStats:
         verifier = self.verifier
         if verifier is None:
-            return CloudStats(refused=self.refused, rounds=0, traces=[], mirror=[])
+            return CloudStats(rounds=0, traces=[], mirror=[])
         return CloudStats(
-            refused=self.refused,
             rounds=verifier.expected_seq,
             traces=verifier.traces,
             mirror=verifier.mirror,
@@ -861,9 +863,12 @@ def run_edge_socket(
     frame_log: FrameLog | None = None,
     timeout: float = DEFAULT_SOCKET_TIMEOUT,
 ) -> tuple[list[int], EdgeStats]:
+    """``run_edge`` over a TCP connection to ``connect``.  The config and
+    the prompt are checked before the connection is made."""
+    edge = EdgeSession(config, drafter, vocab, prompt_ids)
     endpoint = SocketEndpoint(_connect(connect, timeout), timeout=timeout)
     try:
-        return run_edge(config, endpoint, drafter, vocab, prompt_ids, frame_log=frame_log)
+        return _edge_loop(edge, endpoint, frame_log)
     finally:
         endpoint.close()
 
@@ -904,7 +909,7 @@ def scan_frame_log(path: str, forbidden: Iterable[bytes] = ()) -> list[str]:
                     decode_draft(payload, expect_delta=True)
             else:
                 decode_done(payload)
-        except WireError as exc:
+        except (WireError, ConfigError) as exc:
             violations.append(f"frame {idx}: malformed uplink payload ({exc})")
             continue
         for pattern in forbidden:

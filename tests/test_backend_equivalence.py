@@ -10,7 +10,6 @@ is sent, and two properties over random table worlds."""
 from __future__ import annotations
 
 import socket
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +29,6 @@ from specsteer.transport import (
     run_edge,
     run_edge_socket,
     run_simulated_session,
-    serve_cloud_once,
 )
 
 from conftest import make_vocab
@@ -101,7 +99,7 @@ def test_steering_overflow_ends_every_backend_in_the_same_error(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [1.5, 1.0, "3"])
-def test_non_integer_prompt_id_refused_alike_before_any_frame(bad, tmp_path):
+def test_non_integer_prompt_id_refused_alike_before_any_frame(bad):
     # In process, over the simulated channel and over a TCP socket, by the
     # edge's own prompt check: no frame is sent.
     vocab, models = four_token_triple([0.25] * 4)
@@ -111,20 +109,17 @@ def test_non_integer_prompt_id_refused_alike_before_any_frame(bad, tmp_path):
     for run in (run_session, run_simulated_session):
         with pytest.raises(SequenceError, match="not an integer"):
             run(cfg, *models, vocab, prompt)
-    path = str(tmp_path / "cloud.bin")
-    ready, bound = threading.Event(), []
-    with FrameLog(path) as log:
-        thread, errors = in_thread(lambda: serve_cloud_once(
-            ("127.0.0.1", 0), llm, minus, vocab, frame_log=log, ready=ready, bound=bound))
-        assert ready.wait(10)
+    # The socket edge checks the prompt before it connects: a listening
+    # cloud finds no connection waiting to be accepted.
+    server = socket.create_server(("127.0.0.1", 0))
+    try:
         with pytest.raises(SequenceError, match="not an integer"):
-            run_edge_socket(cfg, bound[0], plus, vocab, prompt, timeout=5)
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-    # The connection closed before any frame: the cloud logged only its
-    # refusal, which found no peer to read it.
-    assert len(errors) == 1 and isinstance(errors[0], SpecSteerError)
-    assert FrameLog.read(path) == [(DIR_DOWN, encode_done(0, ()))]
+            run_edge_socket(cfg, server.getsockname(), plus, vocab, prompt, timeout=5)
+        server.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            server.accept()
+    finally:
+        server.close()
 
 
 def test_edge_traces_equal_run_session_traces_but_for_alphas(world):

@@ -320,3 +320,33 @@ class TestSocketCommands:
         assert replay_cloud_log(
             str(out / "cloud_frames.bin"), world.llm, world.slm_minus, world.vocab) == []
         assert (out / "cloud_frames.bin").read_bytes() == (out / "edge_frames.bin").read_bytes()
+
+    def test_foreign_vocabulary_edge_is_an_error_on_both_ends(self, tmp_path, capsys):
+        # The edge's private corpus adds a word, so its vocabulary hash
+        # differs from the cloud's: the cloud refuses the handshake by its
+        # one rule for errors and names the cause.
+        path = write_tiny_config(tmp_path)
+        foreign_dir = tmp_path / "foreign"
+        foreign_dir.mkdir()
+        foreign = write_tiny_config(foreign_dir)
+        (foreign_dir / "priv.txt").write_text("we ordered the lasagna\n")
+        out = tmp_path / "wire"
+        with serve_cloud_child(path, out) as child:
+            try:
+                first = child.stdout.readline()
+                assert first.startswith("listening on 127.0.0.1:"), first
+                code = main(["--config", str(foreign), "--out", str(out / "edge"), "run-edge",
+                             "--connect", first.split()[-1]])
+                rest, err = child.communicate(timeout=30)
+            except BaseException:
+                child.kill()
+                raise
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: session refused by cloud")
+        assert child.returncode == 1 and rest == ""
+        assert err.startswith("error: ") and "vocabulary hash mismatch" in err
+        assert "Traceback" not in err
+        world = build_world(load_config(path))
+        log = str(out / "cloud_frames.bin")
+        assert scan_frame_log(log) == []
+        assert replay_cloud_log(log, world.llm, world.slm_minus, world.vocab) == []

@@ -1,5 +1,6 @@
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from specsteer.core import (
     stream,
     total_variation,
     uniform_block,
-    uniform_stream,
     validate_sequence,
 )
 from specsteer import core
@@ -182,7 +182,7 @@ class TestProtocolConfig:
         assert cfg.horizon_k == 4
         assert cfg.top_k == 32
         assert cfg.max_len == 1024
-        cfg.validate(100)
+        cfg.check_top_k(100)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -199,15 +199,22 @@ class TestProtocolConfig:
             {"max_len": 0},
             {"decode_mode": "beam"},
             {"seed": -1},
+            {"seed": 2**64},
         ],
     )
     def test_invalid(self, kwargs):
+        # A config is valid once made: where it is built and where it is
+        # replaced, one field out of range raises.
         with pytest.raises(ConfigError):
-            ProtocolConfig(**kwargs).validate(100)
+            ProtocolConfig(**kwargs)
+        with pytest.raises(ConfigError):
+            replace(ProtocolConfig(), **kwargs)
 
     def test_top_k_exceeds_vocab(self):
-        with pytest.raises(ConfigError):
-            ProtocolConfig(top_k=200).validate(100)
+        cfg = ProtocolConfig(top_k=200)
+        cfg.check_top_k(200)
+        with pytest.raises(ConfigError, match="exceeds vocabulary size 100"):
+            cfg.check_top_k(100)
 
 
 class TestSoftmax:
@@ -286,7 +293,7 @@ class TestSampling:
 
     def test_empirical_frequencies(self):
         p = np.array([0.1, 0.2, 0.3, 0.4])
-        rng = uniform_stream(123, ROLE_DRAFT)
+        rng = UniformStream(123, ROLE_DRAFT)
         draws = [sample(p, rng) for _ in range(1_000_000)]
         freq = np.bincount(draws, minlength=4) / len(draws)
         assert total_variation(freq, p) < 0.005
@@ -323,7 +330,7 @@ class TestUniformStream:
     @pytest.mark.parametrize("role", [ROLE_DRAFT, ROLE_VERIFY, ROLE_RECOVERY])
     def test_equals_scalar_draws(self, n, role):
         scalar = stream(2**64 - 3, role)
-        served = uniform_stream(2**64 - 3, role)
+        served = UniformStream(2**64 - 3, role)
         got = [served.random() for _ in range(n)]
         assert got == [scalar.random() for _ in range(n)]
         assert all(type(u) is float for u in got)
@@ -406,7 +413,7 @@ class TestKeyedRefills:
         got: dict = {}
 
         def drain(seeds):
-            streams = [uniform_stream(seed, ROLE_VERIFY) for seed in seeds]
+            streams = [UniformStream(seed, ROLE_VERIFY) for seed in seeds]
             out = {seed: [] for seed in seeds}
             for _ in range(n_blocks):
                 barrier.wait(timeout=10)
@@ -433,7 +440,7 @@ class TestKeyedRefills:
         got: dict = {}
 
         def drain(seed):
-            s = uniform_stream(seed, ROLE_DRAFT)
+            s = UniformStream(seed, ROLE_DRAFT)
             got[seed] = [s.random() for _ in range(n_blocks * UNIFORM_BLOCK)]
 
         interval = sys.getswitchinterval()
@@ -460,7 +467,7 @@ class TestLazyStreams:
         vocab, (llm, plus, minus) = random_table_triple(rng, 5)
         cfg = ProtocolConfig(lam=0.7, horizon_k=2, top_k=5, max_len=6, seed=9)
         streams = make_streams(9)
-        served = [uniform_stream(9, role) for role in ROLES]
+        served = [UniformStream(9, role) for role in ROLES]
         edges = [EdgeSession(cfg, plus, vocab, [0], streams=s) for s in (None, streams)]
         clouds = [CloudVerifier(cfg, llm, minus, vocab, [0], streams=s) for s in (None, streams)]
         assert built == []
@@ -513,6 +520,6 @@ class TestLazyStreams:
         keyed = np.random.Generator(np.random.Philox(key=((role + 1) << 64) | seed))
         n = 2 * UNIFORM_BLOCK + 1
         want = [keyed.random() for _ in range(n)]
-        for served in (uniform_stream(seed, role),
+        for served in (UniformStream(seed, role),
                        getattr(make_streams(seed), ("draft", "verify", "recovery")[role])):
             assert [served.random() for _ in range(n)] == want

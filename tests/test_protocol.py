@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -466,10 +467,12 @@ class TestRunSession:
     @pytest.mark.parametrize("field", ["lam", "beta"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_config_refused(self, field, value):
-        vocab, (llm, plus, minus) = random_table_triple(np.random.default_rng(11), 6)
-        cfg = ProtocolConfig(**{"max_len": 8, "top_k": 6, field: value})
+        # No session can be handed such a config: it is refused where it is
+        # made or replaced.
         with pytest.raises(ConfigError, match="finite"):
-            run_session(cfg, llm, plus, minus, vocab, [0])
+            ProtocolConfig(**{"max_len": 8, "top_k": 6, field: value})
+        with pytest.raises(ConfigError, match="finite"):
+            replace(ProtocolConfig(max_len=8, top_k=6), **{field: value})
 
     def test_tiny_lambda_equals_pure_drafter(self):
         rng = np.random.default_rng(12)

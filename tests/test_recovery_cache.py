@@ -1,6 +1,7 @@
 """Per-window recovery caches: the cloud's steering-payload cache and the
 edge's recovery cache, both held by engines that outlive a session; and
-the per-config records that sessions look up next to the engines.
+the one session record per model set that sessions look up next to the
+engines.
 
 A cached payload and a cached recovery must equal what an uncached
 computation gives, bit for bit, so these tests pin both against a
@@ -28,7 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specsteer import models, protocol
-from specsteer.core import ROLE_RECOVERY, ConfigError, ProtocolConfig, uniform_stream
+from specsteer.core import ROLE_RECOVERY, ConfigError, ProtocolConfig, UniformStream
 from specsteer.models import TableModel, model_rows
 from specsteer.protocol import (
     CloudEngine,
@@ -36,6 +37,7 @@ from specsteer.protocol import (
     EdgeEngine,
     EdgeSession,
     ProtocolStateError,
+    SessionRecord,
     SparseSteeringPayload,
     Verdict,
     build_steering_payload,
@@ -174,7 +176,7 @@ def test_cached_recovery_equals_direct_recover(data):
         min_size=1, max_size=40,
     ), label="calls")
     seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
-    cached, direct, ref = (uniform_stream(seed, ROLE_RECOVERY) for _ in range(3))
+    cached, direct, ref = (UniformStream(seed, ROLE_RECOVERY) for _ in range(3))
     engine = EdgeEngine()
     rows = model_rows(drafter)
     with mock.patch.object(protocol, "RECOVERY_CACHE_SIZE", BOUND):
@@ -351,14 +353,16 @@ def test_lookup_keeps_no_dropped_model_alive():
     rng = np.random.default_rng(74)
     vocab = make_vocab(5)
     triple = window_triple(rng, vocab)
-    # Several records per model set, exact-Z's among them, and the views'.
+    # Sessions at several configs, exact-Z's among them, and the views'.
     cfgs = [ProtocolConfig(max_len=12, top_k=3, seed=seed, **kw) for seed, kw in enumerate(
         [{}, {}, {"lam": 0.9}, {"decode_mode": "greedy"}, {"exact_z": True}, {"beta": 0.0}])]
     for cfg in cfgs:
         run_session(cfg, *triple, vocab, [0])
         EdgeSession(cfg, triple[1], vocab, [0])
         CloudVerifier(cfg, triple[0], triple[2], vocab, [0], zt_fn=exact_partition_fn(*triple))
-    assert len(session_records(*triple, vocab)) == 5
+    # One record each for run_session and the two views, beside the engines.
+    assert {key[0] for key in protocol._engines} == {
+        "session", "edge-record", "cloud-record", "edge", "cloud"}
     refs = [weakref.ref(m) for m in triple]
     ids = {id(m) for m in triple}
     del triple
@@ -405,12 +409,12 @@ def test_unregistrable_model_gets_a_fresh_engine():
 
 
 # ---------------------------------------------------------------------------
-# (e) Per-config records
+# (e) One session record per model set
 # ---------------------------------------------------------------------------
 
 
-def session_records(llm, plus, minus, vocab) -> dict:
-    """``run_session``'s record memo of a model set and vocabulary."""
+def session_record(llm, plus, minus, vocab) -> SessionRecord:
+    """``run_session``'s record of a model set and vocabulary."""
     entry = protocol._engines[("session", id(llm), id(plus), id(minus), id(vocab))]
     return entry[0]
 
@@ -420,12 +424,16 @@ def test_configs_that_differ_in_seed_share_a_record():
     vocab = make_vocab(5)
     triple = window_triple(rng, vocab)
     cfg = ProtocolConfig(max_len=12, top_k=3)
-    for seed in (0, 1, 2**64 - 1):
+    run_session(cfg, *triple, vocab, [0])
+    rec = session_record(*triple, vocab)
+    for seed in (1, 2**64 - 1):
         run_session(replace(cfg, seed=seed), *triple, vocab, [0])
-    records = session_records(*triple, vocab)
-    assert len(records) == 1
-    (rec,) = records.values()
-    assert (rec.lam, rec.beta, rec.horizon, rec.top_k, rec.max_len) == (0.5, 1.0, 4, 3, 12)
+    assert session_record(*triple, vocab) is rec
+    # The record holds the vocabulary's constants and the engines, no
+    # config field.
+    assert SessionRecord.__slots__ == ("eos", "vsize", "edge", "cloud", "wrap")
+    assert (rec.eos, rec.vsize) == (vocab.eos_id, vocab.size)
+    assert rec.edge is edge_engine(triple[1]) and rec.cloud is cloud_engine(triple[0], triple[2])
 
 
 # Each config field but the seed, with a second value.
@@ -435,7 +443,7 @@ FIELD_VALUES = {
 }
 
 
-def test_every_other_field_gets_its_own_record():
+def test_every_config_field_runs_warm_as_cold():
     rng = np.random.default_rng(77)
     vocab = make_vocab(5)
     triple = window_triple(rng, vocab)
@@ -443,16 +451,12 @@ def test_every_other_field_gets_its_own_record():
     cfgs = [base] + [replace(base, **{f: v}) for f, v in FIELD_VALUES.items()]
     # A zero beta keeps its sign, as the payload cache's key does.
     cfgs += [replace(base, beta=0.0), replace(base, beta=-0.0)]
+    # And many configs in turn, twice over, through one record.
+    cfgs += [replace(base, lam=0.1 * (i + 1), seed=i) for i in range(10)] * 2
     want = [cold(cfg, triple, vocab, [0]) for cfg in cfgs]
     protocol._engines.clear()
     assert [run_session(cfg, *triple, vocab, [0]) for cfg in cfgs] == want
-    records = session_records(*triple, vocab)
-    assert len(records) == len(cfgs)
-    for cfg, rec in zip(cfgs, records.values()):
-        assert (rec.lam, rec.horizon, rec.top_k, rec.max_len, rec.exact_z) == (
-            cfg.lam, cfg.horizon_k, cfg.top_k, cfg.max_len, cfg.exact_z)
-        assert math.copysign(1.0, rec.beta) == math.copysign(1.0, cfg.beta)
-        assert rec.beta == cfg.beta and rec.greedy == (cfg.decode_mode == "greedy")
+    assert [run_session(cfg, *triple, vocab, [0]) for cfg in reversed(cfgs)] == want[::-1]
 
 
 @pytest.mark.parametrize("bad", [{"lam": 0.0}, {"top_k": 6}, {"decode_mode": "beam"},
@@ -462,8 +466,11 @@ def test_invalid_config_or_seed_raises_on_every_call(bad):
     vocab = make_vocab(5)
     triple = window_triple(rng, vocab)
     good = ProtocolConfig(max_len=12, top_k=3)
-    # The record of the config with a valid seed already exists.
+    # The record of the model set already exists.  A field out of range
+    # raises where the config is replaced; a top_k above the vocabulary's
+    # size, on every session made with it.
     run_session(good, *triple, vocab, [0])
+    rec = session_record(*triple, vocab)
     for _ in range(3):
         with pytest.raises(ConfigError):
             run_session(replace(good, **bad), *triple, vocab, [0])
@@ -471,17 +478,4 @@ def test_invalid_config_or_seed_raises_on_every_call(bad):
             EdgeSession(replace(good, **bad), triple[1], vocab, [0])
         with pytest.raises(ConfigError):
             CloudVerifier(replace(good, **bad), triple[0], triple[2], vocab, [0])
-    assert len(session_records(*triple, vocab)) == 1
-
-
-def test_record_memo_keeps_to_its_bound():
-    rng = np.random.default_rng(79)
-    vocab = make_vocab(5)
-    triple = window_triple(rng, vocab)
-    cfgs = [ProtocolConfig(lam=0.1 * (i + 1), max_len=12, top_k=3, seed=i) for i in range(10)]
-    want = [cold(cfg, triple, vocab, [0]) for cfg in cfgs]
-    protocol._engines.clear()
-    with mock.patch.object(protocol, "RECORDS_PER_MODEL_SET", 4):
-        for _ in range(2):
-            assert [run_session(cfg, *triple, vocab, [0]) for cfg in cfgs] == want
-            assert len(session_records(*triple, vocab)) == 4
+    assert session_record(*triple, vocab) is rec

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from specsteer import transport
 from specsteer.core import (
+    DECODE_MODES,
     ConfigError,
     ProtocolConfig,
     SequenceError,
@@ -72,6 +73,18 @@ from conftest import make_vocab, random_table_triple
 
 def f32(x):
     return struct.unpack("<f", struct.pack("<f", x))[0]
+
+
+def raw_hello(cfg, vhash, prompt, **fields) -> bytes:
+    """``encode_hello(cfg, vhash, prompt)`` with ``fields`` of the config
+    replaced and packed as they are: the handshake a hostile edge could
+    send, carrying values no ``ProtocolConfig`` takes."""
+    f = {**vars(cfg), **fields}
+    payload = transport._HELLO.pack(
+        f["lam"], f["beta"], f["horizon_k"], f["top_k"], f["max_len"],
+        DECODE_MODES.index(f["decode_mode"]), f["seed"], vhash, len(prompt),
+    )
+    return encode_frame(MSG_HELLO, payload + struct.pack(f"<{len(prompt)}I", *prompt))
 
 
 def section(entries) -> bytes:
@@ -139,6 +152,7 @@ class TestCodecRoundTrips:
         _, payload = decode_frame(encode_hello(cfg, 12345, (1, 2, 3)))
         out_cfg, vhash, prompt = decode_hello(payload)
         assert out_cfg == cfg and vhash == 12345 and prompt == (1, 2, 3)
+        assert raw_hello(cfg, 12345, (1, 2, 3)) == encode_hello(cfg, 12345, (1, 2, 3))
 
     def test_hello_ack(self):
         _, payload = decode_frame(encode_hello_ack(2**63 + 1))
@@ -373,13 +387,21 @@ class TestHandshake:
         cfg = ProtocolConfig(max_len=8, top_k=6)
         path = str(tmp_path / "cloud.bin")
         with FrameLog(path) as fl:
-            with pytest.raises(HandshakeError):
+            with pytest.raises(HandshakeError, match="refused by cloud"):
                 run_edge(cfg, DirectEndpoint(cloud, fl), plus, vocab_a, [0])
-        assert cloud.stats().refused and cloud.error is None
+        # Refused by the one rule for errors, which keeps the cause.
+        assert isinstance(cloud.error, HandshakeError)
+        assert str(cloud.error) == "vocabulary hash mismatch"
+        assert cloud.finished and cloud.stats().rounds == 0
         # No ack: the only downlink frame is the DONE refusal.
         assert [r for r in FrameLog.read(path) if r[0] == DIR_DOWN] == [
             (DIR_DOWN, encode_done(0, ()))
         ]
+        # Served over a channel, the refusal is sent and the error raised.
+        hello = encode_hello(cfg, vocab_hash64(vocab_a), [0])
+        error, down = serve_uplink([hello], llm_b, minus_b, vocab_b, str(tmp_path / "sock.bin"))
+        assert isinstance(error, HandshakeError) and str(error) == "vocabulary hash mismatch"
+        assert down == [encode_done(0, ())]
 
     @pytest.mark.parametrize("prompt", [[0, 6], [5, 1]])
     def test_bad_prompt_not_acknowledged(self, tmp_path, prompt):
@@ -400,11 +422,22 @@ class TestHandshake:
         ("lam", math.nan), ("lam", math.inf), ("beta", math.nan), ("beta", math.inf),
     ])
     def test_non_finite_config_not_acknowledged(self, tmp_path, field, value):
+        self._check_not_acknowledged(tmp_path, field, value, "finite")
+
+    @pytest.mark.parametrize("field, value", [
+        ("lam", 0.0), ("lam", -1.0), ("beta", -0.5), ("horizon_k", 0), ("top_k", 0),
+        ("max_len", 0),
+    ])
+    def test_out_of_range_config_not_acknowledged(self, tmp_path, field, value):
+        self._check_not_acknowledged(tmp_path, field, value, field)
+
+    def _check_not_acknowledged(self, tmp_path, field, value, match):
+        # The handshake decoder builds the config, which checks its fields.
         rng = np.random.default_rng(35)
         vocab, (llm, _, minus) = random_table_triple(rng, 6)
-        cfg = ProtocolConfig(**{"max_len": 8, "top_k": 6, field: value})
-        hello = encode_hello(cfg, vocab_hash64(vocab), [0])
-        with pytest.raises(ConfigError, match="finite"):
+        hello = raw_hello(ProtocolConfig(max_len=8, top_k=6), vocab_hash64(vocab), [0],
+                          **{field: value})
+        with pytest.raises(ConfigError, match=match):
             CloudSession(llm, minus, vocab).handle(hello)
         path = str(tmp_path / "cloud.bin")
         error, down = serve_uplink([hello], llm, minus, vocab, path)
@@ -491,6 +524,21 @@ class TestFrameLogs:
             fl.write(DIR_DOWN, encode_done(final_len + 1, ()))
         assert len(replay_cloud_log(tampered, llm, minus, vocab)) == 1
 
+    @pytest.mark.parametrize("field, value", [("lam", math.nan), ("top_k", 0)])
+    def test_bad_hello_is_a_violation_and_replays(self, tmp_path, field, value):
+        # An honest session, then a handshake whose config no ProtocolConfig
+        # takes: the audit lists it and raises nothing, and the cloud's
+        # refusal of it replays byte for byte.
+        vocab, llm, minus, path, _ = self._logged_session(tmp_path)
+        n = len(FrameLog.read(path))
+        hello = raw_hello(ProtocolConfig(max_len=24, top_k=8), vocab_hash64(vocab), [0],
+                          **{field: value})
+        error, _ = serve_uplink([hello], llm, minus, vocab, path)
+        assert isinstance(error, ConfigError)
+        assert FrameLog.read(path)[n:] == [(DIR_UP, hello), (DIR_DOWN, encode_done(0, ()))]
+        assert scan_frame_log(path) == [f"frame {n}: malformed uplink payload ({error})"]
+        assert replay_cloud_log(path, llm, minus, vocab) == []
+
     def test_replay_matches_a_refused_session(self, tmp_path):
         vocab, (llm, plus, minus) = random_table_triple(np.random.default_rng(51), 8)
         cfg = ProtocolConfig(lam=0.8, max_len=24, top_k=8, seed=3)
@@ -557,6 +605,24 @@ class TestSocketMode:
         thread.join(timeout=10)
         assert committed == ref
         assert out["stats"].mirror == ref
+
+    @pytest.mark.parametrize("top_k, prompt, error", [
+        (8, [0, 1.5], SequenceError), (8, [0, 8], SequenceError), (9, [0], ConfigError),
+    ])
+    def test_edge_checks_before_connecting(self, top_k, prompt, error):
+        # A prompt or a top_k the edge refuses by itself costs the cloud no
+        # connection: a listening socket finds none waiting to be accepted.
+        vocab, (_, plus, _) = random_table_triple(np.random.default_rng(42), 8)
+        cfg = ProtocolConfig(max_len=24, top_k=top_k)
+        server = socket.create_server(("127.0.0.1", 0))
+        try:
+            with pytest.raises(error):
+                run_edge_socket(cfg, server.getsockname(), plus, vocab, prompt, timeout=5)
+            server.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                server.accept()
+        finally:
+            server.close()
 
 
 def socket_session(cfg, models, vocab, prompt, edge_log, cloud_log):
@@ -1190,14 +1256,13 @@ def mutated_uplink(draw) -> tuple[list[bytes], tuple]:
         frames.insert(i, frame)
     elif msg_type == MSG_HELLO:
         cfg, vhash, prompt = decode_hello(payload)
-        cfg = ProtocolConfig(
-            lam=cfg.lam, beta=cfg.beta,
+        frames[i] = raw_hello(
+            cfg, vhash,
             horizon_k=draw(st.sampled_from([cfg.horizon_k, 0, 1, 6])),
             top_k=draw(st.sampled_from([cfg.top_k, 0, 3, 9])),
             max_len=draw(st.sampled_from([cfg.max_len, 0, 1, 2, 64])),
-            decode_mode=cfg.decode_mode, seed=cfg.seed,
+            prompt=draw(st.one_of(st.just(list(prompt)), ids_strategy)),
         )
-        frames[i] = encode_hello(cfg, vhash, draw(st.one_of(st.just(list(prompt)), ids_strategy)))
     elif msg_type == MSG_DRAFT:
         delta = None
         try:
@@ -1247,7 +1312,7 @@ class TestUplinkFuzz:
             b.shutdown(socket.SHUT_WR)
             try:
                 stats = run_cloud(SocketEndpoint(a, timeout=5), llm, minus, FUZZ_VOCAB)
-                refused = stats.refused
+                refused = False
             except SpecSteerError:
                 refused, stats = True, None
             # A half-close, not a close: closing with uplink left unread
