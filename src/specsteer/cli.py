@@ -18,10 +18,12 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
 from .core import (
+    DECODE_MODES,
     ConfigError,
     ProtocolConfig,
     SpecSteerError,
@@ -46,32 +48,46 @@ log = logging.getLogger("specsteer.cli")
 
 DEFAULT_CONFIG = DATA_DIR / "default.cfg"
 
-_MODEL_KEYS = ("name", "role", "n_params", "layers", "hidden_dim", "order", "add_k", "mu")
 
-KNOWN_KEYS = (
-    ("corpus.generalist", str),
-    ("corpus.specialist", str),
-    ("corpus.private", str),
-    *((f"llm.{k}", str) for k in _MODEL_KEYS),
-    *((f"slm.{k}", str) for k in _MODEL_KEYS),
-    ("protocol.lambda", float),
-    ("protocol.beta", float),
-    ("protocol.k", int),
-    ("protocol.top_k", int),
-    ("protocol.max_len", int),
-    ("protocol.mode", str),
-    ("protocol.seed", int),
-    ("sweep.lambda_list", str),
-    ("sweep.beta_list", str),
-    ("sweep.trials", int),
-    ("channel.latency_ms", float),
-    ("channel.bandwidth_bps", float),
-    ("output.dir", str),
-)
-_KEY_TYPES = dict(KNOWN_KEYS)
+def _float_list(text: str) -> tuple[float, ...]:
+    parts = text.replace(",", " ").split()
+    if not parts:
+        raise ValueError("expected a nonempty list of numbers")
+    return tuple(float(p) for p in parts)
 
-_INT_MODEL_KEYS = ("n_params", "layers", "hidden_dim", "order")
-_FLOAT_MODEL_KEYS = ("add_k", "mu")
+
+# Every config key: the type its value is parsed with and, for a protocol
+# key, the ``ProtocolConfig`` field it sets.
+KNOWN_KEYS: dict[str, tuple[Callable[[str], object], str | None]] = {
+    "corpus.generalist": (str, None),
+    "corpus.specialist": (str, None),
+    "corpus.private": (str, None),
+    "llm.n_params": (int, None),
+    "llm.layers": (int, None),
+    "llm.hidden_dim": (int, None),
+    "llm.order": (int, None),
+    "llm.add_k": (float, None),
+    "slm.n_params": (int, None),
+    "slm.layers": (int, None),
+    "slm.hidden_dim": (int, None),
+    "slm.order": (int, None),
+    "slm.add_k": (float, None),
+    "slm.mu": (float, None),
+    "protocol.lambda": (float, "lam"),
+    "protocol.beta": (float, "beta"),
+    "protocol.k": (int, "horizon_k"),
+    "protocol.top_k": (int, "top_k"),
+    "protocol.max_len": (int, "max_len"),
+    "protocol.mode": (str, "decode_mode"),
+    "protocol.seed": (int, "seed"),
+    "sweep.lambda_list": (_float_list, None),
+    "sweep.beta_list": (_float_list, None),
+    "sweep.trials": (int, None),
+    "channel.latency_ms": (float, None),
+    "channel.bandwidth_bps": (float, None),
+    "output.dir": (str, None),
+}
+_PROTOCOL_FIELDS = {key: field for key, (_, field) in KNOWN_KEYS.items() if field}
 
 
 @dataclass
@@ -89,13 +105,14 @@ class ExperimentConfig:
     trials: int
     channel: ChannelModel
     out_dir: Path
-    raw: dict
+    raw: dict  # every value the file sets, parsed with its key's type
 
 
-def _parse_kv_file(path: Path) -> dict[str, str]:
+def _parse_kv_file(path: Path) -> dict[str, object]:
+    """The file's keys and their values, each parsed with its key's type."""
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    values: dict[str, str] = {}
+    values: dict[str, object] = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -104,120 +121,78 @@ def _parse_kv_file(path: Path) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KEY_TYPES:
+        if key not in KNOWN_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = value
+        try:
+            values[key] = KNOWN_KEYS[key][0](value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return values
-
-
-def _float_list(text: str, key: str) -> tuple[float, ...]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if not parts:
-        raise ConfigError(f"{key} must be a nonempty list")
-    return tuple(float(p) for p in parts)
-
-
-def _model_section(raw: dict[str, str], prefix: str) -> dict:
-    section: dict = {}
-    for k in _MODEL_KEYS:
-        full = f"{prefix}.{k}"
-        if full not in raw:
-            raise ConfigError(f"missing config key {full!r}")
-        v = raw[full]
-        if k in _INT_MODEL_KEYS:
-            section[k] = int(v)
-        elif k in _FLOAT_MODEL_KEYS:
-            section[k] = float(v)
-        else:
-            section[k] = v
-    return section
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     raw = _parse_kv_file(path)
-    base = path.parent
 
-    def resolve(key: str) -> Path:
+    def required(key: str):
         if key not in raw:
             raise ConfigError(f"missing config key {key!r}")
-        p = Path(raw[key])
-        p = p if p.is_absolute() else base / p
+        return raw[key]
+
+    def resolve(key: str) -> Path:
+        p = path.parent / required(key)
         if not p.is_file():
             raise ConfigError(f"corpus file not found: {p}")
         return p
 
-    llm = _model_section(raw, "llm")
-    slm = _model_section(raw, "slm")
-    if llm["mu"] != 0.0:
-        raise ConfigError("llm.mu must be 0 (private blending is edge-side only)")
+    def section(model: str) -> dict:
+        """The model's keys, all required, by the name after ``model.``."""
+        prefix = model + "."
+        return {key.removeprefix(prefix): required(key) for key in KNOWN_KEYS if key.startswith(prefix)}
 
-    protocol = ProtocolConfig(
-        lam=float(raw.get("protocol.lambda", 0.5)),
-        beta=float(raw.get("protocol.beta", 1.0)),
-        horizon_k=int(raw.get("protocol.k", 4)),
-        top_k=int(raw.get("protocol.top_k", 32)),
-        max_len=int(raw.get("protocol.max_len", 1024)),
-        decode_mode=raw.get("protocol.mode", "stochastic"),
-        seed=int(raw.get("protocol.seed", 0)),
-    )
-    trials = int(raw.get("sweep.trials", 200))
+    trials = raw.get("sweep.trials", 200)
     if trials < 1:
         raise ConfigError("sweep.trials must be >= 1")
-    out_dir = Path(raw.get("output.dir", "out"))
-    if not out_dir.is_absolute():
-        out_dir = Path.cwd() / out_dir
     return ExperimentConfig(
         corpus_generalist=resolve("corpus.generalist"),
         corpus_specialist=resolve("corpus.specialist"),
         corpus_private=resolve("corpus.private"),
-        llm=llm,
-        slm=slm,
-        protocol=protocol,
-        lambda_list=_float_list(raw.get("sweep.lambda_list", "1.0,0.5,0.1,0.01"), "sweep.lambda_list"),
-        beta_list=_float_list(raw.get("sweep.beta_list", "0.0,1.0"), "sweep.beta_list"),
+        llm=section("llm"),
+        slm=section("slm"),
+        protocol=ProtocolConfig(**{f: raw[k] for k, f in _PROTOCOL_FIELDS.items() if k in raw}),
+        lambda_list=raw.get("sweep.lambda_list", (1.0, 0.5, 0.1, 0.01)),
+        beta_list=raw.get("sweep.beta_list", (0.0, 1.0)),
         trials=trials,
         channel=ChannelModel(
-            one_way_latency_ms=float(raw.get("channel.latency_ms", 0.0)),
-            bandwidth_bps=float(raw.get("channel.bandwidth_bps", float("inf"))),
+            one_way_latency_ms=raw.get("channel.latency_ms", 0.0),
+            bandwidth_bps=raw.get("channel.bandwidth_bps", float("inf")),
         ),
-        out_dir=out_dir,
-        raw=dict(raw),
+        out_dir=Path.cwd() / raw.get("output.dir", "out"),
+        raw=raw,
     )
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
     """Hash of the effective configuration (file plus CLI overrides)."""
-    effective = dict(cfg.raw)
-    effective.update(
-        {
-            "protocol.lambda": repr(cfg.protocol.lam),
-            "protocol.beta": repr(cfg.protocol.beta),
-            "protocol.k": repr(cfg.protocol.horizon_k),
-            "protocol.top_k": repr(cfg.protocol.top_k),
-            "protocol.max_len": repr(cfg.protocol.max_len),
-            "protocol.mode": cfg.protocol.decode_mode,
-            "protocol.seed": repr(cfg.protocol.seed),
-            "output.dir": str(cfg.out_dir),
-        }
-    )
-    blob = "\n".join(f"{k}={v}" for k, v in sorted(effective.items()))
+    effective = {**cfg.raw, "output.dir": str(cfg.out_dir)}
+    effective.update((k, getattr(cfg.protocol, f)) for k, f in _PROTOCOL_FIELDS.items())
+    blob = "\n".join(f"{k}={v!r}" for k, v in sorted(effective.items()))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def build_world(cfg: ExperimentConfig) -> ToyWorld:
-    def profile(section: dict, role: str) -> ModelProfile:
-        return ModelProfile(
-            name=section["name"],
-            param_count=section["n_params"],
-            layers=section["layers"],
-            hidden_dim=section["hidden_dim"],
-            role=role,
-        )
+def cost_model(cfg: ExperimentConfig) -> CostModel:
+    """The FLOPs model of the configured ``llm``/``slm`` statistics."""
 
-    world = assemble_world(
+    def profile(section: dict) -> ModelProfile:
+        return ModelProfile(section["n_params"], section["layers"], section["hidden_dim"])
+
+    return CostModel(llm=profile(cfg.llm), slm=profile(cfg.slm), horizon_k=cfg.protocol.horizon_k)
+
+
+def build_world(cfg: ExperimentConfig) -> ToyWorld:
+    return assemble_world(
         load_corpus(cfg.corpus_generalist),
         load_corpus(cfg.corpus_specialist),
         load_corpus(cfg.corpus_private),
@@ -228,10 +203,6 @@ def build_world(cfg: ExperimentConfig) -> ToyWorld:
         mu=cfg.slm["mu"],
         user_id=cfg.corpus_private.stem,
     )
-    # Profiles drive the cost model only; rebuild with configured stats.
-    world.llm.profile = profile(cfg.llm, "generalist")
-    world.slm_minus.profile = profile(cfg.slm, "specialist_generic")
-    return world
 
 
 def _prompt_ids(world: ToyWorld, tokens: list[str]) -> list[int]:
@@ -255,11 +226,10 @@ def cmd_run(cfg: ExperimentConfig, prompt_tokens: list[str]) -> int:
     apply_clock(traces, latency, cfg.channel)
     chash = config_hash(cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    cost = CostModel(llm=world.llm.profile, slm=world.slm_minus.profile, horizon_k=cfg.protocol.horizon_k)
     write_trace_csv(str(cfg.out_dir / "trace.csv"), traces, chash)
     write_summary_json(
         str(cfg.out_dir / "summary.json"),
-        summarize(traces, latency, cost=cost, channel=cfg.channel),
+        summarize(traces, latency, cost=cost_model(cfg), channel=cfg.channel),
         chash,
     )
     print(world.vocab.text_of(committed))
@@ -454,12 +424,13 @@ def cmd_run_edge(cfg: ExperimentConfig, connect: str, prompt_tokens: list[str]) 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="specsteer", description=__doc__)
     parser.add_argument("--config", default=str(DEFAULT_CONFIG), help="key=value config file")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--lambda", dest="lam", type=float, default=None)
-    parser.add_argument("--beta", type=float, default=None)
-    parser.add_argument("--k", type=int, default=None, help="draft horizon")
-    parser.add_argument("--top-k", type=int, default=None, help="sparse payload size")
-    parser.add_argument("--mode", choices=("greedy", "stochastic"), default=None)
+    # Each protocol flag's dest is the ProtocolConfig field it overrides.
+    parser.add_argument("--seed", dest="seed", type=int)
+    parser.add_argument("--lambda", dest="lam", type=float)
+    parser.add_argument("--beta", dest="beta", type=float)
+    parser.add_argument("--k", dest="horizon_k", type=int, help="draft horizon")
+    parser.add_argument("--top-k", dest="top_k", type=int, help="sparse payload size")
+    parser.add_argument("--mode", dest="decode_mode", choices=DECODE_MODES)
     parser.add_argument("--out", default=None, help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -478,23 +449,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    proto = cfg.protocol
-    if args.seed is not None:
-        proto = replace(proto, seed=args.seed)
-    if args.lam is not None:
-        proto = replace(proto, lam=args.lam)
-    if args.beta is not None:
-        proto = replace(proto, beta=args.beta)
-    if args.k is not None:
-        proto = replace(proto, horizon_k=args.k)
-    if args.top_k is not None:
-        proto = replace(proto, top_k=args.top_k)
-    if args.mode is not None:
-        proto = replace(proto, decode_mode=args.mode)
-    cfg.protocol = proto
+    flags = {f: v for f in _PROTOCOL_FIELDS.values() if (v := getattr(args, f, None)) is not None}
+    cfg.protocol = replace(cfg.protocol, **flags)
     if args.out is not None:
-        out = Path(args.out)
-        cfg.out_dir = out if out.is_absolute() else Path.cwd() / out
+        cfg.out_dir = Path.cwd() / args.out
     return cfg
 
 

@@ -15,6 +15,7 @@ token id from outside is checked by one function, ``check_token_ids``.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import threading
 from array import array
@@ -173,11 +174,13 @@ class PrivateContext:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Session hyperparameters, valid once made: ``__post_init__`` runs
-    ``validate``, so a config with a field out of range raises
-    ``ConfigError`` where it is built, by ``dataclasses.replace`` and by the
-    handshake decoder too.  Only ``top_k`` against the vocabulary is left to
-    the session that knows it.
+    """Session hyperparameters, valid once made: ``__post_init__`` makes
+    the integer fields plain ints by the rule token ids use
+    (``operator.index``), requires real ``lam`` and ``beta`` and runs
+    ``validate``.  So a config with a field of the wrong type or out of
+    range raises ``ConfigError`` where it is built, by
+    ``dataclasses.replace`` and by the handshake decoder too.  Only
+    ``top_k`` against the vocabulary is left to the session that knows it.
 
     ``lam`` is the scalar verification threshold standing in for the
     per-step partition function; ``exact_z`` switches verification to the
@@ -194,6 +197,18 @@ class ProtocolConfig:
     exact_z: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("horizon_k", "top_k", "max_len", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                try:
+                    object.__setattr__(self, name, operator.index(value))
+                except TypeError:
+                    raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        for name in ("lam", "beta"):
+            value = getattr(self, name)
+            # float first: the ABC check costs ten times as much.
+            if not isinstance(value, (float, numbers.Real)):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         self.validate()
 
     def validate(self) -> None:

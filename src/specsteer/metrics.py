@@ -155,8 +155,10 @@ def expected_speedup(
     t = k * latency.draft_token_ms + latency.verify_batch_ms + latency.round_overhead_ms
     t += reject_p * latency.recovery_ms
     if channel is not None:
-        up = draft_frame_bytes(k, False) + 4.0 * reject_p
-        down = verdict_frame_bytes(0) + reject_p * (2 + 8 * top_k)
+        # A round after a rejection carries a history delta up, and a
+        # rejecting round's verdict carries top_k steering entries down.
+        up = (1.0 - reject_p) * draft_frame_bytes(k, False) + reject_p * draft_frame_bytes(k, True)
+        down = (1.0 - reject_p) * verdict_frame_bytes(0) + reject_p * verdict_frame_bytes(top_k)
         t += 2.0 * channel.one_way_latency_ms + 1000.0 * (up + down) / channel.bandwidth_bps
     return n * latency.llm_token_ms / t
 

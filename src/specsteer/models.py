@@ -46,8 +46,6 @@ from .core import (
     evict_oldest,
 )
 
-ROLES = ("generalist", "specialist_private", "specialist_generic")
-
 # Sentinel id used to left-pad history windows at the start of a sequence.
 BOS = -1
 
@@ -58,17 +56,13 @@ class ModelError(SpecSteerError):
 
 @dataclass(frozen=True)
 class ModelProfile:
-    """Identity and cost statistics of an abstract scorer."""
+    """Cost statistics of an abstract scorer, read by ``metrics.CostModel``."""
 
-    name: str
     param_count: int
     layers: int
     hidden_dim: int
-    role: str
 
     def __post_init__(self) -> None:
-        if self.role not in ROLES:
-            raise ModelError(f"unknown role {self.role!r}")
         if min(self.param_count, self.layers, self.hidden_dim) <= 0:
             raise ModelError("profile statistics must be positive")
 
@@ -131,7 +125,6 @@ class TableModel(_CheckedRows):
         self,
         vocab: Vocabulary,
         rows: dict[tuple[int, ...], Sequence[float]],
-        profile: ModelProfile | None = None,
     ) -> None:
         if () not in rows:
             raise ModelError("TableModel requires an empty-window fallback row")
@@ -140,7 +133,6 @@ class TableModel(_CheckedRows):
             if not (type(k) is tuple and all(type(i) is int and 0 <= i < size for i in k)):
                 raise ModelError(f"row key {k!r} is not a tuple of token ids below {size}")
         self.vocab = vocab
-        self.profile = profile
         self.window = max(len(k) for k in rows)
         if self.window > 2:
             raise ModelError("TableModel windows are limited to 2 tokens")
@@ -206,7 +198,6 @@ class NGramModel(_CheckedRows):
         mu: float = 0.0,
         private_counts: dict[tuple[int, ...], dict[int, int]] | None = None,
         private_totals: dict[tuple[int, ...], int] | None = None,
-        profile: ModelProfile | None = None,
     ) -> None:
         if order not in (1, 2, 3):
             raise ModelError("order must be 1, 2, or 3")
@@ -220,7 +211,6 @@ class NGramModel(_CheckedRows):
         self.order = order
         self.add_k = float(add_k)
         self.mu = float(mu)
-        self.profile = profile
         self.window = order - 1
         self._vsize = vocab.size
         self._counts = counts
@@ -416,7 +406,6 @@ def train_ngram(
     vocab: Vocabulary,
     order: int,
     add_k: float,
-    profile: ModelProfile | None = None,
 ) -> NGramModel:
     """Count the corpus exactly; documents are used as given (append an
     eos token to each document beforehand if sessions should terminate).
@@ -426,7 +415,7 @@ def train_ngram(
     if not ids:
         raise ModelError("training corpus is empty")
     counts, totals = _count_table(corpus, order)
-    return NGramModel(vocab, order, add_k, counts, totals, mu=0.0, profile=profile)
+    return NGramModel(vocab, order, add_k, counts, totals, mu=0.0)
 
 
 def condition_private(base: NGramModel, ctx: PrivateContext, mu: float) -> NGramModel:
@@ -442,15 +431,6 @@ def condition_private(base: NGramModel, ctx: PrivateContext, mu: float) -> NGram
     if not ids and mu > 0:
         raise ModelError("private context is empty but mu > 0")
     private_counts, private_totals = _count_table(ctx.documents, base.order)
-    profile = base.profile
-    if profile is not None:
-        profile = ModelProfile(
-            name=profile.name + "+",
-            param_count=profile.param_count,
-            layers=profile.layers,
-            hidden_dim=profile.hidden_dim,
-            role="specialist_private",
-        )
     return NGramModel(
         base.vocab,
         base.order,
@@ -460,5 +440,4 @@ def condition_private(base: NGramModel, ctx: PrivateContext, mu: float) -> NGram
         mu=mu,
         private_counts=private_counts,
         private_totals=private_totals,
-        profile=profile,
     )

@@ -47,14 +47,10 @@ def load_corpus(path: str | Path) -> list[list[str]]:
 # Model assembly
 # ---------------------------------------------------------------------------
 
-LLM_PROFILE = ModelProfile(
-    name="generalist-32b", param_count=32_000_000_000, layers=64, hidden_dim=5120,
-    role="generalist",
-)
-SLM_PROFILE = ModelProfile(
-    name="specialist-0.6b", param_count=600_000_000, layers=28, hidden_dim=1024,
-    role="specialist_generic",
-)
+# Cost statistics of the models the toy world stands in for (a 32B
+# generalist and a 0.6B specialist), for ``metrics.CostModel``.
+LLM_PROFILE = ModelProfile(param_count=32_000_000_000, layers=64, hidden_dim=5120)
+SLM_PROFILE = ModelProfile(param_count=600_000_000, layers=28, hidden_dim=1024)
 
 DEFAULT_LLM_ORDER = 3
 DEFAULT_LLM_ADD_K = 0.01
@@ -89,8 +85,8 @@ def assemble_world(
     def encode(docs: list[list[str]]) -> list[list[int]]:
         return [vocab.ids_of(doc) + [vocab.eos_id] for doc in docs]
 
-    llm = train_ngram(encode(generalist_docs), vocab, llm_order, llm_add_k, profile=LLM_PROFILE)
-    slm_minus = train_ngram(encode(specialist_docs), vocab, slm_order, slm_add_k, profile=SLM_PROFILE)
+    llm = train_ngram(encode(generalist_docs), vocab, llm_order, llm_add_k)
+    slm_minus = train_ngram(encode(specialist_docs), vocab, slm_order, slm_add_k)
     ctx = PrivateContext.from_documents(encode(private_docs), identifier=user_id)
     slm_plus = condition_private(slm_minus, ctx, mu)
     return ToyWorld(vocab=vocab, llm=llm, slm_minus=slm_minus, slm_plus=slm_plus, private_ctx=ctx)

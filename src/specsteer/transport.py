@@ -555,15 +555,22 @@ def run_edge(
     frame_log: FrameLog | None = None,
 ) -> tuple[list[int], EdgeStats]:
     """Drive a full session from the edge side of a channel."""
-    return _edge_loop(EdgeSession(config, drafter, vocab, prompt_ids), endpoint, frame_log)
+    edge = EdgeSession(config, drafter, vocab, prompt_ids)
+    return _edge_loop(edge, _hello(edge), endpoint, frame_log)
+
+
+def _hello(edge: EdgeSession) -> tuple[int, bytes]:
+    """The vocabulary hash and the encoded HELLO of ``edge``'s session."""
+    vhash = vocab_hash64(edge.vocab)
+    return vhash, encode_hello(edge.config, vhash, edge.committed)
 
 
 def _edge_loop(
-    edge: EdgeSession, endpoint, frame_log: FrameLog | None
+    edge: EdgeSession, hello: tuple[int, bytes], endpoint, frame_log: FrameLog | None
 ) -> tuple[list[int], EdgeStats]:
     """``run_edge`` for an ``EdgeSession`` that has checked its config and
-    prompt, which it sends in the handshake."""
-    vhash = vocab_hash64(edge.vocab)
+    prompt, and its ``_hello``, which it sends first."""
+    vhash, hello_frame = hello
     up_bytes = 0
     down_bytes = 0
 
@@ -589,7 +596,7 @@ def _edge_loop(
             raise WireError(f"unexpected message type {msg_type}")
         return frame
 
-    send(encode_hello(edge.config, vhash, edge.committed))
+    send(hello_frame)
     ack_hash = decode_hello_ack(recv(MSG_HELLO)[_HEADER.size:])
     if ack_hash != vhash:
         raise HandshakeError("vocabulary hash mismatch in handshake ack")
@@ -864,11 +871,13 @@ def run_edge_socket(
     timeout: float = DEFAULT_SOCKET_TIMEOUT,
 ) -> tuple[list[int], EdgeStats]:
     """``run_edge`` over a TCP connection to ``connect``.  The config and
-    the prompt are checked before the connection is made."""
+    the prompt are checked, and the handshake encoded, before the
+    connection is made."""
     edge = EdgeSession(config, drafter, vocab, prompt_ids)
+    hello = _hello(edge)
     endpoint = SocketEndpoint(_connect(connect, timeout), timeout=timeout)
     try:
-        return _edge_loop(edge, endpoint, frame_log)
+        return _edge_loop(edge, hello, endpoint, frame_log)
     finally:
         endpoint.close()
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from specsteer.cli import (
     load_config,
     main,
 )
-from specsteer.core import ConfigError, ROLE_DRAFT, stream
+from specsteer.core import ConfigError, ProtocolConfig, ROLE_DRAFT, stream
 from specsteer.protocol import autoregressive_decode
 from specsteer.transport import replay_cloud_log, scan_frame_log
 
@@ -49,16 +50,11 @@ def write_tiny_config(tmp_path, **overrides):
         "corpus.generalist": "gen.txt",
         "corpus.specialist": "spec.txt",
         "corpus.private": "priv.txt",
-        "llm.name": "big",
-        "llm.role": "generalist",
         "llm.n_params": "1000",
         "llm.layers": "2",
         "llm.hidden_dim": "8",
         "llm.order": "3",
         "llm.add_k": "0.01",
-        "llm.mu": "0.0",
-        "slm.name": "small",
-        "slm.role": "specialist_generic",
         "slm.n_params": "100",
         "slm.layers": "1",
         "slm.hidden_dim": "4",
@@ -83,6 +79,12 @@ def write_tiny_config(tmp_path, **overrides):
     path = tmp_path / "tiny.cfg"
     path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
     return path
+
+
+def drop_lines(path, prefix):
+    """Remove the lines of the config file at ``path`` that start with ``prefix``."""
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith(prefix)))
 
 
 class TestConfigLoading:
@@ -116,8 +118,38 @@ class TestConfigLoading:
             load_config(path)
 
     def test_llm_mu_must_be_zero(self, tmp_path):
+        # The generalist never blends a private table, so its mu is no key.
         path = write_tiny_config(tmp_path, **{"llm.mu": "0.5"})
-        with pytest.raises(ConfigError, match="llm.mu"):
+        with pytest.raises(ConfigError, match=r"tiny.cfg:\d+: unknown config key 'llm.mu'"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("llm.mu", "0.0"), ("llm.role", "generalist"), ("slm.role", "specialist_generic"),
+        ("llm.name", "big"), ("slm.name", "small"),
+    ])
+    def test_removed_keys_are_unknown(self, tmp_path, key, value):
+        path = write_tiny_config(tmp_path, **{key: value})
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            load_config(path)
+
+    def test_values_parsed_with_their_key_type(self, tmp_path):
+        cfg = load_config(write_tiny_config(tmp_path, **{"sweep.beta_list": "0 2.5"}))
+        assert cfg.llm == {"n_params": 1000, "layers": 2, "hidden_dim": 8, "order": 3, "add_k": 0.01}
+        assert cfg.slm["mu"] == 0.9 and cfg.trials == 4 and cfg.beta_list == (0.0, 2.5)
+        assert cfg.protocol == ProtocolConfig(
+            lam=0.5, beta=1.0, horizon_k=2, top_k=4, max_len=12, decode_mode="stochastic", seed=0
+        )
+
+    def test_protocol_keys_left_out_keep_the_dataclass_defaults(self, tmp_path):
+        path = write_tiny_config(tmp_path)
+        drop_lines(path, "protocol.")
+        assert load_config(path).protocol == ProtocolConfig()
+
+    @pytest.mark.parametrize("key", ["llm.order", "slm.mu", "corpus.generalist"])
+    def test_missing_required_key(self, tmp_path, key):
+        path = write_tiny_config(tmp_path)
+        drop_lines(path, key + " ")
+        with pytest.raises(ConfigError, match=f"missing config key '{key}'"):
             load_config(path)
 
     def test_config_file_not_found(self, tmp_path):
@@ -135,10 +167,60 @@ class TestConfigHash:
         b = load_config(write_tiny_config(tmp_path, **{"protocol.lambda": "0.9"}))
         assert config_hash(a) != config_hash(b)
 
+    @pytest.mark.parametrize("key, value", [
+        ("protocol.seed", "1"), ("protocol.mode", "greedy"), ("slm.mu", "0.5"),
+        ("llm.n_params", "1001"), ("sweep.lambda_list", "1.0, 0.2"),
+        ("channel.latency_ms", "1.0"), ("output.dir", "elsewhere"),
+    ])
+    def test_sensitive_to_each_key(self, tmp_path, key, value):
+        a = load_config(write_tiny_config(tmp_path))
+        b = load_config(write_tiny_config(tmp_path, **{key: value}))
+        assert config_hash(a) != config_hash(b)
+
+    def test_hashes_effective_values(self, tmp_path):
+        # The same values written differently, or a protocol key left at
+        # its default, hash the same; an override counts like a file value.
+        a = load_config(write_tiny_config(tmp_path))
+        b = load_config(write_tiny_config(
+            tmp_path, **{"protocol.lambda": "0.50", "protocol.k": " 2", "slm.mu": "9e-1"}))
+        assert config_hash(a) == config_hash(b)
+        path = write_tiny_config(tmp_path, **{"protocol.max_len": "1024"})
+        default_len = load_config(path)
+        drop_lines(path, "protocol.max_len")
+        assert config_hash(load_config(path)) == config_hash(default_len)
+        c = load_config(write_tiny_config(tmp_path))
+        c.protocol = replace(c.protocol, top_k=3)
+        d = load_config(write_tiny_config(tmp_path, **{"protocol.top_k": "3"}))
+        assert config_hash(c) == config_hash(d) != config_hash(a)
+
     def test_sixteen_hex_chars(self, tmp_path):
         h = config_hash(load_config(write_tiny_config(tmp_path)))
         assert len(h) == 16
         int(h, 16)
+
+
+class TestOverrides:
+    def test_flags_set_their_fields(self, tmp_path):
+        path = write_tiny_config(tmp_path)
+        args = cli._build_parser().parse_args([
+            "--config", str(path), "--seed", "7", "--lambda", "0.25", "--beta", "2",
+            "--k", "3", "--top-k", "5", "--mode", "greedy", "--out", "o", "run",
+        ])
+        cfg = cli._apply_overrides(load_config(path), args)
+        assert cfg.protocol == ProtocolConfig(
+            lam=0.25, beta=2.0, horizon_k=3, top_k=5, max_len=12, decode_mode="greedy", seed=7
+        )
+        assert cfg.out_dir == Path.cwd() / "o"
+
+    def test_no_flags_keep_the_file(self, tmp_path):
+        path = write_tiny_config(tmp_path)
+        args = cli._build_parser().parse_args(["--config", str(path), "run"])
+        assert cli._apply_overrides(load_config(path), args) == load_config(path)
+
+    def test_bad_override_exits_one(self, tmp_path, capsys):
+        path = write_tiny_config(tmp_path)
+        assert main(["--config", str(path), "--k", "0", "--out", str(tmp_path / "o"), "run"]) == 1
+        assert capsys.readouterr().err.startswith("error: horizon_k must be >= 1")
 
 
 class TestRunCommand:
@@ -230,6 +312,24 @@ class TestOracleCommand:
 
 
 class TestBadInputsExitOne:
+    @pytest.mark.parametrize("key, value", [
+        ("protocol.k", "four"),
+        ("protocol.seed", "1.5"),
+        ("sweep.trials", "1.5"),
+        ("channel.latency_ms", "fast"),
+        ("sweep.lambda_list", "a, b"),
+        ("sweep.beta_list", ""),
+        ("slm.order", "two"),
+    ])
+    def test_unparsable_value(self, tmp_path, capsys, key, value):
+        path = write_tiny_config(tmp_path, **{key: value})
+        lines = path.read_text().splitlines()
+        lineno = 1 + next(i for i, line in enumerate(lines) if line.startswith(key + " "))
+        assert main(["--config", str(path), "--out", str(tmp_path / "o"), "run"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{lineno}: bad value for {key!r}: ")
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("channel.latency_ms", "nan"),
         ("channel.latency_ms", "inf"),

@@ -210,6 +210,34 @@ class TestProtocolConfig:
         with pytest.raises(ConfigError):
             replace(ProtocolConfig(), **kwargs)
 
+    @pytest.mark.parametrize("name", ["horizon_k", "top_k", "max_len", "seed"])
+    @pytest.mark.parametrize("value", [2.5, "3", None])
+    def test_integer_fields_refuse_non_integers(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            ProtocolConfig(**{name: value})
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            replace(ProtocolConfig(), **{name: value})
+
+    @pytest.mark.parametrize("kwargs", [{"lam": "0.5"}, {"beta": None}, {"lam": 1j}])
+    def test_lam_and_beta_must_be_real(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ConfigError, match=f"^{name} must be a real number"):
+            ProtocolConfig(**kwargs)
+
+    def test_integer_fields_become_plain_ints(self, world):
+        # A NumPy seed would otherwise overflow in the stream key's mask.
+        cfg = ProtocolConfig(lam=0.5, horizon_k=4, top_k=32, max_len=24, seed=2**63 + 5)
+        numpy_cfg = ProtocolConfig(lam=np.float64(0.5), horizon_k=np.int64(4), top_k=np.int64(32),
+                                   max_len=np.int64(24), seed=np.uint64(2**63 + 5))
+        assert numpy_cfg == cfg
+        for name in ("horizon_k", "top_k", "max_len", "seed"):
+            assert type(getattr(numpy_cfg, name)) is int
+        assert ProtocolConfig(horizon_k=np.int64(4)) == ProtocolConfig(horizon_k=4)
+        assert ProtocolConfig(max_len=True).max_len == 1
+        prompt = world.vocab.ids_of(["we", "ordered", "the"])
+        models = (world.llm, world.slm_plus, world.slm_minus, world.vocab, prompt)
+        assert run_session(numpy_cfg, *models) == run_session(cfg, *models)
+
     def test_top_k_exceeds_vocab(self):
         cfg = ProtocolConfig(top_k=200)
         cfg.check_top_k(200)

@@ -23,7 +23,7 @@ from specsteer.metrics import (
     write_summary_json,
     write_trace_csv,
 )
-from specsteer.protocol import RoundTrace, run_session
+from specsteer.protocol import STEERING_ENTRY_BYTES, RoundTrace, round_trace, run_session
 from specsteer.toydata import LLM_PROFILE, SLM_PROFILE
 from specsteer.transport import ChannelModel
 
@@ -129,6 +129,22 @@ class TestSpeedup:
     def test_channel_slows_down(self):
         ch = ChannelModel(one_way_latency_ms=20.0, bandwidth_bps=1e5)
         assert expected_speedup(0.8, 4, channel=ch) < expected_speedup(0.8, 4)
+
+    @pytest.mark.parametrize("k, top_k", [(1, 1), (4, 32), (6, 9)])
+    def test_closed_form_prices_the_frames_a_round_sends(self, k, top_k):
+        # alpha = 1: every draft accepted, nothing steered, no delta next.
+        # alpha = 0: every round rejects, so it carries a delta up and
+        # top_k steering entries down.
+        ch = ChannelModel(one_way_latency_ms=3.0, bandwidth_bps=1e4)
+        latency = LatencyModel()
+        drafted = tuple(range(k))
+        section = bytes(STEERING_ENTRY_BYTES * top_k)
+        for alpha, accepted, recovery, has_delta, sent in (
+            (1.0, k, None, False, None), (0.0, 0, 5, True, section),
+        ):
+            rt = round_trace(1, drafted, (), accepted, recovery, has_delta, sent)
+            want = expected_tokens_per_round(alpha, k) * latency.llm_token_ms / round_time_ms(rt, latency, ch)
+            assert expected_speedup(alpha, k, latency, ch, top_k) == pytest.approx(want, rel=1e-12)
 
 
 class TestFlops:

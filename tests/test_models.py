@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,15 +218,14 @@ class TestRowLayer:
 
 class TestModelProfile:
     def test_valid(self):
-        ModelProfile("m", 10, 2, 4, "generalist")
-
-    def test_bad_role(self):
-        with pytest.raises(ModelError):
-            ModelProfile("m", 10, 2, 4, "oracle")
+        profile = ModelProfile(10, 2, 4)
+        assert [f.name for f in fields(profile)] == ["param_count", "layers", "hidden_dim"]
+        assert (profile.param_count, profile.layers, profile.hidden_dim) == (10, 2, 4)
 
     def test_nonpositive_stats(self):
-        with pytest.raises(ModelError):
-            ModelProfile("m", 0, 2, 4, "generalist")
+        for stats in ((0, 2, 4), (10, 0, 4), (10, 2, -1)):
+            with pytest.raises(ModelError, match="positive"):
+                ModelProfile(*stats)
 
 
 class TestTableModel:
@@ -417,16 +418,6 @@ class TestPrivateConditioning:
         condition_private(base, PrivateContext.from_documents([[2, 2]]), mu=0.9)
         np.testing.assert_array_equal(base.next_token_probs([]), before)
         assert base.mu == 0.0
-
-    def test_role_and_name(self):
-        vocab = vocab_of(["a", "b"])
-        base = train_ngram(
-            [[1, 2]], vocab, order=1, add_k=1.0,
-            profile=ModelProfile("slm", 10, 2, 4, "specialist_generic"),
-        )
-        plus = condition_private(base, PrivateContext.from_documents([[1]]), mu=0.5)
-        assert plus.profile.role == "specialist_private"
-        assert plus.profile.name == "slm+"
 
     def test_reward_zero_at_mu_zero(self):
         vocab, base = self._base()

@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import fnmatch
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import specsteer.toydata as toydata
-from specsteer.cli import DEFAULT_CONFIG, load_config
+from specsteer.cli import DEFAULT_CONFIG, build_world, cost_model, load_config
 from specsteer.core import ConfigError, ProtocolConfig, SpecSteerError, Vocabulary
 from specsteer.models import BOS, _count_table
 from specsteer.protocol import run_session
@@ -22,7 +23,7 @@ PYPROJECT = PACKAGE_DIR.parents[1] / "pyproject.toml"
 
 # Every digest, committed sequence and test outcome depends on these bytes.
 DATA_SHA256 = {
-    "default.cfg": "d1cf432f487964a96b8a71a2154c4ca2d44ed7a7e720c60fe5ba0dbf8984a7f6",
+    "default.cfg": "d8f1f32578fd0354fbd3756c23fd52da8d7e14800afb2da1273f9296bec9e988",
     "generalist.txt": "c74f6460c14e1d3b7886eff0d38aa5cf66d5321385fe66e7fb774b4466effae4",
     "specialist_base.txt": "59e3f27196bb8475c9482e65c3c3be7512c30975924decc4e9bfcdc14ee3cc5c",
     "user_atelier.txt": "619b71828c085bd3a2c26d4e2dee3a8107d064c99a15ac06c6bfe56bbae82ac6",
@@ -135,6 +136,23 @@ class TestToyWorld:
             cfg, world.llm, world.slm_plus, world.slm_minus, world.vocab, world.vocab.ids_of(words)
         )
         assert got == committed
+
+    def test_default_config_builds_the_toy_world(self, world):
+        # One source of toy data: the CLI's default world commits what
+        # toy_world() commits, and its cost profiles are the library's.
+        cfg = load_config(DEFAULT_CONFIG)
+        cli_world = build_world(cfg)
+        assert cli_world.vocab == world.vocab
+        prompt = world.vocab.ids_of(["we", "ordered", "the"])
+        for seed in (0, 1, 2, 3, 17):
+            protocol = replace(cfg.protocol, seed=seed)
+            got = run_session(protocol, cli_world.llm, cli_world.slm_plus, cli_world.slm_minus,
+                              cli_world.vocab, prompt)
+            want = run_session(protocol, world.llm, world.slm_plus, world.slm_minus,
+                               world.vocab, prompt)
+            assert got == want
+        cost = cost_model(cfg)
+        assert (cost.llm, cost.slm) == (toydata.LLM_PROFILE, toydata.SLM_PROFILE)
 
     def test_themes(self):
         assert bundled_themes() == ("atelier", "gino", "trail")

@@ -612,17 +612,29 @@ class TestSocketMode:
     def test_edge_checks_before_connecting(self, top_k, prompt, error):
         # A prompt or a top_k the edge refuses by itself costs the cloud no
         # connection: a listening socket finds none waiting to be accepted.
-        vocab, (_, plus, _) = random_table_triple(np.random.default_rng(42), 8)
-        cfg = ProtocolConfig(max_len=24, top_k=top_k)
-        server = socket.create_server(("127.0.0.1", 0))
-        try:
-            with pytest.raises(error):
-                run_edge_socket(cfg, server.getsockname(), plus, vocab, prompt, timeout=5)
-            server.setblocking(False)
-            with pytest.raises(BlockingIOError):
-                server.accept()
-        finally:
-            server.close()
+        refused_before_connecting(ProtocolConfig(max_len=24, top_k=top_k), prompt, error)
+
+    def test_handshake_encoded_before_connecting(self):
+        # The edge takes a 66000-id prompt under max_len 70000, but no
+        # handshake frame can carry more than 65535 prompt ids.
+        refused_before_connecting(
+            ProtocolConfig(max_len=70000, top_k=8), [0] * 66000, WireError,
+            "prompt too long for handshake frame")
+
+
+def refused_before_connecting(cfg, prompt, error, match=None):
+    """``run_edge_socket`` raises ``error`` and leaves a listening socket
+    no connection to accept."""
+    vocab, (_, plus, _) = random_table_triple(np.random.default_rng(42), 8)
+    server = socket.create_server(("127.0.0.1", 0))
+    try:
+        with pytest.raises(error, match=match):
+            run_edge_socket(cfg, server.getsockname(), plus, vocab, prompt, timeout=5)
+        server.settimeout(0.2)
+        with pytest.raises(TimeoutError):
+            server.accept()
+    finally:
+        server.close()
 
 
 def socket_session(cfg, models, vocab, prompt, edge_log, cloud_log):
