@@ -41,7 +41,6 @@ from .metrics import (
     LatencyModel,
     acceptance_rate,
     expected_speedup,
-    flops_total,
     speedup,
     summarize,
 )

@@ -175,11 +175,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    """Hash of the effective configuration (file plus CLI overrides)."""
+    """Hash of the effective configuration (file plus CLI overrides) and of
+    the bytes of each corpus file it names."""
     effective = {**cfg.raw, "output.dir": str(cfg.out_dir)}
     effective.update((k, getattr(cfg.protocol, f)) for k, f in _PROTOCOL_FIELDS.items())
     blob = "\n".join(f"{k}={v!r}" for k, v in sorted(effective.items()))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    digest = hashlib.sha256(blob.encode("utf-8"))
+    for corpus in (cfg.corpus_generalist, cfg.corpus_specialist, cfg.corpus_private):
+        digest.update(hashlib.sha256(corpus.read_bytes()).digest())
+    return digest.hexdigest()[:16]
 
 
 def cost_model(cfg: ExperimentConfig) -> CostModel:

@@ -176,16 +176,15 @@ class CostModel:
     llm: ModelProfile
     slm: ModelProfile
     horizon_k: int = 4
-    scale: float = 1.0
 
     def per_token_flops(self, profile: ModelProfile, seq_len: float) -> float:
         if seq_len < 0:
             raise MetricsError("seq_len must be >= 0")
-        return self.scale * (2.0 * profile.param_count + 4.0 * profile.layers * profile.hidden_dim * seq_len)
+        return 2.0 * profile.param_count + 4.0 * profile.layers * profile.hidden_dim * seq_len
 
     def prefill_flops(self, profile: ModelProfile, context_len: float) -> float:
         c = float(context_len)
-        return self.scale * (
+        return (
             2.0 * profile.param_count * c
             + 4.0 * profile.layers * profile.hidden_dim * c * (c + 1.0) / 2.0
         )
@@ -222,22 +221,6 @@ def flops_specsteer(cost: CostModel, context_len: int, alpha: float, gen_tokens:
         + cost.per_token_flops(cost.slm, gen_tokens / 2.0)
     )
     return edge + cloud
-
-
-def flops_total(
-    cost: CostModel,
-    scenario: str,
-    context_len: int,
-    alpha: float | None = None,
-    gen_tokens: int = 100,
-) -> float:
-    if scenario == "llm_rag":
-        return flops_llm_rag(cost, context_len, gen_tokens)
-    if scenario == "specsteer":
-        if alpha is None:
-            raise MetricsError("specsteer scenario needs an acceptance rate")
-        return flops_specsteer(cost, context_len, alpha, gen_tokens)
-    raise MetricsError(f"unknown scenario {scenario!r}")
 
 
 # ---------------------------------------------------------------------------

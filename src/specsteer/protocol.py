@@ -6,12 +6,16 @@ verdicts.  The draft, scan and commit logic exists once, as the cores of a
 ``SessionRecord``: the engines and vocabulary constants of one model set,
 memoized per model set and vocabulary.  The cores read their config
 constants from the ``ProtocolConfig`` they are passed, which was checked
-when it was made.  ``run_session`` runs the cores in one flat loop
-in-process; the transport module drives the checked state machines
-``EdgeSession`` and ``CloudVerifier``, thin views over the same cores,
-through frames: over a socket, or over the simulated channel, which calls
-the cloud's frame handler directly in one thread.  So the execution modes
-are equivalent by construction (same random streams, same draw order).
+when it was made.  The edge's round loop exists once too, as ``drive``:
+draft, hand the draft to a verify step, commit, until the session ends.
+``run_session`` passes it the scan core itself; the transport module's
+edge passes a frame exchange with the cloud's ``CloudVerifier``, a checked
+view over the same scan core, over a socket or over the simulated
+channel, which calls the cloud's frame handler directly in one thread.
+So the execution modes are equivalent by construction (same loop, same
+random streams, same draw order).  ``EdgeSession`` is the edge's side in
+message form, for callers that drive an edge and a ``CloudVerifier`` by
+hand.
 
 A steering payload takes one form between cloud and edge in every
 backend: the packed entry section of a verdict frame (``entries_struct``),
@@ -46,8 +50,6 @@ import numpy as np
 
 from .core import (
     PROB_FLOOR,
-    ROLE_DRAFT,
-    ROLE_RECOVERY,
     ROLE_VERIFY,
     ProtocolConfig,
     RngStreams,
@@ -376,7 +378,7 @@ class EdgeEngine:
     pure function of the entry section, beta, the decode mode and the
     drafter's logits at the rejected position.  The checks of the section's
     entries depend on nothing but its bytes, the vocabulary size and
-    ``top_k``, whose part ``EdgeSession.apply`` repeats on every verdict.
+    ``top_k``, whose part ``check_verdict`` repeats on every verdict.
     So the state is cached under (beta, greedy, the vocabulary size, the
     section, the drafter's row key there): a cached state was checked when
     it was cached, and a hit skips the decoding, the checks, the drafter
@@ -647,16 +649,48 @@ class SessionRecord:
 # ---------------------------------------------------------------------------
 
 
-class EdgeSession:
-    """Drafter-side state machine: draft, commit verdicts, recover.
+def edge_start(
+    config: ProtocolConfig, drafter, vocab: Vocabulary, prompt_ids: Sequence[int]
+) -> tuple[SessionRecord, object, list[int]]:
+    """What an edge session starts from, once checked: the drafter's record
+    (its vocabulary checked once per drafter and vocabulary), the drafter
+    as the cores score it, and the prompt as a new history.  The config's
+    ``top_k`` is checked against the vocabulary, and the prompt, here."""
+    rec = _registry(
+        ("edge-record", id(drafter), id(vocab)), (drafter, vocab), SessionRecord, vocab, drafter
+    )
+    config.check_top_k(rec.vsize)
+    validate_sequence(prompt_ids, vocab, config.max_len)
+    return rec, model_rows(drafter) if rec.wrap else drafter, list(prompt_ids)
 
-    ``draft`` and ``apply`` are the checked interface, in plain values,
-    that the transport drives straight from frames; ``next_draft`` and
-    ``apply_verdict`` are the same calls in message form.  Each checks its
-    input and then runs the same core (``SessionRecord.draft``,
-    ``SessionRecord.commit``) that ``run_session`` calls directly.  The
-    drafter's vocabulary is checked once per drafter and vocabulary; the
-    config's ``top_k`` against the vocabulary, and the prompt, here.
+
+def check_verdict(
+    config: ProtocolConfig, seq: int, tokens: tuple[int, ...] | None, v_seq: int, accepted: int,
+    section: bytes | None,
+) -> None:
+    """The edge's one check of a verdict from outside, on draft ``seq`` of
+    ``tokens`` (None when no draft awaits one): it answers that draft, its
+    accepted count is in range, a packed entry section comes exactly with a
+    rejection, and holds 1 to ``top_k`` entries.  The entries themselves
+    are checked when the commit first recovers from them."""
+    if tokens is None or v_seq != seq:
+        raise ProtocolStateError("verdict does not match outstanding draft")
+    k = len(tokens)
+    if not 0 <= accepted <= k:
+        raise ProtocolStateError(f"accepted_count {accepted} out of range for batch of {k}")
+    if (section is None) != (accepted == k):
+        raise ProtocolStateError("recovery payload presence inconsistent with accepted_count")
+    if section is not None:
+        check_steering_count(len(section) // STEERING_ENTRY_BYTES, config.top_k)
+
+
+class EdgeSession:
+    """The edge's side of a session in message form, for callers that
+    interleave it with a ``CloudVerifier`` by hand: ``next_draft`` gives a
+    ``DraftBatch`` and ``apply_verdict`` commits the ``Verdict`` on it.
+    The package's own sessions run ``drive`` instead; both start from
+    ``edge_start`` and run the same cores (``SessionRecord.draft``,
+    ``check_verdict``, ``SessionRecord.commit``).
     """
 
     def __init__(
@@ -667,73 +701,41 @@ class EdgeSession:
         prompt_ids: Sequence[int],
         streams: RngStreams | None = None,
     ) -> None:
-        rec = self._rec = _registry(
-            ("edge-record", id(drafter), id(vocab)), (drafter, vocab), SessionRecord, vocab, drafter
-        )
-        config.check_top_k(rec.vsize)
-        validate_sequence(prompt_ids, vocab, config.max_len)
+        self._rec, self._rows, self.committed = edge_start(config, drafter, vocab, prompt_ids)
         self.config = config
-        self.drafter = drafter
-        self._rows = model_rows(drafter) if rec.wrap else drafter
-        self.vocab = vocab
-        self.committed: list[int] = list(prompt_ids)
         self.seq_no = 0
         self.pending_delta: int | None = None
-        if streams is not None:
-            self._draft_rng = streams.draft
-            self._recovery_rng = streams.recovery
-        else:
-            self._draft_rng = UniformStream(config.seed, ROLE_DRAFT)
-            self._recovery_rng = UniformStream(config.seed, ROLE_RECOVERY)
+        rngs = streams if streams is not None else make_streams(config.seed)
+        self._draft_rng, self._recovery_rng = rngs.draft, rngs.recovery
         self._outstanding: tuple[int, ...] | None = None
-
-    @property
-    def finished(self) -> bool:
-        """Whether the committed history ends in eos or has reached
-        ``max_len``, so that there is nothing left to draft."""
-        return self._rec.ended(self.config, self.committed)
 
     def take_delta(self) -> int | None:
         delta, self.pending_delta = self.pending_delta, None
         return delta
 
-    def draft(self) -> tuple[int, ...] | None:
-        """The ids of draft ``seq_no``, or None once the session has
-        finished."""
+    def next_draft(self) -> DraftBatch | None:
+        """Draft ``seq_no``, or None once the session has ended."""
         rec, config = self._rec, self.config
         if rec.ended(config, self.committed):
             return None
         if self._outstanding is not None:
             raise ProtocolStateError("previous draft awaiting verdict")
         tokens = self._outstanding = rec.draft(config, self._rows, self.committed, self._draft_rng)
-        return tokens
+        return DraftBatch(self.seq_no, tokens)
 
-    def next_draft(self) -> DraftBatch | None:
-        tokens = self.draft()
-        return None if tokens is None else DraftBatch(self.seq_no, tokens)
-
-    def apply(
-        self, seq_no: int, accepted: int, recovery: bytes | None
-    ) -> tuple[int, int | None]:
-        """Commit the verdict on draft ``seq_no``: its first ``accepted``
-        ids plus, when the packed entry section ``recovery`` is given, the
-        token recovered from it.  Returns (accepted, recovery_token)."""
-        tokens = self._outstanding
-        if tokens is None or seq_no != self.seq_no:
-            raise ProtocolStateError("verdict does not match outstanding draft")
-        k = len(tokens)
-        if not 0 <= accepted <= k:
-            raise ProtocolStateError(f"accepted_count {accepted} out of range for batch of {k}")
-        if (recovery is None) != (accepted == k):
-            raise ProtocolStateError("recovery payload presence inconsistent with accepted_count")
+    def apply_verdict(self, verdict: Verdict) -> tuple[int, int | None]:
+        """Commit ``verdict`` on the outstanding draft: its first
+        ``accepted_count`` ids plus, after a rejection, the token recovered
+        from its packed entry section.  Returns (accepted, recovery_token).
+        A refused verdict leaves the session as it was."""
+        tokens, accepted, section = self._outstanding, verdict.accepted_count, verdict.recovery
         config = self.config
-        if recovery is not None:
-            check_steering_count(len(recovery) // STEERING_ENTRY_BYTES, config.top_k)
+        check_verdict(config, self.seq_no, tokens, verdict.seq_no, accepted, section)
         committed = self.committed
         n = len(committed)
         try:
             rec_token = self._rec.commit(
-                config, self._rows, committed, tokens, accepted, recovery, self._recovery_rng
+                config, self._rows, committed, tokens, accepted, section, self._recovery_rng
             )
         except ProtocolStateError:
             # A section's entries are checked when first recovered from;
@@ -745,10 +747,6 @@ class EdgeSession:
         self.seq_no += 1
         self._outstanding = None
         return accepted, rec_token
-
-    def apply_verdict(self, verdict: Verdict) -> tuple[int, int | None]:
-        """``apply`` for a ``Verdict``."""
-        return self.apply(verdict.seq_no, verdict.accepted_count, verdict.recovery)
 
 
 # ---------------------------------------------------------------------------
@@ -826,14 +824,22 @@ class CloudVerifier:
         check_token_ids(tokens, rec.vsize, ProtocolStateError, "draft token", rec.eos)
         mirror = self.mirror
         rec.check_extension(self.config, mirror, history_delta, tokens, "draft")
+        n = len(mirror)
         if history_delta is not None:
             check_token_ids((history_delta,), rec.vsize, ProtocolStateError, "history delta")
             mirror.append(history_delta)
+        try:
+            trace, section = rec.scan(
+                self.config, *self._rows, self._zt_fn, mirror, tokens, self._verify_rng,
+                seq_no, history_delta is not None,
+            )
+        except SpecSteerError:
+            # A refused scan (a payload that does not pack) takes the delta
+            # back out, so the verifier is as it was.
+            del mirror[n:]
+            raise
+        if history_delta is not None:
             self.traces[-1].recovery_token = history_delta
-        trace, section = rec.scan(
-            self.config, *self._rows, self._zt_fn, mirror, tokens, self._verify_rng,
-            seq_no, history_delta is not None,
-        )
         accepted = trace.accepted_count
         mirror.extend(tokens[:accepted])
         self.awaiting_delta = section is not None
@@ -889,6 +895,37 @@ def exact_partition_fn(llm, slm_plus, slm_minus) -> Callable[[Sequence[int]], fl
     return zt
 
 
+def drive(
+    config: ProtocolConfig, rec: SessionRecord, drafter, history: list[int], rngs: RngStreams,
+    verify: Callable[..., tuple[RoundTrace, bytes | None]], llm=None, slm_minus=None, zt_fn=None,
+) -> tuple[list[int], list[RoundTrace]]:
+    """The edge's round loop, whatever the channel: draft after ``history``,
+    hand the draft to ``verify``, commit its outcome, until the session
+    ends; returns (history, traces).
+
+    ``verify`` has ``SessionRecord.scan``'s signature and is called with
+    ``llm``, ``slm_minus``, ``zt_fn`` and ``rngs.verify``: in process it is
+    the scan core itself, and on the wire a frame exchange that returns
+    what the cloud's scan did.  It sees ``history`` as committed so far, so
+    after a recovery the recovered token, the history delta, is its last
+    element.
+    """
+    draft_rng, verify_rng, recovery_rng = rngs.draft, rngs.verify, rngs.recovery
+    traces: list[RoundTrace] = []
+    section = None
+    while not rec.ended(config, history):
+        tokens = rec.draft(config, drafter, history, draft_rng)
+        trace, section = verify(
+            config, llm, slm_minus, zt_fn, history, tokens, verify_rng, len(traces),
+            section is not None,
+        )
+        trace.recovery_token = rec.commit(
+            config, drafter, history, tokens, trace.accepted_count, section, recovery_rng
+        )
+        traces.append(trace)
+    return history, traces
+
+
 def run_session(
     config: ProtocolConfig,
     llm,
@@ -898,13 +935,15 @@ def run_session(
     prompt_ids: Sequence[int],
     streams: RngStreams | None = None,
 ) -> tuple[list[int], list[RoundTrace]]:
-    """Full draft-verify-recover loop until eos or the length cap.
+    """Full draft-verify-recover loop until eos or the length cap: ``drive``
+    with the scan core as its verify step.
 
-    One flat loop over the cores.  Its one history list is both the edge's
-    committed history and the cloud's mirror, which are equal in-process:
-    the draft goes straight into the scan and the outcome straight into the
-    commit, no messages are built, and ids the edge sampled itself are not
-    checked again.  The checked public methods run these same cores.
+    Its one history list is both the edge's committed history and the
+    cloud's mirror, which are equal in-process: the draft goes straight
+    into the scan and the outcome straight into the commit, no messages are
+    built, and ids the edge sampled itself are not checked again.  So the
+    final repair that the DONE message carries on the wire has nothing to
+    do here.
     """
     rec = _registry(
         ("session", id(llm), id(slm_plus), id(slm_minus), id(vocab)),
@@ -916,23 +955,7 @@ def run_session(
     zt_fn = exact_partition_fn(llm, slm_plus, slm_minus) if config.exact_z else None
     if rec.wrap:
         llm, slm_plus, slm_minus = map(model_rows, (llm, slm_plus, slm_minus))
-    draft_rng, verify_rng, recovery_rng = rngs.draft, rngs.verify, rngs.recovery
-    history = list(prompt_ids)
-    traces: list[RoundTrace] = []
-    section = None
-    while not rec.ended(config, history):
-        tokens = rec.draft(config, slm_plus, history, draft_rng)
-        trace, section = rec.scan(
-            config, llm, slm_minus, zt_fn, history, tokens, verify_rng, len(traces),
-            section is not None,
-        )
-        trace.recovery_token = rec.commit(
-            config, slm_plus, history, tokens, trace.accepted_count, section, recovery_rng
-        )
-        traces.append(trace)
-    # The history is the cloud's mirror too, so the final repair that the
-    # DONE message carries on the wire has nothing to do here.
-    return history, traces
+    return drive(config, rec, slm_plus, list(prompt_ids), rngs, rec.scan, llm, slm_minus, zt_fn)
 
 
 def autoregressive_decode(

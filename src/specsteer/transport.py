@@ -9,18 +9,20 @@ that is the socket path minus the socket: ``run_edge`` over an endpoint
 that answers each frame at once by calling the cloud's frame handler in
 the caller's thread.  Both run the same edge loop and the same frame
 handler, so their frames, and the committed sequences, are identical for
-identical seeds.  Modeled channel time is not kept here:
-``metrics.round_time_ms`` computes it from a round's byte counts.
+identical seeds.  The edge loop is ``protocol.drive``, the one that
+``run_session`` runs in process, with a verify step that exchanges frames;
+a HELLO opens it and a DONE closes it.  Modeled channel time is not kept
+here: ``metrics.round_time_ms`` computes it from a round's byte counts.
 
 The endpoint loops read draft and verdict frames in place.  The cloud's
 frame handler (``CloudSession.handle``) hands a draft's ids to
 ``CloudVerifier.verify`` and appends the packed entry section it returns,
 the one form a steering payload takes, to the verdict as it is; the edge
-checks a verdict's fields and hands that section to ``EdgeSession.apply``
-undecoded.  So the wire adds nothing to a payload that an in-process
-session does not see.  The ``encode_*`` and ``decode_*`` functions are the
-same codec in message form; a ``Verdict`` carries the section undecoded
-too.
+checks a verdict's fields with ``protocol.check_verdict`` and hands that
+section to the commit core undecoded.  So the wire adds nothing to a
+payload that an in-process session does not see.  The ``encode_*`` and
+``decode_*`` functions are the same codec in message form; a ``Verdict``
+carries the section undecoded too.
 """
 
 from __future__ import annotations
@@ -36,14 +38,23 @@ from dataclasses import dataclass
 from time import monotonic
 from typing import Iterable, Sequence
 
-from .core import DECODE_MODES, ConfigError, ProtocolConfig, SpecSteerError, Vocabulary
+from .core import (
+    DECODE_MODES,
+    ConfigError,
+    ProtocolConfig,
+    SpecSteerError,
+    Vocabulary,
+    make_streams,
+)
 from .protocol import (
     STEERING_ENTRY_BYTES,
     CloudVerifier,
     DraftBatch,
-    EdgeSession,
     RoundTrace,
     Verdict,
+    check_verdict,
+    drive,
+    edge_start,
     round_trace,
 )
 
@@ -555,22 +566,21 @@ def run_edge(
     frame_log: FrameLog | None = None,
 ) -> tuple[list[int], EdgeStats]:
     """Drive a full session from the edge side of a channel."""
-    edge = EdgeSession(config, drafter, vocab, prompt_ids)
-    return _edge_loop(edge, _hello(edge), endpoint, frame_log)
-
-
-def _hello(edge: EdgeSession) -> tuple[int, bytes]:
-    """The vocabulary hash and the encoded HELLO of ``edge``'s session."""
-    vhash = vocab_hash64(edge.vocab)
-    return vhash, encode_hello(edge.config, vhash, edge.committed)
+    start = edge_start(config, drafter, vocab, prompt_ids)
+    vhash = vocab_hash64(vocab)
+    hello = encode_hello(config, vhash, start[2])
+    return _edge_loop(config, start, vhash, hello, endpoint, frame_log)
 
 
 def _edge_loop(
-    edge: EdgeSession, hello: tuple[int, bytes], endpoint, frame_log: FrameLog | None
+    config: ProtocolConfig, start: tuple, vhash: int, hello: bytes, endpoint,
+    frame_log: FrameLog | None,
 ) -> tuple[list[int], EdgeStats]:
-    """``run_edge`` for an ``EdgeSession`` that has checked its config and
-    prompt, and its ``_hello``, which it sends first."""
-    vhash, hello_frame = hello
+    """``run_edge`` from ``edge_start``'s checked ``start`` and the encoded
+    ``hello``, which opens the session: ``protocol.drive`` with a verify
+    step that exchanges a draft frame for a verdict frame.  A DONE closes
+    the session."""
+    rec, drafter, history = start
     up_bytes = 0
     down_bytes = 0
 
@@ -596,37 +606,31 @@ def _edge_loop(
             raise WireError(f"unexpected message type {msg_type}")
         return frame
 
-    send(hello_frame)
-    ack_hash = decode_hello_ack(recv(MSG_HELLO)[_HEADER.size:])
-    if ack_hash != vhash:
-        raise HandshakeError("vocabulary hash mismatch in handshake ack")
-
-    traces: list[RoundTrace] = []
-    while True:
-        seq_no = edge.seq_no
-        tokens = edge.draft()
-        if tokens is None:
-            trailing = [edge.pending_delta] if edge.pending_delta is not None else []
-            send(encode_done(len(edge.committed), trailing))
-            # The cloud acknowledges with its mirror length, and refuses with
-            # a DONE of length 0; a finished session is never empty.
-            final_len, _ = decode_done(recv(MSG_DONE)[_HEADER.size:])
-            if final_len != len(edge.committed):
-                raise HandshakeError("session refused by cloud")
-            break
-        delta = edge.take_delta()
-        send(_draft_frame(seq_no, tokens, delta))
+    def exchange(config, _llm, _slm_minus, _zt_fn, history, tokens, _rng, seq, has_delta):
+        """``SessionRecord.scan`` done by the cloud: send draft ``seq``, with
+        the recovered token as its history delta when ``has_delta``, and
+        return the round's trace and section from the checked verdict.  The
+        edge never sees the alphas."""
+        send(_draft_frame(seq, tokens, history[-1] if has_delta else None))
         v_seq, accepted, section = _verdict_fields(recv(MSG_VERDICT), _HEADER.size)
-        accepted, rec_token = edge.apply(v_seq, accepted, section)
-        # The edge never sees the alphas.
-        traces.append(round_trace(
-            seq_no, tokens, (), accepted, rec_token, delta is not None, section
-        ))
+        check_verdict(config, seq, tokens, v_seq, accepted, section)
+        return round_trace(seq, tokens, (), accepted, None, has_delta, section), section
 
+    send(hello)
+    if decode_hello_ack(recv(MSG_HELLO)[_HEADER.size:]) != vhash:
+        raise HandshakeError("vocabulary hash mismatch in handshake ack")
+    history, traces = drive(config, rec, drafter, history, make_streams(config.seed), exchange)
+    last = traces[-1].recovery_token if traces else None
+    send(encode_done(len(history), () if last is None else (last,)))
+    # The cloud acknowledges with its mirror length, and refuses with a DONE
+    # of length 0; a finished session is never empty.
+    final_len, _ = decode_done(recv(MSG_DONE)[_HEADER.size:])
+    if final_len != len(history):
+        raise HandshakeError("session refused by cloud")
     stats = EdgeStats(
         rounds=len(traces), uplink_bytes=up_bytes, downlink_bytes=down_bytes, traces=traces
     )
-    return edge.committed, stats
+    return history, stats
 
 
 class CloudSession:
@@ -873,11 +877,12 @@ def run_edge_socket(
     """``run_edge`` over a TCP connection to ``connect``.  The config and
     the prompt are checked, and the handshake encoded, before the
     connection is made."""
-    edge = EdgeSession(config, drafter, vocab, prompt_ids)
-    hello = _hello(edge)
+    start = edge_start(config, drafter, vocab, prompt_ids)
+    vhash = vocab_hash64(vocab)
+    hello = encode_hello(config, vhash, start[2])
     endpoint = SocketEndpoint(_connect(connect, timeout), timeout=timeout)
     try:
-        return _edge_loop(edge, hello, endpoint, frame_log)
+        return _edge_loop(config, start, vhash, hello, endpoint, frame_log)
     finally:
         endpoint.close()
 

@@ -9,7 +9,9 @@ is sent, and two properties over random table worlds."""
 
 from __future__ import annotations
 
+import os
 import socket
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -45,16 +47,19 @@ def four_token_triple(minus_row):
     )
 
 
-def socketpair_session(cfg, models, vocab, prompt, cloud_log=None):
+def socketpair_session(cfg, models, vocab, prompt, cloud_log=None, cloud_stats=None,
+                       edge_log=None):
     """``run_edge`` against ``run_cloud`` over a socketpair: the edge's
-    committed ids and stats, or its error, and the cloud's error."""
+    committed ids and stats, or its error, and the cloud's error.  The
+    cloud's stats are appended to the list ``cloud_stats`` when given."""
     llm, plus, minus = models
+    stats = cloud_stats if cloud_stats is not None else []
     a, b = socket.socketpair()
     try:
-        thread, errors = in_thread(
-            lambda: run_cloud(SocketEndpoint(a, timeout=5), llm, minus, vocab, cloud_log))
+        thread, errors = in_thread(lambda: stats.append(
+            run_cloud(SocketEndpoint(a, timeout=5), llm, minus, vocab, cloud_log)))
         try:
-            edge = run_edge(cfg, SocketEndpoint(b, timeout=5), plus, vocab, prompt)
+            edge = run_edge(cfg, SocketEndpoint(b, timeout=5), plus, vocab, prompt, edge_log)
         except SpecSteerError as exc:
             edge = exc
         thread.join(timeout=5)
@@ -144,7 +149,8 @@ def test_edge_traces_equal_run_session_traces_but_for_alphas(world):
 
 
 # ---------------------------------------------------------------------------
-# Property: run_session equals the simulated channel on random table worlds
+# Property: run_session equals the simulated channel and a socket on random
+# table worlds
 # ---------------------------------------------------------------------------
 
 
@@ -208,12 +214,24 @@ def table_session(draw):
 @settings(max_examples=150, deadline=None)
 @given(case=table_session())
 def test_run_session_equals_simulated_channel(case):
+    # And a socket: the same ids and traces, and the frames each end logs,
+    # the verdicts among them, equal to the simulated channel's bit for bit.
     cfg, models, vocab, prompt = case
     committed, traces = run_session(cfg, *models, vocab, prompt)
-    sim, edge_stats, cloud_stats = run_simulated_session(cfg, *models, vocab, prompt)
-    assert sim == committed
-    assert cloud_stats.traces == traces
-    assert edge_stats.traces == [replace(t, alphas=()) for t in traces]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("sim_e", "sim_c", "sock_e", "sock_c")]
+        with FrameLog(paths[0]) as el, FrameLog(paths[1]) as cl:
+            sim, edge_stats, cloud_stats = run_simulated_session(
+                cfg, *models, vocab, prompt, edge_log=el, cloud_log=cl)
+        sock_cloud = []
+        with FrameLog(paths[2]) as el, FrameLog(paths[3]) as cl:
+            (sock, sock_stats), cloud_error = socketpair_session(
+                cfg, models, vocab, prompt, cl, sock_cloud, el)
+        sim_logs, sock_logs = [[FrameLog.read(p) for p in pair] for pair in (paths[:2], paths[2:])]
+        assert sock_logs == sim_logs
+    assert sim == sock == committed and cloud_error is None
+    assert cloud_stats.traces == sock_cloud[0].traces == traces
+    assert edge_stats.traces == sock_stats.traces == [replace(t, alphas=()) for t in traces]
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,19 @@ class TestConfigHash:
         d = load_config(write_tiny_config(tmp_path, **{"protocol.top_k": "3"}))
         assert config_hash(c) == config_hash(d) != config_hash(a)
 
+    @pytest.mark.parametrize("name", ["gen.txt", "spec.txt", "priv.txt"])
+    def test_sensitive_to_corpus_contents(self, tmp_path, name):
+        # Two copies of one file in two directories hash alike, and unlike
+        # a copy whose corpus holds one more line.
+        paths = []
+        for d in ("a", "b", "c"):
+            (tmp_path / d).mkdir()
+            paths.append(write_tiny_config(tmp_path / d, **{"output.dir": str(tmp_path / "out")}))
+        with open(tmp_path / "c" / name, "a", encoding="utf-8") as fh:
+            fh.write("we ordered the soup\n")
+        a, b, c = (config_hash(load_config(p)) for p in paths)
+        assert a == b != c
+
     def test_sixteen_hex_chars(self, tmp_path):
         h = config_hash(load_config(write_tiny_config(tmp_path)))
         assert len(h) == 16

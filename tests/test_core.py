@@ -503,7 +503,7 @@ class TestLazyStreams:
         streams.verify.random()
         streams.verify.random()
         assert built == [ROLE_RECOVERY, ROLE_VERIFY]
-        clouds[0].verify(0, edges[0].draft(), None)
+        clouds[0].verify(0, edges[0].next_draft().token_ids, None)
         assert built == [ROLE_RECOVERY, ROLE_VERIFY, ROLE_DRAFT, ROLE_VERIFY]
 
     @pytest.mark.parametrize("simulated", [False, True])

@@ -15,7 +15,6 @@ from specsteer.metrics import (
     expected_tokens_per_round,
     flops_llm_rag,
     flops_specsteer,
-    flops_total,
     round_time_ms,
     session_time_ms,
     speedup,
@@ -168,15 +167,6 @@ class TestFlops:
     def test_higher_acceptance_cheaper(self):
         cost = self._cost()
         assert flops_specsteer(cost, 1000, 0.9) < flops_specsteer(cost, 1000, 0.2)
-
-    def test_dispatch(self):
-        cost = self._cost()
-        assert flops_total(cost, "llm_rag", 500) == flops_llm_rag(cost, 500)
-        assert flops_total(cost, "specsteer", 500, alpha=0.5) == flops_specsteer(cost, 500, 0.5)
-        with pytest.raises(MetricsError):
-            flops_total(cost, "specsteer", 500)
-        with pytest.raises(MetricsError):
-            flops_total(cost, "tpu", 500)
 
     def test_invalid_inputs(self):
         cost = self._cost()

@@ -329,6 +329,24 @@ class TestCloudIngest:
             cloud.finish([1])
         assert cloud.mirror == [0, 1]
 
+    def test_refused_scan_leaves_the_verifier_as_it_was(self):
+        # After the delta 1, beta times the baseline's zero entries takes
+        # the steering values past binary32: the scan refuses the draft.
+        vocab = make_vocab(4)
+        cfg = ProtocolConfig(lam=1.0, beta=1.3e37, horizon_k=1, top_k=2, decode_mode="greedy")
+        llm = TableModel(vocab, {(): [0.01, 0.33, 0.33, 0.33]})
+        minus = TableModel(vocab, {(): [0.7, 0.1, 0.1, 0.1], (1,): [0.7, 0.3, 0, 0],
+                                   (2,): [0.7, 0.3, 0, 0]})
+        cloud = CloudVerifier(cfg, llm, minus, vocab, [])
+        assert cloud.handle_draft(DraftBatch(0, (0,)), None).recovery is not None
+        with pytest.raises(ProtocolStateError, match="steering entry does not fit"):
+            cloud.handle_draft(DraftBatch(1, (0,)), 1)
+        assert cloud.mirror == [] and cloud.traces[0].recovery_token is None
+        assert cloud.expected_seq == 1 and cloud.awaiting_delta and len(cloud.traces) == 1
+        # A retry then applies the delta once.
+        assert cloud.handle_draft(DraftBatch(1, (1,)), 1).accepted_count == 1
+        assert cloud.mirror == [1, 1] and cloud.traces[0].recovery_token == 1
+
 
 class TestSteeringPayload:
     def test_sorted_unique_truncated(self):

@@ -1,7 +1,8 @@
-"""``run_session`` calls the draft, scan and commit cores directly; the
-transport drives the checked public methods ``next_draft``,
-``handle_draft`` and ``apply_verdict``.  Driving the public methods by hand
-must give the same committed ids and the same round traces."""
+"""``run_session`` runs the draft, scan and commit cores in ``drive``, the
+edge's one round loop; the checked public methods in message form,
+``next_draft``, ``handle_draft`` and ``apply_verdict``, run the same cores.
+Driving the public methods by hand must give the same committed ids and
+the same round traces."""
 
 from dataclasses import replace
 

@@ -217,7 +217,7 @@ def test_wire_payloads_that_differ_anywhere_do_not_share_a_state():
 def test_cached_wire_bytes_are_checked_again_for_another_vocabulary():
     # Ids 0-4 are in range at V=5, id 4 is not at V=4: the state cached for
     # the same bytes at V=5 must not serve the V=4 recovery.  (The entry
-    # count is EdgeSession.apply's to check, on every verdict.)
+    # count is check_verdict's to check, on every verdict.)
     drafter = model_rows(TailModel(5, 0, 8))
     engine = EdgeEngine()
     section = packed(((4, 1.0), (0, 0.5)))

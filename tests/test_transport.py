@@ -1051,16 +1051,16 @@ class TestEdgeVerdictIngest:
         # Never drafts eos, so a draft has horizon_k = 4 ids.
         plus = TableModel(vocab, {(): [0.25] * 4 + [0.0] * 4})
         edge = EdgeSession(ProtocolConfig(max_len=24, top_k=4), plus, vocab, [0])
-        tokens = edge.draft()
+        tokens = edge.next_draft().token_ids
         assert len(tokens) == 4
 
         with pytest.raises(ProtocolStateError, match="out of range"):
-            edge.apply(0, 2, section(((8, 0.5),)))
+            edge.apply_verdict(Verdict(0, 2, section(((8, 0.5),))))
         assert edge.committed == [0] and edge.seq_no == 0
         with pytest.raises(ProtocolStateError, match="part of an entry"):
-            edge.apply(0, 2, section(((1, 0.5),)) + b"\0")
+            edge.apply_verdict(Verdict(0, 2, section(((1, 0.5),)) + b"\0"))
         assert edge.committed == [0] and edge.seq_no == 0
-        assert edge.apply(0, 2, section(((1, 0.5),))) == (2, 1)
+        assert edge.apply_verdict(Verdict(0, 2, section(((1, 0.5),)))) == (2, 1)
         assert edge.committed == [0, *tokens[:2], 1]
 
 
@@ -1148,8 +1148,9 @@ class TestIdsCheckedBeforeRowLookup:
         plus = models[1]
         cfg = ProtocolConfig(lam=0.5, horizon_k=3, top_k=8, max_len=12, seed=1)
         edge = EdgeSession(cfg, plus, vocab, [0])
-        edge.draft()
-        self.assert_no_lookup(models, lambda: edge.apply(0, 0, section(((1, 0.5), (bad, 0.25)))))
+        edge.next_draft()
+        self.assert_no_lookup(
+            models, lambda: edge.apply_verdict(Verdict(0, 0, section(((1, 0.5), (bad, 0.25))))))
         assert edge.committed == [0]
 
 
