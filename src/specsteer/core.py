@@ -14,6 +14,7 @@ token id from outside is checked by one function, ``check_token_ids``.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import numbers
 import operator
@@ -64,7 +65,9 @@ class ConfigError(SpecSteerError):
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Ordered token inventory shared by every model in a session."""
+    """Ordered token inventory shared by every model in a session.
+    ``fingerprint``, computed once when the vocabulary is made, is a 64-bit
+    hash of its tokens and eos id, which a handshake carries."""
 
     tokens: tuple[str, ...]
     eos_id: int
@@ -77,6 +80,9 @@ class Vocabulary:
         if not 0 <= self.eos_id < len(self.tokens):
             raise VocabError(f"eos_id {self.eos_id} out of range")
         object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.tokens)})
+        digest = hashlib.sha256(b"\x00".join(t.encode("utf-8") for t in self.tokens))
+        digest.update(operator.index(self.eos_id).to_bytes(4, "little"))
+        object.__setattr__(self, "fingerprint", int.from_bytes(digest.digest()[:8], "little"))
 
     @property
     def size(self) -> int:
@@ -118,14 +124,18 @@ def check_token_ids(
     (an int, a bool or a NumPy integer; not a float, a str or None) and it
     lies in [0, ``size``); ``eos``, when given, may stand only last.  Else
     ``error`` names the first bad id and its position.  A short input is
-    decided by a plain loop, a long one by one C pass: ``array("Q", ids)``
-    refuses non-integers and negative values and NumPy scans its buffer (a
-    set would not do: ``{1, 1.0}`` hides the float).  The last loop names
-    the culprit, or passes an input whose one eos is last."""
+    decided by a plain loop, a long one by one C pass: an ``array("Q")``
+    filled by ``fromlist`` refuses non-integers and negative values, and
+    NumPy scans its buffer (a set would not do: ``{1, 1.0}`` hides the
+    float).  ``fromlist`` from a list costs less than ``array("Q", ids)``,
+    so a non-list is copied to a list first.  The last loop names the
+    culprit, or passes an input whose one eos is last."""
     n = len(ids)
     if n > LOOP_IDS:
+        a = array("Q")
         try:
-            u = np.frombuffer(array("Q", ids), np.uint64)
+            a.fromlist(ids if type(ids) is list else list(ids))
+            u = np.frombuffer(a, np.uint64)
             if u.max() < size and (eos is None or not (u[:-1] == eos).any()):
                 return
         except (TypeError, OverflowError):
@@ -147,12 +157,19 @@ def check_token_ids(
             raise error(f"{what} after eos at position {pos}")
 
 
-def validate_sequence(ids: Sequence[int], vocab: Vocabulary, max_len: int | None = None) -> None:
-    """Enforce the token-sequence invariants: the length cap, token ids by
-    ``check_token_ids``, and nothing after eos."""
+def check_sequence(ids: Sequence[int], size: int, eos: int, max_len: int | None) -> Sequence[int]:
+    """``ids``, once checked against the token-sequence invariants over a
+    vocabulary of ``size`` ids whose eos id is ``eos``: the length cap,
+    token ids by ``check_token_ids``, and nothing after eos."""
     if max_len is not None and len(ids) > max_len:
         raise SequenceError(f"sequence length {len(ids)} exceeds cap {max_len}")
-    check_token_ids(ids, vocab.size, SequenceError, "token", vocab.eos_id)
+    check_token_ids(ids, size, SequenceError, "token", eos)
+    return ids
+
+
+def validate_sequence(ids: Sequence[int], vocab: Vocabulary, max_len: int | None = None) -> None:
+    """``check_sequence`` over ``vocab``."""
+    check_sequence(ids, vocab.size, vocab.eos_id, max_len)
 
 
 @dataclass(frozen=True)

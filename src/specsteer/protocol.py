@@ -24,14 +24,15 @@ on a recovery-cache miss.  ``SparseSteeringPayload`` is its float64
 reference, for analysis and tests.
 
 Token ids are checked once, where they enter, by ``core.check_token_ids``:
-the prompt when a session starts, every draft id, recovery delta and
-trailing id at cloud ingest, and every steering entry when the edge
-decodes it.  Tokens the edge samples itself are trusted.  So the cores
-score through the models' unchecked row layer (``key_of`` and
-``probs_at``/``logits_at``/``cdf_at``): each core carries one row key per
-model and extends it one token at a time (``models.next_key``), so a
-round costs O(K + window) whatever the history length.  A model whose
-class has no row layer is scored through ``models.PublicRows``.
+the prompt when a session starts (``SessionRecord.start``, the one intake
+of every backend), every draft id, recovery delta and trailing id at
+cloud ingest, and every steering entry when the edge decodes it.  Tokens
+the edge samples itself are trusted.  So the cores score through the
+models' unchecked row layer (``key_of`` and ``probs_at``/``logits_at``/
+``cdf_at``): each core carries one row key per model and extends it one
+token at a time (``models.next_key``), so a round costs O(K + window)
+whatever the history length.  A model whose class has no row layer is
+scored through ``models.PublicRows``.
 """
 
 from __future__ import annotations
@@ -56,20 +57,28 @@ from .core import (
     SpecSteerError,
     UniformStream,
     Vocabulary,
+    check_sequence,
     check_token_ids,
     evict_oldest,
     greedy_pick,
     make_streams,
     sample,
     softmax,
-    validate_sequence,
 )
 from .models import model_rows, next_key, serves_rows
 
-FRAME_HEADER_BYTES = 10
-DRAFT_PAYLOAD_FIXED = 6   # seq_no u32 + count u16
-VERDICT_PAYLOAD_FIXED = 7  # seq_no u32 + accepted u16 + flag u8
+# The frame layout, little-endian, which the transport's codec packs and
+# round traces count: the header (magic, version, message type, payload
+# length), then a draft's seq_no and id count before its u32 ids, or a
+# verdict's seq_no, accepted count and recovery flag before any entries.
+FRAME_HEADER = struct.Struct("<4sBBI")
+DRAFT_FIXED = struct.Struct("<IH")
+VERDICT_FIXED = struct.Struct("<IHB")
 STEERING_ENTRY_BYTES = 8  # token id u32 + value binary32
+# The bytes of a draft frame before its ids, and of a verdict frame before
+# any entry section, added up once: every round's trace reads them.
+_DRAFT_HEAD = FRAME_HEADER.size + DRAFT_FIXED.size
+_VERDICT_HEAD = FRAME_HEADER.size + VERDICT_FIXED.size
 
 
 class ProtocolStateError(SpecSteerError):
@@ -139,14 +148,12 @@ class RoundTrace:
 
 
 def draft_frame_bytes(k: int, has_delta: bool) -> int:
-    return FRAME_HEADER_BYTES + DRAFT_PAYLOAD_FIXED + 4 * k + (4 if has_delta else 0)
+    return _DRAFT_HEAD + 4 * k + (4 if has_delta else 0)
 
 
 def verdict_frame_bytes(n_entries: int) -> int:
-    size = FRAME_HEADER_BYTES + VERDICT_PAYLOAD_FIXED
-    if n_entries:
-        size += 2 + STEERING_ENTRY_BYTES * n_entries
-    return size
+    # After a rejection, a u16 entry count and the entries.
+    return _VERDICT_HEAD + (2 + STEERING_ENTRY_BYTES * n_entries if n_entries else 0)
 
 
 def round_trace(
@@ -480,12 +487,14 @@ class SessionRecord:
     ``cloud`` the (llm, slm_minus) pair's, for one that scans.  Making a
     record checks that its models share the vocabulary.
 
-    The cores score through the models' row layer (``key_of`` and
-    ``*_at``), which checks no ids: every id they see was checked where it
-    entered or sampled by the edge itself.  They carry one row key per
+    Every session starts with ``start``, which checks its config's
+    ``top_k`` and its prompt, and hands the cores its models through
+    ``rows``.  The cores score through the models' row layer (``key_of``
+    and ``*_at``), which checks no ids: every id they see was checked where
+    it entered or sampled by the edge itself.  They carry one row key per
     model and extend it one token at a time.  ``wrap`` is decided once per
-    model set: whether some model's class lacks the layer, so that a
-    session hands the cores ``model_rows`` of its models.
+    model set: whether some model's class lacks the layer, so that
+    ``rows`` gives ``model_rows`` of each model.
     """
 
     __slots__ = ("eos", "vsize", "edge", "cloud", "wrap")
@@ -500,6 +509,20 @@ class SessionRecord:
         self.edge = edge_engine(drafter) if drafter is not None else None
         self.cloud = cloud_engine(llm, slm_minus) if llm is not None else None
         self.wrap = not all(map(serves_rows, models))
+
+    def start(self, config: ProtocolConfig, prompt_ids: Sequence[int]) -> list[int]:
+        """A new session's history: the one intake of every session, in
+        every backend.  The config's ``top_k`` is checked against the
+        vocabulary first; then the prompt is copied to a list, and the copy,
+        what the session runs on, is checked by ``check_sequence`` (the
+        length cap, the ids, eos only last)."""
+        config.check_top_k(self.vsize)
+        return check_sequence(list(prompt_ids), self.vsize, self.eos, config.max_len)
+
+    def rows(self, *models) -> tuple:
+        """``models`` as the cores score them: themselves, or, when some
+        model of the set lacks the row layer, ``model_rows`` of each."""
+        return tuple(map(model_rows, models)) if self.wrap else models
 
     def ended(self, config: ProtocolConfig, history: list[int]) -> bool:
         """Whether a session with this history drafts no more: it ends in
@@ -519,14 +542,15 @@ class SessionRecord:
         greedy = config.decode_mode == "greedy"
         row_at = drafter.probs_at if greedy else drafter.cdf_at
         tokens: list[int] = []
-        for _ in range(k):
+        for left in range(k - 1, -1, -1):
             if greedy:
                 tok = greedy_pick(row_at(key))
             else:
                 cdf = row_at(key)
                 tok = min(bisect_right(cdf, rng.random()), len(cdf) - 1)
             tokens.append(tok)
-            if tok == eos:
+            # No key past the last token drafted.
+            if tok == eos or not left:
                 break
             key = next_key(key, tok, w)
         return tuple(tokens)
@@ -565,7 +589,7 @@ class SessionRecord:
         alphas: list[float] = []
         accepted = len(tokens)
         section: bytes | None = None
-        for t, tok in enumerate(tokens):
+        for t, tok in enumerate(tokens, 1):
             h_llm = llm_at(lkey)
             h_minus = minus_at(mkey)
             lam = zt_fn(prefix) if zt_fn is not None else config.lam
@@ -579,10 +603,14 @@ class SessionRecord:
             alphas.append(alpha)
             ok = alpha >= 1.0 if greedy else draw() <= alpha
             if not ok:
-                accepted = t
+                accepted = t - 1
                 section = self.cloud.payload(
                     h_llm, h_minus, config.beta, config.top_k, (lkey, mkey)
                 )
+                break
+            # No keys past the last position scanned: every token was
+            # accepted, and accepted is still their count.
+            if t == accepted:
                 break
             lkey = next_key(lkey, tok, lw)
             mkey = next_key(mkey, tok, mw)
@@ -652,16 +680,15 @@ class SessionRecord:
 def edge_start(
     config: ProtocolConfig, drafter, vocab: Vocabulary, prompt_ids: Sequence[int]
 ) -> tuple[SessionRecord, object, list[int]]:
-    """What an edge session starts from, once checked: the drafter's record
-    (its vocabulary checked once per drafter and vocabulary), the drafter
-    as the cores score it, and the prompt as a new history.  The config's
-    ``top_k`` is checked against the vocabulary, and the prompt, here."""
+    """What an edge session starts from: the drafter's record (its
+    vocabulary checked once per drafter and vocabulary), the drafter as the
+    cores score it (``SessionRecord.rows``), and the history that
+    ``SessionRecord.start`` made of the prompt."""
     rec = _registry(
         ("edge-record", id(drafter), id(vocab)), (drafter, vocab), SessionRecord, vocab, drafter
     )
-    config.check_top_k(rec.vsize)
-    validate_sequence(prompt_ids, vocab, config.max_len)
-    return rec, model_rows(drafter) if rec.wrap else drafter, list(prompt_ids)
+    history = rec.start(config, prompt_ids)
+    return rec, rec.rows(drafter)[0], history
 
 
 def check_verdict(
@@ -767,8 +794,8 @@ class CloudVerifier:
     (``SessionRecord.scan``) that ``run_session`` calls directly with drafts
     its own edge sampled.  ``zt_fn``, like the models, exposes the
     ``window`` it reads.  The models' vocabularies are checked once per
-    model pair and vocabulary; the config's ``top_k`` against the
-    vocabulary, and the prompt, here.
+    model pair and vocabulary; the mirror starts as the history that
+    ``SessionRecord.start`` made of the prompt.
     """
 
     def __init__(
@@ -785,16 +812,11 @@ class CloudVerifier:
             ("cloud-record", id(llm), id(slm_minus), id(vocab)), (llm, slm_minus, vocab),
             SessionRecord, vocab, None, llm, slm_minus,
         )
-        config.check_top_k(rec.vsize)
-        validate_sequence(prompt_ids, vocab, config.max_len)
+        self.mirror = rec.start(config, prompt_ids)
         if config.exact_z and zt_fn is None:
             raise ProtocolStateError("exact-Z verification needs a partition callback")
         self.config = config
-        self.llm = llm
-        self.slm_minus = slm_minus
-        self._rows = (model_rows(llm), model_rows(slm_minus)) if rec.wrap else (llm, slm_minus)
-        self.vocab = vocab
-        self.mirror: list[int] = list(prompt_ids)
+        self._rows = rec.rows(llm, slm_minus)
         self.expected_seq = 0
         self.awaiting_delta = False
         self.finished = False
@@ -949,13 +971,11 @@ def run_session(
         ("session", id(llm), id(slm_plus), id(slm_minus), id(vocab)),
         (llm, slm_plus, slm_minus, vocab), SessionRecord, vocab, slm_plus, llm, slm_minus,
     )
-    config.check_top_k(rec.vsize)
-    validate_sequence(prompt_ids, vocab, config.max_len)
+    history = rec.start(config, prompt_ids)
     rngs = streams if streams is not None else make_streams(config.seed)
     zt_fn = exact_partition_fn(llm, slm_plus, slm_minus) if config.exact_z else None
-    if rec.wrap:
-        llm, slm_plus, slm_minus = map(model_rows, (llm, slm_plus, slm_minus))
-    return drive(config, rec, slm_plus, list(prompt_ids), rngs, rec.scan, llm, slm_minus, zt_fn)
+    llm, slm_plus, slm_minus = rec.rows(llm, slm_plus, slm_minus)
+    return drive(config, rec, slm_plus, history, rngs, rec.scan, llm, slm_minus, zt_fn)
 
 
 def autoregressive_decode(
@@ -968,8 +988,7 @@ def autoregressive_decode(
 ) -> list[int]:
     """Plain single-model decoding; the baseline the degenerate protocol
     limits collapse to."""
-    validate_sequence(prompt_ids, vocab, max_len)
-    out = list(prompt_ids)
+    out = check_sequence(list(prompt_ids), vocab.size, vocab.eos_id, max_len)
     greedy = mode == "greedy"
     while len(out) < max_len and (not out or out[-1] != vocab.eos_id):
         probs = model.next_token_probs(history_tail(out, model.window))

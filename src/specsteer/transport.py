@@ -28,7 +28,6 @@ carries the section undecoded too.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import socket
 import struct
@@ -47,7 +46,10 @@ from .core import (
     make_streams,
 )
 from .protocol import (
+    DRAFT_FIXED,
+    FRAME_HEADER,
     STEERING_ENTRY_BYTES,
+    VERDICT_FIXED,
     CloudVerifier,
     DraftBatch,
     RoundTrace,
@@ -70,17 +72,14 @@ _MSG_TYPES = (MSG_HELLO, MSG_DRAFT, MSG_VERDICT, MSG_DONE)
 DIR_UP = 0    # edge -> cloud
 DIR_DOWN = 1  # cloud -> edge
 
-_HEADER = struct.Struct("<4sBBI")
 _HELLO = struct.Struct("<ddHHIBQQH")
-_DRAFT_FIXED = struct.Struct("<IH")
-_VERDICT_FIXED = struct.Struct("<IHB")
 _DONE_FIXED = struct.Struct("<IH")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 # A whole accept-all verdict frame, and a recovery verdict frame up to its
 # entry section: header, fixed fields and the u16 entry count.
-_ACCEPT_ALL_FRAME = struct.Struct("<4sBBIIHB")
-_RECOVERY_HEAD = struct.Struct("<4sBBIIHBH")
+_ACCEPT_ALL_FRAME = struct.Struct(FRAME_HEADER.format + VERDICT_FIXED.format[1:])
+_RECOVERY_HEAD = struct.Struct(_ACCEPT_ALL_FRAME.format + "H")
 
 # Every variable-length section has a u16 count, so the largest legal payload
 # is a verdict with 0xFFFF entries.  SocketEndpoint refuses any longer
@@ -88,8 +87,8 @@ _RECOVERY_HEAD = struct.Struct("<4sBBIIHBH")
 # allocate.
 MAX_PAYLOAD = max(
     _HELLO.size + _U32.size * 0xFFFF,
-    _DRAFT_FIXED.size + _U32.size * (0xFFFF + 1),
-    _VERDICT_FIXED.size + 2 + STEERING_ENTRY_BYTES * 0xFFFF,
+    DRAFT_FIXED.size + _U32.size * (0xFFFF + 1),
+    VERDICT_FIXED.size + 2 + STEERING_ENTRY_BYTES * 0xFFFF,
     _DONE_FIXED.size + _U32.size * 0xFFFF,
 )
 
@@ -118,13 +117,10 @@ class ChannelTimeoutError(WireError, TimeoutError):
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
 def vocab_hash64(vocab: Vocabulary) -> int:
-    """Handshake fingerprint of the vocabulary; computed once per vocabulary."""
-    digest = hashlib.sha256()
-    digest.update(b"\x00".join(t.encode("utf-8") for t in vocab.tokens))
-    digest.update(struct.pack("<I", vocab.eos_id))
-    return int.from_bytes(digest.digest()[:8], "little")
+    """Handshake fingerprint of the vocabulary: ``Vocabulary.fingerprint``,
+    computed once, when the vocabulary was made."""
+    return vocab.fingerprint
 
 
 @functools.lru_cache(maxsize=256)
@@ -137,7 +133,7 @@ def _ids_struct(n: int) -> struct.Struct:
 def _draft_struct(n: int) -> struct.Struct:
     """A whole draft frame carrying n u32 ids: the draft's, then any
     history delta."""
-    return struct.Struct(f"<4sBBIIH{n}I")
+    return struct.Struct(f"{FRAME_HEADER.format}{DRAFT_FIXED.format[1:]}{n}I")
 
 
 def _pack_ids(ids: Sequence[int]) -> bytes:
@@ -150,28 +146,28 @@ def _pack_ids(ids: Sequence[int]) -> bytes:
 def encode_frame(msg_type: int, payload: bytes) -> bytes:
     if msg_type not in _MSG_TYPES:
         raise WireError(f"unknown message type {msg_type}")
-    return _HEADER.pack(MAGIC, VERSION, msg_type, len(payload)) + payload
+    return FRAME_HEADER.pack(MAGIC, VERSION, msg_type, len(payload)) + payload
 
 
 def _frame_type(frame: bytes) -> int:
     """The message type of a whole frame, once its header is checked
     against the frame."""
-    if len(frame) < _HEADER.size:
+    if len(frame) < FRAME_HEADER.size:
         raise WireError("frame shorter than header")
-    magic, version, msg_type, payload_len = _HEADER.unpack_from(frame, 0)
+    magic, version, msg_type, payload_len = FRAME_HEADER.unpack_from(frame, 0)
     if magic != MAGIC:
         raise WireError("bad frame magic")
     if version != VERSION:
         raise WireError(f"unsupported protocol version {version}")
     if msg_type not in _MSG_TYPES:
         raise WireError(f"unknown message type {msg_type}")
-    if len(frame) - _HEADER.size != payload_len:
+    if len(frame) - FRAME_HEADER.size != payload_len:
         raise WireError("declared payload length mismatch")
     return msg_type
 
 
 def decode_frame(frame: bytes) -> tuple[int, bytes]:
-    return _frame_type(frame), frame[_HEADER.size:]
+    return _frame_type(frame), frame[FRAME_HEADER.size:]
 
 
 def encode_hello(config: ProtocolConfig, vhash: int, prompt_ids: Sequence[int]) -> bytes:
@@ -230,7 +226,7 @@ def _draft_frame(seq_no: int, tokens: Sequence[int], history_delta: int | None) 
     ids = tokens if history_delta is None else (*tokens, history_delta)
     try:
         return _draft_struct(len(ids)).pack(
-            MAGIC, VERSION, MSG_DRAFT, _DRAFT_FIXED.size + 4 * len(ids), seq_no, k, *ids
+            MAGIC, VERSION, MSG_DRAFT, DRAFT_FIXED.size + 4 * len(ids), seq_no, k, *ids
         )
     except struct.error:
         raise WireError("draft seq or token id does not fit an unsigned 32-bit field") from None
@@ -246,13 +242,13 @@ def _draft_fields(
     """(seq_no, token ids, history delta) of the draft payload that starts
     at ``off`` in ``buf`` and runs to its end."""
     size = len(buf) - off
-    if size < _DRAFT_FIXED.size:
+    if size < DRAFT_FIXED.size:
         raise WireError("truncated draft payload")
-    seq_no, k = _DRAFT_FIXED.unpack_from(buf, off)
-    expected = _DRAFT_FIXED.size + 4 * k + (4 if expect_delta else 0)
+    seq_no, k = DRAFT_FIXED.unpack_from(buf, off)
+    expected = DRAFT_FIXED.size + 4 * k + (4 if expect_delta else 0)
     if size != expected:
         raise WireError(f"draft payload length {size}, expected {expected}")
-    off += _DRAFT_FIXED.size
+    off += DRAFT_FIXED.size
     if not expect_delta:
         return seq_no, _ids_struct(k).unpack_from(buf, off), None
     ids = _ids_struct(k + 1).unpack_from(buf, off)
@@ -269,12 +265,12 @@ def _verdict_frame(seq_no: int, accepted: int, section: bytes | None) -> bytes:
     ``protocol.pack_steering_entries``), or the accept-all verdict."""
     if section is None:
         return _ACCEPT_ALL_FRAME.pack(
-            MAGIC, VERSION, MSG_VERDICT, _VERDICT_FIXED.size, seq_no, accepted, 0
+            MAGIC, VERSION, MSG_VERDICT, VERDICT_FIXED.size, seq_no, accepted, 0
         )
     n, rest = divmod(len(section), STEERING_ENTRY_BYTES)
     if not n or rest:
         raise WireError("recovery verdict needs one or more whole steering entries")
-    payload_len = _VERDICT_FIXED.size + 2 + len(section)
+    payload_len = VERDICT_FIXED.size + 2 + len(section)
     return _RECOVERY_HEAD.pack(
         MAGIC, VERSION, MSG_VERDICT, payload_len, seq_no, accepted, 1, n
     ) + section
@@ -288,19 +284,19 @@ def _verdict_fields(buf: bytes, off: int) -> tuple[int, int, bytes | None]:
     """(seq_no, accepted count, packed entry section or None) of the
     verdict payload that starts at ``off`` in ``buf`` and runs to its end."""
     size = len(buf) - off
-    if size < _VERDICT_FIXED.size:
+    if size < VERDICT_FIXED.size:
         raise WireError("truncated verdict payload")
-    seq_no, accepted, flag = _VERDICT_FIXED.unpack_from(buf, off)
+    seq_no, accepted, flag = VERDICT_FIXED.unpack_from(buf, off)
     if flag == 0:
-        if size != _VERDICT_FIXED.size:
+        if size != VERDICT_FIXED.size:
             raise WireError("accept-all verdict carries extra bytes")
         return seq_no, accepted, None
     if flag != 1:
         raise WireError(f"unknown verdict flag {flag}")
-    if size < _VERDICT_FIXED.size + 2:
+    if size < VERDICT_FIXED.size + 2:
         raise WireError("truncated verdict payload")
-    (n,) = _U16.unpack_from(buf, off + _VERDICT_FIXED.size)
-    off += _VERDICT_FIXED.size + 2
+    (n,) = _U16.unpack_from(buf, off + VERDICT_FIXED.size)
+    off += VERDICT_FIXED.size + 2
     if len(buf) != off + STEERING_ENTRY_BYTES * n:
         raise WireError("verdict entry section length mismatch")
     return seq_no, accepted, buf[off:]
@@ -432,7 +428,7 @@ class SocketEndpoint:
         start, end = self._start, self._end
         buf = self._buf
         if need > len(buf):
-            buf = bytearray(min(max(need, 2 * len(buf)), _HEADER.size + MAX_PAYLOAD))
+            buf = bytearray(min(max(need, 2 * len(buf)), FRAME_HEADER.size + MAX_PAYLOAD))
         buf[: end - start] = self._buf[start:end]
         if buf is not self._buf:
             self._buf, self._view = buf, memoryview(buf)
@@ -444,9 +440,9 @@ class SocketEndpoint:
         try:
             while True:
                 start, end = self._start, self._end
-                size = _HEADER.size
+                size = FRAME_HEADER.size
                 if end - start >= size:
-                    magic, _, _, payload_len = _HEADER.unpack_from(self._buf, start)
+                    magic, _, _, payload_len = FRAME_HEADER.unpack_from(self._buf, start)
                     if magic != MAGIC:
                         raise WireError("bad frame magic on stream")
                     if payload_len > MAX_PAYLOAD:
@@ -567,9 +563,8 @@ def run_edge(
 ) -> tuple[list[int], EdgeStats]:
     """Drive a full session from the edge side of a channel."""
     start = edge_start(config, drafter, vocab, prompt_ids)
-    vhash = vocab_hash64(vocab)
-    hello = encode_hello(config, vhash, start[2])
-    return _edge_loop(config, start, vhash, hello, endpoint, frame_log)
+    hello = encode_hello(config, vocab.fingerprint, start[2])
+    return _edge_loop(config, start, vocab.fingerprint, hello, endpoint, frame_log)
 
 
 def _edge_loop(
@@ -612,19 +607,19 @@ def _edge_loop(
         return the round's trace and section from the checked verdict.  The
         edge never sees the alphas."""
         send(_draft_frame(seq, tokens, history[-1] if has_delta else None))
-        v_seq, accepted, section = _verdict_fields(recv(MSG_VERDICT), _HEADER.size)
+        v_seq, accepted, section = _verdict_fields(recv(MSG_VERDICT), FRAME_HEADER.size)
         check_verdict(config, seq, tokens, v_seq, accepted, section)
         return round_trace(seq, tokens, (), accepted, None, has_delta, section), section
 
     send(hello)
-    if decode_hello_ack(recv(MSG_HELLO)[_HEADER.size:]) != vhash:
+    if decode_hello_ack(recv(MSG_HELLO)[FRAME_HEADER.size:]) != vhash:
         raise HandshakeError("vocabulary hash mismatch in handshake ack")
     history, traces = drive(config, rec, drafter, history, make_streams(config.seed), exchange)
     last = traces[-1].recovery_token if traces else None
     send(encode_done(len(history), () if last is None else (last,)))
     # The cloud acknowledges with its mirror length, and refuses with a DONE
     # of length 0; a finished session is never empty.
-    final_len, _ = decode_done(recv(MSG_DONE)[_HEADER.size:])
+    final_len, _ = decode_done(recv(MSG_DONE)[FRAME_HEADER.size:])
     if final_len != len(history):
         raise HandshakeError("session refused by cloud")
     stats = EdgeStats(
@@ -646,7 +641,6 @@ class CloudSession:
         self.llm = llm
         self.slm_minus = slm_minus
         self.vocab = vocab
-        self.vhash = vocab_hash64(vocab)
         self.verifier: CloudVerifier | None = None
         # Set once the last frame of the session has been answered.
         self.finished = False
@@ -661,23 +655,23 @@ class CloudSession:
         msg_type = _frame_type(frame)
         verifier = self.verifier
         if msg_type == MSG_DRAFT and verifier is not None:
-            seq_no, tokens, delta = _draft_fields(frame, _HEADER.size, verifier.awaiting_delta)
-            accepted, payload = verifier.verify(seq_no, tokens, delta)
+            seq_no, ids, delta = _draft_fields(frame, FRAME_HEADER.size, verifier.awaiting_delta)
+            accepted, payload = verifier.verify(seq_no, ids, delta)
             return _verdict_frame(seq_no, accepted, payload)
         if self.finished:
             raise WireError("frame after the session ended")
         if verifier is None:
             if msg_type != MSG_HELLO:
                 raise WireError("expected handshake frame")
-            config, peer_hash, prompt = decode_hello(frame[_HEADER.size:])
-            if peer_hash != self.vhash:
+            config, peer_hash, prompt = decode_hello(frame[FRAME_HEADER.size:])
+            if peer_hash != self.vocab.fingerprint:
                 raise HandshakeError("vocabulary hash mismatch")
             # Checks the handshake's config and prompt before acknowledging it.
             self.verifier = CloudVerifier(config, self.llm, self.slm_minus, self.vocab, prompt)
-            return encode_hello_ack(self.vhash)
+            return encode_hello_ack(self.vocab.fingerprint)
         if msg_type != MSG_DONE:
             raise WireError(f"unexpected message type {msg_type} mid-session")
-        final_len, trailing = decode_done(frame[_HEADER.size:])
+        final_len, trailing = decode_done(frame[FRAME_HEADER.size:])
         verifier.finish(trailing)
         mirror = verifier.mirror
         if final_len != len(mirror):
@@ -878,11 +872,10 @@ def run_edge_socket(
     the prompt are checked, and the handshake encoded, before the
     connection is made."""
     start = edge_start(config, drafter, vocab, prompt_ids)
-    vhash = vocab_hash64(vocab)
-    hello = encode_hello(config, vhash, start[2])
+    hello = encode_hello(config, vocab.fingerprint, start[2])
     endpoint = SocketEndpoint(_connect(connect, timeout), timeout=timeout)
     try:
-        return _edge_loop(config, start, vhash, hello, endpoint, frame_log)
+        return _edge_loop(config, start, vocab.fingerprint, hello, endpoint, frame_log)
     finally:
         endpoint.close()
 

@@ -3,9 +3,10 @@ the cloud's packed binary32 entry section, in process and on the wire, so
 ``run_session``, the simulated channel and a socket commit the same ids
 and record the same rounds.  Pinned here: a near-tie that float64 and
 binary32 break differently, a beta whose steering values overflow
-binary32, the one trace record on both sides, prompt ids that are not
-token ids, which every backend refuses by the same rule before any frame
-is sent, and two properties over random table worlds."""
+binary32, the one trace record on both sides, bad session starts (a
+top_k past the vocabulary, prompts too long or holding ids that are not
+token ids), which every backend refuses by the one intake before any
+frame is sent, and two properties over random table worlds."""
 
 from __future__ import annotations
 
@@ -18,9 +19,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specsteer.core import ProtocolConfig, SequenceError, SpecSteerError
+from specsteer.core import LOOP_IDS, ConfigError, ProtocolConfig, SequenceError, SpecSteerError
 from specsteer.models import TableModel
-from specsteer.protocol import ProtocolStateError, run_session
+from specsteer.protocol import CloudVerifier, EdgeSession, ProtocolStateError, run_session
 from specsteer.transport import (
     DIR_DOWN,
     FrameLog,
@@ -103,28 +104,61 @@ def test_steering_overflow_ends_every_backend_in_the_same_error(tmp_path):
     assert FrameLog.read(path)[-1] == (DIR_DOWN, encode_done(0, ()))
 
 
-@pytest.mark.parametrize("bad", [1.5, 1.0, "3"])
-def test_non_integer_prompt_id_refused_alike_before_any_frame(bad):
-    # In process, over the simulated channel and over a TCP socket, by the
-    # edge's own prompt check: no frame is sent.
+# Bad starts over four_token_triple's vocabulary (ids 0-2, eos 3): the id
+# put at position n // 2 of an n-id prompt, the config's top_k, by how many
+# ids the prompt passes max_len, the error and its message.  The length cap
+# is checked before the ids, and top_k before the prompt.
+BAD_STARTS = {
+    "float": (1.5, 4, 0, SequenceError, "unknown token id 1.5 at position {pos}: not an integer"),
+    "integral_float": (1.0, 4, 0, SequenceError,
+                       "unknown token id 1.0 at position {pos}: not an integer"),
+    "str": ("3", 4, 0, SequenceError, "unknown token id '3' at position {pos}: not an integer"),
+    "negative": (-1, 4, 0, SequenceError,
+                 "unknown token id -1 at position {pos}: out of range [0, 4)"),
+    "out_of_range": (4, 4, 0, SequenceError,
+                     "unknown token id 4 at position {pos}: out of range [0, 4)"),
+    "eos_mid_prompt": (3, 4, 0, SequenceError, "token after eos at position {pos}"),
+    "past_max_len": (1.5, 4, 1, SequenceError, "sequence length {n} exceeds cap {cap}"),
+    "top_k_over_vocab": (3, 5, 0, ConfigError, "top_k 5 exceeds vocabulary size 4"),
+}
+
+
+@pytest.fixture(scope="module")
+def listener():
+    server = socket.create_server(("127.0.0.1", 0))
+    server.setblocking(False)
+    yield server
+    server.close()
+
+
+@pytest.mark.parametrize("n", [3, LOOP_IDS + 24], ids=["short", "long"])
+@pytest.mark.parametrize("case", BAD_STARTS)
+def test_every_start_refuses_alike(case, n, listener):
+    # The one intake, SessionRecord.start, refuses a bad start in process,
+    # in each message-form view, over the simulated channel and at a socket
+    # edge, which makes no connection: a listening cloud finds none waiting.
+    bad, top_k, over, error, message = BAD_STARTS[case]
     vocab, models = four_token_triple([0.25] * 4)
     llm, plus, minus = models
-    cfg = ProtocolConfig(top_k=4, max_len=6, seed=3)
-    prompt = [0, bad, 2]
-    for run in (run_session, run_simulated_session):
-        with pytest.raises(SequenceError, match="not an integer"):
-            run(cfg, *models, vocab, prompt)
-    # The socket edge checks the prompt before it connects: a listening
-    # cloud finds no connection waiting to be accepted.
-    server = socket.create_server(("127.0.0.1", 0))
-    try:
-        with pytest.raises(SequenceError, match="not an integer"):
-            run_edge_socket(cfg, server.getsockname(), plus, vocab, prompt, timeout=5)
-        server.setblocking(False)
-        with pytest.raises(BlockingIOError):
-            server.accept()
-    finally:
-        server.close()
+    pos, cap = n // 2, n - over
+    prompt = [i % 3 for i in range(n)]
+    prompt[pos] = bad
+    cfg = ProtocolConfig(top_k=top_k, max_len=cap, seed=5)
+    starts = {
+        "run_session": lambda: run_session(cfg, *models, vocab, prompt),
+        "EdgeSession": lambda: EdgeSession(cfg, plus, vocab, prompt),
+        "CloudVerifier": lambda: CloudVerifier(cfg, llm, minus, vocab, prompt),
+        "run_simulated_session": lambda: run_simulated_session(cfg, *models, vocab, prompt),
+        "run_edge_socket": lambda: run_edge_socket(
+            cfg, listener.getsockname(), plus, vocab, prompt, timeout=5),
+    }
+    want = message.format(pos=pos, n=n, cap=cap)
+    for name, start in starts.items():
+        with pytest.raises(SpecSteerError) as info:
+            start()
+        assert (name, type(info.value), str(info.value)) == (name, error, want)
+    with pytest.raises(BlockingIOError):
+        listener.accept()
 
 
 def test_edge_traces_equal_run_session_traces_but_for_alphas(world):

@@ -161,17 +161,19 @@ class TestCheckTokenIds:
     )
     def test_c_pass_decides_as_the_loop(self, ids, eos):
         # The loop is the reference: long and short, every input gets the
-        # same verdict and message whichever path decides it.
+        # same verdict and message whichever path decides it, as a list
+        # (which the C pass reads as it is) and as a tuple (which it copies).
         outcomes = []
         for loop_ids in (0, len(ids)):
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(core, "LOOP_IDS", loop_ids)
-                try:
-                    check_token_ids(ids, self.SIZE, SequenceError, eos=eos)
-                    outcomes.append(None)
-                except SequenceError as exc:
-                    outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
+            for seq in (ids, tuple(ids)):
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(core, "LOOP_IDS", loop_ids)
+                    try:
+                        check_token_ids(seq, self.SIZE, SequenceError, eos=eos)
+                        outcomes.append(None)
+                    except SequenceError as exc:
+                        outcomes.append(str(exc))
+        assert outcomes == outcomes[:1] * 4
 
 
 class TestProtocolConfig:

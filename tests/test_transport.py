@@ -1302,7 +1302,7 @@ def read_frames(sock) -> list[bytes]:
         data += chunk
     frames = []
     while data:
-        n = transport._HEADER.size + transport._HEADER.unpack_from(data)[3]
+        n = transport.FRAME_HEADER.size + transport.FRAME_HEADER.unpack_from(data)[3]
         frames.append(bytes(data[:n]))
         del data[:n]
     return frames
