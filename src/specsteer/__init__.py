@@ -52,7 +52,6 @@ from .transport import (
     run_simulated_session,
     scan_frame_log,
     serve_cloud_once,
-    vocab_hash64,
 )
 
 __version__ = "0.1.0"

@@ -67,21 +67,33 @@ class ConfigError(SpecSteerError):
 class Vocabulary:
     """Ordered token inventory shared by every model in a session.
     ``fingerprint``, computed once when the vocabulary is made, is a 64-bit
-    hash of its tokens and eos id, which a handshake carries."""
+    hash of its tokens and eos id, which a handshake carries.  Tokens that
+    are not unique strings encodable as UTF-8, or an eos id that is not an
+    integer in range, raise ``VocabError``."""
 
     tokens: tuple[str, ...]
     eos_id: int
 
     def __post_init__(self) -> None:
-        if len(self.tokens) == 0:
+        tokens = self.tokens
+        if len(tokens) == 0:
             raise VocabError("vocabulary must be nonempty")
-        if len(set(self.tokens)) != len(self.tokens):
+        if not all(isinstance(t, str) for t in tokens):
+            raise VocabError("tokens must be strings")
+        if len(set(tokens)) != len(tokens):
             raise VocabError("token strings must be unique")
-        if not 0 <= self.eos_id < len(self.tokens):
-            raise VocabError(f"eos_id {self.eos_id} out of range")
-        object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.tokens)})
-        digest = hashlib.sha256(b"\x00".join(t.encode("utf-8") for t in self.tokens))
-        digest.update(operator.index(self.eos_id).to_bytes(4, "little"))
+        try:
+            eos = operator.index(self.eos_id)
+        except TypeError:
+            raise VocabError(f"eos_id must be an integer, got {self.eos_id!r}") from None
+        if not 0 <= eos < len(tokens):
+            raise VocabError(f"eos_id {eos} out of range")
+        object.__setattr__(self, "_index", {t: i for i, t in enumerate(tokens)})
+        try:
+            digest = hashlib.sha256(b"\x00".join(t.encode("utf-8") for t in tokens))
+        except UnicodeEncodeError as exc:
+            raise VocabError(f"token {exc.object!r} is not valid UTF-8") from None
+        digest.update(eos.to_bytes(4, "little"))
         object.__setattr__(self, "fingerprint", int.from_bytes(digest.digest()[:8], "little"))
 
     @property

@@ -114,22 +114,14 @@ def apply_clock(
 
 
 def speedup(
-    traces: Sequence[RoundTrace],
-    latency: LatencyModel,
-    baseline: str = "llm_autoregressive",
-    channel: ChannelModel | None = None,
+    traces: Sequence[RoundTrace], latency: LatencyModel, channel: ChannelModel | None = None
 ) -> float:
-    """Baseline modeled time over protocol modeled time for the same output."""
+    """Modeled time of the llm decoding the same output autoregressively
+    over the protocol's modeled time."""
     out = emitted_tokens(traces)
     if out == 0:
         raise MetricsError("zero-length output")
-    if baseline == "llm_autoregressive":
-        per_token = latency.llm_token_ms
-    elif baseline == "slm_autoregressive":
-        per_token = latency.draft_token_ms
-    else:
-        raise MetricsError(f"unknown baseline {baseline!r}")
-    return out * per_token / session_time_ms(traces, latency, channel)
+    return out * latency.llm_token_ms / session_time_ms(traces, latency, channel)
 
 
 def expected_tokens_per_round(alpha: float, k: int) -> float:

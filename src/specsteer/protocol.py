@@ -3,8 +3,8 @@
 The edge side owns the private drafter and the recovery sampler; the
 cloud side owns the large prior and the generic baseline and issues
 verdicts.  The draft, scan and commit logic exists once, as the cores of a
-``SessionRecord``: the engines and vocabulary constants of one model set,
-memoized per model set and vocabulary.  The cores read their config
+``SessionRecord``: the vocabulary constants and recovery caches of one
+model set, memoized per model set and vocabulary.  The cores read their config
 constants from the ``ProtocolConfig`` they are passed, which was checked
 when it was made.  The edge's round loop exists once too, as ``drive``:
 draft, hand the draft to a verify step, commit, until the session ends.
@@ -299,7 +299,7 @@ def recover(
     greedy: bool = False,
 ) -> int:
     """Complete the steering sum with the private term and resample: the
-    float64 reference of what ``EdgeEngine.recover`` does with a section.
+    float64 reference of what ``SessionRecord.recover`` does with a section.
 
     Tokens outside the payload support are masked out entirely; the edge
     cannot reconstruct the tail of the cloud logits.
@@ -322,10 +322,10 @@ def recovery_law(
 
 
 # ---------------------------------------------------------------------------
-# Engines: per-model-set state that outlives a session
+# Session records and the cores
 # ---------------------------------------------------------------------------
 
-# Entries per engine of the cloud's steering-payload cache and of the edge's
+# Entries per record of the cloud's steering-payload cache and of the edge's
 # recovery cache; the least recently used entry goes first.  See CHANGES.md
 # for the hit rates and memory these bounds were chosen from.
 PAYLOAD_CACHE_SIZE = 512
@@ -338,21 +338,38 @@ def _beta_key(beta: float) -> float | tuple[float, float]:
     return beta if beta else (beta, math.copysign(1.0, beta))
 
 
-class CloudEngine:
-    """The cloud's long-lived half for one (llm, slm_minus) pair: the
-    steering-payload cache, shared by every session that verifies with
-    these two models.
+class SessionRecord:
+    """What every session of one model set and vocabulary shares, memoized
+    by ``session_record``: the vocabulary's eos id and size, ``wrap``, and
+    the two recovery caches, the cloud's steering payloads (``payload``)
+    and the edge's recovery states (``recover``).  A record holds no
+    config: a config is valid once made, and the draft, scan and commit
+    cores read their constants from the one they are passed.  A record
+    references no model either: the cores take the models as arguments.
+    Making a record checks that its models share the vocabulary.
 
-    A payload is a pure function of the two models' logits at the rejected
-    position, beta and top_k, so it is cached under (beta, top_k, the two
-    models' row keys there), packed: a hit returns the entry section packed
-    on the miss.
+    Every session starts with ``start``, which checks its config's
+    ``top_k`` and its prompt, and hands the cores its models through
+    ``rows``.  The cores score through the models' row layer (``key_of``
+    and ``*_at``), which checks no ids: every id they see was checked where
+    it entered or sampled by the edge itself.  They carry one row key per
+    model and extend it one token at a time.  ``wrap`` is decided once per
+    model set: whether some model's class lacks the layer, so that
+    ``rows`` gives ``model_rows`` of each model.
     """
 
-    __slots__ = ("_payloads", "__weakref__")
+    __slots__ = ("eos", "vsize", "wrap", "_payloads", "_states")
 
-    def __init__(self) -> None:
+    def __init__(self, vocab: Vocabulary, drafter=None, llm=None, slm_minus=None) -> None:
+        models = tuple(m for m in (llm, drafter, slm_minus) if m is not None)
+        for m in models:
+            if m.vocab.tokens != vocab.tokens or m.vocab.eos_id != vocab.eos_id:
+                raise ProtocolStateError("models do not share the session vocabulary")
+        self.eos = vocab.eos_id
+        self.vsize = vocab.size
+        self.wrap = not all(map(serves_rows, models))
         self._payloads: dict[tuple, bytes] = {}
+        self._states: dict[tuple, int | tuple] = {}
 
     def payload(
         self,
@@ -365,7 +382,12 @@ class CloudEngine:
         """The packed entry section of ``build_steering_payload(h_llm,
         h_minus, beta, top_k)`` for the logits at the row ``keys`` (the
         llm's and slm_minus's), from the cache when it holds it.  A value
-        that is not finite in binary32 raises ``ProtocolStateError``."""
+        that is not finite in binary32 raises ``ProtocolStateError``.
+
+        A payload is a pure function of the two models' logits at the
+        rejected position, beta and top_k, so it is cached under (beta,
+        top_k, the two row keys), packed: a hit returns the entry section
+        packed on the miss."""
         key = (_beta_key(beta), top_k, keys)
         cache = self._payloads
         section = cache.pop(key, None)
@@ -376,139 +398,34 @@ class CloudEngine:
         cache[key] = section
         return section
 
-
-class EdgeEngine:
-    """The edge's long-lived half for one drafter: the recovery cache,
-    shared by every session that drafts with it.
-
-    A recovery's state before its random draw (``_recovery_state``) is a
-    pure function of the entry section, beta, the decode mode and the
-    drafter's logits at the rejected position.  The checks of the section's
-    entries depend on nothing but its bytes, the vocabulary size and
-    ``top_k``, whose part ``check_verdict`` repeats on every verdict.
-    So the state is cached under (beta, greedy, the vocabulary size, the
-    section, the drafter's row key there): a cached state was checked when
-    it was cached, and a hit skips the decoding, the checks, the drafter
-    call and the sums.
-    """
-
-    __slots__ = ("_states", "__weakref__")
-
-    def __init__(self) -> None:
-        self._states: dict[tuple, int | tuple] = {}
-
     def recover(
-        self, section: bytes, key: tuple[int, ...], drafter, beta: float, rng, greedy: bool,
-        vocab_size: int, top_k: int,
+        self, section: bytes, key: tuple[int, ...], drafter, beta: float, rng, greedy: bool, top_k: int
     ) -> int:
         """The token recovered from the packed entry ``section`` with the
         logits of ``drafter``'s row layer (``model_rows``) at ``key``, from
         the cache when it holds the state.  Entries that fail
-        ``check_steering_payload`` raise ``ProtocolStateError``."""
-        ckey = (_beta_key(beta), greedy, vocab_size, section, key)
+        ``check_steering_payload`` raise ``ProtocolStateError``.
+
+        A recovery's state before its random draw (``_recovery_state``) is a
+        pure function of the entry section, beta, the decode mode and the
+        drafter's logits at the rejected position.  The checks of the
+        section's entries depend on nothing but its bytes, the record's
+        vocabulary size and ``top_k``, whose part ``check_verdict`` repeats
+        on every verdict.  So the state is cached under (beta, greedy, the
+        section, the drafter's row key): a cached state was checked when it
+        was cached, and a hit skips the decoding, the checks, the drafter
+        call and the sums."""
+        ckey = (_beta_key(beta), greedy, section, key)
         cache = self._states
         state = cache.pop(ckey, None)
         if state is None:
             ids, values = unpack_steering_entries(section)
-            check_steering_payload(ids, values, vocab_size, top_k)
+            check_steering_payload(ids, values, self.vsize, top_k)
             state = _recovery_state(ids, values, drafter.logits_at(key), beta, greedy)
             if len(cache) >= RECOVERY_CACHE_SIZE:
                 evict_oldest(cache)
         cache[ckey] = state
         return state if greedy else _draw_recovery(state, rng)
-
-
-# Engines and session records, by the ids of the objects they were made
-# for.  An entry is the engine or record followed by weak references to
-# those objects: nothing an entry holds references a model, a dead
-# object's entry is dropped, and a new object that reuses a dead one's id
-# does not match the old entry.
-_engines: dict[tuple, tuple] = {}
-
-
-def _forget(key: tuple, ref: weakref.ref) -> None:
-    entry = _engines.get(key)
-    if entry is not None and ref in entry:
-        del _engines[key]
-
-
-def _registered(key: tuple, objs: tuple, value):
-    """``value``, registered under ``key`` for as long as every object in
-    ``objs`` lives.  An object that takes no weak reference leaves the
-    value unregistered, so an engine's caches or a record last one session."""
-    try:
-        refs = tuple(weakref.ref(o, partial(_forget, key)) for o in objs)
-    except TypeError:
-        return value
-    _engines[key] = (value, *refs)
-    return value
-
-
-def _registry(key: tuple, objs: tuple, make, *args):
-    """What is registered under ``key`` for exactly the objects ``objs``;
-    on first use, ``make(*args)``, registered.  Indexing the entry costs
-    less than zipping a slice of it, and every session pays for a lookup."""
-    entry = _engines.get(key)
-    if entry is not None:
-        i = 0
-        for obj in objs:
-            i += 1
-            if entry[i]() is not obj:
-                break
-        else:
-            return entry[0]
-    return _registered(key, objs, make(*args))
-
-
-def edge_engine(drafter) -> EdgeEngine:
-    """The engine of ``drafter``, made on first use."""
-    return _registry(("edge", id(drafter)), (drafter,), EdgeEngine)
-
-
-def cloud_engine(llm, slm_minus) -> CloudEngine:
-    """The engine of the (llm, slm_minus) pair, made on first use."""
-    return _registry(("cloud", id(llm), id(slm_minus)), (llm, slm_minus), CloudEngine)
-
-
-# ---------------------------------------------------------------------------
-# Session records and the cores
-# ---------------------------------------------------------------------------
-
-
-class SessionRecord:
-    """What every session of one model set and vocabulary shares, memoized
-    in the registry: the vocabulary's eos id and size, the engines, and
-    ``wrap``.  A record holds no config: a config is valid once made, and
-    the draft, scan and commit cores read their constants from the one
-    they are passed.  A record references no model either: the cores take
-    the models as arguments.
-
-    ``edge`` is the drafter's engine, for a record that drafts and commits;
-    ``cloud`` the (llm, slm_minus) pair's, for one that scans.  Making a
-    record checks that its models share the vocabulary.
-
-    Every session starts with ``start``, which checks its config's
-    ``top_k`` and its prompt, and hands the cores its models through
-    ``rows``.  The cores score through the models' row layer (``key_of``
-    and ``*_at``), which checks no ids: every id they see was checked where
-    it entered or sampled by the edge itself.  They carry one row key per
-    model and extend it one token at a time.  ``wrap`` is decided once per
-    model set: whether some model's class lacks the layer, so that
-    ``rows`` gives ``model_rows`` of each model.
-    """
-
-    __slots__ = ("eos", "vsize", "edge", "cloud", "wrap")
-
-    def __init__(self, vocab: Vocabulary, drafter=None, llm=None, slm_minus=None) -> None:
-        models = tuple(m for m in (llm, drafter, slm_minus) if m is not None)
-        for m in models:
-            if m.vocab.tokens != vocab.tokens or m.vocab.eos_id != vocab.eos_id:
-                raise ProtocolStateError("models do not share the session vocabulary")
-        self.eos = vocab.eos_id
-        self.vsize = vocab.size
-        self.edge = edge_engine(drafter) if drafter is not None else None
-        self.cloud = cloud_engine(llm, slm_minus) if llm is not None else None
-        self.wrap = not all(map(serves_rows, models))
 
     def start(self, config: ProtocolConfig, prompt_ids: Sequence[int]) -> list[int]:
         """A new session's history: the one intake of every session, in
@@ -604,9 +521,7 @@ class SessionRecord:
             ok = alpha >= 1.0 if greedy else draw() <= alpha
             if not ok:
                 accepted = t - 1
-                section = self.cloud.payload(
-                    h_llm, h_minus, config.beta, config.top_k, (lkey, mkey)
-                )
+                section = self.payload(h_llm, h_minus, config.beta, config.top_k, (lkey, mkey))
                 break
             # No keys past the last position scanned: every token was
             # accepted, and accepted is still their count.
@@ -637,9 +552,9 @@ class SessionRecord:
             return None
         # The history is now exactly the history at the rejected position,
         # so the private term is scored lazily here, if at all.
-        tok = self.edge.recover(
+        tok = self.recover(
             section, drafter.key_of(history), drafter, config.beta, rng,
-            config.decode_mode == "greedy", self.vsize, config.top_k,
+            config.decode_mode == "greedy", config.top_k,
         )
         history.append(tok)
         return tok
@@ -672,6 +587,45 @@ class SessionRecord:
             )
 
 
+# Session records, by the ids of the vocabulary and the models they were
+# made for.  An entry is the record followed by a weak reference to each of
+# those objects, or ``_ABSENT`` for a model not given: nothing an entry
+# holds references a model, a dead object's entry is dropped, and a new
+# object that reuses a dead one's id does not match the old entry.
+_records: dict[tuple, tuple] = {}
+# Called like a reference, it gives None: the model not given.
+_ABSENT = type(None)
+
+
+def _forget(key: tuple, ref: weakref.ref) -> None:
+    entry = _records.get(key)
+    if entry is not None and ref in entry:
+        del _records[key]
+
+
+def session_record(vocab: Vocabulary, drafter=None, llm=None, slm_minus=None) -> SessionRecord:
+    """The record of ``vocab`` and the models given, made on first use: an
+    edge's names its drafter, a cloud's its (llm, slm_minus) pair, and
+    ``run_session``'s all three.  An object that takes no weak reference
+    leaves the record unregistered, so its caches last one session."""
+    key = (id(vocab), id(drafter), id(llm), id(slm_minus))
+    entry = _records.get(key)
+    # Every session pays for a lookup: four calls and tests cost less than
+    # zipping the references with the objects.
+    if entry is not None and entry[1]() is vocab and entry[2]() is drafter:
+        if entry[3]() is llm and entry[4]() is slm_minus:
+            return entry[0]
+    rec = SessionRecord(vocab, drafter, llm, slm_minus)
+    forget = partial(_forget, key)
+    try:
+        refs = [_ABSENT if o is None else weakref.ref(o, forget)
+                for o in (vocab, drafter, llm, slm_minus)]
+    except TypeError:
+        return rec
+    _records[key] = (rec, *refs)
+    return rec
+
+
 # ---------------------------------------------------------------------------
 # Edge
 # ---------------------------------------------------------------------------
@@ -684,9 +638,7 @@ def edge_start(
     vocabulary checked once per drafter and vocabulary), the drafter as the
     cores score it (``SessionRecord.rows``), and the history that
     ``SessionRecord.start`` made of the prompt."""
-    rec = _registry(
-        ("edge-record", id(drafter), id(vocab)), (drafter, vocab), SessionRecord, vocab, drafter
-    )
+    rec = session_record(vocab, drafter)
     history = rec.start(config, prompt_ids)
     return rec, rec.rows(drafter)[0], history
 
@@ -808,10 +760,7 @@ class CloudVerifier:
         streams: RngStreams | None = None,
         zt_fn: Callable[[Sequence[int]], float] | None = None,
     ) -> None:
-        rec = self._rec = _registry(
-            ("cloud-record", id(llm), id(slm_minus), id(vocab)), (llm, slm_minus, vocab),
-            SessionRecord, vocab, None, llm, slm_minus,
-        )
+        rec = self._rec = session_record(vocab, llm=llm, slm_minus=slm_minus)
         self.mirror = rec.start(config, prompt_ids)
         if config.exact_z and zt_fn is None:
             raise ProtocolStateError("exact-Z verification needs a partition callback")
@@ -967,10 +916,7 @@ def run_session(
     final repair that the DONE message carries on the wire has nothing to
     do here.
     """
-    rec = _registry(
-        ("session", id(llm), id(slm_plus), id(slm_minus), id(vocab)),
-        (llm, slm_plus, slm_minus, vocab), SessionRecord, vocab, slm_plus, llm, slm_minus,
-    )
+    rec = session_record(vocab, slm_plus, llm, slm_minus)
     history = rec.start(config, prompt_ids)
     rngs = streams if streams is not None else make_streams(config.seed)
     zt_fn = exact_partition_fn(llm, slm_plus, slm_minus) if config.exact_z else None

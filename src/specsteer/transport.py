@@ -117,12 +117,6 @@ class ChannelTimeoutError(WireError, TimeoutError):
 # ---------------------------------------------------------------------------
 
 
-def vocab_hash64(vocab: Vocabulary) -> int:
-    """Handshake fingerprint of the vocabulary: ``Vocabulary.fingerprint``,
-    computed once, when the vocabulary was made."""
-    return vocab.fingerprint
-
-
 @functools.lru_cache(maxsize=256)
 def _ids_struct(n: int) -> struct.Struct:
     """n u32 token ids."""
@@ -171,6 +165,11 @@ def decode_frame(frame: bytes) -> tuple[int, bytes]:
 
 
 def encode_hello(config: ProtocolConfig, vhash: int, prompt_ids: Sequence[int]) -> bytes:
+    """The HELLO that opens a session.  It has no field for ``exact_z``, so
+    a config that sets it raises ``ConfigError``: a cloud would verify with
+    lambda instead."""
+    if config.exact_z:
+        raise ConfigError("exact-Z verification runs in process only")
     if len(prompt_ids) > 0xFFFF:
         raise WireError("prompt too long for handshake frame")
     payload = _HELLO.pack(

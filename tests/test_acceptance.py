@@ -53,7 +53,6 @@ from specsteer.transport import (
     run_simulated_session,
     scan_frame_log,
     serve_cloud_once,
-    vocab_hash64,
 )
 
 from conftest import ACCEPTANCE_RESULTS, random_table_triple

@@ -6,7 +6,8 @@ binary32 break differently, a beta whose steering values overflow
 binary32, the one trace record on both sides, bad session starts (a
 top_k past the vocabulary, prompts too long or holding ids that are not
 token ids), which every backend refuses by the one intake before any
-frame is sent, and two properties over random table worlds."""
+frame is sent, an exact-Z config, which a HELLO cannot carry and both wire
+backends refuse, and two properties over random table worlds."""
 
 from __future__ import annotations
 
@@ -157,6 +158,26 @@ def test_every_start_refuses_alike(case, n, listener):
         with pytest.raises(SpecSteerError) as info:
             start()
         assert (name, type(info.value), str(info.value)) == (name, error, want)
+    with pytest.raises(BlockingIOError):
+        listener.accept()
+
+
+def test_wire_backends_refuse_exact_z_before_any_frame(listener, tmp_path):
+    # A HELLO cannot carry exact_z, so a cloud would verify with lambda and
+    # commit other ids than run_session: both wire backends refuse the
+    # config before a frame is sent, the socket edge before it connects.
+    vocab, models = four_token_triple([0.25] * 4)
+    cfg = ProtocolConfig(top_k=2, max_len=8, seed=5, exact_z=True)
+    assert run_session(cfg, *models, vocab, [0])[0]
+    edge_path, cloud_path = str(tmp_path / "edge.log"), str(tmp_path / "cloud.log")
+    message = "exact-Z verification runs in process only"
+    with FrameLog(edge_path) as edge_log, FrameLog(cloud_path) as cloud_log:
+        with pytest.raises(ConfigError, match=message):
+            run_simulated_session(cfg, *models, vocab, [0], edge_log, cloud_log)
+        with pytest.raises(ConfigError, match=message):
+            run_edge_socket(cfg, listener.getsockname(), models[1], vocab, [0],
+                            frame_log=edge_log, timeout=5)
+    assert FrameLog.read(edge_path) == FrameLog.read(cloud_path) == []
     with pytest.raises(BlockingIOError):
         listener.accept()
 

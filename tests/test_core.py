@@ -73,6 +73,23 @@ class TestVocabulary:
         with pytest.raises(VocabError):
             Vocabulary(tokens=("a",), eos_id=3)
 
+    @pytest.mark.parametrize("tokens, eos_id, message", [
+        ((1, 2), 1, "tokens must be strings"),
+        (("a", b"b"), 0, "tokens must be strings"),
+        (("a", "b"), 1.0, "eos_id must be an integer, got 1.0"),
+        (("a", "b"), None, "eos_id must be an integer, got None"),
+        (("a", "\ud800"), 0, "token '\\ud800' is not valid UTF-8"),
+    ], ids=["int_tokens", "bytes_token", "float_eos", "none_eos", "lone_surrogate"])
+    def test_malformed_fields_raise_vocab_error(self, tokens, eos_id, message):
+        with pytest.raises(VocabError) as info:
+            Vocabulary(tokens=tokens, eos_id=eos_id)
+        assert str(info.value) == message
+
+    def test_integral_eos_id_of_any_kind(self):
+        want = Vocabulary(tokens=("a", "b"), eos_id=1).fingerprint
+        for eos_id in (np.int64(1), True):
+            assert Vocabulary(tokens=("a", "b"), eos_id=eos_id).fingerprint == want
+
 
 class TestSequenceValidation:
     def test_ok(self):

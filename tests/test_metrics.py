@@ -100,10 +100,6 @@ class TestSpeedup:
         fast = [trace([1, 2, 3, 4], 4)] * 5
         assert speedup(fast, m) > speedup(slow, m)
 
-    def test_unknown_baseline(self):
-        with pytest.raises(MetricsError):
-            speedup([trace([1], 1)], LatencyModel(), baseline="gpu")
-
     def test_zero_output_errors(self):
         with pytest.raises(MetricsError):
             speedup([trace([1], 0)], LatencyModel())

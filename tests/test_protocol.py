@@ -34,7 +34,7 @@ from specsteer.protocol import (
     run_session,
     verdict_frame_bytes,
 )
-from specsteer.transport import decode_frame, decode_hello, encode_hello, vocab_hash64
+from specsteer.transport import decode_frame, decode_hello, encode_hello
 
 from conftest import make_vocab, random_table_triple
 
@@ -207,7 +207,7 @@ class TestCloudIngest:
         # Out of range, a token after eos (eos is id 2), and longer than max_len.
         vocab = make_vocab(3)
         cfg = ProtocolConfig(top_k=3, max_len=16)
-        _, payload = decode_frame(encode_hello(cfg, vocab_hash64(vocab), prompt))
+        _, payload = decode_frame(encode_hello(cfg, vocab.fingerprint, prompt))
         hcfg, _, hprompt = decode_hello(payload)
         with pytest.raises(SequenceError):
             CloudVerifier(hcfg, single_row_model(vocab, [0.1, 0.7, 0.2]),

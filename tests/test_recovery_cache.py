@@ -1,16 +1,16 @@
 """Per-window recovery caches: the cloud's steering-payload cache and the
-edge's recovery cache, both held by engines that outlive a session; and
-the one session record per model set that sessions look up next to the
-engines.
+edge's recovery cache, both held by the session record of a model set,
+which outlives a session.
 
 A cached payload and a cached recovery must equal what an uncached
 computation gives, bit for bit, so these tests pin both against a
 reference kept here: the payload build, packed entry by entry as binary32,
 and the recovery pick, written out as they were before any cache
-existed.  They also pin that engines of
-different model sets never share entries, that every cache keeps to its
-bound, and that the engine lookup neither keeps a dropped model alive nor
-mistakes a new model for a dead one whose id it reuses.
+existed.  They also pin that records of different model sets never share
+entries, that every cache keeps to its bound, that each kind of session
+start holds a record of its own, and that the record lookup neither keeps
+a dropped model alive nor mistakes a new model for a dead one whose id it
+reuses.
 """
 
 from __future__ import annotations
@@ -32,25 +32,27 @@ from specsteer import models, protocol
 from specsteer.core import ROLE_RECOVERY, ConfigError, ProtocolConfig, UniformStream
 from specsteer.models import TableModel, model_rows
 from specsteer.protocol import (
-    CloudEngine,
     CloudVerifier,
-    EdgeEngine,
     EdgeSession,
     ProtocolStateError,
     SessionRecord,
     SparseSteeringPayload,
     Verdict,
     build_steering_payload,
-    cloud_engine,
-    edge_engine,
     exact_partition_fn,
     pack_steering_entries,
     recover,
     run_session,
+    session_record,
     unpack_steering_entries,
 )
 from specsteer.toydata import toy_world
-from specsteer.transport import decode_frame, decode_verdict, encode_verdict
+from specsteer.transport import (
+    decode_frame,
+    decode_verdict,
+    encode_verdict,
+    run_simulated_session,
+)
 
 from conftest import make_vocab
 
@@ -131,7 +133,7 @@ def test_cached_payload_equals_direct_build(data):
         st.tuples(st.lists(st.integers(0, min(v - 1, 2)), max_size=3), st.sampled_from(BETAS)),
         min_size=1, max_size=40,
     ), label="calls")
-    engine = CloudEngine()
+    rec = SessionRecord(make_vocab(v))
     # The row keys a scan carries: each model's own tail of the history.
     rows = model_rows(llm), model_rows(minus)
     with mock.patch.object(protocol, "PAYLOAD_CACHE_SIZE", BOUND):
@@ -139,13 +141,13 @@ def test_cached_payload_equals_direct_build(data):
             h_llm = llm.next_token_logits(history)
             h_minus = minus.next_token_logits(history)
             keys = tuple(r.key_of(history) for r in rows)
-            got = engine.payload(h_llm, h_minus, beta, top_k, keys)
+            got = rec.payload(h_llm, h_minus, beta, top_k, keys)
             want = reference_entries(h_llm, h_minus, beta, top_k)
             # The section is the float64 reference's entries in binary32,
             # bit for bit.
             assert got == packed(want)
             assert bits(build_steering_payload(h_llm, h_minus, beta, top_k).entries) == bits(want)
-            assert len(engine._payloads) <= BOUND
+            assert len(rec._payloads) <= BOUND
 
 
 entries_strategy = st.integers(1, 9).flatmap(
@@ -177,7 +179,7 @@ def test_cached_recovery_equals_direct_recover(data):
     ), label="calls")
     seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
     cached, direct, ref = (UniformStream(seed, ROLE_RECOVERY) for _ in range(3))
-    engine = EdgeEngine()
+    rec = SessionRecord(make_vocab(12))
     rows = model_rows(drafter)
     with mock.patch.object(protocol, "RECOVERY_CACHE_SIZE", BOUND):
         for p, history, beta, greedy in calls:
@@ -186,9 +188,9 @@ def test_cached_recovery_equals_direct_recover(data):
             want = reference_recover(payload.entries, h_plus, beta, ref, greedy)
             assert recover(payload, h_plus, beta, direct, greedy) == want
             key = rows.key_of(history)
-            got = engine.recover(sections[p], key, rows, beta, cached, greedy, 12, 12)
+            got = rec.recover(sections[p], key, rows, beta, cached, greedy, 12)
             assert got == want
-            assert len(engine._states) <= BOUND
+            assert len(rec._states) <= BOUND
     # Every stream made the same draws.
     assert cached.random() == direct.random() == ref.random()
 
@@ -197,9 +199,9 @@ def test_zero_beta_keeps_its_sign():
     # 0.0 == -0.0, but with a -0.0 logit the two betas give steering values
     # that differ in the sign of a zero, and so would their frames.
     h_llm, h_minus = np.array([-0.0, -1.0]), np.array([-1.0, -2.0])
-    engine = CloudEngine()
+    rec = SessionRecord(make_vocab(2))
     for beta in (0.0, -0.0, 0.0):
-        got = engine.payload(h_llm, h_minus, beta, 2, ((), ()))
+        got = rec.payload(h_llm, h_minus, beta, 2, ((), ()))
         assert got == packed(reference_entries(h_llm, h_minus, beta, 2))
     assert packed(reference_entries(h_llm, h_minus, 0.0, 2)) != packed(
         reference_entries(h_llm, h_minus, -0.0, 2))
@@ -207,24 +209,27 @@ def test_zero_beta_keeps_its_sign():
 
 def test_wire_payloads_that_differ_anywhere_do_not_share_a_state():
     drafter = model_rows(TailModel(3, 0, 7))
-    engine = EdgeEngine()
+    rec = SessionRecord(make_vocab(3))
     rest = ((1, 0.0), (2, -0.5))
     for first, want in ((1.0, 0), (-1.0, 1), (1.0, 0)):
         section = wire_section(((0, first),) + rest)
-        assert engine.recover(section, (), drafter, 0.0, None, True, 3, 3) == want
+        assert rec.recover(section, (), drafter, 0.0, None, True, 3) == want
 
 
 def test_cached_wire_bytes_are_checked_again_for_another_vocabulary():
     # Ids 0-4 are in range at V=5, id 4 is not at V=4: the state cached for
-    # the same bytes at V=5 must not serve the V=4 recovery.  (The entry
+    # the same bytes at V=5 must not serve the V=4 recovery.  A record has
+    # one vocabulary, so the two recover through two records.  (The entry
     # count is check_verdict's to check, on every verdict.)
     drafter = model_rows(TailModel(5, 0, 8))
-    engine = EdgeEngine()
+    v5, v4 = make_vocab(5), make_vocab(4)
+    five, four = session_record(v5), session_record(v4)
+    assert five is not four and session_record(v5) is five
     section = packed(((4, 1.0), (0, 0.5)))
-    assert engine.recover(section, (), drafter, 0.0, None, True, 5, 2) == 4
+    assert five.recover(section, (), drafter, 0.0, None, True, 2) == 4
     with pytest.raises(ProtocolStateError, match="out of range"):
-        engine.recover(section, (), drafter, 0.0, None, True, 4, 2)
-    assert len(engine._states) == 1
+        four.recover(section, (), drafter, 0.0, None, True, 2)
+    assert (len(five._states), len(four._states)) == (1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +268,14 @@ def configs(rng, n, v):
     return out
 
 
+def run_record(llm, plus, minus, vocab) -> SessionRecord:
+    """``run_session``'s record of a model set and vocabulary, as
+    registered."""
+    return protocol._records[(id(vocab), id(plus), id(llm), id(minus))][0]
+
+
 def cold(cfg, models, vocab, prompt):
-    protocol._engines.clear()
+    protocol._records.clear()
     return run_session(cfg, *models, vocab, prompt)
 
 
@@ -283,11 +294,11 @@ def test_interleaved_table_triples_match_cold_caches():
     # Each config runs on every set, back to back, and again later, so warm
     # entries of one set are there for the other to (wrongly) find.
     order = [(cfg, models) for cfg in cfgs + cfgs for models in sets]
-    protocol._engines.clear()
+    protocol._records.clear()
     warm = [run_session(cfg, *models, vocab, [0]) for cfg, models in order]
     # The warm runs did reuse entries: far fewer were made than recoveries.
     recoveries = sum(t.recovery_token is not None for _, traces in warm for t in traces)
-    made = sum(len(cloud_engine(m[0], m[2])._payloads) for m in sets)
+    made = sum(len(run_record(*m, vocab)._payloads) for m in sets)
     assert 0 < made < recoveries / 4
     assert warm == [cold(cfg, models, vocab, [0]) for cfg, models in order]
 
@@ -323,13 +334,13 @@ def test_every_cache_keeps_to_its_bound(world):
     with mock.patch.object(protocol, "PAYLOAD_CACHE_SIZE", 4), \
             mock.patch.object(protocol, "RECOVERY_CACHE_SIZE", 5), \
             mock.patch.object(models, "ROW_CACHE_SIZE", 6):
-        edge, cloud = edge_engine(w.slm_plus), cloud_engine(w.llm, w.slm_minus)
+        rec = session_record(w.vocab, w.slm_plus, w.llm, w.slm_minus)
         for cfg, out in zip(cfgs, want):
             assert run_session(cfg, *triple, w.vocab, prompt) == out
-            assert len(cloud._payloads) <= 4
-            assert len(edge._states) <= 5
+            assert len(rec._payloads) <= 4
+            assert len(rec._states) <= 5
             assert all(len(m._rows) <= 6 for m in triple)
-    assert len(cloud._payloads) == 4 and len(edge._states) == 5
+    assert len(rec._payloads) == 4 and len(rec._states) == 5
 
 
 def test_logit_only_model_keeps_no_probability_rows():
@@ -345,7 +356,7 @@ def test_logit_only_model_keeps_no_probability_rows():
 
 
 # ---------------------------------------------------------------------------
-# (d) Engine lookup
+# (d) Record lookup
 # ---------------------------------------------------------------------------
 
 
@@ -360,15 +371,20 @@ def test_lookup_keeps_no_dropped_model_alive():
         run_session(cfg, *triple, vocab, [0])
         EdgeSession(cfg, triple[1], vocab, [0])
         CloudVerifier(cfg, triple[0], triple[2], vocab, [0], zt_fn=exact_partition_fn(*triple))
-    # One record each for run_session and the two views, beside the engines.
-    assert {key[0] for key in protocol._engines} == {
-        "session", "edge-record", "cloud-record", "edge", "cloud"}
+    # One record each for run_session and the two views, under the one key
+    # shape (vocabulary, drafter, llm, slm_minus).
+    llm, plus, minus = map(id, triple)
+    ids = {llm, plus, minus}
+    none = id(None)
+    assert all(len(key) == 4 for key in protocol._records)
+    assert {key for key in protocol._records if ids & set(key)} == {
+        (id(vocab), plus, llm, minus), (id(vocab), plus, none, none),
+        (id(vocab), none, llm, minus)}
     refs = [weakref.ref(m) for m in triple]
-    ids = {id(m) for m in triple}
     del triple
     gc.collect()
     assert all(r() is None for r in refs)
-    assert not any(ids & set(key[1:]) for key in protocol._engines)
+    assert not any(ids & set(key) for key in protocol._records)
 
 
 def test_lookup_is_not_fooled_by_a_reused_id():
@@ -377,11 +393,12 @@ def test_lookup_is_not_fooled_by_a_reused_id():
     llm, plus, minus = window_triple(rng, vocab)
     other = window_triple(rng, vocab)[0]
     # Entries as a model that has died would leave them if its id came back:
-    # one naming a different live object, one whose reference is dead.
-    stale = EdgeEngine()
-    protocol._engines[("edge", id(plus))] = (stale, weakref.ref(other))
-    assert edge_engine(plus) is not stale
-    assert edge_engine(plus) is edge_engine(plus)
+    # one naming a different live object, one whose references are dead.
+    stale = SessionRecord(vocab)
+    protocol._records[(id(vocab), id(plus), id(None), id(None))] = (
+        stale, weakref.ref(vocab), weakref.ref(other), protocol._ABSENT, protocol._ABSENT)
+    assert session_record(vocab, plus) is not stale
+    assert session_record(vocab, plus) is session_record(vocab, plus)
 
     class Gone:
         pass
@@ -390,33 +407,54 @@ def test_lookup_is_not_fooled_by_a_reused_id():
     dead = weakref.ref(gone)
     del gone
     gc.collect()
-    stale_cloud = CloudEngine()
-    protocol._engines[("cloud", id(llm), id(minus))] = (stale_cloud, dead, dead)
-    assert cloud_engine(llm, minus) is not stale_cloud
+    stale_cloud = SessionRecord(vocab)
+    protocol._records[(id(vocab), id(None), id(llm), id(minus))] = (
+        stale_cloud, weakref.ref(vocab), protocol._ABSENT, dead, dead)
+    assert session_record(vocab, llm=llm, slm_minus=minus) is not stale_cloud
 
 
-def test_unregistrable_model_gets_a_fresh_engine():
+def test_unregistrable_model_gets_a_one_session_record():
     class Slotted:
-        __slots__ = ("window",)
+        __slots__ = ("vocab", "window")
 
-        def __init__(self) -> None:
+        def __init__(self, vocab) -> None:
+            self.vocab = vocab
             self.window = 1
 
-    m = Slotted()
+    vocab = make_vocab(3)
+    m = Slotted(vocab)
     with pytest.raises(TypeError):
         weakref.ref(m)
-    assert edge_engine(m) is not edge_engine(m)
+    assert session_record(vocab, m) is not session_record(vocab, m)
+    assert not any(id(m) in key for key in protocol._records)
+
+
+def test_each_session_start_holds_a_record_of_its_own():
+    rng = np.random.default_rng(79)
+    vocab = make_vocab(5)
+    llm, plus, minus = triple = window_triple(rng, vocab)
+    cfg = ProtocolConfig(max_len=12, top_k=3)
+    run_session(cfg, *triple, vocab, [0])
+    edge = EdgeSession(cfg, plus, vocab, [0])
+    cloud = CloudVerifier(cfg, llm, minus, vocab, [0])
+    recs = (run_record(*triple, vocab), edge._rec, cloud._rec)
+    assert len(set(map(id, recs))) == 3
+    assert edge._rec is session_record(vocab, plus) is EdgeSession(cfg, plus, vocab, [0])._rec
+    assert cloud._rec is session_record(vocab, llm=llm, slm_minus=minus)
+    # So a wire session's edge and cloud, which may run in two threads,
+    # never share a record: the edge's fills only the recovery cache, the
+    # cloud's only the payload cache, and run_session's is left alone.
+    before = dict(recs[0]._payloads), dict(recs[0]._states)
+    for seed in range(10):
+        run_simulated_session(replace(cfg, seed=seed), *triple, vocab, [0])
+    assert edge._rec._states and not edge._rec._payloads
+    assert cloud._rec._payloads and not cloud._rec._states
+    assert (recs[0]._payloads, recs[0]._states) == before
 
 
 # ---------------------------------------------------------------------------
 # (e) One session record per model set
 # ---------------------------------------------------------------------------
-
-
-def session_record(llm, plus, minus, vocab) -> SessionRecord:
-    """``run_session``'s record of a model set and vocabulary."""
-    entry = protocol._engines[("session", id(llm), id(plus), id(minus), id(vocab))]
-    return entry[0]
 
 
 def test_configs_that_differ_in_seed_share_a_record():
@@ -425,15 +463,15 @@ def test_configs_that_differ_in_seed_share_a_record():
     triple = window_triple(rng, vocab)
     cfg = ProtocolConfig(max_len=12, top_k=3)
     run_session(cfg, *triple, vocab, [0])
-    rec = session_record(*triple, vocab)
+    rec = run_record(*triple, vocab)
     for seed in (1, 2**64 - 1):
         run_session(replace(cfg, seed=seed), *triple, vocab, [0])
-    assert session_record(*triple, vocab) is rec
-    # The record holds the vocabulary's constants and the engines, no
-    # config field.
-    assert SessionRecord.__slots__ == ("eos", "vsize", "edge", "cloud", "wrap")
+    assert run_record(*triple, vocab) is rec
+    # The record holds the vocabulary's constants, wrap and the two caches,
+    # no config field.
+    assert SessionRecord.__slots__ == ("eos", "vsize", "wrap", "_payloads", "_states")
     assert (rec.eos, rec.vsize) == (vocab.eos_id, vocab.size)
-    assert rec.edge is edge_engine(triple[1]) and rec.cloud is cloud_engine(triple[0], triple[2])
+    assert session_record(vocab, triple[1], triple[0], triple[2]) is rec
 
 
 # Each config field but the seed, with a second value.
@@ -454,7 +492,7 @@ def test_every_config_field_runs_warm_as_cold():
     # And many configs in turn, twice over, through one record.
     cfgs += [replace(base, lam=0.1 * (i + 1), seed=i) for i in range(10)] * 2
     want = [cold(cfg, triple, vocab, [0]) for cfg in cfgs]
-    protocol._engines.clear()
+    protocol._records.clear()
     assert [run_session(cfg, *triple, vocab, [0]) for cfg in cfgs] == want
     assert [run_session(cfg, *triple, vocab, [0]) for cfg in reversed(cfgs)] == want[::-1]
 
@@ -470,7 +508,7 @@ def test_invalid_config_or_seed_raises_on_every_call(bad):
     # raises where the config is replaced; a top_k above the vocabulary's
     # size, on every session made with it.
     run_session(good, *triple, vocab, [0])
-    rec = session_record(*triple, vocab)
+    rec = run_record(*triple, vocab)
     for _ in range(3):
         with pytest.raises(ConfigError):
             run_session(replace(good, **bad), *triple, vocab, [0])
@@ -478,4 +516,4 @@ def test_invalid_config_or_seed_raises_on_every_call(bad):
             EdgeSession(replace(good, **bad), triple[1], vocab, [0])
         with pytest.raises(ConfigError):
             CloudVerifier(replace(good, **bad), triple[0], triple[2], vocab, [0])
-    assert session_record(*triple, vocab) is rec
+    assert run_record(*triple, vocab) is rec

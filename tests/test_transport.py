@@ -65,7 +65,6 @@ from specsteer.transport import (
     scan_frame_log,
     serve_cloud_once,
     SocketEndpoint,
-    vocab_hash64,
 )
 
 from conftest import make_vocab, random_table_triple
@@ -293,15 +292,15 @@ class TestCodecErrors:
 class TestVocabHash:
     def test_deterministic(self):
         v = make_vocab(9)
-        assert vocab_hash64(v) == vocab_hash64(make_vocab(9))
+        assert v.fingerprint == make_vocab(9).fingerprint
 
     def test_sensitive_to_tokens(self):
-        assert vocab_hash64(make_vocab(9)) != vocab_hash64(make_vocab(10))
+        assert make_vocab(9).fingerprint != make_vocab(10).fingerprint
 
     def test_sensitive_to_eos(self):
         a = Vocabulary(tokens=("x", "</s>"), eos_id=1)
         b = Vocabulary(tokens=("x", "</s>"), eos_id=0)
-        assert vocab_hash64(a) != vocab_hash64(b)
+        assert a.fingerprint != b.fingerprint
 
 
 class TestChannel:
@@ -398,7 +397,7 @@ class TestHandshake:
             (DIR_DOWN, encode_done(0, ()))
         ]
         # Served over a channel, the refusal is sent and the error raised.
-        hello = encode_hello(cfg, vocab_hash64(vocab_a), [0])
+        hello = encode_hello(cfg, vocab_a.fingerprint, [0])
         error, down = serve_uplink([hello], llm_b, minus_b, vocab_b, str(tmp_path / "sock.bin"))
         assert isinstance(error, HandshakeError) and str(error) == "vocabulary hash mismatch"
         assert down == [encode_done(0, ())]
@@ -409,7 +408,7 @@ class TestHandshake:
         rng = np.random.default_rng(34)
         vocab, (llm, _, minus) = random_table_triple(rng, 6)
         cfg = ProtocolConfig(max_len=8, top_k=6)
-        hello = encode_hello(cfg, vocab_hash64(vocab), prompt)
+        hello = encode_hello(cfg, vocab.fingerprint, prompt)
         path = str(tmp_path / "cloud.bin")
         error, down = serve_uplink([hello], llm, minus, vocab, path)
         assert isinstance(error, SequenceError)
@@ -435,7 +434,7 @@ class TestHandshake:
         # The handshake decoder builds the config, which checks its fields.
         rng = np.random.default_rng(35)
         vocab, (llm, _, minus) = random_table_triple(rng, 6)
-        hello = raw_hello(ProtocolConfig(max_len=8, top_k=6), vocab_hash64(vocab), [0],
+        hello = raw_hello(ProtocolConfig(max_len=8, top_k=6), vocab.fingerprint, [0],
                           **{field: value})
         with pytest.raises(ConfigError, match=match):
             CloudSession(llm, minus, vocab).handle(hello)
@@ -479,9 +478,9 @@ class TestFrameLogs:
         path = str(tmp_path / "ack.bin")
         vocab = make_vocab(8)
         with FrameLog(path) as fl:
-            fl.write(DIR_UP, encode_hello(ProtocolConfig(top_k=8), vocab_hash64(vocab), [0]))
-            fl.write(DIR_DOWN, encode_hello_ack(vocab_hash64(vocab)))
-            fl.write(DIR_UP, encode_hello_ack(vocab_hash64(vocab)))
+            fl.write(DIR_UP, encode_hello(ProtocolConfig(top_k=8), vocab.fingerprint, [0]))
+            fl.write(DIR_DOWN, encode_hello_ack(vocab.fingerprint))
+            fl.write(DIR_UP, encode_hello_ack(vocab.fingerprint))
         violations = scan_frame_log(path)
         assert len(violations) == 1 and violations[0].startswith("frame 2: malformed uplink")
 
@@ -531,7 +530,7 @@ class TestFrameLogs:
         # refusal of it replays byte for byte.
         vocab, llm, minus, path, _ = self._logged_session(tmp_path)
         n = len(FrameLog.read(path))
-        hello = raw_hello(ProtocolConfig(max_len=24, top_k=8), vocab_hash64(vocab), [0],
+        hello = raw_hello(ProtocolConfig(max_len=24, top_k=8), vocab.fingerprint, [0],
                           **{field: value})
         error, _ = serve_uplink([hello], llm, minus, vocab, path)
         assert isinstance(error, ConfigError)
@@ -869,7 +868,7 @@ class TestSocketHardening:
         vocab, (llm, _, minus) = random_table_triple(np.random.default_rng(0), 4)
         a, b = socket.socketpair()
         try:
-            b.sendall(encode_hello(ProtocolConfig(max_len=8, top_k=4), vocab_hash64(vocab), [0]))
+            b.sendall(encode_hello(ProtocolConfig(max_len=8, top_k=4), vocab.fingerprint, [0]))
             a.setblocking(False)
             with pytest.raises(BlockingIOError):
                 while True:
@@ -887,18 +886,18 @@ class TestSocketHardening:
         cfg = ProtocolConfig(max_len=8, top_k=4)
         a, b = socket.socketpair()
         try:
-            b.sendall(encode_hello(cfg, vocab_hash64(vocab), [0]))
+            b.sendall(encode_hello(cfg, vocab.fingerprint, [0]))
             with pytest.raises(ChannelTimeoutError):
                 run_cloud(SocketEndpoint(a, timeout=0.2), llm, minus, vocab)
             a.shutdown(socket.SHUT_WR)
-            assert read_frames(b) == [encode_hello_ack(vocab_hash64(vocab)), encode_done(0, ())]
+            assert read_frames(b) == [encode_hello_ack(vocab.fingerprint), encode_done(0, ())]
         finally:
             a.close()
             b.close()
 
 
 def hostile_hello(cfg, vocab):
-    return lambda payload: encode_hello(cfg, vocab_hash64(vocab), [0, 10**6])
+    return lambda payload: encode_hello(cfg, vocab.fingerprint, [0, 10**6])
 
 
 def hostile_draft(cfg, vocab):
@@ -1032,7 +1031,7 @@ class TestEdgeVerdictIngest:
         def fake_cloud():
             cloud_end = SocketEndpoint(a, timeout=5)
             cloud_end.recv_frame()
-            cloud_end.send_frame(encode_hello_ack(vocab_hash64(vocab)))
+            cloud_end.send_frame(encode_hello_ack(vocab.fingerprint))
             cloud_end.recv_frame()
             cloud_end.send_frame(encode_verdict(Verdict(0, 0, section(entries))))
 
@@ -1104,7 +1103,7 @@ class TestIdsCheckedBeforeRowLookup:
         awaits the recovered token."""
         llm, _, minus = models
         cloud = CloudSession(llm, minus, vocab)
-        cloud.handle(encode_hello(cfg, vocab_hash64(vocab), [0]))
+        cloud.handle(encode_hello(cfg, vocab.fingerprint, [0]))
         frame = cloud.handle(encode_draft(DraftBatch(0, (0,))))
         assert decode_verdict(decode_frame(frame)[1]).accepted_count == 0
         assert cloud.verifier.awaiting_delta
@@ -1125,9 +1124,9 @@ class TestIdsCheckedBeforeRowLookup:
                              decode_mode="greedy")
         hello = CloudSession(llm, minus, vocab)
         self.assert_no_lookup(
-            models, lambda: hello.handle(encode_hello(cfg, vocab_hash64(vocab), [0, bad])))
+            models, lambda: hello.handle(encode_hello(cfg, vocab.fingerprint, [0, bad])))
         fresh = CloudSession(llm, minus, vocab)
-        fresh.handle(encode_hello(cfg, vocab_hash64(vocab), [0]))
+        fresh.handle(encode_hello(cfg, vocab.fingerprint, [0]))
         self.assert_no_lookup(models, lambda: fresh.handle(encode_draft(DraftBatch(0, (1, bad)))))
         cloud = self.rejected_cloud(models, vocab, cfg)
         self.assert_no_lookup(
