@@ -342,9 +342,6 @@ class ChannelModel:
         if not (0 <= self.one_way_latency_ms < math.inf and self.bandwidth_bps > 0):
             raise WireError("invalid channel parameters")
 
-    def transfer_ms(self, nbytes: int) -> float:
-        return self.one_way_latency_ms + 1000.0 * nbytes / self.bandwidth_bps
-
 
 _TIMEVAL = struct.Struct("@ll")
 
@@ -803,15 +800,12 @@ def serve_cloud_once(
     bound: list | None = None,
 ) -> CloudStats:
     """Accept one connection, within ``DEFAULT_SOCKET_TIMEOUT`` seconds,
-    and serve one session.  Once the socket listens, its address is
+    and serve one session on it.  Once the socket listens, its address is
     appended to ``bound`` and then ``ready.set()`` is called (``ready`` may
-    be any object with a ``set()`` method)."""
+    be any object with a ``set()`` method).  The listener is closed as soon
+    as the edge connects, so a second client is refused at connect."""
     timeout = DEFAULT_SOCKET_TIMEOUT
-    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        server.bind(bind)
-        server.listen(1)
+    with socket.create_server(bind, backlog=1) as server:
         # A blocking accept, bounded by the kernel's receive timeout.
         server.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, _timeval(timeout))
         if bound is not None:
@@ -822,39 +816,22 @@ def serve_cloud_once(
             conn, _ = server.accept()
         except BlockingIOError:
             raise ChannelTimeoutError(f"no connection within {timeout} s") from None
-        endpoint = SocketEndpoint(conn, timeout=timeout)
-        try:
-            return run_cloud(endpoint, llm, slm_minus, vocab, frame_log=frame_log)
-        finally:
-            endpoint.close()
+    endpoint = SocketEndpoint(conn, timeout=timeout)
+    try:
+        return run_cloud(endpoint, llm, slm_minus, vocab, frame_log=frame_log)
     finally:
-        server.close()
+        endpoint.close()
 
 
 def _connect(address: tuple[str, int], timeout: float | None) -> socket.socket:
-    """A TCP socket connected to ``address`` within ``timeout`` seconds.  A
-    numeric IPv4 host is connected to directly, without the resolver call
-    of ``create_connection``.  The connect keeps a timeout of its own:
-    CPython would poll a blocking socket's interrupted connect without
-    limit."""
-    host, port = address
+    """A TCP socket connected to ``address`` within ``timeout`` seconds, by
+    ``create_connection``, for a numeric address and a host name alike.
+    The connect keeps a timeout of its own: CPython would poll a blocking
+    socket's interrupted connect without limit."""
     try:
-        socket.inet_pton(socket.AF_INET, host)
-        numeric = True
-    except (OSError, TypeError):
-        numeric = False
-    try:
-        if not numeric:
-            return socket.create_connection(address, timeout=timeout)
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            sock.settimeout(timeout)
-            sock.connect((host, port))
-        except BaseException:
-            sock.close()
-            raise
-        return sock
+        return socket.create_connection(address, timeout=timeout)
     except TimeoutError:
+        host, port = address
         raise ChannelTimeoutError(f"connect to {host}:{port} took over {timeout} s") from None
 
 

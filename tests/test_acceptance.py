@@ -56,6 +56,7 @@ from specsteer.transport import (
 )
 
 from conftest import ACCEPTANCE_RESULTS, random_table_triple
+from exact_law import session_law
 
 
 def record(num: int, ok: bool, detail: str) -> None:
@@ -120,6 +121,36 @@ class TestAcceptance:
             f"single-step law: worst TV {worst_tv:.4f} over 20 triples x {n} sessions "
             f"(tolerance 0.01), runtime {elapsed:.1f}s (budget {budget_s:.0f}s)",
         )
+
+    def test_single_step_law_by_enumeration(self):
+        # Criterion 1's triples, with the law of the first committed token
+        # enumerated over the session's draws instead of sampled: what is
+        # left is the binary32 rounding of the steering values.
+        rng = np.random.default_rng(1001)
+        worst_tv = 0.0
+        for trial in range(20):
+            v = int(rng.integers(3, 11))
+            vocab, (llm, plus, minus) = random_table_triple(rng, v)
+            lam = float(np.exp(rng.uniform(np.log(0.3), np.log(2.0))))
+            cfg = ProtocolConfig(lam=lam, beta=1.0, horizon_k=1, top_k=v, max_len=2, seed=trial)
+            law = one_step_protocol_law(
+                llm.next_token_probs([0]),
+                plus.next_token_probs([0]),
+                minus.next_token_probs([0]),
+                llm.next_token_logits([0]),
+                plus.next_token_logits([0]),
+                minus.next_token_logits([0]),
+                lam,
+                1.0,
+            )
+            exact = session_law(
+                lambda streams: run_session(cfg, llm, plus, minus, vocab, (0,), streams=streams)[0][1]
+            )
+            enumerated = np.zeros(v)
+            for tok, mass in exact.items():
+                enumerated[tok] = mass
+            worst_tv = max(worst_tv, total_variation(enumerated, law))
+        assert worst_tv < 1e-7, f"enumerated single-step law: worst TV {worst_tv:.2e}"
 
     def test_criterion_02_recovery_exactness(self):
         rng = np.random.default_rng(1002)

@@ -18,11 +18,13 @@ from specsteer.core import (
     Vocabulary,
     validate_sequence,
 )
+from specsteer.metrics import LatencyModel, round_time_ms
 from specsteer.models import TableModel
 from specsteer.protocol import (
     DraftBatch,
     EdgeSession,
     ProtocolStateError,
+    RoundTrace,
     Verdict,
     draft_frame_bytes,
     pack_steering_entries,
@@ -303,10 +305,18 @@ class TestVocabHash:
         assert a.fingerprint != b.fingerprint
 
 
+def channel_ms(channel: ChannelModel, up: int, down: int) -> float:
+    """A round's modeled channel time: ``round_time_ms`` with every
+    compute cost zero."""
+    no_compute = LatencyModel(0.0, 0.0, 0.0, 0.0, 0.0)
+    return round_time_ms(RoundTrace(0, (), (), 0, None, up, down), no_compute, channel)
+
+
 class TestChannel:
     def test_transfer_time(self):
+        # One latency each way, and 100 bytes at 1000 bytes/s.
         model = ChannelModel(one_way_latency_ms=10.0, bandwidth_bps=1000.0)
-        assert model.transfer_ms(100) == pytest.approx(10.0 + 100_000.0 / 1000.0)
+        assert channel_ms(model, 60, 40) == pytest.approx(2 * 10.0 + 100_000.0 / 1000.0)
 
     def test_invalid_params(self):
         with pytest.raises(WireError):
@@ -323,7 +333,7 @@ class TestChannel:
             ChannelModel(one_way_latency_ms=latency, bandwidth_bps=bandwidth)
 
     def test_infinite_bandwidth_adds_no_delay(self):
-        assert ChannelModel(one_way_latency_ms=2.5).transfer_ms(10**9) == 2.5
+        assert channel_ms(ChannelModel(one_way_latency_ms=2.5), 10**9, 10**9) == 2 * 2.5
 
 
 class TestSimulatedEqualsInProcess:
@@ -581,29 +591,67 @@ class TestFrameLogs:
         assert replay_cloud_log(tampered, llm, minus, vocab) != []
 
 
+def serving(llm, minus, vocab):
+    """``serve_cloud_once`` on 127.0.0.1 on a daemon thread, once it
+    listens: the thread, its errors, the list its stats are appended to,
+    and the address it is bound to."""
+    ready = threading.Event()
+    bound: list = []
+    stats: list = []
+    thread, errors = in_thread(lambda: stats.append(
+        serve_cloud_once(("127.0.0.1", 0), llm, minus, vocab, ready=ready, bound=bound)))
+    assert ready.wait(10)
+    return thread, errors, stats, bound[0]
+
+
+def socket_case():
+    """A table triple, a config and the ids ``run_session`` commits for it."""
+    vocab, (llm, plus, minus) = random_table_triple(np.random.default_rng(41), 8)
+    cfg = ProtocolConfig(lam=0.8, max_len=24, top_k=8, seed=17)
+    ref, _ = run_session(cfg, llm, plus, minus, vocab, [0])
+    return vocab, (llm, plus, minus), cfg, ref
+
+
 class TestSocketMode:
-    def test_socket_equals_in_process(self):
-        rng = np.random.default_rng(41)
-        vocab, (llm, plus, minus) = random_table_triple(rng, 8)
-        cfg = ProtocolConfig(lam=0.8, max_len=24, top_k=8, seed=17)
-        ref, _ = run_session(cfg, llm, plus, minus, vocab, [0])
-
-        ready = threading.Event()
-        bound: list = []
-        out = {}
-
-        def serve():
-            out["stats"] = serve_cloud_once(
-                ("127.0.0.1", 0), llm, minus, vocab, ready=ready, bound=bound
-            )
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        assert ready.wait(10)
-        committed, _ = run_edge_socket(cfg, bound[0], plus, vocab, [0])
+    # A host name takes the one connect path too: where "localhost" also
+    # names ::1, create_connection falls through to the IPv4 listener.
+    @pytest.mark.parametrize("host", ["127.0.0.1", "localhost"])
+    def test_socket_equals_in_process(self, host):
+        vocab, (llm, plus, minus), cfg, ref = socket_case()
+        thread, errors, stats, (_, port) = serving(llm, minus, vocab)
+        committed, _ = run_edge_socket(cfg, (host, port), plus, vocab, [0])
         thread.join(timeout=10)
         assert committed == ref
-        assert out["stats"].mirror == ref
+        assert stats[0].mirror == ref and not errors
+
+    def test_second_client_is_refused_at_connect(self):
+        # The listener is closed once the edge connects: while the first
+        # session is open, a second client is refused at once, not left
+        # waiting in the backlog until the session ends.
+        vocab, (llm, plus, minus), cfg, ref = socket_case()
+        thread, errors, stats, address = serving(llm, minus, vocab)
+        second: list = []
+
+        class ConnectsAgainAfterAck(SocketEndpoint):
+            def recv_frame(self):
+                frame = super().recv_frame()
+                if not second:  # the first frame received is the HELLO ack
+                    began = time.monotonic()
+                    try:
+                        socket.create_connection(address, timeout=1).close()
+                        second.append(None)
+                    except OSError as exc:
+                        second.append(exc)
+                    second.append(time.monotonic() - began)
+                return frame
+
+        with socket.create_connection(address, timeout=5) as sock:
+            committed, _ = run_edge(cfg, ConnectsAgainAfterAck(sock, timeout=5), plus, vocab, [0])
+        thread.join(timeout=10)
+        assert committed == ref
+        assert stats[0].mirror == ref and not errors
+        refusal, elapsed = second
+        assert isinstance(refusal, ConnectionRefusedError) and elapsed < 0.5
 
     @pytest.mark.parametrize("top_k, prompt, error", [
         (8, [0, 1.5], SequenceError), (8, [0, 8], SequenceError), (9, [0], ConfigError),
