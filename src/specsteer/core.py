@@ -37,6 +37,12 @@ SUM_TOL = 1e-9
 
 DECODE_MODES = ("stochastic", "greedy")
 
+# The widest values the handshake frame holds: it packs ``horizon_k``,
+# ``top_k`` and the prompt's length as u16 and ``max_len`` as u32, so a
+# config or a prompt past them could not open a session on the wire.
+U16_MAX = 0xFFFF
+U32_MAX = 0xFFFFFFFF
+
 
 class SpecSteerError(Exception):
     """Base class for all engine errors."""
@@ -211,9 +217,13 @@ class ProtocolConfig:
     ``dataclasses.replace`` and by the handshake decoder too.  Only
     ``top_k`` against the vocabulary is left to the session that knows it.
 
-    ``lam`` is the scalar verification threshold standing in for the
-    per-step partition function; ``exact_z`` switches verification to the
-    true per-step partition function (analysis mode, in-process only).
+    The fields are exactly the handshake's, and each range fits its field
+    there (``U16_MAX``, ``U32_MAX``), so every config that can be made
+    runs on every backend.  ``lam`` is the scalar verification threshold
+    standing in for the per-step partition function; exact-Z verification
+    (analysis mode, in process only) is chosen by passing the partition
+    callback, ``zt_fn``, to ``run_session`` or ``CloudVerifier``, never by
+    the config.
     """
 
     lam: float = 0.5
@@ -223,7 +233,6 @@ class ProtocolConfig:
     max_len: int = 1024
     decode_mode: str = "stochastic"
     seed: int = 0
-    exact_z: bool = False
 
     def __post_init__(self) -> None:
         for name in ("horizon_k", "top_k", "max_len", "seed"):
@@ -245,12 +254,12 @@ class ProtocolConfig:
             raise ConfigError("lambda must be finite and > 0")
         if not (self.beta >= 0 and math.isfinite(self.beta)):
             raise ConfigError("beta must be finite and >= 0")
-        if self.horizon_k < 1:
-            raise ConfigError("horizon_k must be >= 1")
-        if self.top_k < 1:
-            raise ConfigError("top_k must be >= 1")
-        if self.max_len < 1:
-            raise ConfigError("max_len must be >= 1")
+        if not 1 <= self.horizon_k <= U16_MAX:
+            raise ConfigError(f"horizon_k must be >= 1 and <= {U16_MAX}")
+        if not 1 <= self.top_k <= U16_MAX:
+            raise ConfigError(f"top_k must be >= 1 and <= {U16_MAX}")
+        if not 1 <= self.max_len <= U32_MAX:
+            raise ConfigError(f"max_len must be >= 1 and <= {U32_MAX}")
         if self.decode_mode not in DECODE_MODES:
             raise ConfigError(f"decode_mode must be one of {DECODE_MODES}")
         if not 0 <= self.seed < 2**64:

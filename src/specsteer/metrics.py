@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -70,14 +71,10 @@ class LatencyModel:
     recovery_ms: float = 1.0
 
     def __post_init__(self) -> None:
-        if min(
-            self.llm_token_ms,
-            self.draft_token_ms,
-            self.verify_batch_ms,
-            self.round_overhead_ms,
-            self.recovery_ms,
-        ) < 0:
-            raise MetricsError("latency costs must be >= 0")
+        # Every field is a cost; written so that NaN fails the check.
+        for cost in vars(self).values():
+            if not 0 <= cost < math.inf:
+                raise MetricsError("latency costs must be finite and >= 0")
 
 
 def round_time_ms(

@@ -52,8 +52,10 @@ import numpy as np
 from .core import (
     PROB_FLOOR,
     ROLE_VERIFY,
+    U16_MAX,
     ProtocolConfig,
     RngStreams,
+    SequenceError,
     SpecSteerError,
     UniformStream,
     Vocabulary,
@@ -431,10 +433,15 @@ class SessionRecord:
         """A new session's history: the one intake of every session, in
         every backend.  The config's ``top_k`` is checked against the
         vocabulary first; then the prompt is copied to a list, and the copy,
-        what the session runs on, is checked by ``check_sequence`` (the
-        length cap, the ids, eos only last)."""
+        what the session runs on, is checked: its length against the
+        handshake's u16 prompt count, then by ``check_sequence`` (the length
+        cap, the ids, eos only last)."""
         config.check_top_k(self.vsize)
-        return check_sequence(list(prompt_ids), self.vsize, self.eos, config.max_len)
+        prompt = list(prompt_ids)
+        if len(prompt) > U16_MAX:
+            raise SequenceError(
+                f"prompt of {len(prompt)} ids exceeds the handshake's limit of {U16_MAX}")
+        return check_sequence(prompt, self.vsize, self.eos, config.max_len)
 
     def rows(self, *models) -> tuple:
         """``models`` as the cores score them: themselves, or, when some
@@ -744,9 +751,12 @@ class CloudVerifier:
     ``verify`` (``handle_draft`` in message form) and ``finish`` check it,
     and its length and place in the session, before running the scan core
     (``SessionRecord.scan``) that ``run_session`` calls directly with drafts
-    its own edge sampled.  ``zt_fn``, like the models, exposes the
-    ``window`` it reads.  The models' vocabularies are checked once per
-    model pair and vocabulary; the mirror starts as the history that
+    its own edge sampled.  Passing ``zt_fn``, the per-step partition
+    callback (``exact_partition_fn``), selects exact-Z verification in
+    place of the config's lambda; like the models, it exposes the
+    ``window`` it reads.  No handshake carries it, so a wire session's
+    cloud verifies with lambda.  The models' vocabularies are checked once
+    per model pair and vocabulary; the mirror starts as the history that
     ``SessionRecord.start`` made of the prompt.
     """
 
@@ -762,8 +772,6 @@ class CloudVerifier:
     ) -> None:
         rec = self._rec = session_record(vocab, llm=llm, slm_minus=slm_minus)
         self.mirror = rec.start(config, prompt_ids)
-        if config.exact_z and zt_fn is None:
-            raise ProtocolStateError("exact-Z verification needs a partition callback")
         self.config = config
         self._rows = rec.rows(llm, slm_minus)
         self.expected_seq = 0
@@ -773,7 +781,7 @@ class CloudVerifier:
         self._verify_rng = (
             streams.verify if streams is not None else UniformStream(config.seed, ROLE_VERIFY)
         )
-        self._zt_fn = zt_fn if config.exact_z else None
+        self._zt_fn = zt_fn
 
     def verify(
         self, seq_no: int, tokens: tuple[int, ...], history_delta: int | None
@@ -905,9 +913,13 @@ def run_session(
     vocab: Vocabulary,
     prompt_ids: Sequence[int],
     streams: RngStreams | None = None,
+    zt_fn: Callable[[Sequence[int]], float] | None = None,
 ) -> tuple[list[int], list[RoundTrace]]:
     """Full draft-verify-recover loop until eos or the length cap: ``drive``
-    with the scan core as its verify step.
+    with the scan core as its verify step.  ``zt_fn``, the per-step
+    partition callback (``exact_partition_fn(llm, slm_plus, slm_minus)``),
+    selects exact-Z verification in place of the config's lambda; the
+    wire backends have no such argument.
 
     Its one history list is both the edge's committed history and the
     cloud's mirror, which are equal in-process: the draft goes straight
@@ -919,7 +931,6 @@ def run_session(
     rec = session_record(vocab, slm_plus, llm, slm_minus)
     history = rec.start(config, prompt_ids)
     rngs = streams if streams is not None else make_streams(config.seed)
-    zt_fn = exact_partition_fn(llm, slm_plus, slm_minus) if config.exact_z else None
     llm, slm_plus, slm_minus = rec.rows(llm, slm_plus, slm_minus)
     return drive(config, rec, slm_plus, history, rngs, rec.scan, llm, slm_minus, zt_fn)
 

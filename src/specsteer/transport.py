@@ -39,6 +39,7 @@ from typing import Iterable, Sequence
 
 from .core import (
     DECODE_MODES,
+    U16_MAX,
     ConfigError,
     ProtocolConfig,
     SpecSteerError,
@@ -165,12 +166,11 @@ def decode_frame(frame: bytes) -> tuple[int, bytes]:
 
 
 def encode_hello(config: ProtocolConfig, vhash: int, prompt_ids: Sequence[int]) -> bytes:
-    """The HELLO that opens a session.  It has no field for ``exact_z``, so
-    a config that sets it raises ``ConfigError``: a cloud would verify with
-    lambda instead."""
-    if config.exact_z:
-        raise ConfigError("exact-Z verification runs in process only")
-    if len(prompt_ids) > 0xFFFF:
+    """The HELLO that opens a session: every field of ``config``, the
+    vocabulary hash and the prompt.  Each valid config fits its fields, and
+    every session's intake refuses a prompt of more than ``U16_MAX`` ids;
+    a direct caller's longer prompt raises ``WireError``."""
+    if len(prompt_ids) > U16_MAX:
         raise WireError("prompt too long for handshake frame")
     payload = _HELLO.pack(
         config.lam,
@@ -220,15 +220,13 @@ def _draft_frame(seq_no: int, tokens: Sequence[int], history_delta: int | None) 
     k = len(tokens)
     if k == 0:
         raise WireError("cannot encode an empty draft batch")
-    if k > 0xFFFF:
-        raise WireError("draft batch too large for frame")
     ids = tokens if history_delta is None else (*tokens, history_delta)
     try:
         return _draft_struct(len(ids)).pack(
             MAGIC, VERSION, MSG_DRAFT, DRAFT_FIXED.size + 4 * len(ids), seq_no, k, *ids
         )
     except struct.error:
-        raise WireError("draft seq or token id does not fit an unsigned 32-bit field") from None
+        raise WireError("draft size, seq or token id does not fit its frame field") from None
 
 
 def encode_draft(batch: DraftBatch, history_delta: int | None = None) -> bytes:
@@ -647,15 +645,17 @@ class CloudSession:
         """The answer to ``frame``: a handshake ack, a verdict, or the DONE
         acknowledgement.  A ``SpecSteerError`` (a handshake from another
         vocabulary raises ``HandshakeError``) ends the session, which
-        ``answer`` then refuses with a DONE of length 0."""
+        ``answer`` then refuses with a DONE of length 0.  Once the session
+        has ended, acknowledged or refused, every frame raises
+        ``WireError``."""
+        if self.finished:
+            raise WireError("frame after the session ended")
         msg_type = _frame_type(frame)
         verifier = self.verifier
         if msg_type == MSG_DRAFT and verifier is not None:
             seq_no, ids, delta = _draft_fields(frame, FRAME_HEADER.size, verifier.awaiting_delta)
             accepted, payload = verifier.verify(seq_no, ids, delta)
             return _verdict_frame(seq_no, accepted, payload)
-        if self.finished:
-            raise WireError("frame after the session ended")
         if verifier is None:
             if msg_type != MSG_HELLO:
                 raise WireError("expected handshake frame")

@@ -7,6 +7,7 @@ import pytest
 
 from specsteer.core import Vocabulary
 from specsteer.models import TableModel
+from specsteer.protocol import exact_partition_fn
 from specsteer.toydata import toy_world
 
 # One line per acceptance criterion, printed after the test run so the
@@ -39,3 +40,21 @@ def random_table_triple(rng: np.random.Generator, size: int):
         TableModel(vocab, {(): rng.dirichlet(np.ones(size))}) for _ in range(3)
     )
     return vocab, models
+
+
+# The test modes' marker for exact-Z verification, which no config field
+# selects: a session in this mode is passed
+# ``zt_fn=exact_partition_fn(llm, slm_plus, slm_minus)``.
+EXACT_Z = {"exact_z": True}
+
+
+def split_mode(mode: dict) -> tuple[dict, bool]:
+    """A test mode's ``ProtocolConfig`` fields, and whether the mode
+    verifies with the exact partition function (``EXACT_Z``)."""
+    fields = dict(mode)
+    return fields, fields.pop("exact_z", False)
+
+
+def exact_zt(exact: bool, llm, slm_plus, slm_minus):
+    """The ``zt_fn`` a session of an exact-Z mode is passed, or None."""
+    return exact_partition_fn(llm, slm_plus, slm_minus) if exact else None

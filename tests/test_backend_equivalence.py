@@ -4,10 +4,11 @@ the cloud's packed binary32 entry section, in process and on the wire, so
 and record the same rounds.  Pinned here: a near-tie that float64 and
 binary32 break differently, a beta whose steering values overflow
 binary32, the one trace record on both sides, bad session starts (a
-top_k past the vocabulary, prompts too long or holding ids that are not
-token ids), which every backend refuses by the one intake before any
-frame is sent, an exact-Z config, which a HELLO cannot carry and both wire
-backends refuse, and two properties over random table worlds."""
+top_k past the vocabulary, prompts too long for max_len or for the
+handshake, or holding ids that are not token ids), which every backend
+refuses by the one intake before any frame is sent, a config at the
+handshake's limits, which every backend runs alike, and two properties
+over random table worlds."""
 
 from __future__ import annotations
 
@@ -20,7 +21,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specsteer.core import LOOP_IDS, ConfigError, ProtocolConfig, SequenceError, SpecSteerError
+from specsteer.core import (
+    LOOP_IDS,
+    U16_MAX,
+    U32_MAX,
+    ConfigError,
+    ProtocolConfig,
+    SequenceError,
+    SpecSteerError,
+)
 from specsteer.models import TableModel
 from specsteer.protocol import CloudVerifier, EdgeSession, ProtocolStateError, run_session
 from specsteer.transport import (
@@ -36,7 +45,7 @@ from specsteer.transport import (
 )
 
 from conftest import make_vocab
-from test_transport import in_thread
+from test_transport import in_thread, serving
 
 NEAR_TIE_LLM = [0.05, 0.45, 0.45 + 3e-10, 0.05 - 3e-10]
 DRAFTER = [0.97, 0.01, 0.01, 0.01]
@@ -132,6 +141,30 @@ def listener():
     server.close()
 
 
+def every_start(cfg, models, vocab, prompt, listener):
+    """Each entry point that starts a session, by name: in process, each
+    message-form view, the simulated channel and a socket edge aimed at
+    ``listener``."""
+    llm, plus, minus = models
+    return {
+        "run_session": lambda: run_session(cfg, *models, vocab, prompt),
+        "EdgeSession": lambda: EdgeSession(cfg, plus, vocab, prompt),
+        "CloudVerifier": lambda: CloudVerifier(cfg, llm, minus, vocab, prompt),
+        "run_simulated_session": lambda: run_simulated_session(cfg, *models, vocab, prompt),
+        "run_edge_socket": lambda: run_edge_socket(
+            cfg, listener.getsockname(), plus, vocab, prompt, timeout=5),
+    }
+
+
+def assert_every_start_refuses(starts, listener, error, message):
+    for name, start in starts.items():
+        with pytest.raises(SpecSteerError) as info:
+            start()
+        assert (name, type(info.value), str(info.value)) == (name, error, message)
+    with pytest.raises(BlockingIOError):
+        listener.accept()
+
+
 @pytest.mark.parametrize("n", [3, LOOP_IDS + 24], ids=["short", "long"])
 @pytest.mark.parametrize("case", BAD_STARTS)
 def test_every_start_refuses_alike(case, n, listener):
@@ -140,46 +173,40 @@ def test_every_start_refuses_alike(case, n, listener):
     # edge, which makes no connection: a listening cloud finds none waiting.
     bad, top_k, over, error, message = BAD_STARTS[case]
     vocab, models = four_token_triple([0.25] * 4)
-    llm, plus, minus = models
     pos, cap = n // 2, n - over
     prompt = [i % 3 for i in range(n)]
     prompt[pos] = bad
     cfg = ProtocolConfig(top_k=top_k, max_len=cap, seed=5)
-    starts = {
-        "run_session": lambda: run_session(cfg, *models, vocab, prompt),
-        "EdgeSession": lambda: EdgeSession(cfg, plus, vocab, prompt),
-        "CloudVerifier": lambda: CloudVerifier(cfg, llm, minus, vocab, prompt),
-        "run_simulated_session": lambda: run_simulated_session(cfg, *models, vocab, prompt),
-        "run_edge_socket": lambda: run_edge_socket(
-            cfg, listener.getsockname(), plus, vocab, prompt, timeout=5),
-    }
-    want = message.format(pos=pos, n=n, cap=cap)
-    for name, start in starts.items():
-        with pytest.raises(SpecSteerError) as info:
-            start()
-        assert (name, type(info.value), str(info.value)) == (name, error, want)
-    with pytest.raises(BlockingIOError):
-        listener.accept()
+    starts = every_start(cfg, models, vocab, prompt, listener)
+    assert_every_start_refuses(starts, listener, error, message.format(pos=pos, n=n, cap=cap))
 
 
-def test_wire_backends_refuse_exact_z_before_any_frame(listener, tmp_path):
-    # A HELLO cannot carry exact_z, so a cloud would verify with lambda and
-    # commit other ids than run_session: both wire backends refuse the
-    # config before a frame is sent, the socket edge before it connects.
+def test_every_start_refuses_a_prompt_too_long_for_the_handshake(listener):
+    # A HELLO counts the prompt's ids in a u16, so the one intake refuses a
+    # longer prompt on every backend, in process too, though max_len and
+    # the ids would allow it.
     vocab, models = four_token_triple([0.25] * 4)
-    cfg = ProtocolConfig(top_k=2, max_len=8, seed=5, exact_z=True)
-    assert run_session(cfg, *models, vocab, [0])[0]
-    edge_path, cloud_path = str(tmp_path / "edge.log"), str(tmp_path / "cloud.log")
-    message = "exact-Z verification runs in process only"
-    with FrameLog(edge_path) as edge_log, FrameLog(cloud_path) as cloud_log:
-        with pytest.raises(ConfigError, match=message):
-            run_simulated_session(cfg, *models, vocab, [0], edge_log, cloud_log)
-        with pytest.raises(ConfigError, match=message):
-            run_edge_socket(cfg, listener.getsockname(), models[1], vocab, [0],
-                            frame_log=edge_log, timeout=5)
-    assert FrameLog.read(edge_path) == FrameLog.read(cloud_path) == []
-    with pytest.raises(BlockingIOError):
-        listener.accept()
+    prompt = [0] * (U16_MAX + 1)
+    cfg = ProtocolConfig(top_k=3, max_len=70010, seed=5)
+    starts = every_start(cfg, models, vocab, prompt, listener)
+    assert_every_start_refuses(starts, listener, SequenceError,
+                               "prompt of 65536 ids exceeds the handshake's limit of 65535")
+
+
+def test_config_at_the_handshake_limits_runs_alike():
+    # The widest config and the longest prompt a HELLO carries commit the
+    # same ids in process, over the simulated channel and over a socket.
+    vocab, models = four_token_triple([0.25] * 4)
+    llm, plus, minus = models
+    cfg = ProtocolConfig(horizon_k=U16_MAX, top_k=3, max_len=U32_MAX, seed=2**64 - 1)
+    prompt = [i % 3 for i in range(U16_MAX)]
+    committed, _ = run_session(cfg, *models, vocab, prompt)
+    assert len(committed) > U16_MAX
+    assert run_simulated_session(cfg, *models, vocab, prompt)[0] == committed
+    thread, errors, stats, address = serving(llm, minus, vocab)
+    assert run_edge_socket(cfg, address, plus, vocab, prompt, timeout=5)[0] == committed
+    thread.join(timeout=10)
+    assert not thread.is_alive() and not errors and stats[0].mirror == committed
 
 
 def test_edge_traces_equal_run_session_traces_but_for_alphas(world):

@@ -219,6 +219,10 @@ class TestProtocolConfig:
             {"decode_mode": "beam"},
             {"seed": -1},
             {"seed": 2**64},
+            # Past the widths of the handshake's fields.
+            {"horizon_k": 0x10000},
+            {"top_k": 0x10000},
+            {"max_len": 2**32},
         ],
     )
     def test_invalid(self, kwargs):

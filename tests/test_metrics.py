@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -65,8 +66,12 @@ class TestLatencyModel:
         assert m.llm_token_ms / m.draft_token_ms == pytest.approx(53.0)
 
     def test_negative_cost_rejected(self):
-        with pytest.raises(MetricsError):
-            LatencyModel(llm_token_ms=-1.0)
+        # NaN and infinity fail the check too, so no speedup comes out nan.
+        for name in ("llm_token_ms", "draft_token_ms", "verify_batch_ms",
+                     "round_overhead_ms", "recovery_ms"):
+            for bad in (-1.0, math.nan, math.inf):
+                with pytest.raises(MetricsError, match="finite and >= 0"):
+                    LatencyModel(**{name: bad})
 
     def test_round_time_components(self):
         m = LatencyModel()

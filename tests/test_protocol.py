@@ -573,21 +573,14 @@ class TestRunSession:
     def test_exact_z_mode(self):
         rng = np.random.default_rng(19)
         vocab, (llm, plus, minus) = random_table_triple(rng, 6)
-        cfg = ProtocolConfig(exact_z=True, max_len=16, seed=6, top_k=6)
-        committed, traces = run_session(cfg, llm, plus, minus, vocab, [0])
-        assert len(committed) > 1
+        cfg = ProtocolConfig(max_len=16, seed=6, top_k=6)
         zt = exact_partition_fn(llm, plus, minus)
+        committed, traces = run_session(cfg, llm, plus, minus, vocab, [0], zt_fn=zt)
+        assert len(committed) > 1
         assert zt([0]) == pytest.approx(
             float(np.sum(llm.next_token_probs([0]) * plus.next_token_probs([0])
                          / minus.next_token_probs([0]))),
         )
-
-    def test_exact_z_needs_callback(self):
-        rng = np.random.default_rng(20)
-        vocab, (llm, plus, minus) = random_table_triple(rng, 6)
-        cfg = ProtocolConfig(exact_z=True, max_len=16, top_k=6)
-        with pytest.raises(ProtocolStateError):
-            CloudVerifier(cfg, llm, minus, vocab, [0])
 
 
 # Per session: the committed tokens after the prompt, "/", and the accepted

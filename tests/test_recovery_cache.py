@@ -54,7 +54,7 @@ from specsteer.transport import (
     run_simulated_session,
 )
 
-from conftest import make_vocab
+from conftest import EXACT_Z, exact_zt, make_vocab, split_mode
 
 # ---------------------------------------------------------------------------
 # Uncached reference
@@ -274,9 +274,9 @@ def run_record(llm, plus, minus, vocab) -> SessionRecord:
     return protocol._records[(id(vocab), id(plus), id(llm), id(minus))][0]
 
 
-def cold(cfg, models, vocab, prompt):
+def cold(cfg, models, vocab, prompt, zt_fn=None):
     protocol._records.clear()
-    return run_session(cfg, *models, vocab, prompt)
+    return run_session(cfg, *models, vocab, prompt, zt_fn=zt_fn)
 
 
 def test_interleaved_table_triples_match_cold_caches():
@@ -364,13 +364,14 @@ def test_lookup_keeps_no_dropped_model_alive():
     rng = np.random.default_rng(74)
     vocab = make_vocab(5)
     triple = window_triple(rng, vocab)
-    # Sessions at several configs, exact-Z's among them, and the views'.
-    cfgs = [ProtocolConfig(max_len=12, top_k=3, seed=seed, **kw) for seed, kw in enumerate(
-        [{}, {}, {"lam": 0.9}, {"decode_mode": "greedy"}, {"exact_z": True}, {"beta": 0.0}])]
-    for cfg in cfgs:
-        run_session(cfg, *triple, vocab, [0])
+    # Sessions at several configs and in exact-Z mode, and the views'.
+    for seed, mode in enumerate(
+            [{}, {}, {"lam": 0.9}, {"decode_mode": "greedy"}, EXACT_Z, {"beta": 0.0}]):
+        fields, exact = split_mode(mode)
+        cfg = ProtocolConfig(max_len=12, top_k=3, seed=seed, **fields)
+        run_session(cfg, *triple, vocab, [0], zt_fn=exact_zt(exact, *triple))
         EdgeSession(cfg, triple[1], vocab, [0])
-        CloudVerifier(cfg, triple[0], triple[2], vocab, [0], zt_fn=exact_partition_fn(*triple))
+        CloudVerifier(cfg, triple[0], triple[2], vocab, [0], zt_fn=exact_zt(exact, *triple))
     # One record each for run_session and the two views, under the one key
     # shape (vocabulary, drafter, llm, slm_minus).
     llm, plus, minus = map(id, triple)
@@ -477,7 +478,7 @@ def test_configs_that_differ_in_seed_share_a_record():
 # Each config field but the seed, with a second value.
 FIELD_VALUES = {
     "lam": 0.75, "beta": 2.0, "horizon_k": 2, "top_k": 4, "max_len": 9,
-    "decode_mode": "greedy", "exact_z": True,
+    "decode_mode": "greedy",
 }
 
 
@@ -486,15 +487,18 @@ def test_every_config_field_runs_warm_as_cold():
     vocab = make_vocab(5)
     triple = window_triple(rng, vocab)
     base = ProtocolConfig(max_len=12, top_k=3, seed=4)
-    cfgs = [base] + [replace(base, **{f: v}) for f, v in FIELD_VALUES.items()]
+    runs = [(base, None)] + [(replace(base, **{f: v}), None) for f, v in FIELD_VALUES.items()]
+    # Exact-Z verification, which the partition callback selects.
+    runs += [(base, exact_partition_fn(*triple))]
     # A zero beta keeps its sign, as the payload cache's key does.
-    cfgs += [replace(base, beta=0.0), replace(base, beta=-0.0)]
+    runs += [(replace(base, beta=0.0), None), (replace(base, beta=-0.0), None)]
     # And many configs in turn, twice over, through one record.
-    cfgs += [replace(base, lam=0.1 * (i + 1), seed=i) for i in range(10)] * 2
-    want = [cold(cfg, triple, vocab, [0]) for cfg in cfgs]
+    runs += [(replace(base, lam=0.1 * (i + 1), seed=i), None) for i in range(10)] * 2
+    want = [cold(cfg, triple, vocab, [0], zt) for cfg, zt in runs]
     protocol._records.clear()
-    assert [run_session(cfg, *triple, vocab, [0]) for cfg in cfgs] == want
-    assert [run_session(cfg, *triple, vocab, [0]) for cfg in reversed(cfgs)] == want[::-1]
+    assert [run_session(cfg, *triple, vocab, [0], zt_fn=zt) for cfg, zt in runs] == want
+    assert [run_session(cfg, *triple, vocab, [0], zt_fn=zt)
+            for cfg, zt in reversed(runs)] == want[::-1]
 
 
 @pytest.mark.parametrize("bad", [{"lam": 0.0}, {"top_k": 6}, {"decode_mode": "beam"},

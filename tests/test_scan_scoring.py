@@ -22,7 +22,7 @@ from specsteer.protocol import (
 )
 from specsteer.transport import encode_verdict
 
-from conftest import make_vocab
+from conftest import EXACT_Z, exact_zt, make_vocab, split_mode
 
 
 class FullScoringCloud:
@@ -40,7 +40,7 @@ class FullScoringCloud:
         prefix = list(self.mirror)
         scored = []
         for tok in batch.token_ids:
-            lam = self.zt_fn(prefix) if self.cfg.exact_z else self.cfg.lam
+            lam = self.zt_fn(prefix) if self.zt_fn is not None else self.cfg.lam
             scored.append((self.llm.next_token_logits(prefix),
                            self.minus.next_token_logits(prefix), lam))
             prefix.append(tok)
@@ -89,12 +89,13 @@ class RowCallCounter(CallCounter):
         return self._m.logits_at(key)
 
 
-def drive(cfg, llm, plus, minus, vocab, prompt, reference):
-    """One session; returns committed ids, per-round alphas, verdict frames
-    and draft lengths."""
+def drive(cfg, llm, plus, minus, vocab, prompt, reference, exact):
+    """One session, verified with the exact partition function when
+    ``exact``; returns committed ids, per-round alphas, verdict frames and
+    draft lengths."""
     rngs = make_streams(cfg.seed)
     edge = EdgeSession(cfg, plus, vocab, prompt, streams=rngs)
-    zt_fn = exact_partition_fn(llm, plus, minus) if cfg.exact_z else None
+    zt_fn = exact_zt(exact, llm, plus, minus)
     if reference:
         cloud = FullScoringCloud(cfg, llm, minus, prompt, rngs, zt_fn)
     else:
@@ -143,7 +144,7 @@ MODES = [
     {"lam": 0.5},
     {"lam": 1.0, "horizon_k": 6},
     {"lam": 0.5, "decode_mode": "greedy"},
-    {"exact_z": True},
+    EXACT_Z,
 ]
 KINDS = ["toy", "ngram", "table"]
 
@@ -161,11 +162,12 @@ class TestScanScoring:
         rng = np.random.default_rng(len(kind) * 7 + len(mode))
         vocab, models = models_of(kind, world, rng)
         unscored = 0
+        fields, exact = split_mode(mode)
         for seed in range(12):
-            cfg = ProtocolConfig(top_k=min(32, vocab.size), max_len=40, seed=seed, **mode)
+            cfg = ProtocolConfig(top_k=min(32, vocab.size), max_len=40, seed=seed, **fields)
             prompt = prompt_of(kind, vocab)
-            scanned = drive(cfg, *models, vocab, prompt, reference=False)
-            full = drive(cfg, *models, vocab, prompt, reference=True)
+            scanned = drive(cfg, *models, vocab, prompt, reference=False, exact=exact)
+            full = drive(cfg, *models, vocab, prompt, reference=True, exact=exact)
             assert scanned == full
             unscored += sum(k - len(a) for a, k in zip(scanned[1], scanned[3]))
         # Some rejection must leave drafted positions unscored.
@@ -176,14 +178,15 @@ class TestScanScoring:
     def test_scores_only_scanned_positions(self, world, kind, mode):
         rng = np.random.default_rng(len(kind) * 5 + len(mode))
         vocab, (llm, plus, minus) = models_of(kind, world, rng)
+        fields, exact = split_mode(mode)
         for seed, counter in product(range(6), (CallCounter, RowCallCounter)):
-            cfg = ProtocolConfig(top_k=min(32, vocab.size), max_len=40, seed=seed, **mode)
+            cfg = ProtocolConfig(top_k=min(32, vocab.size), max_len=40, seed=seed, **fields)
             spies = counter(llm), counter(minus)
             rngs = make_streams(seed)
             edge = EdgeSession(cfg, plus, vocab, prompt_of(kind, vocab), streams=rngs)
             zt_calls = [0]
             zt_fn = None
-            if cfg.exact_z:
+            if exact:
                 zt = exact_partition_fn(llm, plus, minus)
 
                 def zt_fn(prefix):
@@ -200,6 +203,6 @@ class TestScanScoring:
                 expected = verdict.accepted_count + (1 if rejected else 0)
                 calls = [s.calls - b for s, b in zip(spies, before)]
                 assert calls == [expected, expected]
-                assert zt_calls[0] - before[2] == (expected if cfg.exact_z else 0)
+                assert zt_calls[0] - before[2] == (expected if exact else 0)
                 assert len(cloud.traces[-1].alphas) == expected
                 edge.apply_verdict(verdict)

@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from specsteer import transport
 from specsteer.core import (
     DECODE_MODES,
+    U16_MAX,
+    U32_MAX,
     ConfigError,
     ProtocolConfig,
     SequenceError,
@@ -21,6 +23,7 @@ from specsteer.core import (
 from specsteer.metrics import LatencyModel, round_time_ms
 from specsteer.models import TableModel
 from specsteer.protocol import (
+    FRAME_HEADER,
     DraftBatch,
     EdgeSession,
     ProtocolStateError,
@@ -155,6 +158,26 @@ class TestCodecRoundTrips:
         assert out_cfg == cfg and vhash == 12345 and prompt == (1, 2, 3)
         assert raw_hello(cfg, 12345, (1, 2, 3)) == encode_hello(cfg, 12345, (1, 2, 3))
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.builds(
+            ProtocolConfig,
+            lam=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            beta=st.floats(min_value=0.0, allow_infinity=False),
+            horizon_k=st.integers(1, U16_MAX),
+            top_k=st.integers(1, U16_MAX),
+            max_len=st.integers(1, U32_MAX),
+            decode_mode=st.sampled_from(DECODE_MODES),
+            seed=st.integers(0, 2**64 - 1),
+        ),
+        st.integers(0, 2**64 - 1),
+        st.lists(st.integers(0, 2**32 - 1), max_size=40),
+    )
+    def test_hello_roundtrip_random(self, cfg, vhash, prompt):
+        # Every config that can be made fits the HELLO's fields.
+        frame = encode_hello(cfg, vhash, prompt)
+        assert decode_hello(frame[FRAME_HEADER.size:]) == (cfg, vhash, tuple(prompt))
+
     def test_hello_ack(self):
         _, payload = decode_frame(encode_hello_ack(2**63 + 1))
         assert decode_hello_ack(payload) == 2**63 + 1
@@ -249,6 +272,14 @@ class TestCodecErrors:
     def test_empty_draft(self):
         with pytest.raises(WireError):
             encode_draft(DraftBatch(0, ()))
+
+    def test_counts_past_u16(self):
+        # No session drafts or starts with this many ids, but a direct
+        # caller gets a typed error, not a raw struct.error.
+        with pytest.raises(WireError, match="does not fit its frame field"):
+            encode_draft(DraftBatch(0, (0,) * (U16_MAX + 1)))
+        with pytest.raises(WireError, match="prompt too long for handshake frame"):
+            encode_hello(ProtocolConfig(), 0, (0,) * (U16_MAX + 1))
 
     def test_draft_wrong_delta_expectation(self):
         _, payload = decode_frame(encode_draft(DraftBatch(0, (1, 2))))
@@ -662,11 +693,11 @@ class TestSocketMode:
         refused_before_connecting(ProtocolConfig(max_len=24, top_k=top_k), prompt, error)
 
     def test_handshake_encoded_before_connecting(self):
-        # The edge takes a 66000-id prompt under max_len 70000, but no
-        # handshake frame can carry more than 65535 prompt ids.
+        # A 66000-id prompt fits max_len 70000, but no handshake frame can
+        # carry more than 65535 prompt ids, so the edge's intake refuses it.
         refused_before_connecting(
-            ProtocolConfig(max_len=70000, top_k=8), [0] * 66000, WireError,
-            "prompt too long for handshake frame")
+            ProtocolConfig(max_len=70000, top_k=8), [0] * 66000, SequenceError,
+            "prompt of 66000 ids exceeds the handshake's limit of 65535")
 
 
 def refused_before_connecting(cfg, prompt, error, match=None):
@@ -973,6 +1004,27 @@ def padded_done(cfg, vocab):
 
 
 class TestCloudRefusal:
+    def test_no_frame_is_answered_after_the_session_ends(self):
+        # Refused or finished, a session verifies nothing more: every frame
+        # after its end raises, and the mirror and traces stay as they were.
+        vocab, (llm, plus, minus) = random_table_triple(np.random.default_rng(53), 8)
+        cfg = ProtocolConfig(lam=0.8, max_len=24, top_k=8, seed=3)
+        hello = encode_hello(cfg, vocab.fingerprint, [0])
+        refused = CloudSession(llm, minus, vocab)
+        refused.handle(hello)
+        assert refused.answer(encode_draft(DraftBatch(0, (vocab.size + 5,)))) == encode_done(0, ())
+        done = CloudSession(llm, minus, vocab)
+        run_edge(cfg, DirectEndpoint(done), plus, vocab, [0])
+        for cloud in (refused, done):
+            assert cloud.finished
+            before = cloud.stats()
+            mirror, traces = list(before.mirror), list(before.traces)
+            for frame in (encode_draft(DraftBatch(0, (0,))),
+                          encode_draft(DraftBatch(before.rounds, (0,))), encode_done(1, ()), hello):
+                with pytest.raises(WireError, match="^frame after the session ended$"):
+                    cloud.handle(frame)
+            assert (cloud.stats().mirror, cloud.stats().traces) == (mirror, traces)
+
     @pytest.mark.parametrize("msg_type, rewrite, cloud_error", [
         (MSG_HELLO, hostile_hello, SequenceError),
         (MSG_DRAFT, hostile_draft, ProtocolStateError),

@@ -13,12 +13,11 @@ from specsteer.protocol import (
     CloudVerifier,
     EdgeSession,
     autoregressive_decode,
-    exact_partition_fn,
     run_session,
 )
 from specsteer.transport import encode_verdict
 
-from conftest import make_vocab
+from conftest import EXACT_Z, exact_zt, make_vocab, split_mode
 
 PROMPT_LEN = 1024
 NEW_TOKENS = 48
@@ -86,11 +85,12 @@ class RowSpy(Spy):
         return self._m.cdf_at(self._key(key))
 
 
-def drive(cfg, llm, plus, minus, vocab, prompt):
-    """run_session's loop, also returning every encoded verdict frame."""
+def drive(cfg, llm, plus, minus, vocab, prompt, exact):
+    """run_session's loop, verified with the exact partition function when
+    ``exact``, also returning every encoded verdict frame."""
     rngs = make_streams(cfg.seed)
     edge = EdgeSession(cfg, plus, vocab, prompt, streams=rngs)
-    zt_fn = exact_partition_fn(llm, plus, minus) if cfg.exact_z else None
+    zt_fn = exact_zt(exact, llm, plus, minus)
     cloud = CloudVerifier(cfg, llm, minus, vocab, prompt, streams=rngs, zt_fn=zt_fn)
     frames = []
     while (batch := edge.next_draft()) is not None:
@@ -137,17 +137,19 @@ def table_model(rng, vocab, window):
     return model
 
 
-def assert_same_sessions(models, vocab, rng, **cfg_kw):
+def assert_same_sessions(models, vocab, rng, **mode):
     llm, plus, minus = models
     full = tuple(FullHistory(m) for m in models)
+    fields, exact = split_mode(mode)
     for seed in range(3):
         prompt = long_prompt(rng, vocab)
-        cfg = ProtocolConfig(top_k=vocab.size, max_len=PROMPT_LEN + NEW_TOKENS, seed=seed, **cfg_kw)
-        windowed = drive(cfg, llm, plus, minus, vocab, prompt)
-        reference = drive(cfg, *full, vocab, prompt)
+        cfg = ProtocolConfig(top_k=vocab.size, max_len=PROMPT_LEN + NEW_TOKENS, seed=seed, **fields)
+        windowed = drive(cfg, llm, plus, minus, vocab, prompt, exact)
+        reference = drive(cfg, *full, vocab, prompt, exact)
         assert windowed == reference
         assert len(windowed[1]) > 0
-        committed, _ = run_session(cfg, llm, plus, minus, vocab, prompt)
+        committed, _ = run_session(cfg, llm, plus, minus, vocab, prompt,
+                                   zt_fn=exact_zt(exact, llm, plus, minus))
         assert committed == windowed[0]
 
 
@@ -155,7 +157,7 @@ MODES = [
     {"lam": 0.5},
     {"lam": 1.0, "horizon_k": 3},
     {"lam": 0.5, "decode_mode": "greedy"},
-    {"exact_z": True},
+    EXACT_Z,
 ]
 
 
@@ -204,8 +206,8 @@ def spy_models(rng, kind, world):
 
 class TestHistoryBound:
     @pytest.mark.parametrize("kind", ["toy", "ngram1", "table0", "table1", "table2"])
-    @pytest.mark.parametrize("exact_z", [False, True])
-    def test_models_see_only_their_window(self, world, kind, exact_z):
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_models_see_only_their_window(self, world, kind, exact):
         rng = np.random.default_rng(7)
         k = 4
         vocab, models = spy_models(rng, kind, world)
@@ -213,13 +215,13 @@ class TestHistoryBound:
         # The exact-Z callback gives each model's public methods the tail
         # that the widest window of the three covers, plus the round's
         # tokens scanned so far.
-        bound = max(m.window for m in models) + k if exact_z else None
+        bound = max(m.window for m in models) + k if exact else None
         for spy in (Spy, RowSpy):
             spies = tuple(spy(m, bound) for m in models)
             for seed in range(4):
                 cfg = ProtocolConfig(lam=0.5, horizon_k=k, top_k=min(32, vocab.size),
-                                     max_len=PROMPT_LEN + NEW_TOKENS, seed=seed, exact_z=exact_z)
-                run_session(cfg, *spies, vocab, prompt)
+                                     max_len=PROMPT_LEN + NEW_TOKENS, seed=seed)
+                run_session(cfg, *spies, vocab, prompt, zt_fn=exact_zt(exact, *spies))
             assert all(s.calls > 0 for s in spies)
             autoregressive_decode(spies[0], vocab, prompt, PROMPT_LEN + NEW_TOKENS,
                                   rng=stream(1, ROLE_DRAFT))
