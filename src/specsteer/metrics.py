@@ -2,7 +2,8 @@
 
 Wall-clock is always modeled, never measured: the latency model prices a
 round as drafting plus one batched verifier forward plus fixed per-round
-overhead, with channel time from the transport's channel model.  The
+overhead, with channel time from the transport's channel model, in one
+formula (``_round_ms``) for a traced round and its closed form alike.  The
 FLOPs model uses the standard 2N-per-token approximation plus a linear
 attention term, with the cloud re-scoring the full (context-free) history
 each round, as the round protocol prescribes.  Absolute numbers are
@@ -77,19 +78,31 @@ class LatencyModel:
                 raise MetricsError("latency costs must be finite and >= 0")
 
 
+def _round_ms(
+    drafted: float, recovery: float, up_bytes: float, down_bytes: float,
+    latency: LatencyModel, channel: ChannelModel | None,
+) -> float:
+    """The one modeled price of a round: ``drafted`` draft tokens, one
+    verify batch, the round overhead, ``recovery`` times the recovery cost
+    (1 or 0 for a round, a probability in expectation), then two one-way
+    latencies and the bytes sent each way over the bandwidth."""
+    t = drafted * latency.draft_token_ms
+    t += latency.verify_batch_ms + latency.round_overhead_ms
+    t += recovery * latency.recovery_ms
+    if channel is not None:
+        t += 2.0 * channel.one_way_latency_ms
+        t += 1000.0 * (up_bytes + down_bytes) / channel.bandwidth_bps
+    return t
+
+
 def round_time_ms(
     trace: RoundTrace,
     latency: LatencyModel,
     channel: ChannelModel | None = None,
 ) -> float:
-    t = len(trace.drafted) * latency.draft_token_ms
-    t += latency.verify_batch_ms + latency.round_overhead_ms
-    if trace.recovery_token is not None:
-        t += latency.recovery_ms
-    if channel is not None:
-        t += 2.0 * channel.one_way_latency_ms
-        t += 1000.0 * (trace.uplink_bytes + trace.downlink_bytes) / channel.bandwidth_bps
-    return t
+    recovered = trace.recovery_token is not None
+    return _round_ms(len(trace.drafted), recovered, trace.uplink_bytes, trace.downlink_bytes,
+                     latency, channel)
 
 
 def session_time_ms(
@@ -141,15 +154,11 @@ def expected_speedup(
     latency = latency or LatencyModel()
     reject_p = 1.0 - alpha**k
     n = expected_tokens_per_round(alpha, k)
-    t = k * latency.draft_token_ms + latency.verify_batch_ms + latency.round_overhead_ms
-    t += reject_p * latency.recovery_ms
-    if channel is not None:
-        # A round after a rejection carries a history delta up, and a
-        # rejecting round's verdict carries top_k steering entries down.
-        up = (1.0 - reject_p) * draft_frame_bytes(k, False) + reject_p * draft_frame_bytes(k, True)
-        down = (1.0 - reject_p) * verdict_frame_bytes(0) + reject_p * verdict_frame_bytes(top_k)
-        t += 2.0 * channel.one_way_latency_ms + 1000.0 * (up + down) / channel.bandwidth_bps
-    return n * latency.llm_token_ms / t
+    # A round after a rejection carries a history delta up, and a
+    # rejecting round's verdict carries top_k steering entries down.
+    up = (1.0 - reject_p) * draft_frame_bytes(k, False) + reject_p * draft_frame_bytes(k, True)
+    down = (1.0 - reject_p) * verdict_frame_bytes(0) + reject_p * verdict_frame_bytes(top_k)
+    return n * latency.llm_token_ms / _round_ms(k, reject_p, up, down, latency, channel)
 
 
 # ---------------------------------------------------------------------------

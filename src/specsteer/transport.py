@@ -14,12 +14,23 @@ identical seeds.  The edge loop is ``protocol.drive``, the one that
 a HELLO opens it and a DONE closes it.  Modeled channel time is not kept
 here: ``metrics.round_time_ms`` computes it from a round's byte counts.
 
+One function, ``_frame``, packs every frame: the header, then a payload
+of fixed fields, u32 token ids and a raw tail, in one struct cached per
+(fixed part, id count).  Each message's fixed part is one named struct:
+``FRAME_HEADER``, ``DRAFT_FIXED`` and ``VERDICT_FIXED`` in ``protocol``,
+and ``_HELLO``, ``_HELLO_ACK``, ``_DONE_FIXED`` and ``_RECOVERY_FIXED``
+(a recovery verdict's fixed fields and its u16 entry count) here.  So one
+rule covers every encoder: a field or id past its width raises
+``WireError``, never a raw ``struct.error``.  The decoders read a
+payload's fixed fields and its trailing ids through two helpers, which
+refuse a truncated payload and a wrong length with ``WireError``.
+
 The endpoint loops read draft and verdict frames in place.  The cloud's
 frame handler (``CloudSession.handle``) hands a draft's ids to
 ``CloudVerifier.verify`` and appends the packed entry section it returns,
-the one form a steering payload takes, to the verdict as it is; the edge
-checks a verdict's fields with ``protocol.check_verdict`` and hands that
-section to the commit core undecoded.  So the wire adds nothing to a
+the one form a steering payload takes, to the verdict as its tail; the
+edge checks a verdict's fields with ``protocol.check_verdict`` and hands
+that section to the commit core undecoded.  So the wire adds nothing to a
 payload that an in-process session does not see.  The ``encode_*`` and
 ``decode_*`` functions are the same codec in message form; a ``Verdict``
 carries the section undecoded too.
@@ -74,13 +85,12 @@ DIR_UP = 0    # edge -> cloud
 DIR_DOWN = 1  # cloud -> edge
 
 _HELLO = struct.Struct("<ddHHIBQQH")
+_HELLO_ACK = struct.Struct("<Q")
 _DONE_FIXED = struct.Struct("<IH")
-_U16 = struct.Struct("<H")
+# A recovery verdict's fixed fields: the verdict's, then its u16 entry count.
+_RECOVERY_FIXED = struct.Struct(VERDICT_FIXED.format + "H")
+_NO_FIELDS = struct.Struct("<")
 _U32 = struct.Struct("<I")
-# A whole accept-all verdict frame, and a recovery verdict frame up to its
-# entry section: header, fixed fields and the u16 entry count.
-_ACCEPT_ALL_FRAME = struct.Struct(FRAME_HEADER.format + VERDICT_FIXED.format[1:])
-_RECOVERY_HEAD = struct.Struct(_ACCEPT_ALL_FRAME.format + "H")
 
 # Every variable-length section has a u16 count, so the largest legal payload
 # is a verdict with 0xFFFF entries.  SocketEndpoint refuses any longer
@@ -89,7 +99,7 @@ _RECOVERY_HEAD = struct.Struct(_ACCEPT_ALL_FRAME.format + "H")
 MAX_PAYLOAD = max(
     _HELLO.size + _U32.size * 0xFFFF,
     DRAFT_FIXED.size + _U32.size * (0xFFFF + 1),
-    VERDICT_FIXED.size + 2 + STEERING_ENTRY_BYTES * 0xFFFF,
+    _RECOVERY_FIXED.size + STEERING_ENTRY_BYTES * 0xFFFF,
     _DONE_FIXED.size + _U32.size * 0xFFFF,
 )
 
@@ -124,24 +134,49 @@ def _ids_struct(n: int) -> struct.Struct:
     return struct.Struct(f"<{n}I")
 
 
-@functools.lru_cache(maxsize=256)
-def _draft_struct(n: int) -> struct.Struct:
-    """A whole draft frame carrying n u32 ids: the draft's, then any
-    history delta."""
-    return struct.Struct(f"{FRAME_HEADER.format}{DRAFT_FIXED.format[1:]}{n}I")
+@functools.lru_cache(maxsize=512)
+def _frame_struct(fixed: struct.Struct, n: int) -> struct.Struct:
+    """A whole frame up to its tail: the header, the fields of ``fixed``
+    and n u32 token ids."""
+    return struct.Struct(f"{FRAME_HEADER.format}{fixed.format[1:]}{n}I")
 
 
-def _pack_ids(ids: Sequence[int]) -> bytes:
+def _frame(
+    msg_type: int, fixed: struct.Struct, fields: tuple, ids: Sequence[int] = (), tail: bytes = b""
+) -> bytes:
+    """The one packer of every frame: the header of a ``msg_type`` frame,
+    then its payload, which is ``fields`` packed by ``fixed``, the u32
+    ``ids`` and the raw bytes of ``tail``.  A field or id past its width
+    raises ``WireError``."""
+    size = fixed.size + _U32.size * len(ids) + len(tail)
     try:
-        return _ids_struct(len(ids)).pack(*ids)
-    except struct.error:
-        raise WireError("token id does not fit in an unsigned 32-bit field") from None
+        head = _frame_struct(fixed, len(ids)).pack(MAGIC, VERSION, msg_type, size, *fields, *ids)
+    except (struct.error, OverflowError):
+        raise WireError("a field or token id does not fit its frame field") from None
+    return head + tail
+
+
+def _fixed(buf: bytes, off: int, fixed: struct.Struct, what: str) -> tuple:
+    """The fields of ``fixed`` at ``off`` in ``buf``, where a ``what``
+    payload starts; a payload too short for them raises ``WireError``."""
+    if len(buf) - off < fixed.size:
+        raise WireError(f"truncated {what} payload")
+    return fixed.unpack_from(buf, off)
+
+
+def _ids(buf: bytes, off: int, n: int, what: str) -> tuple[int, ...]:
+    """The n u32 ids that run from ``off`` to the end of ``buf``, the tail
+    of a ``what`` payload; any other length raises ``WireError``."""
+    size = len(buf) - off
+    if size != _U32.size * n:
+        raise WireError(f"{what} payload has {size} bytes of ids, expected {_U32.size * n}")
+    return _ids_struct(n).unpack_from(buf, off)
 
 
 def encode_frame(msg_type: int, payload: bytes) -> bytes:
     if msg_type not in _MSG_TYPES:
         raise WireError(f"unknown message type {msg_type}")
-    return FRAME_HEADER.pack(MAGIC, VERSION, msg_type, len(payload)) + payload
+    return _frame(msg_type, _NO_FIELDS, (), tail=payload)
 
 
 def _frame_type(frame: bytes) -> int:
@@ -168,35 +203,25 @@ def decode_frame(frame: bytes) -> tuple[int, bytes]:
 def encode_hello(config: ProtocolConfig, vhash: int, prompt_ids: Sequence[int]) -> bytes:
     """The HELLO that opens a session: every field of ``config``, the
     vocabulary hash and the prompt.  Each valid config fits its fields, and
-    every session's intake refuses a prompt of more than ``U16_MAX`` ids;
-    a direct caller's longer prompt raises ``WireError``."""
+    every session's intake refuses a prompt of more than ``U16_MAX`` ids.
+    A direct caller's longer prompt raises ``WireError("prompt too long for
+    handshake frame")``, and a hash or prompt id past its width the
+    ``WireError`` of every frame."""
     if len(prompt_ids) > U16_MAX:
         raise WireError("prompt too long for handshake frame")
-    payload = _HELLO.pack(
-        config.lam,
-        config.beta,
-        config.horizon_k,
-        config.top_k,
-        config.max_len,
-        DECODE_MODES.index(config.decode_mode),
-        config.seed,
-        vhash,
-        len(prompt_ids),
-    ) + _pack_ids(prompt_ids)
-    return encode_frame(MSG_HELLO, payload)
+    fields = (
+        config.lam, config.beta, config.horizon_k, config.top_k, config.max_len,
+        DECODE_MODES.index(config.decode_mode), config.seed, vhash, len(prompt_ids),
+    )
+    return _frame(MSG_HELLO, _HELLO, fields, prompt_ids)
 
 
 def decode_hello(payload: bytes) -> tuple[ProtocolConfig, int, tuple[int, ...]]:
     """(config, vocabulary hash, prompt) of a handshake payload.  The
     config checks its fields as it is made, so one out of range raises
     ``ConfigError``."""
-    if len(payload) < _HELLO.size:
-        raise WireError("truncated handshake payload")
-    lam, beta, k, top_k, max_len, mode, seed, vhash, plen = _HELLO.unpack_from(payload, 0)
-    ids_blob = payload[_HELLO.size:]
-    if len(ids_blob) != 4 * plen:
-        raise WireError("handshake prompt length mismatch")
-    prompt = _ids_struct(plen).unpack(ids_blob)
+    lam, beta, k, top_k, max_len, mode, seed, vhash, plen = _fixed(payload, 0, _HELLO, "handshake")
+    prompt = _ids(payload, _HELLO.size, plen, "handshake")
     if mode >= len(DECODE_MODES):
         raise WireError(f"unknown decode mode {mode}")
     config = ProtocolConfig(
@@ -207,26 +232,20 @@ def decode_hello(payload: bytes) -> tuple[ProtocolConfig, int, tuple[int, ...]]:
 
 
 def encode_hello_ack(vhash: int) -> bytes:
-    return encode_frame(MSG_HELLO, struct.pack("<Q", vhash))
+    return _frame(MSG_HELLO, _HELLO_ACK, (vhash,))
 
 
 def decode_hello_ack(payload: bytes) -> int:
-    if len(payload) != 8:
+    if len(payload) != _HELLO_ACK.size:
         raise WireError("bad handshake ack")
-    return struct.unpack("<Q", payload)[0]
+    return _HELLO_ACK.unpack(payload)[0]
 
 
 def _draft_frame(seq_no: int, tokens: Sequence[int], history_delta: int | None) -> bytes:
-    k = len(tokens)
-    if k == 0:
+    if len(tokens) == 0:
         raise WireError("cannot encode an empty draft batch")
     ids = tokens if history_delta is None else (*tokens, history_delta)
-    try:
-        return _draft_struct(len(ids)).pack(
-            MAGIC, VERSION, MSG_DRAFT, DRAFT_FIXED.size + 4 * len(ids), seq_no, k, *ids
-        )
-    except struct.error:
-        raise WireError("draft size, seq or token id does not fit its frame field") from None
+    return _frame(MSG_DRAFT, DRAFT_FIXED, (seq_no, len(tokens)), ids)
 
 
 def encode_draft(batch: DraftBatch, history_delta: int | None = None) -> bytes:
@@ -238,17 +257,10 @@ def _draft_fields(
 ) -> tuple[int, tuple[int, ...], int | None]:
     """(seq_no, token ids, history delta) of the draft payload that starts
     at ``off`` in ``buf`` and runs to its end."""
-    size = len(buf) - off
-    if size < DRAFT_FIXED.size:
-        raise WireError("truncated draft payload")
-    seq_no, k = DRAFT_FIXED.unpack_from(buf, off)
-    expected = DRAFT_FIXED.size + 4 * k + (4 if expect_delta else 0)
-    if size != expected:
-        raise WireError(f"draft payload length {size}, expected {expected}")
-    off += DRAFT_FIXED.size
+    seq_no, k = _fixed(buf, off, DRAFT_FIXED, "draft")
+    ids = _ids(buf, off + DRAFT_FIXED.size, k + 1 if expect_delta else k, "draft")
     if not expect_delta:
-        return seq_no, _ids_struct(k).unpack_from(buf, off), None
-    ids = _ids_struct(k + 1).unpack_from(buf, off)
+        return seq_no, ids, None
     return seq_no, ids[:k], ids[k]
 
 
@@ -261,16 +273,11 @@ def _verdict_frame(seq_no: int, accepted: int, section: bytes | None) -> bytes:
     """The verdict frame around ``section``, a packed entry section (see
     ``protocol.pack_steering_entries``), or the accept-all verdict."""
     if section is None:
-        return _ACCEPT_ALL_FRAME.pack(
-            MAGIC, VERSION, MSG_VERDICT, VERDICT_FIXED.size, seq_no, accepted, 0
-        )
+        return _frame(MSG_VERDICT, VERDICT_FIXED, (seq_no, accepted, 0))
     n, rest = divmod(len(section), STEERING_ENTRY_BYTES)
     if not n or rest:
         raise WireError("recovery verdict needs one or more whole steering entries")
-    payload_len = VERDICT_FIXED.size + 2 + len(section)
-    return _RECOVERY_HEAD.pack(
-        MAGIC, VERSION, MSG_VERDICT, payload_len, seq_no, accepted, 1, n
-    ) + section
+    return _frame(MSG_VERDICT, _RECOVERY_FIXED, (seq_no, accepted, 1, n), tail=section)
 
 
 def encode_verdict(v: Verdict) -> bytes:
@@ -280,20 +287,15 @@ def encode_verdict(v: Verdict) -> bytes:
 def _verdict_fields(buf: bytes, off: int) -> tuple[int, int, bytes | None]:
     """(seq_no, accepted count, packed entry section or None) of the
     verdict payload that starts at ``off`` in ``buf`` and runs to its end."""
-    size = len(buf) - off
-    if size < VERDICT_FIXED.size:
-        raise WireError("truncated verdict payload")
-    seq_no, accepted, flag = VERDICT_FIXED.unpack_from(buf, off)
+    seq_no, accepted, flag = _fixed(buf, off, VERDICT_FIXED, "verdict")
     if flag == 0:
-        if size != VERDICT_FIXED.size:
+        if len(buf) - off != VERDICT_FIXED.size:
             raise WireError("accept-all verdict carries extra bytes")
         return seq_no, accepted, None
     if flag != 1:
         raise WireError(f"unknown verdict flag {flag}")
-    if size < VERDICT_FIXED.size + 2:
-        raise WireError("truncated verdict payload")
-    (n,) = _U16.unpack_from(buf, off + VERDICT_FIXED.size)
-    off += VERDICT_FIXED.size + 2
+    n = _fixed(buf, off, _RECOVERY_FIXED, "verdict")[3]
+    off += _RECOVERY_FIXED.size
     if len(buf) != off + STEERING_ENTRY_BYTES * n:
         raise WireError("verdict entry section length mismatch")
     return seq_no, accepted, buf[off:]
@@ -304,17 +306,12 @@ def decode_verdict(payload: bytes) -> Verdict:
 
 
 def encode_done(final_len: int, trailing_ids: Sequence[int] = ()) -> bytes:
-    payload = _DONE_FIXED.pack(final_len, len(trailing_ids)) + _pack_ids(trailing_ids)
-    return encode_frame(MSG_DONE, payload)
+    return _frame(MSG_DONE, _DONE_FIXED, (final_len, len(trailing_ids)), trailing_ids)
 
 
 def decode_done(payload: bytes) -> tuple[int, tuple[int, ...]]:
-    if len(payload) < _DONE_FIXED.size:
-        raise WireError("truncated done payload")
-    final_len, n = _DONE_FIXED.unpack_from(payload, 0)
-    if len(payload) != _DONE_FIXED.size + 4 * n:
-        raise WireError("done payload length mismatch")
-    return final_len, _ids_struct(n).unpack_from(payload, _DONE_FIXED.size)
+    final_len, n = _fixed(payload, 0, _DONE_FIXED, "done")
+    return final_len, _ids(payload, _DONE_FIXED.size, n, "done")
 
 
 # The cloud's refusal: a DONE of length 0 (a finished session is never empty).
@@ -690,9 +687,12 @@ class CloudSession:
         return reply
 
     def refuse(self, error: SpecSteerError, frame_log: FrameLog | None = None) -> bytes:
-        """End the session on ``error``, kept in ``self.error``, and return
-        the refusal, a DONE of length 0, logged on the downlink."""
-        self.error = error
+        """End the session on ``error`` and return the refusal, a DONE of
+        length 0, logged on the downlink.  ``self.error`` keeps the first
+        error, the one that ended the session: a frame after the end is
+        refused again, but its ``WireError`` does not replace the cause."""
+        if self.error is None:
+            self.error = error
         self.finished = True
         if frame_log is not None:
             frame_log.write(DIR_DOWN, _REFUSAL)

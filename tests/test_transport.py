@@ -3,6 +3,7 @@ import socket
 import struct
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -244,6 +245,53 @@ class TestCodecRoundTrips:
         assert encode_hello(cfg, 5, ids)[-4 * len(ids):] == u32s(ids)
 
 
+# Past both ends of every integer width in a frame (u16, u32, u64).
+WIDE = st.integers(-1, 2**65)
+
+
+def wide_ids(draw, min_size=0) -> tuple:
+    return tuple(draw(st.lists(WIDE, min_size=min_size, max_size=6)))
+
+
+# Each case draws the fields of one encoder and returns (the encode call,
+# the decoder of its payload, the fields that decoder must return).
+def hello_case(draw):
+    cfg = ProtocolConfig(seed=draw(st.integers(0, 2**64 - 1)))
+    vhash, prompt = draw(WIDE), wide_ids(draw)
+    return partial(encode_hello, cfg, vhash, prompt), decode_hello, (cfg, vhash, prompt)
+
+
+def ack_case(draw):
+    vhash = draw(WIDE)
+    return partial(encode_hello_ack, vhash), decode_hello_ack, vhash
+
+
+def draft_case(draw):
+    batch = DraftBatch(draw(WIDE), wide_ids(draw, min_size=1))
+    return partial(encode_draft, batch), partial(decode_draft, expect_delta=False), (batch, None)
+
+
+def draft_delta_case(draw):
+    batch, delta = DraftBatch(draw(WIDE), wide_ids(draw, min_size=1)), draw(WIDE)
+    return partial(encode_draft, batch, delta), partial(decode_draft, expect_delta=True), (batch, delta)
+
+
+def accept_all_case(draw):
+    v = Verdict(draw(WIDE), draw(WIDE), None)
+    return partial(encode_verdict, v), decode_verdict, v
+
+
+def recovery_case(draw):
+    entries = section((i, 0.5) for i in range(draw(st.integers(1, 4))))
+    v = Verdict(draw(WIDE), draw(WIDE), entries)
+    return partial(encode_verdict, v), decode_verdict, v
+
+
+def done_case(draw):
+    final_len, trailing = draw(WIDE), wide_ids(draw)
+    return partial(encode_done, final_len, trailing), decode_done, (final_len, trailing)
+
+
 class TestCodecErrors:
     def test_bad_magic(self):
         frame = b"XXXX" + encode_done(1, ())[4:]
@@ -274,12 +322,24 @@ class TestCodecErrors:
             encode_draft(DraftBatch(0, ()))
 
     def test_counts_past_u16(self):
-        # No session drafts or starts with this many ids, but a direct
-        # caller gets a typed error, not a raw struct.error.
+        # No session drafts or starts with this many ids, or sends such
+        # fields, but a direct caller gets a typed error, not a raw
+        # struct.error.
         with pytest.raises(WireError, match="does not fit its frame field"):
             encode_draft(DraftBatch(0, (0,) * (U16_MAX + 1)))
         with pytest.raises(WireError, match="prompt too long for handshake frame"):
             encode_hello(ProtocolConfig(), 0, (0,) * (U16_MAX + 1))
+        for encode, args in (
+            (encode_verdict, (Verdict(2**32, 0, None),)),
+            (encode_verdict, (Verdict(0, 0, b"\0" * 8 * (U16_MAX + 1)),)),
+            (encode_done, (2**32, ())),
+            (encode_done, (1, (0,) * (U16_MAX + 1))),
+            (encode_hello, (ProtocolConfig(), 2**64, ())),
+            (encode_hello_ack, (2**64,)),
+            (encode_hello_ack, (-1,)),
+        ):
+            with pytest.raises(WireError, match="does not fit its frame field"):
+                encode(*args)
 
     def test_draft_wrong_delta_expectation(self):
         _, payload = decode_frame(encode_draft(DraftBatch(0, (1, 2))))
@@ -311,6 +371,23 @@ class TestCodecErrors:
             encode_hello(ProtocolConfig(), 0, (bad,))
         with pytest.raises(ProtocolStateError, match="u32 id"):
             pack_steering_entries([bad], [0.5])
+
+    @pytest.mark.parametrize("case", [
+        hello_case, ack_case, draft_case, draft_delta_case, accept_all_case, recovery_case,
+        done_case,
+    ])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_every_encoder_raises_wire_error_or_round_trips(self, case, data):
+        # One rule for every frame: each integer field or id, drawn from
+        # past both ends of the widths the codec uses, either packs and
+        # decodes to itself or raises WireError, never a struct.error.
+        encode, decode, fields = case(data.draw)
+        try:
+            frame = encode()
+        except WireError:
+            return
+        assert decode(decode_frame(frame)[1]) == fields
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 3.5e38, -1e39])
     def test_value_not_finite_in_binary32(self, value):
@@ -1024,6 +1101,24 @@ class TestCloudRefusal:
                 with pytest.raises(WireError, match="^frame after the session ended$"):
                     cloud.handle(frame)
             assert (cloud.stats().mirror, cloud.stats().traces) == (mirror, traces)
+
+    def test_refusal_keeps_its_first_cause(self, world, tmp_path):
+        # A frame after the refusal is answered and logged with the refusal
+        # again, but the session's error stays the one that ended it.
+        prompt = world.vocab.ids_of("we ordered the".split())
+        cloud = CloudSession(world.llm, world.slm_minus, world.vocab)
+        cloud.handle(encode_hello(ProtocolConfig(max_len=24), world.vocab.fingerprint, prompt))
+        frames = (encode_draft(DraftBatch(0, (10**6,))), encode_draft(DraftBatch(0, (0,))))
+        path = str(tmp_path / "cloud.log")
+        with FrameLog(path) as log:
+            assert [cloud.answer(f, log) for f in frames] == [encode_done(0, ())] * 2
+        assert FrameLog.read(path) == [
+            (DIR_UP, frames[0]), (DIR_DOWN, encode_done(0, ())),
+            (DIR_UP, frames[1]), (DIR_DOWN, encode_done(0, ())),
+        ]
+        assert type(cloud.error) is ProtocolStateError
+        assert str(cloud.error) == (
+            "unknown draft token id 1000000 at position 0: out of range [0, 102)")
 
     @pytest.mark.parametrize("msg_type, rewrite, cloud_error", [
         (MSG_HELLO, hostile_hello, SequenceError),
