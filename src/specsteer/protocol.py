@@ -757,7 +757,9 @@ class CloudVerifier:
     ``window`` it reads.  No handshake carries it, so a wire session's
     cloud verifies with lambda.  The models' vocabularies are checked once
     per model pair and vocabulary; the mirror starts as the history that
-    ``SessionRecord.start`` made of the prompt.
+    ``SessionRecord.start`` made of the prompt.  Its place in the session
+    is ``len(traces)``, the next draft's seq, and ``awaiting_delta``; that
+    the session has ended is ``CloudSession.end``, on the wire.
     """
 
     def __init__(
@@ -774,9 +776,7 @@ class CloudVerifier:
         self.mirror = rec.start(config, prompt_ids)
         self.config = config
         self._rows = rec.rows(llm, slm_minus)
-        self.expected_seq = 0
         self.awaiting_delta = False
-        self.finished = False
         self.traces: list[RoundTrace] = []
         self._verify_rng = (
             streams.verify if streams is not None else UniformStream(config.seed, ROLE_VERIFY)
@@ -789,11 +789,9 @@ class CloudVerifier:
         """Check an untrusted draft, then score and scan-accept it; returns
         (accepted_count, the steering payload's packed entry section or
         None).  A refused draft leaves the verifier as it was."""
-        if self.finished:
-            raise ProtocolStateError("session already finished")
-        if seq_no != self.expected_seq:
+        if seq_no != len(self.traces):
             raise ProtocolStateError(
-                f"out-of-order draft: got seq {seq_no}, expected {self.expected_seq}"
+                f"out-of-order draft: got seq {seq_no}, expected {len(self.traces)}"
             )
         if not tokens:
             raise ProtocolStateError("empty draft batch")
@@ -823,7 +821,6 @@ class CloudVerifier:
         mirror.extend(tokens[:accepted])
         self.awaiting_delta = section is not None
         self.traces.append(trace)
-        self.expected_seq += 1
         return accepted, section
 
     def handle_draft(self, batch: DraftBatch, history_delta: int | None) -> Verdict:
@@ -834,10 +831,9 @@ class CloudVerifier:
     def finish(self, trailing_ids: Sequence[int]) -> None:
         """Apply the final history repair carried by the DONE message: the
         pending recovery token when there is one, and nothing otherwise.
-        The token is checked as a one-token draft would be, and a session
-        finishes once."""
-        if self.finished:
-            raise ProtocolStateError("session already finished")
+        The token is checked as a one-token draft would be.  Call it once,
+        after the last draft: it does not guard against a second call or a
+        later draft, which ``CloudSession`` refuses on the wire."""
         want = 1 if self.awaiting_delta else 0
         if len(trailing_ids) != want:
             raise ProtocolStateError(
@@ -850,7 +846,6 @@ class CloudVerifier:
             self.mirror.extend(trailing_ids)
             self.traces[-1].recovery_token = trailing_ids[0]
         self.awaiting_delta = False
-        self.finished = True
 
 
 # ---------------------------------------------------------------------------

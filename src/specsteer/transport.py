@@ -34,6 +34,11 @@ that section to the commit core undecoded.  So the wire adds nothing to a
 payload that an in-process session does not see.  The ``encode_*`` and
 ``decode_*`` functions are the same codec in message form; a ``Verdict``
 carries the section undecoded too.
+
+A cloud session's state is one field, ``CloudSession.end``: None while it
+runs, ``DONE`` once its DONE is acknowledged, or the error that refused
+it.  Every frame after the end is answered with the refusal, and the end
+stays as it was.
 """
 
 from __future__ import annotations
@@ -316,6 +321,8 @@ def decode_done(payload: bytes) -> tuple[int, tuple[int, ...]]:
 
 # The cloud's refusal: a DONE of length 0 (a finished session is never empty).
 _REFUSAL = encode_done(0, ())
+# ``CloudSession.end`` of a session whose DONE was acknowledged.
+DONE = "done"
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +465,8 @@ class SocketEndpoint:
                     n = self._sock.recv_into(self._view[end:])
                 except BlockingIOError:
                     raise ChannelTimeoutError(f"no whole frame within {self._timeout} s") from None
+                except ConnectionResetError:
+                    raise ChannelClosedError("peer reset the connection") from None
                 if not n:
                     raise ChannelClosedError("peer closed the connection mid-frame")
                 self._end = end + n
@@ -626,26 +635,27 @@ class CloudSession:
     rule for errors: a ``SpecSteerError`` (a foreign vocabulary's among
     them) ends the session with the DONE refusal, logged on the downlink.
     ``run_cloud`` serves a channel with it, ``DirectEndpoint`` the simulated
-    channel, and ``replay_cloud_log`` a logged uplink."""
+    channel, and ``replay_cloud_log`` a logged uplink.
+
+    ``end`` is the session's one state: None while it runs (awaiting the
+    HELLO while ``verifier`` is None), ``DONE`` once its DONE is
+    acknowledged, or the ``SpecSteerError`` that refused it.  An end is
+    never replaced."""
 
     def __init__(self, llm, slm_minus, vocab: Vocabulary) -> None:
         self.llm = llm
         self.slm_minus = slm_minus
         self.vocab = vocab
         self.verifier: CloudVerifier | None = None
-        # Set once the last frame of the session has been answered.
-        self.finished = False
-        # The error that ended the session, if one did.
-        self.error: SpecSteerError | None = None
+        self.end: str | SpecSteerError | None = None
 
     def handle(self, frame: bytes) -> bytes:
         """The answer to ``frame``: a handshake ack, a verdict, or the DONE
         acknowledgement.  A ``SpecSteerError`` (a handshake from another
         vocabulary raises ``HandshakeError``) ends the session, which
         ``answer`` then refuses with a DONE of length 0.  Once the session
-        has ended, acknowledged or refused, every frame raises
-        ``WireError``."""
-        if self.finished:
+        has ended (``end`` is not None), every frame raises ``WireError``."""
+        if self.end is not None:
             raise WireError("frame after the session ended")
         msg_type = _frame_type(frame)
         verifier = self.verifier
@@ -669,7 +679,7 @@ class CloudSession:
         mirror = verifier.mirror
         if final_len != len(mirror):
             raise WireError(f"edge reports length {final_len}, cloud mirror has {len(mirror)}")
-        self.finished = True
+        self.end = DONE
         return encode_done(len(mirror), ())
 
     def answer(self, frame: bytes, frame_log: FrameLog | None = None) -> bytes:
@@ -688,12 +698,12 @@ class CloudSession:
 
     def refuse(self, error: SpecSteerError, frame_log: FrameLog | None = None) -> bytes:
         """End the session on ``error`` and return the refusal, a DONE of
-        length 0, logged on the downlink.  ``self.error`` keeps the first
-        error, the one that ended the session: a frame after the end is
-        refused again, but its ``WireError`` does not replace the cause."""
-        if self.error is None:
-            self.error = error
-        self.finished = True
+        length 0, logged on the downlink.  Only a running session takes
+        ``error`` as its ``end``: a frame after the end is refused again,
+        but its ``WireError`` does not replace the end, so a finished
+        session stays ``DONE`` and a refused one keeps its cause."""
+        if self.end is None:
+            self.end = error
         if frame_log is not None:
             frame_log.write(DIR_DOWN, _REFUSAL)
         return _REFUSAL
@@ -703,7 +713,7 @@ class CloudSession:
         if verifier is None:
             return CloudStats(rounds=0, traces=[], mirror=[])
         return CloudStats(
-            rounds=verifier.expected_seq,
+            rounds=len(verifier.traces),
             traces=verifier.traces,
             mirror=verifier.mirror,
         )
@@ -719,7 +729,7 @@ def run_cloud(
     """Serve one session from the cloud side of a channel.  A session that
     ends in an error is refused, and the error raised."""
     session = CloudSession(llm, slm_minus, vocab)
-    while not session.finished:
+    while session.end is None:
         try:
             frame = endpoint.recv_frame()
         except SpecSteerError as exc:
@@ -733,10 +743,10 @@ def run_cloud(
             # further error.  Any other send that fails leaves the stream
             # broken, perhaps mid-frame, and the peer not reading: no
             # refusal can follow it.
-            if session.error is None:
+            if not isinstance(session.end, SpecSteerError):
                 raise
-        if session.error is not None:
-            raise session.error
+        if isinstance(session.end, SpecSteerError):
+            raise session.end
     return session.stats()
 
 
@@ -779,8 +789,8 @@ def run_simulated_session(
             frame_log=edge_log,
         )
     except WireError:
-        if cloud.error is not None:
-            raise cloud.error from None
+        if isinstance(cloud.end, SpecSteerError):
+            raise cloud.end from None
         raise
     return committed, edge_stats, cloud.stats()
 
@@ -914,7 +924,7 @@ def replay_cloud_log(path: str, llm, slm_minus, vocab: Vocabulary) -> list[str]:
             if session is None:
                 session = CloudSession(llm, slm_minus, vocab)
             answers.append(session.answer(frame))
-            if session.finished:
+            if session.end is not None:
                 session = None
         elif not answers:
             mismatches.append(f"frame {idx}: logged downlink frame answers no uplink frame")

@@ -34,7 +34,15 @@ from specsteer.protocol import (
     run_session,
     verdict_frame_bytes,
 )
-from specsteer.transport import decode_frame, decode_hello, encode_hello
+from specsteer.transport import (
+    CloudSession,
+    WireError,
+    decode_frame,
+    decode_hello,
+    encode_done,
+    encode_draft,
+    encode_hello,
+)
 
 from conftest import make_vocab, random_table_triple
 
@@ -173,7 +181,7 @@ class TestCloudIngest:
         cloud = self._cloud(vocab, lam=1e-12)
         with pytest.raises(ProtocolStateError):
             cloud.handle_draft(DraftBatch(0, ids), None)
-        assert cloud.mirror == [0] and cloud.expected_seq == 0
+        assert cloud.mirror == [0] and len(cloud.traces) == 0
 
     @pytest.mark.parametrize("delta", [3, -1, 1.0, 1.5, "1"])
     def test_history_delta_out_of_range(self, delta):
@@ -219,7 +227,7 @@ class TestCloudIngest:
         cloud = self._cloud(vocab, lam=1e-12)
         with pytest.raises(ProtocolStateError, match="horizon_k"):
             cloud.handle_draft(DraftBatch(0, (0, 1, 0, 1, 0)), None)
-        assert cloud.mirror == [0] and cloud.expected_seq == 0
+        assert cloud.mirror == [0] and len(cloud.traces) == 0
         cloud.handle_draft(DraftBatch(0, (0, 1, 0, 1)), None)
         assert cloud.mirror == [0, 0, 1, 0, 1]
 
@@ -243,7 +251,7 @@ class TestCloudIngest:
         cloud = self._cloud(vocab, lam=1e-12, prompt=(0,) * 13)
         with pytest.raises(ProtocolStateError, match="max_len"):
             cloud.handle_draft(DraftBatch(0, (0, 1, 0, 1)), None)
-        assert cloud.mirror == [0] * 13 and cloud.expected_seq == 0
+        assert cloud.mirror == [0] * 13 and len(cloud.traces) == 0
         cloud.handle_draft(DraftBatch(0, (0, 1, 0)), None)
         assert len(cloud.mirror) == 16
 
@@ -262,7 +270,7 @@ class TestCloudIngest:
         cloud = self._cloud(vocab, lam=1e-12)
         with pytest.raises(ProtocolStateError, match="after eos"):
             cloud.handle_draft(DraftBatch(0, ids), None)
-        assert cloud.mirror == [0] and cloud.expected_seq == 0
+        assert cloud.mirror == [0] and len(cloud.traces) == 0
 
     def test_draft_ending_in_eos_accepted(self):
         vocab = make_vocab(3)
@@ -276,7 +284,7 @@ class TestCloudIngest:
         cloud = self._cloud(vocab, lam=1e-12, prompt=prompt)
         with pytest.raises(ProtocolStateError, match="after the session ended"):
             cloud.handle_draft(DraftBatch(0, (0,)), None)
-        assert cloud.mirror == list(prompt) and cloud.expected_seq == 0
+        assert cloud.mirror == list(prompt) and len(cloud.traces) == 0
 
     def test_draft_after_accepted_eos(self):
         vocab = make_vocab(3)
@@ -284,7 +292,7 @@ class TestCloudIngest:
         cloud.handle_draft(DraftBatch(0, (1, 2)), None)
         with pytest.raises(ProtocolStateError, match="after the session ended"):
             cloud.handle_draft(DraftBatch(1, (0,)), None)
-        assert cloud.mirror == [0, 1, 2] and cloud.expected_seq == 1
+        assert cloud.mirror == [0, 1, 2] and len(cloud.traces) == 1
 
     def test_draft_after_eos_delta(self):
         # The recovery token the delta repairs was eos, so the edge is done.
@@ -295,6 +303,14 @@ class TestCloudIngest:
             cloud.handle_draft(DraftBatch(1, (0,)), 2)
         assert cloud.mirror == [0] and cloud.awaiting_delta
 
+    def assert_ended(self, session, frames, mirror):
+        """Each of ``frames`` after ``session``'s DONE ends in the one error
+        for a frame after the end, and leaves the mirror as it was."""
+        for frame in frames:
+            with pytest.raises(WireError, match="^frame after the session ended$"):
+                session.handle(frame)
+            assert session.verifier.mirror == mirror
+
     def test_done_without_pending_delta_carries_no_ids(self):
         # A finished 7-token session (it ends in eos) at max_len 8: DONE may
         # not grow the mirror past eos or past max_len, and comes once.
@@ -302,32 +318,33 @@ class TestCloudIngest:
         cfg = ProtocolConfig(top_k=12, max_len=8)
         eos = vocab.eos_id
         prompt = [0, 1, 2, 3, 4, 5, eos]
-        cloud = CloudVerifier(cfg, single_row_model(vocab, np.full(12, 1 / 12)),
-                              single_row_model(vocab, np.full(12, 1 / 12)), vocab, prompt)
+        session = CloudSession(single_row_model(vocab, np.full(12, 1 / 12)),
+                               single_row_model(vocab, np.full(12, 1 / 12)), vocab)
+        session.handle(encode_hello(cfg, vocab.fingerprint, prompt))
+        cloud = session.verifier
         for trailing in ([eos, 5, eos, 7, 9, 11], [5], [eos]):
             with pytest.raises(ProtocolStateError, match="trailing ids"):
                 cloud.finish(trailing)
             assert cloud.mirror == prompt
-        cloud.finish([])
-        with pytest.raises(ProtocolStateError, match="already finished"):
-            cloud.finish([])
-        with pytest.raises(ProtocolStateError, match="already finished"):
-            cloud.handle_draft(DraftBatch(0, (0,)), None)
-        assert cloud.mirror == prompt
+        assert session.handle(encode_done(7, ())) == encode_done(7, ())
+        self.assert_ended(session, [encode_done(7, ()), encode_draft(DraftBatch(0, (0,)))], prompt)
 
     def test_done_repairs_exactly_the_pending_delta(self):
         vocab = make_vocab(3)
-        cloud = self._cloud(vocab, lam=1.0, decode_mode="greedy")
+        cfg = ProtocolConfig(lam=1.0, top_k=3, max_len=16, decode_mode="greedy")
+        session = CloudSession(single_row_model(vocab, [0.1, 0.7, 0.2]),
+                               single_row_model(vocab, [0.4, 0.4, 0.2]), vocab)
+        session.handle(encode_hello(cfg, vocab.fingerprint, [0]))
+        cloud = session.verifier
         assert cloud.handle_draft(DraftBatch(0, (0,)), None).recovery is not None
         for trailing in ([], [1, 1], [1, 2, 0]):
             with pytest.raises(ProtocolStateError, match="trailing ids"):
                 cloud.finish(trailing)
             assert cloud.mirror == [0] and cloud.awaiting_delta
-        cloud.finish([1])
+        assert session.handle(encode_done(2, (1,))) == encode_done(2, ())
         assert cloud.mirror == [0, 1] and not cloud.awaiting_delta
-        with pytest.raises(ProtocolStateError, match="already finished"):
-            cloud.finish([1])
-        assert cloud.mirror == [0, 1]
+        self.assert_ended(
+            session, [encode_done(2, (1,)), encode_draft(DraftBatch(1, (0,)))], [0, 1])
 
     def test_refused_scan_leaves_the_verifier_as_it_was(self):
         # After the delta 1, beta times the baseline's zero entries takes
@@ -342,7 +359,7 @@ class TestCloudIngest:
         with pytest.raises(ProtocolStateError, match="steering entry does not fit"):
             cloud.handle_draft(DraftBatch(1, (0,)), 1)
         assert cloud.mirror == [] and cloud.traces[0].recovery_token is None
-        assert cloud.expected_seq == 1 and cloud.awaiting_delta and len(cloud.traces) == 1
+        assert cloud.awaiting_delta and len(cloud.traces) == 1
         # A retry then applies the delta once.
         assert cloud.handle_draft(DraftBatch(1, (1,)), 1).accepted_count == 1
         assert cloud.mirror == [1, 1] and cloud.traces[0].recovery_token == 1

@@ -37,6 +37,8 @@ from specsteer.protocol import (
     verdict_frame_bytes,
 )
 from specsteer.transport import (
+    DONE,
+    ChannelClosedError,
     ChannelModel,
     ChannelTimeoutError,
     CloudSession,
@@ -507,9 +509,9 @@ class TestHandshake:
             with pytest.raises(HandshakeError, match="refused by cloud"):
                 run_edge(cfg, DirectEndpoint(cloud, fl), plus, vocab_a, [0])
         # Refused by the one rule for errors, which keeps the cause.
-        assert isinstance(cloud.error, HandshakeError)
-        assert str(cloud.error) == "vocabulary hash mismatch"
-        assert cloud.finished and cloud.stats().rounds == 0
+        assert isinstance(cloud.end, HandshakeError)
+        assert str(cloud.end) == "vocabulary hash mismatch"
+        assert cloud.stats().rounds == 0
         # No ack: the only downlink frame is the DONE refusal.
         assert [r for r in FrameLog.read(path) if r[0] == DIR_DOWN] == [
             (DIR_DOWN, encode_done(0, ()))
@@ -1037,6 +1039,33 @@ class TestSocketHardening:
             a.close()
             b.close()
 
+    def test_reset_peer_is_a_closed_channel(self, tmp_path):
+        # An edge that reads the ack and closes with SO_LINGER (1, 0), which
+        # resets the connection: the cloud's read ends in ChannelClosedError,
+        # not a raw ConnectionResetError, and its log ends in the refusal.
+        vocab, (llm, _, minus) = random_table_triple(np.random.default_rng(0), 4)
+        hello = encode_hello(ProtocolConfig(max_len=8, top_k=4), vocab.fingerprint, [0])
+        path = str(tmp_path / "cloud.log")
+        ready = threading.Event()
+        bound: list = []
+        with FrameLog(path) as log:
+            thread, errors = in_thread(lambda: serve_cloud_once(
+                ("127.0.0.1", 0), llm, minus, vocab, frame_log=log, ready=ready, bound=bound))
+            assert ready.wait(10)
+            with socket.create_connection(bound[0], timeout=5) as edge:
+                edge.sendall(hello)
+                assert SocketEndpoint(edge, timeout=5).recv_frame() == encode_hello_ack(
+                    vocab.fingerprint)
+                edge.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert len(errors) == 1 and type(errors[0]) is ChannelClosedError
+        assert FrameLog.read(path) == [
+            (DIR_UP, hello),
+            (DIR_DOWN, encode_hello_ack(vocab.fingerprint)),
+            (DIR_DOWN, encode_done(0, ())),
+        ]
+
     def test_stalled_edge_gets_the_refusal(self):
         vocab, (llm, _, minus) = random_table_triple(np.random.default_rng(0), 4)
         cfg = ProtocolConfig(max_len=8, top_k=4)
@@ -1081,30 +1110,41 @@ def padded_done(cfg, vocab):
 
 
 class TestCloudRefusal:
-    def test_no_frame_is_answered_after_the_session_ends(self):
+    def test_no_frame_is_answered_after_the_session_ends(self, tmp_path):
         # Refused or finished, a session verifies nothing more: every frame
-        # after its end raises, and the mirror and traces stay as they were.
+        # after its end raises from handle, and answer() refuses and logs it.
+        # The mirror, traces and end stay as they were: a finished session
+        # stays DONE, and a refused one keeps its cause.
         vocab, (llm, plus, minus) = random_table_triple(np.random.default_rng(53), 8)
         cfg = ProtocolConfig(lam=0.8, max_len=24, top_k=8, seed=3)
         hello = encode_hello(cfg, vocab.fingerprint, [0])
         refused = CloudSession(llm, minus, vocab)
         refused.handle(hello)
         assert refused.answer(encode_draft(DraftBatch(0, (vocab.size + 5,)))) == encode_done(0, ())
+        cause = refused.end
+        assert type(cause) is ProtocolStateError
         done = CloudSession(llm, minus, vocab)
         run_edge(cfg, DirectEndpoint(done), plus, vocab, [0])
-        for cloud in (refused, done):
-            assert cloud.finished
+        for name, cloud, end in (("refused", refused, cause), ("done", done, DONE)):
+            assert cloud.end is end
             before = cloud.stats()
             mirror, traces = list(before.mirror), list(before.traces)
-            for frame in (encode_draft(DraftBatch(0, (0,))),
-                          encode_draft(DraftBatch(before.rounds, (0,))), encode_done(1, ()), hello):
+            frames = (encode_draft(DraftBatch(0, (0,))),
+                      encode_draft(DraftBatch(before.rounds, (0,))), encode_done(1, ()), hello)
+            for frame in frames:
                 with pytest.raises(WireError, match="^frame after the session ended$"):
                     cloud.handle(frame)
+            path = str(tmp_path / f"{name}.log")
+            with FrameLog(path) as log:
+                assert [cloud.answer(f, log) for f in frames] == [encode_done(0, ())] * 4
+            assert FrameLog.read(path) == [
+                record for f in frames for record in ((DIR_UP, f), (DIR_DOWN, encode_done(0, ())))]
+            assert cloud.end is end
             assert (cloud.stats().mirror, cloud.stats().traces) == (mirror, traces)
 
     def test_refusal_keeps_its_first_cause(self, world, tmp_path):
         # A frame after the refusal is answered and logged with the refusal
-        # again, but the session's error stays the one that ended it.
+        # again, but the session's end stays the error that ended it.
         prompt = world.vocab.ids_of("we ordered the".split())
         cloud = CloudSession(world.llm, world.slm_minus, world.vocab)
         cloud.handle(encode_hello(ProtocolConfig(max_len=24), world.vocab.fingerprint, prompt))
@@ -1116,8 +1156,8 @@ class TestCloudRefusal:
             (DIR_UP, frames[0]), (DIR_DOWN, encode_done(0, ())),
             (DIR_UP, frames[1]), (DIR_DOWN, encode_done(0, ())),
         ]
-        assert type(cloud.error) is ProtocolStateError
-        assert str(cloud.error) == (
+        assert type(cloud.end) is ProtocolStateError
+        assert str(cloud.end) == (
             "unknown draft token id 1000000 at position 0: out of range [0, 102)")
 
     @pytest.mark.parametrize("msg_type, rewrite, cloud_error", [
@@ -1333,7 +1373,7 @@ class TestIdsCheckedBeforeRowLookup:
         cloud = self.rejected_cloud(models, vocab, cfg)
         before = [m.lookups for m in models]
         assert cloud.answer(encode_done(3, (bad,))) == encode_done(0, ())
-        assert isinstance(cloud.error, ProtocolStateError)
+        assert isinstance(cloud.end, ProtocolStateError)
         assert [m.lookups for m in models] == before
 
     @pytest.mark.parametrize("bad", BAD)

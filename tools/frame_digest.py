@@ -17,7 +17,9 @@ of a parent commit.  The hash covers, in this order:
   HELLO ack, and a draft and a verdict with every field at its limit.
 
 It prints one line: ``sha256 <hex>``, then the counts of sessions and
-frames.  It gates nothing.
+frames.  ``tests/test_golden.py`` loads this script by path, calls
+``digest()`` and pins its result, so the tier-1 run gates the digest and
+the session set lives here alone.
 """
 
 from __future__ import annotations
