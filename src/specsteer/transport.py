@@ -38,11 +38,16 @@ carries the section undecoded too.
 A cloud session's state is one field, ``CloudSession.end``: None while it
 runs, ``DONE`` once its DONE is acknowledged, or the error that refused
 it.  Every frame after the end is answered with the refusal, and the end
-stays as it was.
+stays as it was.  The edge reads the refusal at one place, its frame
+intake, wherever it arrives, and raises ``HandshakeError``; a peer lost
+on a socket is ``ChannelClosedError`` on a send and on a receive alike.
+On a socket the edge closes first: it half-closes after its DONE, and
+``serve_cloud_once`` closes after the edge's EOF.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import socket
@@ -119,8 +124,9 @@ class HandshakeError(WireError):
     pass
 
 
-class ChannelClosedError(WireError):
-    """The peer closed the channel; no further frame will arrive."""
+class ChannelClosedError(WireError, ConnectionError):
+    """The peer closed or reset the channel, seen on a send or a receive; no
+    further frame will arrive."""
 
 
 class ChannelTimeoutError(WireError, TimeoutError):
@@ -320,6 +326,7 @@ def decode_done(payload: bytes) -> tuple[int, tuple[int, ...]]:
 
 
 # The cloud's refusal: a DONE of length 0 (a finished session is never empty).
+# The edge recognises it in one place, ``_edge_loop``'s ``recv``.
 _REFUSAL = encode_done(0, ())
 # ``CloudSession.end`` of a session whose DONE was acknowledged.
 DONE = "done"
@@ -370,7 +377,11 @@ class SocketEndpoint:
     timeout is re-armed with what is left of it, so a peer that trickles
     bytes cannot stretch a frame.  A declared payload length is checked
     against ``MAX_PAYLOAD`` before the buffer grows for it.  Timeouts raise
-    ``ChannelTimeoutError``.
+    ``ChannelTimeoutError``.  A lost peer, an EOF anywhere in the stream or
+    a reset seen by a send or a receive, raises ``ChannelClosedError``
+    ("peer closed the connection"), never a raw ``ConnectionResetError``
+    or ``BrokenPipeError``.  ``half_close`` ends the sending side, which
+    the edge does after its DONE.
     """
 
     BUFFER_BYTES = 4096
@@ -417,6 +428,8 @@ class SocketEndpoint:
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, self._timeval)
         except BlockingIOError:
             raise ChannelTimeoutError(f"frame not sent within {self._timeout} s") from None
+        except (ConnectionResetError, BrokenPipeError):
+            raise ChannelClosedError("peer closed the connection") from None
 
     def _make_room(self, need: int) -> None:
         """Move the unread bytes to the front of the buffer, into a larger
@@ -466,9 +479,9 @@ class SocketEndpoint:
                 except BlockingIOError:
                     raise ChannelTimeoutError(f"no whole frame within {self._timeout} s") from None
                 except ConnectionResetError:
-                    raise ChannelClosedError("peer reset the connection") from None
+                    n = 0
                 if not n:
-                    raise ChannelClosedError("peer closed the connection mid-frame")
+                    raise ChannelClosedError("peer closed the connection")
                 self._end = end + n
         finally:
             if rearmed:
@@ -480,11 +493,15 @@ class SocketEndpoint:
             self._start = end
         return bytes(self._view[start:end])
 
+    def half_close(self) -> None:
+        """Send no more: the peer reads EOF once it has read every frame
+        sent.  A peer already gone shows at the next ``recv_frame``."""
+        with contextlib.suppress(OSError):
+            self._sock.shutdown(socket.SHUT_WR)
+
     def close(self) -> None:
-        try:
+        with contextlib.suppress(OSError):
             self._sock.close()
-        except OSError:
-            pass
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +591,9 @@ def _edge_loop(
     """``run_edge`` from ``edge_start``'s checked ``start`` and the encoded
     ``hello``, which opens the session: ``protocol.drive`` with a verify
     step that exchanges a draft frame for a verdict frame.  A DONE closes
-    the session."""
+    the session.  ``recv``, the one intake of downlink frames, raises
+    ``HandshakeError("session refused by cloud")`` for the cloud's refusal
+    wherever it arrives."""
     rec, drafter, history = start
     up_bytes = 0
     down_bytes = 0
@@ -587,17 +606,17 @@ def _edge_loop(
         endpoint.send_frame(frame)
 
     def recv(expected_type: int) -> bytes:
-        """The next frame, once its header is checked and its type is
-        ``expected_type``."""
+        """The next frame, once it is not the refusal, its header is
+        checked and its type is ``expected_type``."""
         nonlocal down_bytes
         frame = endpoint.recv_frame()
         down_bytes += len(frame)
         if frame_log is not None:
             frame_log.write(DIR_DOWN, frame)
+        if frame == _REFUSAL:
+            raise HandshakeError("session refused by cloud")
         msg_type = _frame_type(frame)
         if msg_type != expected_type:
-            if msg_type == MSG_DONE:
-                raise HandshakeError("session refused by cloud")
             raise WireError(f"unexpected message type {msg_type}")
         return frame
 
@@ -617,11 +636,15 @@ def _edge_loop(
     history, traces = drive(config, rec, drafter, history, make_streams(config.seed), exchange)
     last = traces[-1].recovery_token if traces else None
     send(encode_done(len(history), () if last is None else (last,)))
-    # The cloud acknowledges with its mirror length, and refuses with a DONE
-    # of length 0; a finished session is never empty.
+    # The DONE is the edge's last frame.  An endpoint that can half-close (a
+    # socket's) does so after it, so the edge closes first and TIME_WAIT
+    # stays on its side; the simulated channel has nothing to close.
+    getattr(endpoint, "half_close", lambda: None)()
+    # The cloud acknowledges with its mirror length; its refusal, a DONE of
+    # length 0, ended ``recv`` already.
     final_len, _ = decode_done(recv(MSG_DONE)[FRAME_HEADER.size:])
     if final_len != len(history):
-        raise HandshakeError("session refused by cloud")
+        raise WireError(f"cloud acknowledges length {final_len}, edge committed {len(history)}")
     stats = EdgeStats(
         rounds=len(traces), uplink_bytes=up_bytes, downlink_bytes=down_bytes, traces=traces
     )
@@ -813,7 +836,12 @@ def serve_cloud_once(
     and serve one session on it.  Once the socket listens, its address is
     appended to ``bound`` and then ``ready.set()`` is called (``ready`` may
     be any object with a ``set()`` method).  The listener is closed as soon
-    as the edge connects, so a second client is refused at connect."""
+    as the edge connects, so a second client is refused at connect.  Once
+    the DONE is acknowledged, the connection is closed only after the
+    edge's EOF, which an edge that half-closes after its DONE has already
+    sent, or after a frame, an error or the timeout in its place: the
+    edge closes first, and TIME_WAIT stays off this port.  A session that
+    ends in an error closes at once."""
     timeout = DEFAULT_SOCKET_TIMEOUT
     with socket.create_server(bind, backlog=1) as server:
         # A blocking accept, bounded by the kernel's receive timeout.
@@ -828,7 +856,11 @@ def serve_cloud_once(
             raise ChannelTimeoutError(f"no connection within {timeout} s") from None
     endpoint = SocketEndpoint(conn, timeout=timeout)
     try:
-        return run_cloud(endpoint, llm, slm_minus, vocab, frame_log=frame_log)
+        stats = run_cloud(endpoint, llm, slm_minus, vocab, frame_log=frame_log)
+        # Close after the edge: its EOF follows its DONE (see ``_edge_loop``).
+        with contextlib.suppress(SpecSteerError, OSError):
+            endpoint.recv_frame()
+        return stats
     finally:
         endpoint.close()
 
@@ -856,7 +888,10 @@ def run_edge_socket(
 ) -> tuple[list[int], EdgeStats]:
     """``run_edge`` over a TCP connection to ``connect``.  The config and
     the prompt are checked, and the handshake encoded, before the
-    connection is made."""
+    connection is made.  The edge half-closes after its DONE and closes
+    once the acknowledgement is read, so it closes first.  The cloud's
+    refusal raises ``HandshakeError``, a lost cloud
+    ``ChannelClosedError`` and a timeout ``ChannelTimeoutError``."""
     start = edge_start(config, drafter, vocab, prompt_ids)
     hello = encode_hello(config, vocab.fingerprint, start[2])
     endpoint = SocketEndpoint(_connect(connect, timeout), timeout=timeout)

@@ -1,6 +1,8 @@
 import math
+import select
 import socket
 import struct
+import sys
 import threading
 import time
 from functools import partial
@@ -880,6 +882,22 @@ class Tamper:
         return self._inner.recv_frame()
 
 
+class RewriteDownlink(DirectEndpoint):
+    """The simulated channel with the first downlink frame of one type
+    replaced by a given frame, as a faulty cloud could send it."""
+
+    def __init__(self, session, msg_type, frame) -> None:
+        super().__init__(session)
+        self._msg_type = msg_type
+        self._frame = frame
+
+    def recv_frame(self):
+        frame = super().recv_frame()
+        if frame[5] == self._msg_type and self._frame is not None:
+            frame, self._frame = self._frame, None
+        return frame
+
+
 def in_thread(fn):
     """Run ``fn`` on a daemon thread; returns the thread and its errors."""
     errors: list = []
@@ -1066,6 +1084,100 @@ class TestSocketHardening:
             (DIR_DOWN, encode_done(0, ())),
         ]
 
+    def test_a_lost_peer_is_a_closed_channel_both_ways(self):
+        # A peer that resets the connection: each send and the receive after
+        # them raise ChannelClosedError, a ConnectionError as run_cloud's
+        # rule for a failed send needs, never a raw ConnectionResetError or
+        # BrokenPipeError.
+        server = socket.create_server(("127.0.0.1", 0))
+        edge = socket.create_connection(server.getsockname(), timeout=5)
+        try:
+            conn, _ = server.accept()
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            conn.close()
+            assert select.select([edge], [], [], 5)[0]  # the reset has arrived
+            endpoint = SocketEndpoint(edge, timeout=5)
+            for io in (partial(endpoint.send_frame, encode_done(1)),) * 2 + (endpoint.recv_frame,):
+                with pytest.raises(ChannelClosedError, match="^peer closed the connection$") as info:
+                    io()
+                assert isinstance(info.value, ConnectionError)
+        finally:
+            edge.close()
+            server.close()
+
+    @pytest.mark.parametrize("sent", [b"", encode_done(1), encode_done(1)[:7]],
+                             ids=["before", "between", "inside"])
+    def test_eof_anywhere_is_one_closed_channel(self, sent):
+        # EOF before a frame, between frames or inside one reads the same.
+        a, b = socket.socketpair()
+        try:
+            a.sendall(sent)
+            a.close()
+            endpoint = SocketEndpoint(b, timeout=5)
+            if sent == encode_done(1):
+                assert endpoint.recv_frame() == sent
+            with pytest.raises(ChannelClosedError, match="^peer closed the connection$"):
+                endpoint.recv_frame()
+        finally:
+            b.close()
+
+    def test_cloud_reset_between_rounds_is_a_closed_channel(self):
+        # The cloud answers the HELLO and the first draft, then resets; the
+        # drafter's rows wait for the reset, so the edge's next draft is
+        # sent to a reset connection and its send sees the reset.
+        vocab, (llm, _, minus) = random_table_triple(np.random.default_rng(0), 8)
+        armed, reset = threading.Event(), threading.Event()
+
+        class WaitsForReset(TableModel):
+            def cdf_at(self, key):
+                if armed.is_set():
+                    assert reset.wait(5)
+                return TableModel.cdf_at(self, key)
+
+        # Never drafts eos, so a second round follows the first.
+        plus = WaitsForReset(vocab, {(): [0.25] * 4 + [0.0] * 4})
+        server = socket.create_server(("127.0.0.1", 0))
+
+        def cloud():
+            conn, _ = server.accept()
+            endpoint = SocketEndpoint(conn, timeout=5)
+            session = CloudSession(llm, minus, vocab)
+            endpoint.send_frame(session.answer(endpoint.recv_frame()))
+            draft = endpoint.recv_frame()
+            armed.set()
+            endpoint.send_frame(session.answer(draft))
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            conn.close()
+            reset.set()
+
+        try:
+            thread, errors = in_thread(cloud)
+            with pytest.raises(ChannelClosedError, match="^peer closed the connection$"):
+                run_edge_socket(ProtocolConfig(lam=0.8, max_len=24, top_k=8, seed=3),
+                                server.getsockname(), plus, vocab, [0], timeout=5)
+            thread.join(timeout=5)
+            assert not thread.is_alive() and not errors and reset.is_set()
+        finally:
+            server.close()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads Linux's /proc/net/tcp")
+    def test_the_edge_closes_first(self):
+        # The edge half-closes after its DONE and the cloud closes only at
+        # its EOF, so every TIME_WAIT socket of a session is the edge's: none
+        # sits on a listener's port, where it would pile up on a cloud.
+        vocab, (llm, plus, minus), cfg, ref = socket_case()
+        before = time_wait_sockets()
+        ports = set()
+        for _ in range(5):
+            thread, errors, stats, (host, port) = serving(llm, minus, vocab)
+            assert run_edge_socket(cfg, (host, port), plus, vocab, [0], timeout=5)[0] == ref
+            thread.join(timeout=10)
+            assert not thread.is_alive() and not errors and stats[0].mirror == ref
+            ports.add(port)
+        waiting = time_wait_sockets() - before
+        assert not [s for s in waiting if s[0] in ports]
+        assert {remote for _, remote in waiting} >= ports
+
     def test_stalled_edge_gets_the_refusal(self):
         vocab, (llm, _, minus) = random_table_triple(np.random.default_rng(0), 4)
         cfg = ProtocolConfig(max_len=8, top_k=4)
@@ -1079,6 +1191,14 @@ class TestSocketHardening:
         finally:
             a.close()
             b.close()
+
+
+def time_wait_sockets() -> set[tuple[int, int]]:
+    """(local port, remote port) of every IPv4 TCP socket in TIME_WAIT."""
+    with open("/proc/net/tcp") as fh:
+        rows = [line.split() for line in fh.readlines()[1:]]
+    return {(int(row[1].split(":")[1], 16), int(row[2].split(":")[1], 16))
+            for row in rows if row[3] == "06"}
 
 
 def hostile_hello(cfg, vocab):
@@ -1182,6 +1302,29 @@ class TestCloudRefusal:
         finally:
             a.close()
             b.close()
+
+    @pytest.mark.parametrize("msg_type, rewrite, match", [
+        # A DONE ack whose length is wrong is no refusal: the message names
+        # both lengths.
+        (MSG_DONE, lambda n: encode_done(n + 1), "cloud acknowledges length {m}, edge committed {n}"),
+        (MSG_DONE, lambda n: encode_done(n - 1), "cloud acknowledges length {m}, edge committed {n}"),
+        (MSG_DONE, lambda n: encode_done(U32_MAX), "cloud acknowledges length {m}, edge committed {n}"),
+        (MSG_DONE, lambda n: encode_done(0, (1,)), "cloud acknowledges length {m}, edge committed {n}"),
+        # Only the refusal's bytes refuse: another DONE where an ack or a
+        # verdict is due is an unexpected frame.
+        (MSG_HELLO, lambda n: encode_done(n), "unexpected message type 4"),
+        (MSG_VERDICT, lambda n: encode_done(0, (1,)), "unexpected message type 4"),
+    ], ids=["ack-over", "ack-under", "ack-u32-max", "ack-0-with-id", "for-hello-ack", "for-verdict"])
+    def test_a_done_that_is_not_the_refusal_does_not_refuse(self, msg_type, rewrite, match):
+        vocab, (llm, plus, minus) = random_table_triple(np.random.default_rng(51), 8)
+        cfg = ProtocolConfig(lam=0.8, max_len=24, top_k=8, seed=3)
+        ref, _ = run_session(cfg, llm, plus, minus, vocab, [0])
+        frame = rewrite(len(ref))
+        endpoint = RewriteDownlink(CloudSession(llm, minus, vocab), msg_type, frame)
+        m = decode_done(frame[FRAME_HEADER.size:])[0]
+        with pytest.raises(WireError, match=f"^{match.format(m=m, n=len(ref))}$") as info:
+            run_edge(cfg, endpoint, plus, vocab, [0])
+        assert not isinstance(info.value, HandshakeError)
 
     def test_cloud_error_surfaces_in_simulated_session(self):
         # The cloud's generalist has another vocabulary than the session,

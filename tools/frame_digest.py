@@ -17,9 +17,12 @@ of a parent commit.  The hash covers, in this order:
   HELLO ack, and a draft and a verdict with every field at its limit.
 
 It prints one line: ``sha256 <hex>``, then the counts of sessions and
-frames.  ``tests/test_golden.py`` loads this script by path, calls
-``digest()`` and pins its result, so the tier-1 run gates the digest and
-the session set lives here alone.
+frames.  A second line is ``trace_digest.py``'s, the sha256 of the
+committed ids and round traces of its in-process sessions, with their
+counts of sessions and rounds.  ``tests/test_golden.py`` loads both
+scripts by path, calls each ``digest()`` and pins its result, so the
+tier-1 run gates both digests and each session set lives in ``tools/``
+alone.
 """
 
 from __future__ import annotations
@@ -110,6 +113,9 @@ def main(argv: list[str]) -> int:
         raise SystemExit(f"specsteer was imported from {specsteer.__file__}, not from {src}")
     hexdigest, sessions, frames = digest()
     print(f"sha256 {hexdigest} ({sessions} sessions, {frames} frames)")
+    import trace_digest  # beside this script, which Python puts first on sys.path
+    hexdigest, sessions, rounds = trace_digest.digest()
+    print(f"sha256 {hexdigest} ({sessions} sessions, {rounds} rounds)")
     return 0
 
 
