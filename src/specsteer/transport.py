@@ -41,13 +41,10 @@ it.  Every frame after the end is answered with the refusal, and the end
 stays as it was.  The edge reads the refusal at one place, its frame
 intake, wherever it arrives, and raises ``HandshakeError``; a peer lost
 on a socket is ``ChannelClosedError`` on a send and on a receive alike.
-On a socket the edge closes first: it half-closes after its DONE, and
-``serve_cloud_once`` closes after the edge's EOF.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import socket
@@ -380,8 +377,7 @@ class SocketEndpoint:
     ``ChannelTimeoutError``.  A lost peer, an EOF anywhere in the stream or
     a reset seen by a send or a receive, raises ``ChannelClosedError``
     ("peer closed the connection"), never a raw ``ConnectionResetError``
-    or ``BrokenPipeError``.  ``half_close`` ends the sending side, which
-    the edge does after its DONE.
+    or ``BrokenPipeError``.
     """
 
     BUFFER_BYTES = 4096
@@ -493,15 +489,11 @@ class SocketEndpoint:
             self._start = end
         return bytes(self._view[start:end])
 
-    def half_close(self) -> None:
-        """Send no more: the peer reads EOF once it has read every frame
-        sent.  A peer already gone shows at the next ``recv_frame``."""
-        with contextlib.suppress(OSError):
-            self._sock.shutdown(socket.SHUT_WR)
-
     def close(self) -> None:
-        with contextlib.suppress(OSError):
+        try:
             self._sock.close()
+        except OSError:
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +628,6 @@ def _edge_loop(
     history, traces = drive(config, rec, drafter, history, make_streams(config.seed), exchange)
     last = traces[-1].recovery_token if traces else None
     send(encode_done(len(history), () if last is None else (last,)))
-    # The DONE is the edge's last frame.  An endpoint that can half-close (a
-    # socket's) does so after it, so the edge closes first and TIME_WAIT
-    # stays on its side; the simulated channel has nothing to close.
-    getattr(endpoint, "half_close", lambda: None)()
     # The cloud acknowledges with its mirror length; its refusal, a DONE of
     # length 0, ended ``recv`` already.
     final_len, _ = decode_done(recv(MSG_DONE)[FRAME_HEADER.size:])
@@ -836,12 +824,7 @@ def serve_cloud_once(
     and serve one session on it.  Once the socket listens, its address is
     appended to ``bound`` and then ``ready.set()`` is called (``ready`` may
     be any object with a ``set()`` method).  The listener is closed as soon
-    as the edge connects, so a second client is refused at connect.  Once
-    the DONE is acknowledged, the connection is closed only after the
-    edge's EOF, which an edge that half-closes after its DONE has already
-    sent, or after a frame, an error or the timeout in its place: the
-    edge closes first, and TIME_WAIT stays off this port.  A session that
-    ends in an error closes at once."""
+    as the edge connects, so a second client is refused at connect."""
     timeout = DEFAULT_SOCKET_TIMEOUT
     with socket.create_server(bind, backlog=1) as server:
         # A blocking accept, bounded by the kernel's receive timeout.
@@ -856,11 +839,7 @@ def serve_cloud_once(
             raise ChannelTimeoutError(f"no connection within {timeout} s") from None
     endpoint = SocketEndpoint(conn, timeout=timeout)
     try:
-        stats = run_cloud(endpoint, llm, slm_minus, vocab, frame_log=frame_log)
-        # Close after the edge: its EOF follows its DONE (see ``_edge_loop``).
-        with contextlib.suppress(SpecSteerError, OSError):
-            endpoint.recv_frame()
-        return stats
+        return run_cloud(endpoint, llm, slm_minus, vocab, frame_log=frame_log)
     finally:
         endpoint.close()
 
@@ -888,10 +867,9 @@ def run_edge_socket(
 ) -> tuple[list[int], EdgeStats]:
     """``run_edge`` over a TCP connection to ``connect``.  The config and
     the prompt are checked, and the handshake encoded, before the
-    connection is made.  The edge half-closes after its DONE and closes
-    once the acknowledgement is read, so it closes first.  The cloud's
-    refusal raises ``HandshakeError``, a lost cloud
-    ``ChannelClosedError`` and a timeout ``ChannelTimeoutError``."""
+    connection is made.  The cloud's refusal raises ``HandshakeError``, a
+    lost cloud ``ChannelClosedError`` and a timeout
+    ``ChannelTimeoutError``."""
     start = edge_start(config, drafter, vocab, prompt_ids)
     hello = encode_hello(config, vocab.fingerprint, start[2])
     endpoint = SocketEndpoint(_connect(connect, timeout), timeout=timeout)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def world():
     """Bundled toy corpora world; built once per test run."""
     return toy_world()
+
+
+def load_tool(name: str):
+    """The script ``tools/<name>.py``, loaded by path as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_vocab(size: int) -> Vocabulary:

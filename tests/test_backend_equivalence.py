@@ -8,7 +8,8 @@ top_k past the vocabulary, prompts too long for max_len or for the
 handshake, or holding ids that are not token ids), which every backend
 refuses by the one intake before any frame is sent, a config at the
 handshake's limits, which every backend runs alike, and two properties
-over random table worlds."""
+over random table worlds, the first also over the golden trace pin's
+backend subset (``tools/frame_digest.py``'s ``backend_cases()``)."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from specsteer.core import (
     LOOP_IDS,
@@ -44,7 +45,7 @@ from specsteer.transport import (
     run_simulated_session,
 )
 
-from conftest import make_vocab
+from conftest import load_tool, make_vocab
 from test_transport import in_thread, serving
 
 NEAR_TIE_LLM = [0.05, 0.45, 0.45 + 3e-10, 0.05 - 3e-10]
@@ -293,6 +294,15 @@ def table_session(draw):
     return cfg, models, vocab, prompt
 
 
+def with_backend_cases(test):
+    """``test`` with each session of the golden trace pin's backend subset,
+    toy-world grid sessions among them, as an explicit example."""
+    for c in load_tool("frame_digest").backend_cases():
+        test = example(case=(c.config, c.models, c.vocab, c.prompt))(test)
+    return test
+
+
+@with_backend_cases
 @settings(max_examples=150, deadline=None)
 @given(case=table_session())
 def test_run_session_equals_simulated_channel(case):

@@ -1,80 +1,24 @@
-"""Golden pins: the frames of a fixed set of wire sessions and the committed
-ids and round traces of a fixed set of in-process sessions, bit for bit.
+"""Golden pins: the frames of a fixed set of wire sessions, and the
+committed ids and round traces of a fixed set of in-process sessions, bit
+for bit.
 
-Each session set lives once, in ``tools/frame_digest.py`` and
-``tools/trace_digest.py``; this test loads those scripts by path and checks
-their sha256s.  A fixed subset of the trace sessions also runs over the
-simulated channel and a socketpair, whose ids and traces must equal the
-in-process ones.  A change that moves a pin on purpose re-pins it here and
-says why."""
+The session set lives once, in ``tools/frame_digest.py``; this test loads
+that script by path and checks its two sha256s.  A change that moves a pin
+on purpose re-pins it here and says why."""
 
 from __future__ import annotations
 
-import dataclasses
-import importlib.util
-import socket
-import threading
-from pathlib import Path
-
-import pytest
-
-from specsteer.transport import SocketEndpoint, run_cloud, run_edge, run_simulated_session
+from conftest import load_tool
 
 FRAME_DIGEST = "0cf4f0f465d76c6db33c6a2ca36c05e0c5a8646187c2ea7967b458684630546e"
-TRACE_DIGEST = "afe89a1ffc89d4ebcfcfcdd154dd532d9da15b56f9ca9f520c170b0be687184a"
+TRACE_DIGEST = "90baaac0086af195e780ec660f5d6422e77eb7979272cd57c0b2c07a20665241"
 
-
-def load_tool(name: str):
-    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-trace_digest = load_tool("trace_digest")
+frame_digest = load_tool("frame_digest")
 
 
 def test_frame_digest():
-    assert load_tool("frame_digest").digest() == (FRAME_DIGEST, 241, 8437)
+    assert frame_digest.digest() == (FRAME_DIGEST, 241, 8437)
 
 
 def test_trace_digest():
-    assert trace_digest.digest() == (TRACE_DIGEST, 472, 2986)
-
-
-def over_socketpair(case):
-    """``run_edge`` against ``run_cloud`` on a thread, over a socketpair:
-    (committed ids, edge stats, cloud stats), as ``run_simulated_session``
-    returns them."""
-    llm, plus, minus = case.models
-    a, b = socket.socketpair()
-    cloud: list = []
-    try:
-        thread = threading.Thread(target=lambda: cloud.append(
-            run_cloud(SocketEndpoint(a, timeout=5), llm, minus, case.vocab)), daemon=True)
-        thread.start()
-        committed, edge = run_edge(case.config, SocketEndpoint(b, timeout=5), plus, case.vocab,
-                                   case.prompt)
-        thread.join(timeout=5)
-        assert not thread.is_alive() and cloud
-    finally:
-        a.close()
-        b.close()
-    return committed, edge, cloud[0]
-
-
-@pytest.mark.parametrize("case", trace_digest.backend_cases(), ids=lambda c: (
-    f"V{c.vocab.size}-{c.config.decode_mode}-lam{c.config.lam}-k{c.config.top_k}"
-    f"-seed{c.config.seed}"))
-def test_backends_equal_in_process(case):
-    # The cloud's traces are the in-process ones, alphas and all; the edge's
-    # are the same but for the alphas, which never cross the wire.
-    ref, traces = trace_digest.run(case)
-    edge_view = [dataclasses.replace(t, alphas=()) for t in traces]
-    llm, plus, minus = case.models
-    sim = run_simulated_session(case.config, llm, plus, minus, case.vocab, case.prompt)
-    for committed, edge, cloud in (sim, over_socketpair(case)):
-        assert committed == cloud.mirror == ref
-        assert edge.traces == edge_view
-        assert cloud.traces == traces
+    assert frame_digest.trace_digest() == (TRACE_DIGEST, 312, 2018)
