@@ -24,7 +24,7 @@ from .fusion import (
     recovery_distribution,
     verification_alpha,
 )
-from .models import ModelProfile, NGramModel, TableModel, condition_private, train_ngram
+from .models import NGramModel, TableModel, condition_private, train_ngram
 from .protocol import (
     CloudVerifier,
     DraftBatch,
@@ -37,8 +37,12 @@ from .protocol import (
     run_session,
 )
 from .metrics import (
+    LLM_PROFILE,
+    SLM_PROFILE,
+    ChannelModel,
     CostModel,
     LatencyModel,
+    ModelProfile,
     acceptance_rate,
     expected_speedup,
     speedup,
@@ -46,7 +50,6 @@ from .metrics import (
 )
 from .toydata import ToyWorld, assemble_world, toy_world
 from .transport import (
-    ChannelModel,
     FrameLog,
     run_edge_socket,
     run_simulated_session,

@@ -32,17 +32,17 @@ from .core import (
 )
 from .fusion import fused_target, one_step_protocol_law, verification_alpha
 from .metrics import (
+    ChannelModel,
     CostModel,
     LatencyModel,
-    apply_clock,
+    ModelProfile,
     summarize,
     write_summary_json,
     write_trace_csv,
 )
-from .models import ModelProfile
 from .protocol import run_session
 from .toydata import DATA_DIR, ToyWorld, assemble_world, load_corpus
-from .transport import ChannelModel, FrameLog, run_edge_socket, serve_cloud_once
+from .transport import FrameLog, run_edge_socket, serve_cloud_once
 
 log = logging.getLogger("specsteer.cli")
 
@@ -227,10 +227,9 @@ def cmd_run(cfg: ExperimentConfig, prompt_tokens: list[str]) -> int:
         cfg.protocol, world.llm, world.slm_plus, world.slm_minus, world.vocab, prompt
     )
     latency = LatencyModel()
-    apply_clock(traces, latency, cfg.channel)
     chash = config_hash(cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(str(cfg.out_dir / "trace.csv"), traces, chash)
+    write_trace_csv(str(cfg.out_dir / "trace.csv"), traces, chash, latency, cfg.channel)
     write_summary_json(
         str(cfg.out_dir / "summary.json"),
         summarize(traces, latency, cost=cost_model(cfg), channel=cfg.channel),
@@ -317,7 +316,6 @@ def cmd_sweep(cfg: ExperimentConfig, prompt_tokens: list[str]) -> int:
                     world.llm, world.slm_plus, world.slm_minus, world.vocab, prompt,
                 )
                 traces.extend(t)
-            apply_clock(traces, latency, cfg.channel)
             summary = summarize(traces, latency, channel=cfg.channel)
             rows.append(
                 {
@@ -399,7 +397,6 @@ def cmd_serve_cloud(cfg: ExperimentConfig, bind: str) -> int:
 def cmd_run_edge(cfg: ExperimentConfig, connect: str, prompt_tokens: list[str]) -> int:
     address = _parse_hostport(connect)
     world = build_world(cfg)
-    cfg.protocol.check_top_k(world.vocab.size)
     prompt = _prompt_ids(world, prompt_tokens)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     log_path = cfg.out_dir / "edge_frames.bin"
@@ -407,10 +404,8 @@ def cmd_run_edge(cfg: ExperimentConfig, connect: str, prompt_tokens: list[str]) 
         committed, stats = run_edge_socket(
             cfg.protocol, address, world.slm_plus, world.vocab, prompt, frame_log=flog
         )
-    chash = config_hash(cfg)
-    latency = LatencyModel()
-    apply_clock(stats.traces, latency, cfg.channel)
-    write_trace_csv(str(cfg.out_dir / "trace.csv"), stats.traces, chash)
+    write_trace_csv(str(cfg.out_dir / "trace.csv"), stats.traces, config_hash(cfg),
+                    LatencyModel(), cfg.channel)
     print(world.vocab.text_of(committed))
     print(
         f"# rounds={stats.rounds} up={stats.uplink_bytes}B down={stats.downlink_bytes}B "

@@ -1,8 +1,16 @@
 """Acceptance-rate, modeled latency/speedup, payload, and FLOPs accounting.
 
+This module is the one home of the cost model: the latency model
+(``LatencyModel``), the modeled link (``ChannelModel``), the model
+profiles (``ModelProfile``, and ``LLM_PROFILE``/``SLM_PROFILE`` of the
+paper's models) and the FLOPs model (``CostModel``).  No other module
+defines a cost, and a round trace records only what the protocol did:
+its modeled time is ``round_time_ms`` of the trace, computed wherever it
+is read, ``write_trace_csv``'s ``clock_ms`` column among them.
+
 Wall-clock is always modeled, never measured: the latency model prices a
 round as drafting plus one batched verifier forward plus fixed per-round
-overhead, with channel time from the transport's channel model, in one
+overhead, plus the channel's latency and serialization time, in one
 formula (``_round_ms``) for a traced round and its closed form alike.  The
 FLOPs model uses the standard 2N-per-token approximation plus a linear
 attention term, with the cloud re-scoring the full (context-free) history
@@ -19,9 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import SpecSteerError
-from .models import ModelProfile
 from .protocol import RoundTrace, draft_frame_bytes, verdict_frame_bytes
-from .transport import ChannelModel
 
 
 class MetricsError(SpecSteerError):
@@ -78,6 +84,21 @@ class LatencyModel:
                 raise MetricsError("latency costs must be finite and >= 0")
 
 
+@dataclass
+class ChannelModel:
+    """Modeled link: one-way latency plus serialization delay, for
+    ``round_time_ms``."""
+
+    one_way_latency_ms: float = 0.0
+    bandwidth_bps: float = float("inf")
+
+    def __post_init__(self) -> None:
+        # Written so that NaN fails both checks; an infinite bandwidth is
+        # the default and means no serialization delay.
+        if not (0 <= self.one_way_latency_ms < math.inf and self.bandwidth_bps > 0):
+            raise MetricsError("invalid channel parameters")
+
+
 def _round_ms(
     drafted: float, recovery: float, up_bytes: float, down_bytes: float,
     latency: LatencyModel, channel: ChannelModel | None,
@@ -111,16 +132,6 @@ def session_time_ms(
     channel: ChannelModel | None = None,
 ) -> float:
     return sum(round_time_ms(t, latency, channel) for t in traces)
-
-
-def apply_clock(
-    traces: Sequence[RoundTrace],
-    latency: LatencyModel,
-    channel: ChannelModel | None = None,
-) -> None:
-    """Fill per-round simulated clock deltas in place."""
-    for t in traces:
-        t.clock_ms = round_time_ms(t, latency, channel)
 
 
 def speedup(
@@ -164,6 +175,25 @@ def expected_speedup(
 # ---------------------------------------------------------------------------
 # FLOPs model
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ModelProfile:
+    """Cost statistics of an abstract scorer, read by ``CostModel``."""
+
+    param_count: int
+    layers: int
+    hidden_dim: int
+
+    def __post_init__(self) -> None:
+        if min(self.param_count, self.layers, self.hidden_dim) <= 0:
+            raise MetricsError("profile statistics must be positive")
+
+
+# Cost statistics of the models the toy world stands in for (a 32B
+# generalist and a 0.6B specialist); ``default.cfg`` holds the same.
+LLM_PROFILE = ModelProfile(param_count=32_000_000_000, layers=64, hidden_dim=5120)
+SLM_PROFILE = ModelProfile(param_count=600_000_000, layers=28, hidden_dim=1024)
 
 
 @dataclass(frozen=True)
@@ -228,7 +258,14 @@ def flops_specsteer(cost: CostModel, context_len: int, alpha: float, gen_tokens:
 TRACE_FIELDS = ("round", "alpha", "accepted", "drafted", "uplink_bytes", "downlink_bytes", "clock_ms")
 
 
-def write_trace_csv(path: str, traces: Iterable[RoundTrace], config_hash: str) -> None:
+def write_trace_csv(
+    path: str,
+    traces: Iterable[RoundTrace],
+    config_hash: str,
+    latency: LatencyModel,
+    channel: ChannelModel | None = None,
+) -> None:
+    """One row per round; ``clock_ms`` is the round's ``round_time_ms``."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_hash={config_hash}\n")
         writer = csv.writer(fh)
@@ -237,7 +274,7 @@ def write_trace_csv(path: str, traces: Iterable[RoundTrace], config_hash: str) -
             mean_alpha = sum(t.alphas) / len(t.alphas) if t.alphas else ""
             writer.writerow(
                 [t.index, mean_alpha, t.accepted_count, len(t.drafted),
-                 t.uplink_bytes, t.downlink_bytes, f"{t.clock_ms:.6f}"]
+                 t.uplink_bytes, t.downlink_bytes, f"{round_time_ms(t, latency, channel):.6f}"]
             )
 
 

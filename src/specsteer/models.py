@@ -30,7 +30,6 @@ its public methods.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
@@ -52,19 +51,6 @@ BOS = -1
 
 class ModelError(SpecSteerError):
     pass
-
-
-@dataclass(frozen=True)
-class ModelProfile:
-    """Cost statistics of an abstract scorer, read by ``metrics.CostModel``."""
-
-    param_count: int
-    layers: int
-    hidden_dim: int
-
-    def __post_init__(self) -> None:
-        if min(self.param_count, self.layers, self.hidden_dim) <= 0:
-            raise ModelError("profile statistics must be positive")
 
 
 def _frozen(row: np.ndarray) -> np.ndarray:

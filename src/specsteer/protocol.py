@@ -144,9 +144,6 @@ class RoundTrace:
     recovery_token: int | None
     uplink_bytes: int
     downlink_bytes: int
-    # Modeled time of this round in ms, filled by ``metrics.apply_clock``;
-    # 0.0 until then.
-    clock_ms: float = 0.0
 
 
 def draft_frame_bytes(k: int, has_delta: bool) -> int:

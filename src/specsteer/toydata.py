@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import ConfigError, PrivateContext, Vocabulary
-from .models import ModelProfile, NGramModel, condition_private, train_ngram
+from .models import NGramModel, condition_private, train_ngram
 
 EOS_TOKEN = "</s>"
 
@@ -46,11 +46,6 @@ def load_corpus(path: str | Path) -> list[list[str]]:
 # ---------------------------------------------------------------------------
 # Model assembly
 # ---------------------------------------------------------------------------
-
-# Cost statistics of the models the toy world stands in for (a 32B
-# generalist and a 0.6B specialist), for ``metrics.CostModel``.
-LLM_PROFILE = ModelProfile(param_count=32_000_000_000, layers=64, hidden_dim=5120)
-SLM_PROFILE = ModelProfile(param_count=600_000_000, layers=28, hidden_dim=1024)
 
 DEFAULT_LLM_ORDER = 3
 DEFAULT_LLM_ADD_K = 0.01

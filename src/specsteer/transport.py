@@ -12,7 +12,8 @@ handler, so their frames, and the committed sequences, are identical for
 identical seeds.  The edge loop is ``protocol.drive``, the one that
 ``run_session`` runs in process, with a verify step that exchanges frames;
 a HELLO opens it and a DONE closes it.  Modeled channel time is not kept
-here: ``metrics.round_time_ms`` computes it from a round's byte counts.
+here: ``metrics.ChannelModel`` is the modeled link, and
+``metrics.round_time_ms`` prices a round from its byte counts.
 
 One function, ``_frame``, packs every frame: the header, then a payload
 of fixed fields, u32 token ids and a raw tail, in one struct cached per
@@ -332,21 +333,6 @@ DONE = "done"
 # ---------------------------------------------------------------------------
 # Channels
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ChannelModel:
-    """Modeled link: one-way latency plus serialization delay, for
-    ``metrics.round_time_ms``."""
-
-    one_way_latency_ms: float = 0.0
-    bandwidth_bps: float = float("inf")
-
-    def __post_init__(self) -> None:
-        # Written so that NaN fails both checks; an infinite bandwidth is
-        # the default and means no serialization delay.
-        if not (0 <= self.one_way_latency_ms < math.inf and self.bandwidth_bps > 0):
-            raise WireError("invalid channel parameters")
 
 
 _TIMEVAL = struct.Struct("@ll")

@@ -1,17 +1,22 @@
-"""Shared fixtures and the acceptance-report terminal hook."""
+"""Shared fixtures, the socket harness and the acceptance-report terminal
+hook."""
 
 from __future__ import annotations
 
 import importlib.util
+import socket
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from specsteer.core import Vocabulary
+from specsteer.core import SpecSteerError, Vocabulary
 from specsteer.models import TableModel
 from specsteer.protocol import exact_partition_fn
 from specsteer.toydata import toy_world
+from specsteer.transport import SocketEndpoint, run_cloud, run_edge, serve_cloud_once
 
 # One line per acceptance criterion, printed after the test run so the
 # verdicts survive pytest's output capture.
@@ -70,3 +75,64 @@ def split_mode(mode: dict) -> tuple[dict, bool]:
 def exact_zt(exact: bool, llm, slm_plus, slm_minus):
     """The ``zt_fn`` a session of an exact-Z mode is passed, or None."""
     return exact_partition_fn(llm, slm_plus, slm_minus) if exact else None
+
+
+# ---------------------------------------------------------------------------
+# Socket harness
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def socket_pair():
+    """A connected pair of sockets, both closed when the block ends."""
+    a, b = socket.socketpair()
+    with a, b:
+        yield a, b
+
+
+def in_thread(fn):
+    """Run ``fn`` on a daemon thread; returns the thread and its errors."""
+    errors: list = []
+
+    def main():
+        try:
+            fn()
+        except Exception as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=main, daemon=True)
+    thread.start()
+    return thread, errors
+
+
+def serving(llm, minus, vocab):
+    """``serve_cloud_once`` on 127.0.0.1 on a daemon thread, once it
+    listens: the thread, its errors, the list its stats are appended to,
+    and the address it is bound to."""
+    ready = threading.Event()
+    bound: list = []
+    stats: list = []
+    thread, errors = in_thread(lambda: stats.append(
+        serve_cloud_once(("127.0.0.1", 0), llm, minus, vocab, ready=ready, bound=bound)))
+    assert ready.wait(10)
+    return thread, errors, stats, bound[0]
+
+
+def socketpair_session(cfg, models, vocab, prompt, cloud_log=None, cloud_stats=None,
+                       edge_log=None):
+    """``run_edge`` against ``run_cloud`` over a socketpair, each with its
+    frame log when one is given: the edge's committed ids and stats, or its
+    error, and the cloud's error, or None.  The cloud's stats are appended
+    to the list ``cloud_stats`` when given."""
+    llm, plus, minus = models
+    stats = cloud_stats if cloud_stats is not None else []
+    with socket_pair() as (a, b):
+        thread, errors = in_thread(lambda: stats.append(
+            run_cloud(SocketEndpoint(a, timeout=5), llm, minus, vocab, cloud_log)))
+        try:
+            edge = run_edge(cfg, SocketEndpoint(b, timeout=5), plus, vocab, prompt, edge_log)
+        except SpecSteerError as exc:
+            edge = exc
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        return edge, (errors[0] if errors else None)

@@ -19,6 +19,8 @@ from specsteer.core import (
 )
 from specsteer.fusion import fused_target, one_step_protocol_law, recovery_distribution
 from specsteer.metrics import (
+    LLM_PROFILE,
+    SLM_PROFILE,
     CostModel,
     LatencyModel,
     acceptance_rate,
@@ -35,7 +37,6 @@ from specsteer.protocol import (
     pack_steering_entries,
     run_session,
 )
-from specsteer.toydata import LLM_PROFILE, SLM_PROFILE
 from specsteer.transport import (
     DIR_DOWN,
     DIR_UP,

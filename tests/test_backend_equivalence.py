@@ -37,16 +37,12 @@ from specsteer.transport import (
     DIR_DOWN,
     FrameLog,
     HandshakeError,
-    SocketEndpoint,
     encode_done,
-    run_cloud,
-    run_edge,
     run_edge_socket,
     run_simulated_session,
 )
 
-from conftest import load_tool, make_vocab
-from test_transport import in_thread, serving
+from conftest import load_tool, make_vocab, serving, socketpair_session
 
 NEAR_TIE_LLM = [0.05, 0.45, 0.45 + 3e-10, 0.05 - 3e-10]
 DRAFTER = [0.97, 0.01, 0.01, 0.01]
@@ -57,29 +53,6 @@ def four_token_triple(minus_row):
     return vocab, tuple(
         TableModel(vocab, {(): row}) for row in (NEAR_TIE_LLM, DRAFTER, minus_row)
     )
-
-
-def socketpair_session(cfg, models, vocab, prompt, cloud_log=None, cloud_stats=None,
-                       edge_log=None):
-    """``run_edge`` against ``run_cloud`` over a socketpair: the edge's
-    committed ids and stats, or its error, and the cloud's error.  The
-    cloud's stats are appended to the list ``cloud_stats`` when given."""
-    llm, plus, minus = models
-    stats = cloud_stats if cloud_stats is not None else []
-    a, b = socket.socketpair()
-    try:
-        thread, errors = in_thread(lambda: stats.append(
-            run_cloud(SocketEndpoint(a, timeout=5), llm, minus, vocab, cloud_log)))
-        try:
-            edge = run_edge(cfg, SocketEndpoint(b, timeout=5), plus, vocab, prompt, edge_log)
-        except SpecSteerError as exc:
-            edge = exc
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-        return edge, (errors[0] if errors else None)
-    finally:
-        a.close()
-        b.close()
 
 
 def test_near_tie_commits_the_same_ids_on_every_backend():

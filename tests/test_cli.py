@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import socket
 import subprocess
 import sys
 from dataclasses import replace
@@ -367,6 +368,19 @@ class TestBadInputsExitOne:
         err = capsys.readouterr().err
         assert err.startswith("error: expected HOST:PORT") and "Traceback" not in err
         assert not (tmp_path / "o").exists()  # refused before any frame log is opened
+
+    def test_run_edge_top_k_past_the_vocabulary(self, tmp_path, capsys):
+        # The session's intake checks top_k before the edge connects, so
+        # the port, bound but not listening, is never tried.
+        path = write_tiny_config(tmp_path)
+        with socket.socket() as unheard:
+            unheard.bind(("127.0.0.1", 0))
+            address = "127.0.0.1:%d" % unheard.getsockname()[1]
+            args = ["--config", str(path), "--out", str(tmp_path / "o"), "--top-k", "1000",
+                    "run-edge", "--connect", address]
+            assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: top_k 1000 exceeds vocabulary size") and "Traceback" not in err
 
 
 def trace_rows(path):

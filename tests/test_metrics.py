@@ -1,16 +1,25 @@
+import ast
+import csv
 import json
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specsteer.metrics as metrics
+from specsteer.cli import DEFAULT_CONFIG, cost_model, load_config
 from specsteer.core import ProtocolConfig
 from specsteer.metrics import (
+    LLM_PROFILE,
+    SLM_PROFILE,
+    ChannelModel,
     CostModel,
     LatencyModel,
     MetricsError,
+    ModelProfile,
     acceptance_rate,
-    apply_clock,
     emitted_tokens,
     expected_speedup,
     expected_tokens_per_round,
@@ -24,8 +33,6 @@ from specsteer.metrics import (
     write_trace_csv,
 )
 from specsteer.protocol import STEERING_ENTRY_BYTES, RoundTrace, round_trace, run_session
-from specsteer.toydata import LLM_PROFILE, SLM_PROFILE
-from specsteer.transport import ChannelModel
 
 from conftest import random_table_triple
 
@@ -91,11 +98,16 @@ class TestLatencyModel:
         ts = [trace([1, 2], 2), trace([1], 0, recovery=3)]
         assert session_time_ms(ts, m) == pytest.approx(sum(round_time_ms(t, m) for t in ts))
 
-    def test_apply_clock(self):
+    @pytest.mark.parametrize(
+        "channel", [None, ChannelModel(one_way_latency_ms=5.0, bandwidth_bps=1000.0)],
+        ids=["no_channel", "channel"])
+    def test_trace_csv_clock_is_round_time(self, tmp_path, channel):
         m = LatencyModel()
-        ts = [trace([1, 2], 2)]
-        apply_clock(ts, m)
-        assert ts[0].clock_ms == pytest.approx(round_time_ms(ts[0], m))
+        ts = [trace([1, 2], 2), trace([1, 2, 3], 1, recovery=4, up=36, down=275)]
+        path = tmp_path / "trace.csv"
+        write_trace_csv(str(path), ts, "abc123", m, channel)
+        rows = list(csv.DictReader(path.read_text().splitlines()[1:]))
+        assert [row["clock_ms"] for row in rows] == [f"{round_time_ms(t, m, channel):.6f}" for t in ts]
 
 
 class TestSpeedup:
@@ -145,6 +157,60 @@ class TestSpeedup:
             rt = round_trace(1, drafted, (), accepted, recovery, has_delta, sent)
             want = expected_tokens_per_round(alpha, k) * latency.llm_token_ms / round_time_ms(rt, latency, ch)
             assert expected_speedup(alpha, k, latency, ch, top_k) == pytest.approx(want, rel=1e-12)
+
+
+class TestModelProfile:
+    def test_valid(self):
+        profile = ModelProfile(10, 2, 4)
+        assert [f.name for f in fields(profile)] == ["param_count", "layers", "hidden_dim"]
+        assert (profile.param_count, profile.layers, profile.hidden_dim) == (10, 2, 4)
+
+    def test_nonpositive_stats(self):
+        for stats in ((0, 2, 4), (10, 0, 4), (10, 2, -1)):
+            with pytest.raises(MetricsError, match="positive"):
+                ModelProfile(*stats)
+
+    def test_default_config_profiles_are_the_papers_models(self):
+        cost = cost_model(load_config(DEFAULT_CONFIG))
+        assert (cost.llm, cost.slm) == (LLM_PROFILE, SLM_PROFILE)
+
+
+# Every name of the cost model; ``metrics`` alone defines them.
+COST_MODEL_NAMES = {"ChannelModel", "ModelProfile", "LatencyModel", "CostModel",
+                    "LLM_PROFILE", "SLM_PROFILE"}
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """The classes, functions and assigned names at the top of a module."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_metrics_alone_defines_the_cost_model():
+    package = Path(metrics.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    owners = {name: sorted(module for module, tree in trees.items()
+                           if name in defined_names(tree))
+              for name in COST_MODEL_NAMES}
+    assert owners == {name: ["metrics"] for name in COST_MODEL_NAMES}
+    # Each module and name that metrics imports, as dotted paths, relative
+    # ones without their leading dots.
+    imported = set()
+    for node in ast.walk(trees["metrics"]):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}".lstrip(".") for alias in node.names)
+    assert not [name for name in imported if "transport" in name.split(".")]
 
 
 class TestFlops:
@@ -198,7 +264,7 @@ class TestPayloadReconciliation:
 class TestOutputFiles:
     def test_trace_csv_hash_header(self, tmp_path):
         path = str(tmp_path / "trace.csv")
-        write_trace_csv(path, [trace([1, 2], 2)], "abc123")
+        write_trace_csv(path, [trace([1, 2], 2)], "abc123", LatencyModel())
         with open(path) as fh:
             lines = fh.read().splitlines()
         assert lines[0] == "# config_hash=abc123"

@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +7,6 @@ from specsteer.fusion import pmi_reward
 from specsteer.models import (
     BOS,
     ModelError,
-    ModelProfile,
     NGramModel,
     PublicRows,
     TableModel,
@@ -214,18 +211,6 @@ class TestRowLayer:
                 probs = model.next_token_probs(key)
                 assert rows.probs_at(key) is probs
                 assert rows.cdf_at(key) == probs.cumsum().tolist()
-
-
-class TestModelProfile:
-    def test_valid(self):
-        profile = ModelProfile(10, 2, 4)
-        assert [f.name for f in fields(profile)] == ["param_count", "layers", "hidden_dim"]
-        assert (profile.param_count, profile.layers, profile.hidden_dim) == (10, 2, 4)
-
-    def test_nonpositive_stats(self):
-        for stats in ((0, 2, 4), (10, 0, 4), (10, 2, -1)):
-            with pytest.raises(ModelError, match="positive"):
-                ModelProfile(*stats)
 
 
 class TestTableModel:

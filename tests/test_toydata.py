@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import specsteer.toydata as toydata
-from specsteer.cli import DEFAULT_CONFIG, build_world, cost_model, load_config
+from specsteer.cli import DEFAULT_CONFIG, build_world, load_config
 from specsteer.core import ConfigError, ProtocolConfig, SpecSteerError, Vocabulary
 from specsteer.models import BOS, _count_table
 from specsteer.protocol import run_session
@@ -139,7 +139,7 @@ class TestToyWorld:
 
     def test_default_config_builds_the_toy_world(self, world):
         # One source of toy data: the CLI's default world commits what
-        # toy_world() commits, and its cost profiles are the library's.
+        # toy_world() commits.
         cfg = load_config(DEFAULT_CONFIG)
         cli_world = build_world(cfg)
         assert cli_world.vocab == world.vocab
@@ -151,8 +151,6 @@ class TestToyWorld:
             want = run_session(protocol, world.llm, world.slm_plus, world.slm_minus,
                                world.vocab, prompt)
             assert got == want
-        cost = cost_model(cfg)
-        assert (cost.llm, cost.slm) == (toydata.LLM_PROFILE, toydata.SLM_PROFILE)
 
     def test_themes(self):
         assert bundled_themes() == ("atelier", "gino", "trail")

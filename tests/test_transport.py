@@ -22,7 +22,7 @@ from specsteer.core import (
     Vocabulary,
     validate_sequence,
 )
-from specsteer.metrics import LatencyModel, round_time_ms
+from specsteer.metrics import ChannelModel, LatencyModel, MetricsError, round_time_ms
 from specsteer.models import TableModel
 from specsteer.protocol import (
     FRAME_HEADER,
@@ -40,7 +40,6 @@ from specsteer.protocol import (
 from specsteer.transport import (
     DONE,
     ChannelClosedError,
-    ChannelModel,
     ChannelTimeoutError,
     CloudSession,
     DirectEndpoint,
@@ -76,7 +75,14 @@ from specsteer.transport import (
     SocketEndpoint,
 )
 
-from conftest import make_vocab, random_table_triple
+from conftest import (
+    in_thread,
+    make_vocab,
+    random_table_triple,
+    serving,
+    socket_pair,
+    socketpair_session,
+)
 
 
 def f32(x):
@@ -430,9 +436,9 @@ class TestChannel:
         assert channel_ms(model, 60, 40) == pytest.approx(2 * 10.0 + 100_000.0 / 1000.0)
 
     def test_invalid_params(self):
-        with pytest.raises(WireError):
+        with pytest.raises(MetricsError):
             ChannelModel(one_way_latency_ms=-1.0)
-        with pytest.raises(WireError):
+        with pytest.raises(MetricsError):
             ChannelModel(bandwidth_bps=0.0)
 
     @pytest.mark.parametrize("latency, bandwidth", [
@@ -440,7 +446,7 @@ class TestChannel:
         (0.0, math.nan), (0.0, -math.inf), (math.nan, math.nan),
     ])
     def test_non_finite_params(self, latency, bandwidth):
-        with pytest.raises(WireError):
+        with pytest.raises(MetricsError):
             ChannelModel(one_way_latency_ms=latency, bandwidth_bps=bandwidth)
 
     def test_infinite_bandwidth_adds_no_delay(self):
@@ -481,8 +487,7 @@ def serve_uplink(frames, llm, minus, vocab, log_path):
     """``run_cloud`` over a socketpair on the given uplink frames, with a
     cloud frame log at ``log_path``.  Returns the cloud's error, or None,
     and the downlink frames an edge would read."""
-    a, b = socket.socketpair()
-    try:
+    with socket_pair() as (a, b):
         b.sendall(b"".join(frames))
         b.shutdown(socket.SHUT_WR)
         error = None
@@ -493,9 +498,6 @@ def serve_uplink(frames, llm, minus, vocab, log_path):
                 error = exc
         a.shutdown(socket.SHUT_WR)
         return error, read_frames(b)
-    finally:
-        a.close()
-        b.close()
 
 
 class TestHandshake:
@@ -663,8 +665,7 @@ class TestFrameLogs:
         vocab, (llm, plus, minus) = random_table_triple(np.random.default_rng(51), 8)
         cfg = ProtocolConfig(lam=0.8, max_len=24, top_k=8, seed=3)
         path = str(tmp_path / "refused.bin")
-        a, b = socket.socketpair()
-        try:
+        with socket_pair() as (a, b):
             with FrameLog(path) as fl:
                 thread, errors = in_thread(
                     lambda: run_cloud(SocketEndpoint(a, timeout=5), llm, minus, vocab, fl))
@@ -674,9 +675,6 @@ class TestFrameLogs:
                     run_edge(cfg, edge_end, plus, vocab, [0])
                 thread.join(timeout=5)
                 assert not thread.is_alive() and len(errors) == 1
-        finally:
-            a.close()
-            b.close()
         assert FrameLog.read(path)[-1] == (DIR_DOWN, encode_done(0, ()))
         assert replay_cloud_log(path, llm, minus, vocab) == []
 
@@ -700,19 +698,6 @@ class TestFrameLogs:
                     frame = frame[:-1] + bytes([frame[-1] ^ 0xFF])
                 fl.write(direction, frame)
         assert replay_cloud_log(tampered, llm, minus, vocab) != []
-
-
-def serving(llm, minus, vocab):
-    """``serve_cloud_once`` on 127.0.0.1 on a daemon thread, once it
-    listens: the thread, its errors, the list its stats are appended to,
-    and the address it is bound to."""
-    ready = threading.Event()
-    bound: list = []
-    stats: list = []
-    thread, errors = in_thread(lambda: stats.append(
-        serve_cloud_once(("127.0.0.1", 0), llm, minus, vocab, ready=ready, bound=bound)))
-    assert ready.wait(10)
-    return thread, errors, stats, bound[0]
 
 
 def socket_case():
@@ -795,27 +780,6 @@ def refused_before_connecting(cfg, prompt, error, match=None):
         server.close()
 
 
-def socket_session(cfg, models, vocab, prompt, edge_log, cloud_log):
-    """``run_edge`` against ``run_cloud`` over a socketpair, each with its
-    frame log.  Returns the edge's error and the cloud's, or None."""
-    llm, plus, minus = models
-    a, b = socket.socketpair()
-    try:
-        thread, errors = in_thread(
-            lambda: run_cloud(SocketEndpoint(a, timeout=5), llm, minus, vocab, cloud_log))
-        edge_error = None
-        try:
-            run_edge(cfg, SocketEndpoint(b, timeout=5), plus, vocab, prompt, frame_log=edge_log)
-        except SpecSteerError as exc:
-            edge_error = exc
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-        return edge_error, (errors[0] if errors else None)
-    finally:
-        a.close()
-        b.close()
-
-
 class TestBackendFrameLogs:
     """The simulated channel is the socket path minus the socket: a
     session's edge and cloud frame logs are byte-equal over both, every
@@ -850,8 +814,12 @@ class TestBackendFrameLogs:
             return None
 
         sim_logs, sim_error = logs("sim", simulated)
-        sock_logs, (edge_error, cloud_error) = logs(
-            "sock", lambda el, cl: socket_session(cfg, (llm, plus, minus), vocab, [0], el, cl))
+        def sock(el, cl):
+            edge, cloud_error = socketpair_session(cfg, (llm, plus, minus), vocab, [0], cl,
+                                                   edge_log=el)
+            return (edge if isinstance(edge, SpecSteerError) else None), cloud_error
+
+        sock_logs, (edge_error, cloud_error) = logs("sock", sock)
         assert sim_logs == sock_logs
         if seed == "refused":
             assert isinstance(edge_error, HandshakeError)
@@ -897,39 +865,19 @@ class RewriteDownlink(DirectEndpoint):
         return frame
 
 
-def in_thread(fn):
-    """Run ``fn`` on a daemon thread; returns the thread and its errors."""
-    errors: list = []
-
-    def main():
-        try:
-            fn()
-        except Exception as exc:
-            errors.append(exc)
-
-    thread = threading.Thread(target=main, daemon=True)
-    thread.start()
-    return thread, errors
-
-
 class TestSocketHardening:
     def test_declared_length_capped_before_reading(self):
-        a, b = socket.socketpair()
-        try:
+        with socket_pair() as (a, b):
             a.sendall(struct.pack("<4sBBI", b"SPST", 1, MSG_VERDICT, 2**32 - 1))
             with pytest.raises(WireError, match="largest legal payload"):
                 SocketEndpoint(b, timeout=5).recv_frame()
-        finally:
-            a.close()
-            b.close()
 
     def test_largest_verdict_fits_the_cap(self):
         assert MAX_PAYLOAD == 7 + 2 + 8 * 0xFFFF
         entries = tuple((i, 0.5) for i in range(0xFFFF))
         frame = encode_verdict(Verdict(0, 0, section(entries)))
         assert len(frame) == 10 + MAX_PAYLOAD
-        a, b = socket.socketpair()
-        try:
+        with socket_pair() as (a, b):
             thread, errors = in_thread(lambda: a.sendall(frame))
             assert SocketEndpoint(b, timeout=5).recv_frame() == frame
             thread.join(timeout=5)
@@ -937,9 +885,6 @@ class TestSocketHardening:
             a.sendall(struct.pack("<4sBBI", b"SPST", 1, MSG_VERDICT, MAX_PAYLOAD + 1))
             with pytest.raises(WireError):
                 SocketEndpoint(b, timeout=5).recv_frame()
-        finally:
-            a.close()
-            b.close()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -952,17 +897,13 @@ class TestSocketHardening:
         # in it.
         frames = [encode_frame(MSG_DONE, bytes([i % 251]) * n) for i, n in enumerate(sizes)]
         stream = b"".join(frames)
-        a, b = socket.socketpair()
-        try:
+        with socket_pair() as (a, b):
             thread, errors = in_thread(
                 lambda: [a.sendall(stream[i:i + chunk]) for i in range(0, len(stream), chunk)])
             endpoint = SocketEndpoint(b, timeout=1)
             assert [endpoint.recv_frame() for _ in frames] == frames
             thread.join(timeout=5)
             assert not thread.is_alive() and not errors
-        finally:
-            a.close()
-            b.close()
 
     def test_accept_times_out(self, monkeypatch):
         monkeypatch.setattr(transport, "DEFAULT_SOCKET_TIMEOUT", 0.05)
@@ -974,52 +915,39 @@ class TestSocketHardening:
     def test_recv_times_out(self, timeout):
         # A zero timeval would block forever: a timeout under a microsecond
         # must still fire.
-        a, b = socket.socketpair()
-        try:
+        with socket_pair() as (a, b):
             thread, errors = in_thread(SocketEndpoint(b, timeout=timeout).recv_frame)
             thread.join(timeout=5)
             assert not thread.is_alive()
             assert len(errors) == 1 and isinstance(errors[0], ChannelTimeoutError)
-        finally:
-            a.close()
-            b.close()
 
     def test_trickling_peer_hits_the_frame_deadline(self):
         # One byte every 0.1 s would reset a per-read timeout of 0.35 s for
         # the whole 1.6 s the frame takes.
         frame = encode_done(1)
-        a, b = socket.socketpair()
+        with socket_pair() as (a, b):
+            def trickle():
+                for i in range(len(frame)):
+                    a.sendall(frame[i:i + 1])
+                    time.sleep(0.1)
 
-        def trickle():
-            for i in range(len(frame)):
-                a.sendall(frame[i:i + 1])
-                time.sleep(0.1)
-
-        try:
             thread, _ = in_thread(trickle)
             began = time.monotonic()
             with pytest.raises(ChannelTimeoutError):
                 SocketEndpoint(b, timeout=0.35).recv_frame()
             assert time.monotonic() - began < 1.0
             thread.join(timeout=5)
-        finally:
-            a.close()
-            b.close()
 
     def test_send_times_out(self):
         # Nobody reads b, so the socket buffers fill and the send stalls.
         frame = encode_verdict(Verdict(0, 0, section((i, 0.5) for i in range(0xFFFF))))
-        a, b = socket.socketpair()
-        try:
+        with socket_pair() as (a, b):
             endpoint = SocketEndpoint(a, timeout=0.2)
             began = time.monotonic()
             with pytest.raises(ChannelTimeoutError):
                 for _ in range(8):
                     endpoint.send_frame(frame)
             assert time.monotonic() - began < 3.0
-        finally:
-            a.close()
-            b.close()
 
     def test_connect_times_out(self):
         # A listener that accepts nothing: once its queue is full, the
@@ -1041,8 +969,7 @@ class TestSocketHardening:
         # An edge that reads nothing: the ack cannot be sent, and a refusal
         # after it would wait out a second timeout on the same full buffer.
         vocab, (llm, _, minus) = random_table_triple(np.random.default_rng(0), 4)
-        a, b = socket.socketpair()
-        try:
+        with socket_pair() as (a, b):
             b.sendall(encode_hello(ProtocolConfig(max_len=8, top_k=4), vocab.fingerprint, [0]))
             a.setblocking(False)
             with pytest.raises(BlockingIOError):
@@ -1052,9 +979,6 @@ class TestSocketHardening:
             with pytest.raises(ChannelTimeoutError):
                 run_cloud(SocketEndpoint(a, timeout=0.5), llm, minus, vocab)
             assert time.monotonic() - began < 0.85
-        finally:
-            a.close()
-            b.close()
 
     def test_reset_peer_is_a_closed_channel(self, tmp_path):
         # An edge that reads the ack and closes with SO_LINGER (1, 0), which
@@ -1108,8 +1032,7 @@ class TestSocketHardening:
                              ids=["before", "between", "inside"])
     def test_eof_anywhere_is_one_closed_channel(self, sent):
         # EOF before a frame, between frames or inside one reads the same.
-        a, b = socket.socketpair()
-        try:
+        with socket_pair() as (a, b):
             a.sendall(sent)
             a.close()
             endpoint = SocketEndpoint(b, timeout=5)
@@ -1117,8 +1040,6 @@ class TestSocketHardening:
                 assert endpoint.recv_frame() == sent
             with pytest.raises(ChannelClosedError, match="^peer closed the connection$"):
                 endpoint.recv_frame()
-        finally:
-            b.close()
 
     def test_cloud_reset_between_rounds_is_a_closed_channel(self):
         # The cloud answers the HELLO and the first draft, then resets; the
@@ -1162,16 +1083,12 @@ class TestSocketHardening:
     def test_stalled_edge_gets_the_refusal(self):
         vocab, (llm, _, minus) = random_table_triple(np.random.default_rng(0), 4)
         cfg = ProtocolConfig(max_len=8, top_k=4)
-        a, b = socket.socketpair()
-        try:
+        with socket_pair() as (a, b):
             b.sendall(encode_hello(cfg, vocab.fingerprint, [0]))
             with pytest.raises(ChannelTimeoutError):
                 run_cloud(SocketEndpoint(a, timeout=0.2), llm, minus, vocab)
             a.shutdown(socket.SHUT_WR)
             assert read_frames(b) == [encode_hello_ack(vocab.fingerprint), encode_done(0, ())]
-        finally:
-            a.close()
-            b.close()
 
 
 def hostile_hello(cfg, vocab):
@@ -1262,8 +1179,7 @@ class TestCloudRefusal:
     def test_refusal_reaches_edge(self, msg_type, rewrite, cloud_error):
         vocab, (llm, plus, minus) = random_table_triple(np.random.default_rng(51), 8)
         cfg = ProtocolConfig(lam=0.8, max_len=24, top_k=8, seed=3)
-        a, b = socket.socketpair()
-        try:
+        with socket_pair() as (a, b):
             thread, errors = in_thread(
                 lambda: run_cloud(SocketEndpoint(a, timeout=5), llm, minus, vocab))
             edge_end = Tamper(SocketEndpoint(b, timeout=5), msg_type, rewrite(cfg, vocab))
@@ -1272,9 +1188,6 @@ class TestCloudRefusal:
             thread.join(timeout=5)
             assert not thread.is_alive()
             assert len(errors) == 1 and isinstance(errors[0], cloud_error)
-        finally:
-            a.close()
-            b.close()
 
     @pytest.mark.parametrize("msg_type, rewrite, match", [
         # A DONE ack whose length is wrong is no refusal: the message names
@@ -1351,8 +1264,7 @@ class TestDraftBoundsRefusal:
         if drafter == "eos":  # drafts eos at once, and lam accepts it
             plus = TableModel(vocab, {(): np.eye(vocab.size)[vocab.eos_id]})
         cfg = ProtocolConfig(**{"lam": 0.8, "top_k": 8, "seed": 3, **cfg_kw})
-        a, b = socket.socketpair()
-        try:
+        with socket_pair() as (a, b):
             thread, errors = in_thread(
                 lambda: run_cloud(SocketEndpoint(a, timeout=5), llm, minus, vocab))
             edge_end = Tamper(SocketEndpoint(b, timeout=5), msg_type, rewrite(cfg, vocab))
@@ -1362,9 +1274,6 @@ class TestDraftBoundsRefusal:
             assert not thread.is_alive()
             assert len(errors) == 1 and isinstance(errors[0], ProtocolStateError)
             assert match in str(errors[0])
-        finally:
-            a.close()
-            b.close()
 
 class TestEdgeVerdictIngest:
     @pytest.mark.parametrize("entries, match", [
@@ -1377,24 +1286,19 @@ class TestEdgeVerdictIngest:
     def test_bad_payload_rejected(self, entries, match):
         vocab, (_, plus, _) = random_table_triple(np.random.default_rng(61), 8)
         cfg = ProtocolConfig(lam=0.8, max_len=24, top_k=4, seed=3)
-        a, b = socket.socketpair()
+        with socket_pair() as (a, b):
+            def fake_cloud():
+                cloud_end = SocketEndpoint(a, timeout=5)
+                cloud_end.recv_frame()
+                cloud_end.send_frame(encode_hello_ack(vocab.fingerprint))
+                cloud_end.recv_frame()
+                cloud_end.send_frame(encode_verdict(Verdict(0, 0, section(entries))))
 
-        def fake_cloud():
-            cloud_end = SocketEndpoint(a, timeout=5)
-            cloud_end.recv_frame()
-            cloud_end.send_frame(encode_hello_ack(vocab.fingerprint))
-            cloud_end.recv_frame()
-            cloud_end.send_frame(encode_verdict(Verdict(0, 0, section(entries))))
-
-        try:
             thread, errors = in_thread(fake_cloud)
             with pytest.raises(ProtocolStateError, match=match):
                 run_edge(cfg, SocketEndpoint(b, timeout=5), plus, vocab, [0])
             thread.join(timeout=5)
             assert not thread.is_alive() and not errors
-        finally:
-            a.close()
-            b.close()
 
     def test_refused_payload_leaves_the_edge_as_it_was(self):
         vocab = make_vocab(8)
@@ -1567,16 +1471,12 @@ def honest_uplink(seed: int, lam: float, horizon_k: int, max_len: int) -> list[b
                 frames.append(frame)
                 super().send_frame(frame)
 
-        a, b = socket.socketpair()
-        try:
+        with socket_pair() as (a, b):
             thread, errors = in_thread(
                 lambda: run_cloud(SocketEndpoint(a, timeout=5), llm, minus, FUZZ_VOCAB))
             run_edge(cfg, Recorder(b, timeout=5), plus, FUZZ_VOCAB, [0])
             thread.join(timeout=5)
             assert not thread.is_alive() and not errors
-        finally:
-            a.close()
-            b.close()
         _honest_uplinks[key] = frames
     return list(_honest_uplinks[key])
 
@@ -1667,8 +1567,7 @@ class TestUplinkFuzz:
     def test_refused_or_valid(self, case):
         frames, _ = case
         llm, _, minus = FUZZ_MODELS
-        a, b = socket.socketpair()
-        try:
+        with socket_pair() as (a, b):
             # The whole uplink is queued before the cloud reads it; the
             # half-close then ends any frame the mutation cut short.
             b.sendall(b"".join(frames))
@@ -1682,9 +1581,6 @@ class TestUplinkFuzz:
             # would reset the connection under the downlink.
             a.shutdown(socket.SHUT_WR)
             down = read_frames(b)
-        finally:
-            a.close()
-            b.close()
         msg_type, payload = decode_frame(down[-1])
         assert msg_type == MSG_DONE
         final_len, trailing = decode_done(payload)
@@ -1717,16 +1613,12 @@ def honest_downlink(seed: int, lam: float, top_k: int, max_len: int) -> list[byt
                 frames.append(frame)
                 super().send_frame(frame)
 
-        a, b = socket.socketpair()
-        try:
+        with socket_pair() as (a, b):
             thread, errors = in_thread(
                 lambda: run_cloud(Recorder(a, timeout=5), llm, minus, FUZZ_VOCAB))
             run_edge(downlink_config(*key), SocketEndpoint(b, timeout=5), plus, FUZZ_VOCAB, [0])
             thread.join(timeout=5)
             assert not thread.is_alive() and not errors
-        finally:
-            a.close()
-            b.close()
         _honest_downlinks[key] = frames
     return list(_honest_downlinks[key])
 
@@ -1805,16 +1697,15 @@ def mutated_downlink(draw) -> tuple[list[bytes], tuple]:
 def edge_against(frames: list[bytes], params: tuple, drip: bool = False):
     """``run_edge`` against a cloud that sends ``frames`` whatever the edge
     says: all at once in one send, or, with ``drip``, a few bytes per send."""
-    a, b = socket.socketpair()
-    stream = b"".join(frames)
+    with socket_pair() as (a, b):
+        stream = b"".join(frames)
 
-    def drip_feed():
-        for i in range(0, len(stream), 3):
-            a.sendall(stream[i:i + 3])
-            time.sleep(0.0005)
-        a.shutdown(socket.SHUT_WR)
+        def drip_feed():
+            for i in range(0, len(stream), 3):
+                a.sendall(stream[i:i + 3])
+                time.sleep(0.0005)
+            a.shutdown(socket.SHUT_WR)
 
-    try:
         if drip:
             thread, errors = in_thread(drip_feed)
         else:
@@ -1827,9 +1718,6 @@ def edge_against(frames: list[bytes], params: tuple, drip: bool = False):
             thread.join(timeout=5)
             assert not thread.is_alive() and not errors
         return committed
-    finally:
-        a.close()
-        b.close()
 
 
 class TestDownlinkFuzz:
