@@ -240,28 +240,6 @@ def cmd_run(cfg: ExperimentConfig, prompt_tokens: list[str]) -> int:
     return 0
 
 
-def _first_token_law_kl(
-    world: ToyWorld, protocol: ProtocolConfig, prompt: list[int], trials: int
-) -> float:
-    """KL of the empirical first-emitted-token law against the exact fused
-    target at the prompt, over seeded single-step sessions."""
-    target = fused_target(
-        world.llm.next_token_probs(prompt),
-        world.slm_plus.next_token_probs(prompt),
-        world.slm_minus.next_token_probs(prompt),
-    ).target
-    counts = np.zeros(world.vocab.size)
-    one_step = replace(protocol, max_len=len(prompt) + 1, horizon_k=1)
-    for s in range(trials):
-        committed, _ = run_session(
-            replace(one_step, seed=s),
-            world.llm, world.slm_plus, world.slm_minus, world.vocab, prompt,
-        )
-        counts[committed[len(prompt)]] += 1
-    empirical = counts / counts.sum()
-    return kl_divergence(empirical, clamp_probs(target))
-
-
 def _write_sweep_svg(path: Path, rows: list[dict], lambda_list: tuple[float, ...], beta_list: tuple[float, ...]) -> None:
     """Self-contained line chart: mean acceptance rate against the lambda
     grid, one polyline per beta."""
@@ -305,17 +283,28 @@ def cmd_sweep(cfg: ExperimentConfig, prompt_tokens: list[str]) -> int:
     prompt = _prompt_ids(world, prompt_tokens)
     latency = LatencyModel()
     chash = config_hash(cfg)
+    # kl_first_token: the KL of each cell's first emitted tokens against the
+    # exact fused target at the prompt, which no cell changes.
+    target = clamp_probs(fused_target(
+        world.llm.next_token_probs(prompt),
+        world.slm_plus.next_token_probs(prompt),
+        world.slm_minus.next_token_probs(prompt),
+    ).target)
     rows: list[dict] = []
     for lam in cfg.lambda_list:
         for beta in cfg.beta_list:
             cell = replace(cfg.protocol, lam=lam, beta=beta)
             traces = []
+            counts = np.zeros(world.vocab.size)
             for s in range(cfg.trials):
-                _, t = run_session(
+                committed, t = run_session(
                     replace(cell, seed=s),
                     world.llm, world.slm_plus, world.slm_minus, world.vocab, prompt,
                 )
                 traces.extend(t)
+                # A session that emitted nothing counts nothing here, and
+                # ``summarize`` refuses the cell for its lack of traces.
+                counts[committed[len(prompt):len(prompt) + 1]] += 1
             summary = summarize(traces, latency, channel=cfg.channel)
             rows.append(
                 {
@@ -325,7 +314,7 @@ def cmd_sweep(cfg: ExperimentConfig, prompt_tokens: list[str]) -> int:
                     "speedup": summary["speedup"],
                     "payload_up": summary["payload_up"],
                     "payload_down": summary["payload_down"],
-                    "kl_first_token": _first_token_law_kl(world, cell, prompt, cfg.trials),
+                    "kl_first_token": kl_divergence(counts / counts.sum(), target),
                 }
             )
             log.info("sweep cell lambda=%g beta=%g alpha=%.3f", lam, beta, rows[-1]["alpha_mean"])
@@ -372,6 +361,8 @@ def cmd_oracle(cfg: ExperimentConfig, history_tokens: list[str]) -> int:
 
 def _parse_hostport(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]  # an IPv6 literal, as in [::1]:5555
     if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
         raise ConfigError(f"expected HOST:PORT with a port of at most 65535, got {text!r}")
     return host, int(port)
@@ -384,7 +375,7 @@ def cmd_serve_cloud(cfg: ExperimentConfig, bind: str) -> int:
     log_path = cfg.out_dir / "cloud_frames.bin"
     # Printed before the accept, so that an edge can learn a port 0 bind.
     bound: list = []
-    announce = SimpleNamespace(set=lambda: print("listening on %s:%d" % bound[0], flush=True))
+    announce = SimpleNamespace(set=lambda: print("listening on %s:%d" % bound[0][:2], flush=True))
     with FrameLog(str(log_path)) as flog:
         stats = serve_cloud_once(
             address, world.llm, world.slm_minus, world.vocab,

@@ -810,9 +810,12 @@ def serve_cloud_once(
     and serve one session on it.  Once the socket listens, its address is
     appended to ``bound`` and then ``ready.set()`` is called (``ready`` may
     be any object with a ``set()`` method).  The listener is closed as soon
-    as the edge connects, so a second client is refused at connect."""
+    as the edge connects, so a second client is refused at connect.  A host
+    that contains ``:`` is an IPv6 literal and is bound as ``AF_INET6``;
+    any other host is bound as ``AF_INET``."""
     timeout = DEFAULT_SOCKET_TIMEOUT
-    with socket.create_server(bind, backlog=1) as server:
+    family = socket.AF_INET6 if ":" in bind[0] else socket.AF_INET
+    with socket.create_server(bind, family=family, backlog=1) as server:
         # A blocking accept, bounded by the kernel's receive timeout.
         server.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, _timeval(timeout))
         if bound is not None:

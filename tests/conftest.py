@@ -105,15 +105,27 @@ def in_thread(fn):
     return thread, errors
 
 
-def serving(llm, minus, vocab):
-    """``serve_cloud_once`` on 127.0.0.1 on a daemon thread, once it
+def _has_ipv6_loopback() -> bool:
+    try:
+        with socket.socket(socket.AF_INET6) as probe:
+            probe.bind(("::1", 0))
+    except OSError:
+        return False
+    return True
+
+
+needs_ipv6 = pytest.mark.skipif(not _has_ipv6_loopback(), reason="no IPv6 loopback")
+
+
+def serving(llm, minus, vocab, host="127.0.0.1"):
+    """``serve_cloud_once`` on ``host`` on a daemon thread, once it
     listens: the thread, its errors, the list its stats are appended to,
     and the address it is bound to."""
     ready = threading.Event()
     bound: list = []
     stats: list = []
     thread, errors = in_thread(lambda: stats.append(
-        serve_cloud_once(("127.0.0.1", 0), llm, minus, vocab, ready=ready, bound=bound)))
+        serve_cloud_once((host, 0), llm, minus, vocab, ready=ready, bound=bound)))
     assert ready.wait(10)
     return thread, errors, stats, bound[0]
 

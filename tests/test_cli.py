@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import socket
@@ -18,8 +19,10 @@ from specsteer.cli import (
     main,
 )
 from specsteer.core import ConfigError, ProtocolConfig, ROLE_DRAFT, stream
-from specsteer.protocol import autoregressive_decode
+from specsteer.protocol import autoregressive_decode, run_session
 from specsteer.transport import replay_cloud_log, scan_frame_log
+
+from conftest import needs_ipv6
 
 TINY_GENERALIST = """\
 we ordered the pizza
@@ -304,6 +307,33 @@ class TestSweepCommand:
         svg = (out / "sweep.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    def test_rows_and_chart_pinned(self, tmp_path):
+        # sha256s of the rows under the hash header (which hashes the output
+        # directory too) and of the chart, taken from a sweep that ran a
+        # single-step session of each seed for kl_first_token: reading the
+        # first tokens of the cell's own sessions moves no byte.
+        path = write_tiny_config(tmp_path)
+        out = tmp_path / "sw"
+        assert main(["--config", str(path), "--out", str(out), "sweep"]) == 0
+        rows = (out / "sweep.csv").read_bytes().split(b"\n", 1)[1]
+        assert hashlib.sha256(rows).hexdigest() == (
+            "2d481d84d0af7ee55fa48dc42350ba47f895ca6ed2e13780a30cf26fe765d712")
+        assert hashlib.sha256((out / "sweep.svg").read_bytes()).hexdigest() == (
+            "112c6a7f0fb73a365b77749fce2eb1618a1c535eb3a7c71cb61c39f67c1c9ada")
+
+    def test_one_session_per_seed_and_cell(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return run_session(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_session", counted)
+        path = write_tiny_config(tmp_path)
+        assert main(["--config", str(path), "--out", str(tmp_path / "sw"), "sweep"]) == 0
+        cfg = load_config(path)
+        assert len(calls) == len(cfg.lambda_list) * len(cfg.beta_list) * cfg.trials
+
 
 class TestOracleCommand:
     def test_stable_report(self, tmp_path, capsys):
@@ -357,7 +387,7 @@ class TestBadInputsExitOne:
         assert not (out / "trace.csv").exists()
 
     @pytest.mark.parametrize("address", [
-        "127.0.0.1:65536", "127.0.0.1:99999", "127.0.0.1:", ":80",
+        "127.0.0.1:65536", "127.0.0.1:99999", "127.0.0.1:", ":80", "[]:80",
         pytest.param("127.0.0.1:\N{SUPERSCRIPT TWO}", id="non-ascii-digit"),
     ])
     @pytest.mark.parametrize("command", ["serve-cloud --bind", "run-edge --connect"])
@@ -389,14 +419,14 @@ def trace_rows(path):
     return list(csv.DictReader(lines[1:]))
 
 
-def serve_cloud_child(path, out):
-    """``specsteer serve-cloud --bind 127.0.0.1:0`` in a child process."""
+def serve_cloud_child(path, out, bind="127.0.0.1:0"):
+    """``specsteer serve-cloud --bind BIND`` in a child process."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.Popen(
         [sys.executable, "-m", "specsteer.cli", "--config", str(path), "--out", str(out),
-         "serve-cloud", "--bind", "127.0.0.1:0"],
+         "serve-cloud", "--bind", bind],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
     )
 
@@ -447,6 +477,36 @@ class TestSocketCommands:
         assert replay_cloud_log(
             str(out / "cloud_frames.bin"), world.llm, world.slm_minus, world.vocab) == []
         assert (out / "cloud_frames.bin").read_bytes() == (out / "edge_frames.bin").read_bytes()
+
+    @pytest.mark.parametrize("text, address", [
+        ("127.0.0.1:5555", ("127.0.0.1", 5555)),
+        ("localhost:0", ("localhost", 0)),
+        ("::1:5555", ("::1", 5555)),
+        ("[::1]:5555", ("::1", 5555)),
+    ])
+    def test_address_parsing(self, text, address):
+        assert cli._parse_hostport(text) == address
+
+    @needs_ipv6
+    def test_bracketed_ipv6_literal_on_both_ends(self, tmp_path, capsys):
+        path = write_tiny_config(tmp_path)
+        out = tmp_path / "wire"
+        with serve_cloud_child(path, out, "[::1]:0") as child:
+            try:
+                first = child.stdout.readline()
+                assert first.startswith("listening on ::1:"), first
+                port = int(first.rpartition(":")[2])
+                code = main(["--config", str(path), "--out", str(out), "run-edge",
+                             "--connect", f"[::1]:{port}"])
+                rest, err = child.communicate(timeout=30)
+            except BaseException:
+                child.kill()
+                raise
+        assert code == 0 and child.returncode == 0, err
+        assert rest.startswith("served ")
+        edge_text = capsys.readouterr().out
+        assert main(["--config", str(path), "--out", str(tmp_path / "ref"), "run"]) == 0
+        assert capsys.readouterr().out == edge_text
 
     def test_foreign_vocabulary_edge_is_an_error_on_both_ends(self, tmp_path, capsys):
         # The edge's private corpus adds a word, so its vocabulary hash

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from specsteer.core import (
     ConfigError,
@@ -45,6 +45,7 @@ from specsteer.transport import (
 )
 
 from conftest import make_vocab, random_table_triple
+from test_backend_equivalence import table_session
 
 
 def single_row_model(vocab, row):
@@ -658,6 +659,46 @@ class TestSharedStreamPins:
             out.append("".join(map(str, committed[1:])) + "/"
                        + "".join(str(t.accepted_count) for t in traces))
         assert " ".join(out) == SHARED_STREAM_PINS[trial, shape]
+
+
+def first_emitted_pair(cfg, models, vocab, prompt):
+    """The first id that the session of ``cfg`` emits after ``prompt``, and
+    the id that the single-step session of the same seed emits."""
+    full, _ = run_session(cfg, *models, vocab, prompt)
+    one_step = replace(cfg, horizon_k=1, max_len=len(prompt) + 1)
+    single, _ = run_session(one_step, *models, vocab, prompt)
+    return full[len(prompt)], single[len(prompt)]
+
+
+class TestFirstEmittedToken:
+    # `specsteer sweep` reads each session's first emitted token as a draw
+    # of the single-step law: that token depends only on the first draw of
+    # each stream and on the rows at the prompt, not on K or max_len.
+    @settings(max_examples=150, deadline=None)
+    @given(case=table_session())
+    def test_table_worlds(self, case):
+        cfg, models, vocab, prompt = case
+        assume(len(prompt) < cfg.max_len)
+        full, single = first_emitted_pair(cfg, models, vocab, prompt)
+        assert full == single
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_toy_world(self, world, data):
+        v, eos = world.vocab.size, world.vocab.eos_id
+        prompt = data.draw(st.lists(st.integers(0, v - 1).filter(lambda i: i != eos), max_size=4))
+        cfg = ProtocolConfig(
+            lam=data.draw(st.sampled_from([2.0, 1.0, 0.5, 0.1, 0.01])),
+            beta=data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+            horizon_k=data.draw(st.integers(1, 6)),
+            top_k=data.draw(st.sampled_from([1, 8, 32, v])),
+            max_len=len(prompt) + data.draw(st.integers(1, 24)),
+            decode_mode=data.draw(st.sampled_from(["greedy", "stochastic"])),
+            seed=data.draw(st.integers(0, 2**64 - 1)),
+        )
+        models = (world.llm, world.slm_plus, world.slm_minus)
+        full, single = first_emitted_pair(cfg, models, world.vocab, prompt)
+        assert full == single
 
 
 class TestCancellation:

@@ -78,6 +78,7 @@ from specsteer.transport import (
 from conftest import (
     in_thread,
     make_vocab,
+    needs_ipv6,
     random_table_triple,
     serving,
     socket_pair,
@@ -710,11 +711,16 @@ def socket_case():
 
 class TestSocketMode:
     # A host name takes the one connect path too: where "localhost" also
-    # names ::1, create_connection falls through to the IPv4 listener.
-    @pytest.mark.parametrize("host", ["127.0.0.1", "localhost"])
-    def test_socket_equals_in_process(self, host):
+    # names ::1, create_connection falls through to the IPv4 listener.  An
+    # IPv6 literal is bound as AF_INET6.
+    @pytest.mark.parametrize("bind, host", [
+        pytest.param("127.0.0.1", "127.0.0.1", id="127.0.0.1"),
+        pytest.param("127.0.0.1", "localhost", id="localhost"),
+        pytest.param("::1", "::1", id="::1", marks=needs_ipv6),
+    ])
+    def test_socket_equals_in_process(self, bind, host):
         vocab, (llm, plus, minus), cfg, ref = socket_case()
-        thread, errors, stats, (_, port) = serving(llm, minus, vocab)
+        thread, errors, stats, (_, port, *_) = serving(llm, minus, vocab, bind)
         committed, _ = run_edge_socket(cfg, (host, port), plus, vocab, [0])
         thread.join(timeout=10)
         assert committed == ref
