@@ -3,8 +3,12 @@
 Subcommands: ``run`` (one in-process session), ``sweep`` (lambda/beta grid
 with CSV + SVG chart), ``oracle`` (exact fusion report for a history),
 and ``serve-cloud`` / ``run-edge`` (real two-process socket session).
-Configuration is a flat key=value text file; every emitted file carries
-the hash of the effective configuration in a header.  Exit status is 0 iff
+Configuration is a flat key=value text file of deployment settings: the
+three corpora, the protocol, the sweep grid, the modeled channel and the
+output directory.  The models are not configured: ``toydata`` holds the
+n-gram orders, smoothing and private mixing weight, and ``metrics`` the
+model profiles of the FLOPs model.  Every emitted file carries the hash of
+the effective configuration in a header.  Exit status is 0 iff
 all requested outputs were written.
 """
 
@@ -32,10 +36,11 @@ from .core import (
 )
 from .fusion import fused_target, one_step_protocol_law, verification_alpha
 from .metrics import (
+    LLM_PROFILE,
+    SLM_PROFILE,
     ChannelModel,
     CostModel,
     LatencyModel,
-    ModelProfile,
     summarize,
     write_summary_json,
     write_trace_csv,
@@ -62,17 +67,6 @@ KNOWN_KEYS: dict[str, tuple[Callable[[str], object], str | None]] = {
     "corpus.generalist": (str, None),
     "corpus.specialist": (str, None),
     "corpus.private": (str, None),
-    "llm.n_params": (int, None),
-    "llm.layers": (int, None),
-    "llm.hidden_dim": (int, None),
-    "llm.order": (int, None),
-    "llm.add_k": (float, None),
-    "slm.n_params": (int, None),
-    "slm.layers": (int, None),
-    "slm.hidden_dim": (int, None),
-    "slm.order": (int, None),
-    "slm.add_k": (float, None),
-    "slm.mu": (float, None),
     "protocol.lambda": (float, "lam"),
     "protocol.beta": (float, "beta"),
     "protocol.k": (int, "horizon_k"),
@@ -97,8 +91,6 @@ class ExperimentConfig:
     corpus_generalist: Path
     corpus_specialist: Path
     corpus_private: Path
-    llm: dict
-    slm: dict
     protocol: ProtocolConfig
     lambda_list: tuple[float, ...]
     beta_list: tuple[float, ...]
@@ -147,11 +139,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError(f"corpus file not found: {p}")
         return p
 
-    def section(model: str) -> dict:
-        """The model's keys, all required, by the name after ``model.``."""
-        prefix = model + "."
-        return {key.removeprefix(prefix): required(key) for key in KNOWN_KEYS if key.startswith(prefix)}
-
     trials = raw.get("sweep.trials", 200)
     if trials < 1:
         raise ConfigError("sweep.trials must be >= 1")
@@ -159,8 +146,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         corpus_generalist=resolve("corpus.generalist"),
         corpus_specialist=resolve("corpus.specialist"),
         corpus_private=resolve("corpus.private"),
-        llm=section("llm"),
-        slm=section("slm"),
         protocol=ProtocolConfig(**{f: raw[k] for k, f in _PROTOCOL_FIELDS.items() if k in raw}),
         lambda_list=raw.get("sweep.lambda_list", (1.0, 0.5, 0.1, 0.01)),
         beta_list=raw.get("sweep.beta_list", (0.0, 1.0)),
@@ -186,27 +171,9 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return digest.hexdigest()[:16]
 
 
-def cost_model(cfg: ExperimentConfig) -> CostModel:
-    """The FLOPs model of the configured ``llm``/``slm`` statistics."""
-
-    def profile(section: dict) -> ModelProfile:
-        return ModelProfile(section["n_params"], section["layers"], section["hidden_dim"])
-
-    return CostModel(llm=profile(cfg.llm), slm=profile(cfg.slm), horizon_k=cfg.protocol.horizon_k)
-
-
 def build_world(cfg: ExperimentConfig) -> ToyWorld:
-    return assemble_world(
-        load_corpus(cfg.corpus_generalist),
-        load_corpus(cfg.corpus_specialist),
-        load_corpus(cfg.corpus_private),
-        llm_order=cfg.llm["order"],
-        llm_add_k=cfg.llm["add_k"],
-        slm_order=cfg.slm["order"],
-        slm_add_k=cfg.slm["add_k"],
-        mu=cfg.slm["mu"],
-        user_id=cfg.corpus_private.stem,
-    )
+    corpora = (cfg.corpus_generalist, cfg.corpus_specialist, cfg.corpus_private)
+    return assemble_world(*map(load_corpus, corpora), user_id=cfg.corpus_private.stem)
 
 
 def _prompt_ids(world: ToyWorld, tokens: list[str]) -> list[int]:
@@ -227,12 +194,13 @@ def cmd_run(cfg: ExperimentConfig, prompt_tokens: list[str]) -> int:
         cfg.protocol, world.llm, world.slm_plus, world.slm_minus, world.vocab, prompt
     )
     latency = LatencyModel()
+    cost = CostModel(LLM_PROFILE, SLM_PROFILE, cfg.protocol.horizon_k)
     chash = config_hash(cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_trace_csv(str(cfg.out_dir / "trace.csv"), traces, chash, latency, cfg.channel)
     write_summary_json(
         str(cfg.out_dir / "summary.json"),
-        summarize(traces, latency, cost=cost_model(cfg), channel=cfg.channel),
+        summarize(traces, latency, cost=cost, channel=cfg.channel),
         chash,
     )
     print(world.vocab.text_of(committed))
@@ -361,11 +329,20 @@ def cmd_oracle(cfg: ExperimentConfig, history_tokens: list[str]) -> int:
 
 def _parse_hostport(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if host.startswith("[") and host.endswith("]"):
+    bracketed = host.startswith("[") and host.endswith("]")
+    if bracketed:
         host = host[1:-1]  # an IPv6 literal, as in [::1]:5555
-    if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
-        raise ConfigError(f"expected HOST:PORT with a port of at most 65535, got {text!r}")
+    valid_port = port.isascii() and port.isdigit() and int(port) <= 65535
+    # An IPv6 literal needs its brackets: ::1:5555 is itself an address.
+    if not host or (":" in host and not bracketed) or not valid_port:
+        raise ConfigError(
+            f"expected HOST:PORT, an IPv6 HOST in brackets, with a port of at most 65535, got {text!r}")
     return host, int(port)
+
+
+def _format_hostport(host: str, port: int) -> str:
+    """The text ``_parse_hostport`` reads back as ``(host, port)``."""
+    return f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
 
 
 def cmd_serve_cloud(cfg: ExperimentConfig, bind: str) -> int:
@@ -375,7 +352,8 @@ def cmd_serve_cloud(cfg: ExperimentConfig, bind: str) -> int:
     log_path = cfg.out_dir / "cloud_frames.bin"
     # Printed before the accept, so that an edge can learn a port 0 bind.
     bound: list = []
-    announce = SimpleNamespace(set=lambda: print("listening on %s:%d" % bound[0][:2], flush=True))
+    announce = SimpleNamespace(
+        set=lambda: print("listening on", _format_hostport(*bound[0][:2]), flush=True))
     with FrameLog(str(log_path)) as flog:
         stats = serve_cloud_once(
             address, world.llm, world.slm_minus, world.vocab,

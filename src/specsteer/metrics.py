@@ -84,7 +84,7 @@ class LatencyModel:
                 raise MetricsError("latency costs must be finite and >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelModel:
     """Modeled link: one-way latency plus serialization delay, for
     ``round_time_ms``."""

@@ -13,7 +13,9 @@ cheap under the generic baseline but expensive under the confident
 generalist.
 
 The files are the only source of toy data: ``toy_world`` and the CLI's
-``default.cfg`` both read them.
+``default.cfg`` both read them.  This module's constants are the one
+definition of the models' settings: ``assemble_world`` builds every world,
+the CLI's included, with them, and no config sets them.
 """
 
 from __future__ import annotations
@@ -47,11 +49,13 @@ def load_corpus(path: str | Path) -> list[list[str]]:
 # Model assembly
 # ---------------------------------------------------------------------------
 
-DEFAULT_LLM_ORDER = 3
-DEFAULT_LLM_ADD_K = 0.01
-DEFAULT_SLM_ORDER = 2
-DEFAULT_SLM_ADD_K = 1.0
-DEFAULT_MU = 0.9
+# The order and add-k smoothing of the generalist and of the specialist,
+# and the weight of the private table in the private specialist.
+LLM_ORDER = 3
+LLM_ADD_K = 0.01
+SLM_ORDER = 2
+SLM_ADD_K = 1.0
+MU = 0.9
 
 
 @dataclass
@@ -67,27 +71,23 @@ def assemble_world(
     generalist_docs: list[list[str]],
     specialist_docs: list[list[str]],
     private_docs: list[list[str]],
-    llm_order: int = DEFAULT_LLM_ORDER,
-    llm_add_k: float = DEFAULT_LLM_ADD_K,
-    slm_order: int = DEFAULT_SLM_ORDER,
-    slm_add_k: float = DEFAULT_SLM_ADD_K,
-    mu: float = DEFAULT_MU,
     user_id: str = "user",
 ) -> ToyWorld:
-    """Shared vocabulary over all corpora, eos appended to every document."""
+    """Shared vocabulary over all corpora, eos appended to every document;
+    the models are trained with this module's n-gram settings."""
     vocab = Vocabulary.build(generalist_docs + specialist_docs + private_docs, EOS_TOKEN)
 
     def encode(docs: list[list[str]]) -> list[list[int]]:
         return [vocab.ids_of(doc) + [vocab.eos_id] for doc in docs]
 
-    llm = train_ngram(encode(generalist_docs), vocab, llm_order, llm_add_k)
-    slm_minus = train_ngram(encode(specialist_docs), vocab, slm_order, slm_add_k)
+    llm = train_ngram(encode(generalist_docs), vocab, LLM_ORDER, LLM_ADD_K)
+    slm_minus = train_ngram(encode(specialist_docs), vocab, SLM_ORDER, SLM_ADD_K)
     ctx = PrivateContext.from_documents(encode(private_docs), identifier=user_id)
-    slm_plus = condition_private(slm_minus, ctx, mu)
+    slm_plus = condition_private(slm_minus, ctx, MU)
     return ToyWorld(vocab=vocab, llm=llm, slm_minus=slm_minus, slm_plus=slm_plus, private_ctx=ctx)
 
 
-def toy_world(theme: str = "gino", mu: float = DEFAULT_MU) -> ToyWorld:
+def toy_world(theme: str = "gino") -> ToyWorld:
     """The default desk-scale world used by tests and the CLI examples,
     built from the bundled corpora and the private corpus of ``theme``."""
     themes = bundled_themes()
@@ -97,6 +97,5 @@ def toy_world(theme: str = "gino", mu: float = DEFAULT_MU) -> ToyWorld:
         load_corpus(DATA_DIR / "generalist.txt"),
         load_corpus(DATA_DIR / "specialist_base.txt"),
         load_corpus(DATA_DIR / f"user_{theme}.txt"),
-        mu=mu,
         user_id=theme,
     )

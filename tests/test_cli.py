@@ -19,6 +19,7 @@ from specsteer.cli import (
     main,
 )
 from specsteer.core import ConfigError, ProtocolConfig, ROLE_DRAFT, stream
+from specsteer.metrics import ChannelModel
 from specsteer.protocol import autoregressive_decode, run_session
 from specsteer.transport import replay_cloud_log, scan_frame_log
 
@@ -54,17 +55,6 @@ def write_tiny_config(tmp_path, **overrides):
         "corpus.generalist": "gen.txt",
         "corpus.specialist": "spec.txt",
         "corpus.private": "priv.txt",
-        "llm.n_params": "1000",
-        "llm.layers": "2",
-        "llm.hidden_dim": "8",
-        "llm.order": "3",
-        "llm.add_k": "0.01",
-        "slm.n_params": "100",
-        "slm.layers": "1",
-        "slm.hidden_dim": "4",
-        "slm.order": "2",
-        "slm.add_k": "1.0",
-        "slm.mu": "0.9",
         "protocol.lambda": "0.5",
         "protocol.beta": "1.0",
         "protocol.k": "2",
@@ -130,6 +120,10 @@ class TestConfigLoading:
     @pytest.mark.parametrize("key, value", [
         ("llm.mu", "0.0"), ("llm.role", "generalist"), ("slm.role", "specialist_generic"),
         ("llm.name", "big"), ("slm.name", "small"),
+        ("llm.n_params", "32000000000"), ("llm.layers", "64"), ("llm.hidden_dim", "5120"),
+        ("llm.order", "3"), ("llm.add_k", "0.01"),
+        ("slm.n_params", "600000000"), ("slm.layers", "28"), ("slm.hidden_dim", "1024"),
+        ("slm.order", "2"), ("slm.add_k", "1.0"), ("slm.mu", "0.9"),
     ])
     def test_removed_keys_are_unknown(self, tmp_path, key, value):
         path = write_tiny_config(tmp_path, **{key: value})
@@ -138,8 +132,9 @@ class TestConfigLoading:
 
     def test_values_parsed_with_their_key_type(self, tmp_path):
         cfg = load_config(write_tiny_config(tmp_path, **{"sweep.beta_list": "0 2.5"}))
-        assert cfg.llm == {"n_params": 1000, "layers": 2, "hidden_dim": 8, "order": 3, "add_k": 0.01}
-        assert cfg.slm["mu"] == 0.9 and cfg.trials == 4 and cfg.beta_list == (0.0, 2.5)
+        assert cfg.corpus_private == tmp_path / "priv.txt"
+        assert cfg.trials == 4 and cfg.beta_list == (0.0, 2.5)
+        assert cfg.channel == ChannelModel(one_way_latency_ms=0.0, bandwidth_bps=1e6)
         assert cfg.protocol == ProtocolConfig(
             lam=0.5, beta=1.0, horizon_k=2, top_k=4, max_len=12, decode_mode="stochastic", seed=0
         )
@@ -149,7 +144,7 @@ class TestConfigLoading:
         drop_lines(path, "protocol.")
         assert load_config(path).protocol == ProtocolConfig()
 
-    @pytest.mark.parametrize("key", ["llm.order", "slm.mu", "corpus.generalist"])
+    @pytest.mark.parametrize("key", ["corpus.generalist", "corpus.specialist", "corpus.private"])
     def test_missing_required_key(self, tmp_path, key):
         path = write_tiny_config(tmp_path)
         drop_lines(path, key + " ")
@@ -172,8 +167,8 @@ class TestConfigHash:
         assert config_hash(a) != config_hash(b)
 
     @pytest.mark.parametrize("key, value", [
-        ("protocol.seed", "1"), ("protocol.mode", "greedy"), ("slm.mu", "0.5"),
-        ("llm.n_params", "1001"), ("sweep.lambda_list", "1.0, 0.2"),
+        ("protocol.seed", "1"), ("protocol.mode", "greedy"), ("sweep.trials", "5"),
+        ("channel.bandwidth_bps", "2000000"), ("sweep.lambda_list", "1.0, 0.2"),
         ("channel.latency_ms", "1.0"), ("output.dir", "elsewhere"),
     ])
     def test_sensitive_to_each_key(self, tmp_path, key, value):
@@ -186,7 +181,7 @@ class TestConfigHash:
         # its default, hash the same; an override counts like a file value.
         a = load_config(write_tiny_config(tmp_path))
         b = load_config(write_tiny_config(
-            tmp_path, **{"protocol.lambda": "0.50", "protocol.k": " 2", "slm.mu": "9e-1"}))
+            tmp_path, **{"protocol.lambda": "0.50", "protocol.k": " 2", "channel.bandwidth_bps": "1e6"}))
         assert config_hash(a) == config_hash(b)
         path = write_tiny_config(tmp_path, **{"protocol.max_len": "1024"})
         default_len = load_config(path)
@@ -264,6 +259,27 @@ class TestRunCommand:
         chash = config_hash(cfg)
         assert (out / "trace.csv").read_text().splitlines()[0] == f"# config_hash={chash}"
         assert json.loads((out / "summary.json").read_text())["config_hash"] == chash
+
+    def test_shipped_config_run_pinned(self, tmp_path, capsys):
+        # sha256s of stdout, of the trace rows under the hash header and of
+        # the summary but for its config_hash line, taken when default.cfg
+        # still restated the models' settings and profiles that toydata and
+        # metrics hold: dropping those keys moves no byte but the hash.
+        out = tmp_path / "shipped"
+        assert main(["--out", str(out), "run"]) == 0
+        summary = (out / "summary.json").read_bytes().splitlines(keepends=True)
+        digests = [
+            hashlib.sha256(blob).hexdigest() for blob in (
+                capsys.readouterr().out.encode("utf-8"),
+                (out / "trace.csv").read_bytes().split(b"\n", 1)[1],
+                b"".join(line for line in summary if not line.startswith(b'  "config_hash"')),
+            )
+        ]
+        assert digests == [
+            "525ea5a48f6585f5ab5039648f014e01b13dd3b548b04562840b3aa07f0f9777",
+            "aa50416c14188c88088f67ec2c3643addeb684e84faabd1c81c66731553f3a00",
+            "ed52a282fb7a58fdd34d0a9b7f2bc42b9fed49a14b04fb09a0fbb4eeaefda6b9",
+        ]
 
     def test_seed_override_changes_output(self, tmp_path, capsys):
         path = write_tiny_config(tmp_path)
@@ -363,7 +379,7 @@ class TestBadInputsExitOne:
         ("channel.latency_ms", "fast"),
         ("sweep.lambda_list", "a, b"),
         ("sweep.beta_list", ""),
-        ("slm.order", "two"),
+        ("protocol.max_len", "12.0"),
     ])
     def test_unparsable_value(self, tmp_path, capsys, key, value):
         path = write_tiny_config(tmp_path, **{key: value})
@@ -388,6 +404,9 @@ class TestBadInputsExitOne:
 
     @pytest.mark.parametrize("address", [
         "127.0.0.1:65536", "127.0.0.1:99999", "127.0.0.1:", ":80", "[]:80",
+        # A bare IPv6 literal: its last group is no port, and ::1:5555 is
+        # itself an address.
+        "::1", "fe80::1", "::1:5555",
         pytest.param("127.0.0.1:\N{SUPERSCRIPT TWO}", id="non-ascii-digit"),
     ])
     @pytest.mark.parametrize("command", ["serve-cloud --bind", "run-edge --connect"])
@@ -481,11 +500,12 @@ class TestSocketCommands:
     @pytest.mark.parametrize("text, address", [
         ("127.0.0.1:5555", ("127.0.0.1", 5555)),
         ("localhost:0", ("localhost", 0)),
-        ("::1:5555", ("::1", 5555)),
+        ("[fe80::1]:80", ("fe80::1", 80)),
         ("[::1]:5555", ("::1", 5555)),
     ])
     def test_address_parsing(self, text, address):
         assert cli._parse_hostport(text) == address
+        assert cli._format_hostport(*address) == text
 
     @needs_ipv6
     def test_bracketed_ipv6_literal_on_both_ends(self, tmp_path, capsys):
@@ -494,10 +514,10 @@ class TestSocketCommands:
         with serve_cloud_child(path, out, "[::1]:0") as child:
             try:
                 first = child.stdout.readline()
-                assert first.startswith("listening on ::1:"), first
-                port = int(first.rpartition(":")[2])
+                # Announced in brackets, so that the edge passes it on verbatim.
+                assert first.startswith("listening on [::1]:"), first
                 code = main(["--config", str(path), "--out", str(out), "run-edge",
-                             "--connect", f"[::1]:{port}"])
+                             "--connect", first.split()[-1]])
                 rest, err = child.communicate(timeout=30)
             except BaseException:
                 child.kill()

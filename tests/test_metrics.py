@@ -2,14 +2,13 @@ import ast
 import csv
 import json
 import math
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import specsteer.metrics as metrics
-from specsteer.cli import DEFAULT_CONFIG, cost_model, load_config
 from specsteer.core import ProtocolConfig
 from specsteer.metrics import (
     LLM_PROFILE,
@@ -93,6 +92,13 @@ class TestLatencyModel:
         base = round_time_ms(t, m)
         assert round_time_ms(t, m, ch) == pytest.approx(base + 10.0 + 1000.0 * 200 / 1000.0)
 
+    def test_channel_is_frozen(self):
+        # Validated once, in __post_init__: no later assignment can undo it.
+        ch = ChannelModel(one_way_latency_ms=5.0, bandwidth_bps=1000.0)
+        with pytest.raises(FrozenInstanceError):
+            ch.bandwidth_bps = 0.0
+        assert round_time_ms(trace([1], 1), LatencyModel(), ch) > 0
+
     def test_session_time_is_sum(self):
         m = LatencyModel()
         ts = [trace([1, 2], 2), trace([1], 0, recovery=3)]
@@ -169,10 +175,6 @@ class TestModelProfile:
         for stats in ((0, 2, 4), (10, 0, 4), (10, 2, -1)):
             with pytest.raises(MetricsError, match="positive"):
                 ModelProfile(*stats)
-
-    def test_default_config_profiles_are_the_papers_models(self):
-        cost = cost_model(load_config(DEFAULT_CONFIG))
-        assert (cost.llm, cost.slm) == (LLM_PROFILE, SLM_PROFILE)
 
 
 # Every name of the cost model; ``metrics`` alone defines them.

@@ -23,7 +23,7 @@ PYPROJECT = PACKAGE_DIR.parents[1] / "pyproject.toml"
 
 # Every digest, committed sequence and test outcome depends on these bytes.
 DATA_SHA256 = {
-    "default.cfg": "d8f1f32578fd0354fbd3756c23fd52da8d7e14800afb2da1273f9296bec9e988",
+    "default.cfg": "d48116d5f6573b369673c0db796b24df7cd670688cf4ae6fc8420a580931e0d1",
     "generalist.txt": "c74f6460c14e1d3b7886eff0d38aa5cf66d5321385fe66e7fb774b4466effae4",
     "specialist_base.txt": "59e3f27196bb8475c9482e65c3c3be7512c30975924decc4e9bfcdc14ee3cc5c",
     "user_atelier.txt": "619b71828c085bd3a2c26d4e2dee3a8107d064c99a15ac06c6bfe56bbae82ac6",
